@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import DegenerateCasimirError, DomainError, ParityError, VariableSetError
@@ -27,11 +28,22 @@ class DualityReport:
     lam_coord: Optional[Fraction]    # lam / m!
     m: int
     residual: PolyMultivector
-    detail: dict = field(default_factory=dict)  # subset -> (pfaffian, minor)
+    # (bracket matrix, dual side, masks) that ``detail`` is computed from
+    _sources: tuple = field(repr=False, compare=False)
 
     @property
     def lambda_text(self) -> str:
         return "non-constant" if self.lam is None else str(self.lam)
+
+    @cached_property
+    def detail(self) -> dict:
+        """subset -> (Pfaffian of the bracket block, dual coefficient) over the
+        union of both supports, computed on first read."""
+        matrix, dual_side, masks = self._sources
+        zero = PolyExpr.zero(dual_side.vars)
+        return {indices_of(mask): (pfaffian(matrix, indices_of(mask)),
+                                   dual_side.coeffs.get(mask, zero))
+                for mask in masks}
 
 
 def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> DualityReport:
@@ -39,9 +51,10 @@ def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> Duality
     dQ_1 ^ ... ^ dQ_l and extract the constant factor.
 
     The Casimirs are verified first; the comparison refuses functions that
-    are not actually central.  The constant is established by exact
-    cross-multiplication before any division, so zero coefficients cannot
-    produce spurious failures.
+    are not actually central.  The constant is read off one leading
+    coefficient of the dual side and every entry is then compared exactly
+    against that multiple, so a non-constant or mismatched ratio anywhere
+    fails the check.
     """
     casimirs = [q.with_vars(ps.vars) for q in casimirs]
     if not casimirs:
@@ -63,66 +76,37 @@ def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> Duality
         raise DegenerateCasimirError(
             "dQ_1 ^ ... ^ dQ_l vanishes identically; Casimirs are dependent")
 
-    # Cross-multiplied proportionality over the union of supports.
-    masks = sorted(set(wedge_side.coeffs) | set(dual_side.coeffs))
+    # One constant for every mask: read it off a leading coefficient of the
+    # dual side, then confirm the whole entry.  A zero dual entry never
+    # divides: the stored coefficients are nonzero.
     zero = PolyExpr.zero(ps.vars)
     proportional = True
-    for a in range(len(masks)):
-        for b in range(a + 1, len(masks)):
-            ma, mb = masks[a], masks[b]
-            lhs = wedge_side.coeffs.get(ma, zero) * dual_side.coeffs.get(mb, zero)
-            rhs = wedge_side.coeffs.get(mb, zero) * dual_side.coeffs.get(ma, zero)
-            if lhs != rhs:
-                proportional = False
-                break
-        if not proportional:
-            break
-
     lam: Optional[Fraction] = None
-    if proportional:
-        for mask, d in dual_side.coeffs.items():
-            w = wedge_side.coeffs.get(mask, zero)
-            if d.is_zero():
-                if not w.is_zero():
-                    proportional = False
-                continue
-            dm, dc = d.leading()
-            wc = w.coefficient(dm)
-            cand = wc / dc
-            if w != d * cand:
-                proportional = False
-                break
-            if lam is None:
-                lam = cand
-            elif lam != cand:
-                proportional = False
-                break
-        # entries of the wedge side outside the dual support must vanish
-        if proportional:
-            for mask, w in wedge_side.coeffs.items():
-                if mask not in dual_side.coeffs and not w.is_zero():
-                    proportional = False
-                    break
+    for mask, d in dual_side.coeffs.items():
+        w = wedge_side.coeffs.get(mask, zero)
+        dm, dc = d.leading()
+        cand = w.coefficient(dm) / dc
+        if w != d * cand or (lam is not None and lam != cand):
+            proportional = False
+            break
+        lam = cand
+    # entries of the wedge side outside the dual support must vanish
+    if proportional and any(mask not in dual_side.coeffs for mask in wedge_side.coeffs):
+        proportional = False
 
-    if lam is None and proportional:
-        lam = Fraction(0)
-    residual = (wedge_side - dual_side.scaled(lam)) if (proportional and lam is not None) \
-        else wedge_side
-    holds = proportional and lam is not None and lam != 0 and residual.is_zero()
-
-    detail = {}
-    for mask in sorted(set(wedge_side.coeffs) | set(dual_side.coeffs)):
-        t = indices_of(mask)
-        detail[t] = (pfaffian(ps.matrix, t), dual_side.coeffs.get(mask, zero))
+    # the dual side is nonzero, so a proportional outcome has set lam
+    residual = wedge_side - dual_side.scaled(lam) if proportional else wedge_side
+    holds = proportional and lam != 0 and residual.is_zero()
 
     fact = math.factorial(m)
     return DualityReport(
         holds=holds,
         lam=lam if proportional else None,
-        lam_coord=(lam / fact) if (proportional and lam is not None) else None,
+        lam_coord=lam / fact if proportional else None,
         m=m,
         residual=residual,
-        detail=detail,
+        _sources=(ps.matrix, dual_side,
+                  sorted(set(wedge_side.coeffs) | set(dual_side.coeffs))),
     )
 
 

@@ -1,19 +1,32 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-Terms are stored as a mapping from exponent tuples to nonzero ``Fraction``
-coefficients.  Exponents are rational in general: the monomial changes of
-variables used elsewhere produce Laurent/Puiseux terms, and differentiation
-follows the formal power rule for those.  Everything that feeds the bracket
-machinery demands plain nonnegative integer exponents and fails loudly
-otherwise (see :meth:`PolyExpr.require_polynomial_grade`).
+Terms map exponent tuples to nonzero rational coefficients.  Exponents are
+rational in general: the monomial changes of variables used elsewhere produce
+Laurent/Puiseux terms, and differentiation follows the formal power rule for
+those.  Everything that feeds the bracket machinery demands plain nonnegative
+integer exponents and fails loudly otherwise (see
+:meth:`PolyExpr.require_polynomial_grade`).
 
 The coefficient field is Q throughout; no floats enter until a caller asks
 for a floating evaluation.
+
+Representation: a ``PolyExpr`` keeps integer numerators over one positive
+common denominator, reduced so that gcd(den, *numerators) == 1.  That form
+is unique, so equality and hashing compare the stored fields directly, and
+products and sums run on Python ints, dividing out the content only when the
+denominator is not 1 (after Monagan & Pearce, CASC 2007).  ``terms`` is the
+read-only ``Fraction`` view of the same coefficients, built on first use.
+Every result is exact; term order follows the same accumulation as
+``Fraction`` arithmetic would, so iteration order (and with it float sums
+over the terms) does not depend on the representation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -49,16 +62,21 @@ def monomial_key(exps: tuple):
     return (sum(exps), exps)
 
 
+def _is_grade(monos) -> bool:
+    """True when every exponent is a nonnegative int."""
+    return all(isinstance(e, int) and e >= 0 for m in monos for e in m)
+
+
 class PolyExpr:
     """Immutable sparse polynomial with rational coefficients and exponents."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_num", "_den", "_grade", "_terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Fraction] | None = None):
-        object.__setattr__(self, "vars", tuple(variables))
+        variables = tuple(variables)
         clean = {}
         if terms:
-            nv = len(self.vars)
+            nv = len(variables)
             for mono, c in terms.items():
                 c = _coeff(c)
                 if c == 0:
@@ -67,30 +85,42 @@ class PolyExpr:
                     raise VariableSetError(
                         f"exponent tuple {mono} does not match {nv} variables")
                 clean[tuple(_exp(e) for e in mono)] = c
-        object.__setattr__(self, "terms", clean)
+        _fill(self, variables, *_over_common_den(clean), _is_grade(clean))
 
     def __setattr__(self, *a):
         raise AttributeError("PolyExpr is immutable")
+
+    @property
+    def terms(self) -> Mapping[tuple, Fraction]:
+        """Read-only ``{exponent tuple: Fraction}`` view, in term order."""
+        view = self._terms
+        if view is None:
+            den = self._den
+            view = MappingProxyType({m: Fraction(c, den) for m, c in self._num.items()})
+            _set_terms(self, view)
+        return view
 
     # ---------------- constructors ----------------
 
     @classmethod
     def zero(cls, variables) -> "PolyExpr":
-        return cls(variables, {})
+        return _new(tuple(variables), {}, 1, True)
 
     @classmethod
     def const(cls, variables, value) -> "PolyExpr":
         value = _coeff(value)
+        variables = tuple(variables)
         if value == 0:
-            return cls.zero(variables)
-        return cls(variables, {(0,) * len(tuple(variables)): value})
+            return _new(variables, {}, 1, True)
+        return _new(variables, {(0,) * len(variables): value.numerator},
+                    value.denominator, True)
 
     @classmethod
     def var(cls, name: str, variables) -> "PolyExpr":
         variables = tuple(variables)
         i = variables.index(name)
         mono = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {mono: Fraction(1)})
+        return _new(variables, {mono: 1}, 1, True)
 
     @classmethod
     def gens(cls, variables) -> tuple["PolyExpr", ...]:
@@ -100,29 +130,30 @@ class PolyExpr:
     # ---------------- predicates ----------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in m) for m in self.terms)
+        num = self._num
+        return not num or (len(num) == 1 and not any(next(iter(num))))
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise DomainError(f"not a constant: {self}")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self._num.values())), self._den)
 
     def is_polynomial_grade(self) -> bool:
-        return all(isinstance(e, int) and e >= 0 for m in self.terms for e in m)
+        return self._grade
 
     def require_polynomial_grade(self, what="operand"):
-        if not self.is_polynomial_grade():
+        if not self._grade:
             raise PolynomialGradeError(
                 f"{what} has fractional or negative exponents: {self}")
         return self
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._num) == 1
 
     # ---------------- arithmetic ----------------
 
@@ -146,25 +177,18 @@ class PolyExpr:
         a, b = self._align(other)
         if a is None:
             return NotImplemented
-        terms = dict(a.terms)
-        for m, c in b.terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return PolyExpr(a.vars, terms)
+        return _sum(a, b, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyExpr(self.vars, {m: -c for m, c in self.terms.items()})
+        return _new(self.vars, {m: -c for m, c in self._num.items()}, self._den, self._grade)
 
     def __sub__(self, other):
         a, b = self._align(other)
         if a is None:
             return NotImplemented
-        return a + (-b)
+        return _sum(a, b, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -174,20 +198,25 @@ class PolyExpr:
             other = _coeff(other)
             if other == 0:
                 return PolyExpr.zero(self.vars)
-            return PolyExpr(self.vars, {m: c * other for m, c in self.terms.items()})
+            k = other.numerator
+            return _reduced(self.vars, {m: c * k for m, c in self._num.items()},
+                            self._den * other.denominator, self._grade)
         a, b = self._align(other)
         if a is None:
             return NotImplemented
         out: dict = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                m = tuple(_exp(x + y) for x, y in zip(m1, m2))
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
+        get = out.get
+        right = list(b._num.items())
+        grade = a._grade and b._grade
+        for m1, c1 in a._num.items():
+            for m2, c2 in right:
+                m = tuple(map(add, m1, m2)) if grade else tuple(map(_exp, map(add, m1, m2)))
+                s = get(m, 0) + c1 * c2
+                if s:
                     out[m] = s
-        return PolyExpr(a.vars, out)
+                else:
+                    del out[m]
+        return _reduced(a.vars, out, a._den * b._den, grade or _is_grade(out))
 
     __rmul__ = __mul__
 
@@ -216,17 +245,23 @@ class PolyExpr:
             return self.is_constant() and self.constant_value() == other
         if not isinstance(other, PolyExpr):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return (self.vars == other.vars and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self._den, frozenset(self._num.items())))
 
     # ---------------- calculus / structure ----------------
 
     def diff(self, var: str) -> "PolyExpr":
         """Formal partial derivative; rational exponents use the power rule."""
         i = self.vars.index(var)
-        out: dict = {}
+        if self._grade:
+            # e -> e - 1 is injective on the surviving terms: nothing collides
+            out = {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+                   for m, c in self._num.items() if m[i]}
+            return _reduced(self.vars, out, self._den, True)
+        frac: dict = {}
         for m, c in self.terms.items():
             e = m[i]
             if e == 0:
@@ -234,43 +269,44 @@ class PolyExpr:
             nm = list(m)
             nm[i] = _exp(e - 1)
             nm = tuple(nm)
-            s = out.get(nm, Fraction(0)) + c * e
+            s = frac.get(nm, Fraction(0)) + c * e
             if s == 0:
-                out.pop(nm, None)
+                frac.pop(nm, None)
             else:
-                out[nm] = s
-        return PolyExpr(self.vars, out)
+                frac[nm] = s
+        return _new(self.vars, *_over_common_den(frac), _is_grade(frac))
 
     def total_degree(self):
         """Maximum term degree (None for the zero polynomial)."""
         if self.is_zero():
             return None
-        return max(sum(m) for m in self.terms)
+        return max(sum(m) for m in self._num)
 
     def weighted_degree(self, weights: Sequence[int]):
         if self.is_zero():
             return None
         if len(weights) != len(self.vars):
             raise VariableSetError("weight tuple does not match variables")
-        return max(sum(w * e for w, e in zip(weights, m)) for m in self.terms)
+        return max(sum(w * e for w, e in zip(weights, m)) for m in self._num)
 
     def is_weighted_homogeneous(self, weights: Sequence[int]) -> bool:
-        degs = {sum(w * e for w, e in zip(weights, m)) for m in self.terms}
+        degs = {sum(w * e for w, e in zip(weights, m)) for m in self._num}
         return len(degs) <= 1
 
     def homogeneous_component(self, degree: int) -> "PolyExpr":
-        return PolyExpr(self.vars,
-                        {m: c for m, c in self.terms.items() if sum(m) == degree})
+        out = {m: c for m, c in self._num.items() if sum(m) == degree}
+        return _reduced(self.vars, out, self._den, self._grade or _is_grade(out))
 
     def leading(self):
         """(monomial, coefficient) of the graded-lex leading term."""
         if self.is_zero():
             raise DomainError("zero polynomial has no leading term")
-        m = max(self.terms, key=monomial_key)
-        return m, self.terms[m]
+        m = max(self._num, key=monomial_key)
+        return m, Fraction(self._num[m], self._den)
 
     def coefficient(self, mono: tuple) -> Fraction:
-        return self.terms.get(tuple(_exp(e) for e in mono), Fraction(0))
+        c = self._num.get(tuple(_exp(e) for e in mono))
+        return Fraction(0) if c is None else Fraction(c, self._den)
 
     # ---------------- evaluation ----------------
 
@@ -279,6 +315,35 @@ class PolyExpr:
         if len(point) != len(self.vars):
             raise VariableSetError("point dimension does not match variables")
         pt = [_coeff(x) for x in point]
+        if not self._grade:
+            return self._eval_exact_laurent(pt)
+        if not self._num:
+            return Fraction(0)
+        # x_i = p_i/q_i; with E_i the top exponent of x_i, each term is
+        # c * prod p_i^e * q_i^(E_i - e) over den * prod q_i^E_i.
+        tops = [max(col) for col in zip(*self._num)]
+        scaled = []
+        den = self._den
+        for x, top in zip(pt, tops):
+            p, q = x.numerator, x.denominator
+            pw = [1] * (top + 1)
+            for e in range(1, top + 1):
+                pw[e] = pw[e - 1] * p
+            if q != 1:
+                qw = q
+                for e in range(top - 1, -1, -1):
+                    pw[e] *= qw
+                    qw *= q
+                den *= q ** top
+            scaled.append(pw)
+        total = 0
+        for m, c in self._num.items():
+            for pw, e in zip(scaled, m):
+                c *= pw[e]
+            total += c
+        return Fraction(total, den)
+
+    def _eval_exact_laurent(self, pt) -> Fraction:
         total = Fraction(0)
         for m, c in self.terms.items():
             v = c
@@ -321,28 +386,24 @@ class PolyExpr:
     def with_vars(self, variables: Sequence[str]) -> "PolyExpr":
         """Re-embed into a superset / reordering of the variable set."""
         variables = tuple(variables)
+        if variables == self.vars:
+            return self
         pos = []
         for i, v in enumerate(self.vars):
             if v not in variables:
-                if any(m[i] != 0 for m in self.terms):
+                if any(m[i] != 0 for m in self._num):
                     raise VariableSetError(f"variable {v} in use, cannot drop")
                 pos.append(None)
             else:
                 pos.append(variables.index(v))
         out: dict = {}
-        for m, c in self.terms.items():
+        for m, c in self._num.items():
             nm = [0] * len(variables)
             for i, e in enumerate(m):
                 if e != 0:
                     nm[pos[i]] = e
             out[tuple(nm)] = c
-        return PolyExpr(variables, out)
-
-    def rename_vars(self, variables: Sequence[str]) -> "PolyExpr":
-        variables = tuple(variables)
-        if len(variables) != len(self.vars):
-            raise VariableSetError("rename needs the same number of variables")
-        return PolyExpr(variables, dict(self.terms))
+        return _new(variables, out, self._den, self._grade)
 
     def subs_var(self, var: str, value: "PolyExpr") -> "PolyExpr":
         """Substitute one variable by a polynomial (integer powers only)."""
@@ -359,11 +420,11 @@ class PolyExpr:
             return powers[e]
 
         out = PolyExpr.zero(self.vars)
-        for m, c in self.terms.items():
-            rest = list(m)
-            e = rest[i]
-            rest[i] = 0
-            out = out + PolyExpr(self.vars, {tuple(rest): c}) * vpow(e)
+        for m, c in self._num.items():
+            rest = m[:i] + (0,) + m[i + 1:]
+            term = _reduced(self.vars, {rest: c}, self._den,
+                            self._grade or _is_grade((rest,)))
+            out = out + term * vpow(m[i])
         return out
 
     # ---------------- rendering ----------------
@@ -404,6 +465,66 @@ class PolyExpr:
 
     def __repr__(self):
         return f"PolyExpr({self.render()!r}; vars={','.join(self.vars)})"
+
+
+# ---------------- trusted construction ----------------
+
+_alloc = object.__new__
+_set_vars = PolyExpr.vars.__set__
+_set_num = PolyExpr._num.__set__
+_set_den = PolyExpr._den.__set__
+_set_grade = PolyExpr._grade.__set__
+_set_terms = PolyExpr._terms.__set__
+
+
+def _fill(p, variables, num, den, grade):
+    _set_vars(p, variables)
+    _set_num(p, num)
+    _set_den(p, den)
+    _set_grade(p, grade)
+    _set_terms(p, None)
+
+
+def _new(variables, num, den, grade) -> PolyExpr:
+    """Trusted constructor: ``num`` holds nonzero ints keyed by normalized
+    exponent tuples, ``den`` > 0 and the pair is already reduced."""
+    p = _alloc(PolyExpr)
+    _fill(p, variables, num, den, grade)
+    return p
+
+
+def _reduced(variables, num, den, grade) -> PolyExpr:
+    """Trusted constructor that divides out gcd(den, *numerators)."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den //= g
+    return _new(variables, num, den, grade)
+
+
+def _over_common_den(frac: dict):
+    """(numerators, denominator) of nonzero Fractions over their least common
+    denominator; that pair is already reduced."""
+    den = lcm(*(c.denominator for c in frac.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in frac.items()}, den
+
+
+def _sum(a: PolyExpr, b: PolyExpr, sign: int) -> PolyExpr:
+    """a + sign*b over one variable set.  b's terms are added in order to a
+    copy of a's: a sum that cancels removes its key, so a later term with
+    that monomial is appended at the end."""
+    den = lcm(a._den, b._den)
+    fa, fb = den // a._den, sign * (den // b._den)
+    terms = dict(a._num) if fa == 1 else {m: c * fa for m, c in a._num.items()}
+    get = terms.get
+    for m, c in b._num.items():
+        s = get(m, 0) + c * fb
+        if s:
+            terms[m] = s
+        else:
+            del terms[m]
+    return _reduced(a.vars, terms, den, (a._grade and b._grade) or _is_grade(terms))
 
 
 def _frac_str(x) -> str:

@@ -64,6 +64,10 @@ class PoissonStructure:
                 if self.matrix[i][j] != -self.matrix[j][i]:
                     raise DomainError(f"bracket matrix not antisymmetric at ({i},{j})")
         self.provenance = provenance or ExplicitTable()
+        # Casimir candidate -> verdict: the matrix never changes, so a
+        # candidate checked once (say by the casimirs check) is not checked
+        # again by a later predicate (theorem31) on the same structure.
+        self._casimir_verdicts: dict[PolyExpr, bool] = {}
 
     @classmethod
     def from_table(cls, variables, entries: dict) -> "PoissonStructure":
@@ -205,21 +209,33 @@ class JacobiReport:
     witnesses: list  # [(i, j, k, residual PolyExpr)]
 
 
-def jacobiator(ps: PoissonStructure, i: int, j: int, k: int) -> PolyExpr:
-    total = PolyExpr.zero(ps.vars)
-    for l, v in enumerate(ps.vars):
-        total = (total
-                 + ps.matrix[i][l] * ps.matrix[j][k].diff(v)
-                 + ps.matrix[j][l] * ps.matrix[k][i].diff(v)
-                 + ps.matrix[k][l] * ps.matrix[i][j].diff(v))
+def _gradient(p: PolyExpr) -> list[PolyExpr]:
+    return [p.diff(v) for v in p.vars]
+
+
+def _jacobiator(matrix, i: int, j: int, k: int, g_jk, g_ki, g_ij) -> PolyExpr:
+    """sum_l p_il d_l p_jk + p_jl d_l p_ki + p_kl d_l p_ij, given the three
+    gradients."""
+    total = PolyExpr.zero(g_jk[0].vars)
+    for l, (d_jk, d_ki, d_ij) in enumerate(zip(g_jk, g_ki, g_ij)):
+        total = total + matrix[i][l] * d_jk + matrix[j][l] * d_ki + matrix[k][l] * d_ij
     return total
 
 
+def jacobiator(ps: PoissonStructure, i: int, j: int, k: int) -> PolyExpr:
+    m = ps.matrix
+    return _jacobiator(m, i, j, k, _gradient(m[j][k]), _gradient(m[k][i]),
+                       _gradient(m[i][j]))
+
+
 def check_jacobi(ps: PoissonStructure) -> JacobiReport:
-    """Exact symbolic Jacobi check on every coordinate triple."""
+    """Exact symbolic Jacobi check on every coordinate triple; the gradient
+    of every bracket entry is taken once."""
+    m = ps.matrix
+    grads = [[_gradient(p) for p in row] for row in m]
     witnesses = []
     for i, j, k in combinations(range(ps.n), 3):
-        r = jacobiator(ps, i, j, k)
+        r = _jacobiator(m, i, j, k, grads[j][k], grads[k][i], grads[i][j])
         if not r.is_zero():
             witnesses.append((i, j, k, r))
     return JacobiReport(holds=not witnesses, witnesses=witnesses)
@@ -228,8 +244,12 @@ def check_jacobi(ps: PoissonStructure) -> JacobiReport:
 def is_casimir(ps: PoissonStructure, q: PolyExpr) -> bool:
     q = q.with_vars(ps.vars)
     q.require_polynomial_grade("Casimir candidate")
-    gens = PolyExpr.gens(ps.vars)
-    return all(bracket_of(ps, q, x).is_zero() for x in gens)
+    verdict = ps._casimir_verdicts.get(q)
+    if verdict is None:
+        gens = PolyExpr.gens(ps.vars)
+        verdict = all(bracket_of(ps, q, x).is_zero() for x in gens)
+        ps._casimir_verdicts[q] = verdict
+    return verdict
 
 
 def is_quasi_casimir(ps: PoissonStructure, q: PolyExpr) -> bool:
@@ -270,8 +290,11 @@ def generic_rank(ps: PoissonStructure, samples: int = 8, seed: int = 0) -> int:
     best = 0
     for _ in range(samples):
         point = [rng.choice(SAMPLE_GRID) for _ in range(ps.n)]
-        rows = [[ps.matrix[i][j].eval_exact(point) for j in range(ps.n)]
-                for i in range(ps.n)]
+        # antisymmetric: evaluate the upper triangle and mirror it
+        rows = [[Fraction(0)] * ps.n for _ in range(ps.n)]
+        for (i, j), p in ps.entries_upper():
+            v = p.eval_exact(point)
+            rows[i][j], rows[j][i] = v, -v
         best = max(best, _fraction_rank(rows))
         if best == ps.n:
             break

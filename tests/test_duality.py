@@ -5,10 +5,11 @@ from itertools import combinations
 
 import pytest
 
-from ppa import catalog
+from ppa import catalog, structures
 from ppa.duality import degree_sum_check, duality_check
 from ppa.errors import DomainError, ParityError
-from ppa.exterior import pfaffian, wedge_power
+from ppa.exterior import (differential, indices_of, pfaffian, volume_dual,
+                          wedge_all, wedge_power)
 from ppa.poly import PolyExpr
 from ppa.structures import PoissonStructure, jacobian_structure
 
@@ -66,9 +67,16 @@ def test_zero_structure_reports_zero_constant():
 
 def test_detail_ties_pfaffian_to_minor():
     m = catalog.build("q5", {"k": 2})
-    rep = duality_check(m.structure, m.casimir_polys())
+    ps, qs = m.structure, m.casimir_polys()
+    rep = duality_check(ps, qs)
+    # the detail covers the union of both supports, one entry per mask
+    wedge = wedge_power(ps.as_bivector(), rep.m)
+    dual = volume_dual(wedge_all([differential(q) for q in qs]))
+    support = {indices_of(mask) for mask in set(wedge.coeffs) | set(dual.coeffs)}
+    assert support and set(rep.detail) == support
     # binding identity: 2! * Pf(T) = lam * (dual coefficient on T)
     for sub, (pf, minor) in rep.detail.items():
+        assert pf == pfaffian(ps.matrix, sub)
         assert pf * 2 == minor * rep.lam
 
 
@@ -126,3 +134,22 @@ def test_degree_sum_euler_not_equal():
     m = catalog.build("euler_top")
     rep = degree_sum_check(m.casimir_polys(), 3)
     assert rep.sum_of_degrees == 2 and not rep.equals_dimension
+
+
+def test_casimir_verdicts_shared_within_a_structure(monkeypatch):
+    m = catalog.build("q5", {"k": 2})
+    ps, qs = m.structure, m.casimir_polys()
+    calls = []
+    real = structures.bracket_of
+    monkeypatch.setattr(structures, "bracket_of",
+                        lambda *args: calls.append(args) or real(*args))
+    assert all(structures.is_casimir(ps, q) for q in qs)
+    verified = len(calls)
+    # theorem31 after the casimirs check brackets nothing again ...
+    assert verified and duality_check(ps, qs).holds
+    assert len(calls) == verified
+    # ... while a fresh structure is still verified, and refused when wrong
+    with pytest.raises(DomainError):
+        duality_check(catalog.build("q5", {"k": 2}).structure,
+                      [PolyExpr.var("x1", ps.vars)])
+    assert len(calls) > verified

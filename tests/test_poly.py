@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ppa.errors import (DomainError, PolynomialGradeError, SingularMapError,
                         VariableSetError)
@@ -297,3 +297,155 @@ def test_render_parse_fractional_exponents():
     from ppa.dsl import parse_polynomial
     p = PolyExpr(V3, {(F(3, 2), 0, 0): F(1), (0, F(-1, 2), 1): F(-2, 3)})
     assert parse_polynomial(p.render(), V3) == p
+
+
+# ---------------- kernel oracle: sympy on random rational polynomials ----------------
+
+SX = sp.symbols("x1 x2 x3", positive=True)
+COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+INT_EXPS = st.integers(0, 3)
+RAT_EXPS = st.sampled_from([F(-3, 2), F(-1), F(-1, 3), 0, F(1, 2), 1, F(3, 2), 2])
+
+
+def polys(exps):
+    return st.dictionaries(st.tuples(exps, exps, exps), COEFFS,
+                           max_size=5).map(lambda d: PolyExpr(V3, d))
+
+
+def pairs(exps):
+    """(p, q) where q shares terms with -p half the time, so sums cancel."""
+    return st.tuples(polys(exps), polys(exps), st.booleans()).map(
+        lambda t: (t[0], t[1] - t[0] if t[2] else t[1]))
+
+
+def to_sympy(p):
+    return sum((sp.Rational(c.numerator, c.denominator)
+                * sp.Mul(*[s ** sp.Rational(e) for s, e in zip(SX, m)])
+                for m, c in p.terms.items()), sp.Integer(0))
+
+
+def same(p, expr):
+    return sp.expand(to_sympy(p) - expr) == 0
+
+
+def assert_canonical(p):
+    """The stored form is unique: rebuilding from the Fraction view gives an
+    equal value with an equal hash, and every coefficient is a Fraction."""
+    q = PolyExpr(p.vars, p.terms)
+    assert q == p and hash(q) == hash(p)
+    assert all(type(c) is F and c != 0 for c in p.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(pairs(INT_EXPS), pairs(RAT_EXPS)))
+def test_ring_operations_match_sympy(pq):
+    p, q = pq
+    sp_p, sp_q = to_sympy(p), to_sympy(q)
+    for got, want in ((p + q, sp_p + sp_q), (p - q, sp_p - sp_q),
+                      (q - p, sp_q - sp_p), (p * q, sp_p * sp_q),
+                      (p * F(-2, 3), sp_p * sp.Rational(-2, 3)), (-q, -sp_q)):
+        assert same(got, sp.expand(want))
+        assert_canonical(got)
+    assert (p - p).is_zero() and (p + q) - q == p
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(polys(INT_EXPS), polys(RAT_EXPS)), st.integers(0, 3))
+def test_diff_and_power_match_sympy(p, k):
+    for v, s in zip(V3, SX):
+        d = p.diff(v)
+        assert same(d, sp.expand(sp.diff(to_sympy(p), s)))
+        assert_canonical(d)
+    pk = p ** k
+    assert same(pk, sp.expand(to_sympy(p) ** k))
+    assert_canonical(pk)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(INT_EXPS), st.lists(st.fractions(min_value=-4, max_value=4,
+                                              max_denominator=5),
+                                 min_size=3, max_size=3))
+def test_eval_exact_matches_sympy(p, point):
+    got = p.eval_exact(point)
+    assert type(got) is F
+    want = to_sympy(p).subs({s: sp.Rational(x.numerator, x.denominator)
+                             for s, x in zip(SX, point)})
+    assert got == F(int(sp.numer(want)), int(sp.denom(want)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys(st.integers(-2, 2)), st.lists(st.sampled_from(
+    [F(-3, 2), F(-1), F(1, 3), F(2), F(5, 4)]), min_size=3, max_size=3))
+def test_eval_exact_laurent_matches_sympy(p, point):
+    want = to_sympy(p).subs({s: sp.Rational(x.numerator, x.denominator)
+                             for s, x in zip(SX, point)})
+    assert p.eval_exact(point) == F(int(sp.numer(want)), int(sp.denom(want)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys(INT_EXPS), polys(INT_EXPS))
+def test_subs_var_matches_sympy(p, value):
+    got = p.subs_var("x2", value)
+    assert same(got, sp.expand(to_sympy(p).subs(SX[1], to_sympy(value))))
+    assert_canonical(got)
+
+
+def test_eval_exact_refuses_fractional_exponents():
+    p = PolyExpr(V3, {(F(1, 2), 0, 0): F(2, 3), (1, 0, 0): F(1)})
+    with pytest.raises(DomainError):
+        p.eval_exact([4, 1, 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(polys(INT_EXPS), polys(RAT_EXPS)), st.integers(-3, 3))
+def test_exact_accessors_return_fractions(p, k):
+    # callers divide these (rc / qc in exact_divisibility): an int would let
+    # true division turn a verdict into a float
+    c = p * k + k
+    assert all(type(v) is F for v in c.terms.values())
+    assert type(c.coefficient((0, 0, 0))) is F
+    assert type(c.coefficient((7, 7, 7))) is F
+    assert type(PolyExpr.const(V3, k).constant_value()) is F
+    assert type(PolyExpr.zero(V3).constant_value()) is F
+    if not c.is_zero():
+        assert type(c.leading()[1]) is F
+
+
+def _reference_product(p, q):
+    """The Fraction-coefficient accumulation the kernel must reproduce term
+    for term, order included: a sum that cancels drops its key."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            s = out.get(m, F(0)) + c1 * c2
+            if s == 0:
+                out.pop(m, None)
+            else:
+                out[m] = s
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs(INT_EXPS))
+# x1*x2 cancels (x1 * x2 - x2 * x1) and then comes back (1 * x1*x2): it
+# must move to the end of the product
+@example((gens3()[0] + gens3()[1] + 1, gens3()[1] - gens3()[0] + gens3()[0] * gens3()[1]))
+def test_term_order_follows_fraction_accumulation(pq):
+    p, q = pq
+    assert list((p * q).terms.items()) == list(_reference_product(p, q).items())
+    total = dict(p.terms)
+    for m, c in q.terms.items():
+        s = total.get(m, F(0)) + c
+        if s == 0:
+            total.pop(m)
+        else:
+            total[m] = s
+    assert list((p + q).terms.items()) == list(total.items())
+
+
+def test_terms_view_is_read_only():
+    p = markov_poly()
+    with pytest.raises(TypeError):
+        p.terms[(0, 0, 0)] = F(1)
+    assert p == markov_poly()
