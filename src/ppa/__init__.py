@@ -2,7 +2,7 @@
 bracket structures: construction from Casimirs, identity checking, catalog
 models, monomial-map transport, and conserved-quantity-monitored flows."""
 
-from .poly import ExactRational, MonomialMap, PolyExpr, exact_divisibility, substitute
+from .poly import MonomialMap, PolyExpr, exact_divisibility, substitute
 from .exterior import PolyForm, PolyMultivector, pfaffian, volume_dual, wedge
 from .structures import (
     NambuStructure,

@@ -3,6 +3,12 @@
 Symbolic checks are exact; the integrator is deliberately plain: classical
 fourth-order Runge-Kutta with a fixed step, so drift numbers are
 reproducible regression values rather than artifacts of adaptivity.
+
+The field and the monitored invariants are evaluated in floats by generated
+straight-line code (:func:`ppa.poly.float_evaluator`), one statement per term
+in term order, bit-identical to ``PolyExpr.eval_float``.  Arithmetic overflow
+during integration is reported as a divergence, like a non-finite state;
+``ppa integrate`` exits 1 on either.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import DivergenceError, DomainError
-from .poly import PolyExpr
+from .poly import PolyExpr, float_evaluator
 from .structures import NambuStructure, PoissonStructure, bracket_of, nambu_bracket
 
 
@@ -37,25 +43,9 @@ class PolyVectorField:
         return total
 
     def compiled(self) -> Callable[[Sequence[float]], list[float]]:
-        """Float-evaluation closure used by the integrator."""
-        compiled_terms = []
-        for comp in self.components:
-            compiled_terms.append([(float(c), m) for m, c in comp.terms.items()])
-
-        def fieldfn(x):
-            out = []
-            for terms in compiled_terms:
-                acc = 0.0
-                for c, m in terms:
-                    v = c
-                    for xi, e in zip(x, m):
-                        if e:
-                            v *= xi ** e
-                    acc += v
-                out.append(acc)
-            return out
-
-        return fieldfn
+        """Float evaluation of every component in one call, used by the
+        integrator (see :func:`float_evaluator`)."""
+        return float_evaluator(self.components, self.vars)
 
 
 def hamiltonian_vector_field(ps: PoissonStructure, h: PolyExpr) -> PolyVectorField:
@@ -218,6 +208,16 @@ class TrajectoryReport:
     monitor_names: list
 
 
+def _monitor_values(monitored, variables) -> Callable:
+    """``x -> [p(x) for _, p in monitored]`` in one call: generated code when
+    every monitor is polynomial-grade, ``eval_float`` otherwise, so that
+    fractional exponents keep its domain checks."""
+    polys = [p.with_vars(variables) for _, p in monitored]
+    if all(p.is_polynomial_grade() for p in polys):
+        return float_evaluator(polys, variables)
+    return lambda x: [p.eval_float(x) for p in polys]
+
+
 def integrate(field: PolyVectorField, x0: Sequence[float], step: float,
               t_end: float,
               monitored: Sequence[tuple[str, PolyExpr]] = (),
@@ -225,60 +225,61 @@ def integrate(field: PolyVectorField, x0: Sequence[float], step: float,
     """Classical fixed-step RK4 with invariant-drift tracking.
 
     Drift of F is max over steps of |F(x(t)) - F(x0)| / max(1, |F(x0)|).
-    A non-finite state aborts with DivergenceError carrying the last valid
-    time.
+    A non-finite state, or a float overflow while evaluating the field or a
+    monitor, aborts with DivergenceError carrying the last valid time.
     """
     if step <= 0 or t_end <= 0:
         raise DomainError("step and t_end must be positive")
     n = len(field.vars)
     if len(x0) != n:
         raise DomainError("initial point dimension mismatch")
-    f = field.compiled()
-    monitors = [(name, p.with_vars(field.vars)) for name, p in monitored]
+    names = [name for name, _ in monitored]
     x = [float(v) for v in x0]
-    base = [p.eval_float(x) for _, p in monitors]
-    drift = {name: 0.0 for name, _ in monitors}
+    drift = {name: 0.0 for name in names}
     times = [0.0]
     states = [tuple(x)] if record_states else []
     steps = round(t_end / step)
     t = 0.0
     half = step / 2.0
     sixth = step / 6.0
-    for s in range(steps):
-        k1 = f(x)
-        k2 = f([x[i] + half * k1[i] for i in range(n)])
-        k3 = f([x[i] + half * k2[i] for i in range(n)])
-        k4 = f([x[i] + step * k3[i] for i in range(n)])
-        x = [x[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-             for i in range(n)]
-        if any(not math.isfinite(v) for v in x):
-            raise DivergenceError(
-                f"trajectory left the representable range after t={t}", t)
-        t = (s + 1) * step
-        times.append(t)
-        if record_states:
-            states.append(tuple(x))
-        for (name, p), b in zip(monitors, base):
-            d = abs(p.eval_float(x) - b) / max(1.0, abs(b))
-            if d > drift[name]:
-                drift[name] = d
+    try:
+        f = field.compiled()
+        mon = _monitor_values(monitored, field.vars)
+        base = mon(x)
+        scale = [max(1.0, abs(b)) for b in base]
+        for s in range(steps):
+            k1 = f(x)
+            k2 = f([x[i] + half * k1[i] for i in range(n)])
+            k3 = f([x[i] + half * k2[i] for i in range(n)])
+            k4 = f([x[i] + step * k3[i] for i in range(n)])
+            x = [x[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+                 for i in range(n)]
+            if not all(map(math.isfinite, x)):
+                raise DivergenceError(
+                    f"trajectory left the representable range after t={t}", t)
+            values = mon(x)
+            t = (s + 1) * step
+            times.append(t)
+            if record_states:
+                states.append(tuple(x))
+            for name, v, b, sc in zip(names, values, base, scale):
+                d = abs(v - b) / sc
+                if d > drift[name]:
+                    drift[name] = d
+    except OverflowError:
+        raise DivergenceError(
+            f"trajectory left the representable range after t={t}", t) from None
     return TrajectoryReport(times=times, states=states, drift=drift,
-                            monitor_names=[name for name, _ in monitors])
+                            monitor_names=names)
 
 
 def write_trajectory_csv(report: TrajectoryReport, field_vars, monitored,
                          path) -> None:
     """CSV with header t,x1,...,xn,<invariant names>; 17 significant digits."""
-    monitors = [(name, p) for name, p in monitored]
+    names = [name for name, _ in monitored]
+    mon = _monitor_values(monitored, field_vars)
+    row = ",".join(["%.17g"] * (1 + len(field_vars) + len(names))) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        header = ["t"] + list(field_vars) + [name for name, _ in monitors]
-        fh.write(",".join(header) + "\n")
-        for t, state in zip(report.times, report.states):
-            row = [_g17(t)] + [_g17(v) for v in state]
-            for _, p in monitors:
-                row.append(_g17(p.eval_float(list(state))))
-            fh.write(",".join(row) + "\n")
-
-
-def _g17(x: float) -> str:
-    return "%.17g" % x
+        fh.write(",".join(["t", *field_vars, *names]) + "\n")
+        fh.writelines(row % (t, *state, *mon(state))
+                      for t, state in zip(report.times, report.states))

@@ -123,6 +123,19 @@ def test_integrate_divergence_exit_one(tmp_path, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
+def test_integrate_overflow_is_divergence(tmp_path, capsys):
+    f = tmp_path / "huge_step.ppa"
+    f.write_text(
+        "vars x1 x2 x3;\nparam k = 2;\n"
+        "casimir P = (1/3)*(x1^3+x2^3+x3^3) + k*x1*x2*x3;\n"
+        "structure jacobian lambda 1;\nhamiltonian x1^2 + x2^2 + x3^2;\n"
+        "integrate from (1.0, 0.5, 0.25) step 1e300 until 1e308 monitor P;\n")
+    assert run_cli("integrate", str(f), "--out", str(tmp_path / "t.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("divergence:") and "last valid t = 0.0" in err
+    assert "Traceback" not in err
+
+
 def test_integrate_requires_statement(tmp_path):
     f = emit(tmp_path, "q3")
     assert run_cli("integrate", str(f), "--out", str(tmp_path / "t.csv")) == 2

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ppa import catalog
+from ppa import catalog, dsl
 from ppa.dynamics import (PolyVectorField, constants_of_motion_check,
                           decoupling_check, fairlie_field,
                           hamiltonian_vector_field, integrate,
@@ -234,3 +234,62 @@ def test_trajectory_csv_format(tmp_path):
     # 17 significant digits survive a float round-trip
     for text, value in zip(rows[2][1:4], rep.states[1]):
         assert float(text) == value
+
+
+def reference_csv(report, field_vars, monitors):
+    """The trajectory CSV written term by term: "%.17g" on each time,
+    coordinate and eval_float monitor value."""
+    lines = [",".join(["t", *field_vars, *(name for name, _ in monitors)])]
+    for t, state in zip(report.times, report.states):
+        values = [t, *state, *(p.eval_float(list(state)) for _, p in monitors)]
+        lines.append(",".join("%.17g" % v for v in values))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def reference_drift(report, monitors):
+    out = {}
+    for name, p in monitors:
+        base = p.eval_float(list(report.states[0]))
+        out[name] = max(abs(p.eval_float(list(s)) - base) / max(1.0, abs(base))
+                        for s in report.states)
+    return out
+
+
+@pytest.mark.parametrize("name,bindings", [
+    (name, b) for name in ("euler_top", "dell")
+    for b in [None] + catalog.entry(name).alternates])
+def test_csv_and_drift_match_eval_float(tmp_path, name, bindings):
+    text = dsl.render_model(dsl.model_spec_from_built(catalog.build(name, bindings)))
+    spec = dsl.parse_model(text, name=name)
+    req = spec.integrate
+    field = hamiltonian_vector_field(spec.build_structure(), spec.hamiltonians[0])
+    monitors = [(m, spec.named_poly(m)) for m in req.monitors]
+    rep = integrate(field, req.x0, req.step, 100 * req.step, monitors)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(rep, spec.vars, monitors, path)
+    assert path.read_bytes() == reference_csv(rep, spec.vars, monitors)
+    assert rep.drift == reference_drift(rep, monitors)
+
+
+def test_fractional_monitor_keeps_domain_error():
+    v = ("x1", "x2")
+    f = PolyVectorField(v, [PolyExpr.const(v, -1), PolyExpr.zero(v)])
+    root = PolyExpr(v, {(F(1, 2), 0): F(1)})
+    rep = integrate(f, (1.0, 0.0), 0.25, 0.5, [("r", root)])
+    assert rep.drift["r"] == pytest.approx(1 - math.sqrt(0.5))
+    with pytest.raises(DomainError):
+        integrate(f, (1.0, 0.0), 0.25, 2.0, [("r", root)])
+
+
+def test_overflow_in_a_step_is_divergence():
+    v = ("x1",)
+    x1, = PolyExpr.gens(v)
+    f = PolyVectorField(v, [x1 ** 2])
+    with pytest.raises(DivergenceError) as e:
+        integrate(f, (1e100,), 1e-3, 1.0, [])
+    assert e.value.last_valid_time == 0.0
+    # x1 = 2e102 * t stays finite; its cube overflows at t = 3
+    drift = PolyVectorField(v, [PolyExpr.const(v, 2 * 10 ** 102)])
+    with pytest.raises(DivergenceError) as e:
+        integrate(drift, (0.0,), 1.0, 10.0, [("cube", x1 ** 3)])
+    assert e.value.last_valid_time == 2.0

@@ -1,5 +1,6 @@
 """Polynomial kernel: exact arithmetic, calculus, division, substitution."""
 
+import struct
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ppa.errors import (DomainError, PolynomialGradeError, SingularMapError,
                         VariableSetError)
-from ppa.poly import (MonomialMap, PolyExpr, exact_divisibility, substitute)
+from ppa.poly import (MonomialMap, PolyExpr, exact_divisibility,
+                      float_evaluator, substitute)
 
 V3 = ("x1", "x2", "x3")
 
@@ -449,3 +451,64 @@ def test_terms_view_is_read_only():
     with pytest.raises(TypeError):
         p.terms[(0, 0, 0)] = F(1)
     assert p == markov_poly()
+
+
+# ---------------- compiled float evaluation: bitwise against eval_float ----------------
+
+def mostly(common, rare):
+    """``common`` nine times in ten, ``rare`` otherwise."""
+    return st.integers(0, 9).flatmap(lambda i: rare if i == 0 else common)
+
+
+# Ordinary rationals, and now and then one that is subnormal or zero as a
+# float (10^-330 .. 10^-300) or large enough to overflow a product or the
+# conversion itself (10^300 .. 10^330).
+FLOAT_COEFFS = mostly(
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=1000).filter(bool),
+    st.builds(lambda n, k: F(n) * F(10) ** k, st.integers(-9, 9).filter(bool),
+              st.one_of(st.integers(-330, -300), st.integers(300, 330))))
+FLOAT_POINT_VALUES = mostly(
+    st.floats(-10, 10),
+    st.sampled_from([0.0, -0.0, -1.0, 1e100, -1e100, 3e-120]))
+
+
+def float_case(n):
+    variables = tuple(f"x{i + 1}" for i in range(n))
+    poly = st.dictionaries(st.tuples(*[st.integers(0, 6)] * n), FLOAT_COEFFS,
+                           max_size=30).map(lambda d: PolyExpr(variables, d))
+    return st.tuples(st.just(variables), st.lists(poly, min_size=1, max_size=3),
+                     st.lists(FLOAT_POINT_VALUES, min_size=n, max_size=n))
+
+
+def float_outcome(evaluate):
+    """Each value's IEEE bytes (so -0.0, inf and nan count), or the type of
+    the arithmetic exception raised instead."""
+    try:
+        return [struct.pack("d", v) for v in evaluate()]
+    except ArithmeticError as e:
+        return type(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(float_case))
+def test_float_evaluator_bitwise_matches_eval_float(case):
+    variables, ps, point = case
+    want = float_outcome(lambda: [p.eval_float(point) for p in ps])
+    got = float_outcome(lambda: float_evaluator(ps, variables)(point))
+    assert got == want
+
+
+def test_float_evaluator_compiles_many_terms():
+    x1, x2 = PolyExpr.gens(("x1", "x2"))
+    p = sum((x1 ** i * x2 ** j * F(2 * i - 7, j + 2)
+             for i in range(20) for j in range(15)), PolyExpr.zero(("x1", "x2")))
+    assert len(p.terms) == 300
+    f = float_evaluator([p, -p], p.vars)
+    point = [0.9, -1.05]
+    assert f(point) == [p.eval_float(point), (-p).eval_float(point)]
+
+
+def test_float_evaluator_refuses_fractional_exponents():
+    p = PolyExpr(("x",), {(F(1, 2),): F(1)})
+    with pytest.raises(PolynomialGradeError):
+        float_evaluator([p], p.vars)
