@@ -12,17 +12,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .dsl import IntegrateRequest
 from .errors import DomainError
 from .poly import PolyExpr
 from .structures import NambuStructure, PoissonStructure, jacobian_structure
-
-
-@dataclass
-class IntegrateRequest:
-    x0: tuple
-    step: float
-    t_end: float
-    monitors: tuple  # names among casimirs/vars
 
 
 @dataclass
@@ -90,6 +83,11 @@ def build(name: str, bindings: dict | None = None) -> BuiltModel:
 
 # ---------------- n = 3 cubic-curve family ----------------
 
+# Default check requests shared by most entries.
+_FULL_CHECKS = [("jacobi", None), ("casimirs", None), ("theorem31", None),
+                ("plucker", None), ("rank", None), ("degree_sum", None)]
+
+
 def _torus_casimir(k: Fraction, gens) -> PolyExpr:
     x1, x2, x3 = gens
     return (x1 ** 3 + x2 ** 3 + x3 ** 3) * Fraction(1, 3) + x1 * x2 * x3 * k
@@ -107,9 +105,7 @@ def _build_q3(params):
         name="q3", params=params, vars=v, structure=ps,
         structure_kind="jacobian", multiplier=PolyExpr.const(v, 1),
         casimirs=[("P", p)], weights=None, hamiltonians=[],
-        checks=[("jacobi", None), ("casimirs", None), ("theorem31", None),
-                ("plucker", None), ("rank", None), ("degree_sum", None),
-                ("extendability", None)],
+        checks=_FULL_CHECKS + [("extendability", None)],
         expects={"plucker": True, "rank": 2, "degree_sum": 3,
                  "extendability": True},
         integrate=None,
@@ -118,10 +114,6 @@ def _build_q3(params):
                   "degree_sum": 3, "degree_sum_equals": True,
                   "extendability": True},
     )
-
-
-_MIRROR_CHECKS = [("jacobi", None), ("casimirs", None), ("theorem31", None),
-                  ("plucker", None), ("rank", None), ("degree_sum", None)]
 
 
 @register("mirror_y", {"k": Fraction(2)},
@@ -138,7 +130,7 @@ def _build_mirror_y(params):
         name="mirror_y", params=params, vars=v, structure=ps,
         structure_kind="jacobian", multiplier=PolyExpr.const(v, lam),
         casimirs=[("P", p)], weights=(2, 1, 3), hamiltonians=[],
-        checks=_MIRROR_CHECKS,
+        checks=_FULL_CHECKS,
         expects={"plucker": True, "rank": 2, "degree_sum": 6},
         integrate=None,
         expected={"jacobi": True, "casimirs": True, "lambda_coord": lam,
@@ -161,7 +153,7 @@ def _build_mirror_z(params):
         name="mirror_z", params=params, vars=v, structure=ps,
         structure_kind="jacobian", multiplier=PolyExpr.const(v, lam),
         casimirs=[("P", p)], weights=(1, 1, 2), hamiltonians=[],
-        checks=_MIRROR_CHECKS,
+        checks=_FULL_CHECKS,
         expects={"plucker": True, "rank": 2, "degree_sum": 4},
         integrate=None,
         expected={"jacobi": True, "casimirs": True, "lambda_coord": lam,
@@ -180,9 +172,7 @@ def _build_markov(params):
         name="markov", params=params, vars=v, structure=ps,
         structure_kind="jacobian", multiplier=PolyExpr.const(v, 1),
         casimirs=[("P", p)], weights=None, hamiltonians=[],
-        checks=[("jacobi", None), ("casimirs", None), ("theorem31", None),
-                ("plucker", None), ("rank", None), ("degree_sum", None),
-                ("extendability", None)],
+        checks=_FULL_CHECKS + [("extendability", None)],
         expects={"plucker": True, "rank": 2, "degree_sum": 3,
                  "extendability": True},
         integrate=None,
@@ -219,8 +209,7 @@ def _build_askey_wilson(params):
         name="askey_wilson", params=params, vars=v, structure=ps,
         structure_kind="jacobian", multiplier=PolyExpr.const(v, 1),
         casimirs=[("P", p)], weights=(1, 1, 2), hamiltonians=[],
-        checks=[("jacobi", None), ("casimirs", None), ("theorem31", None),
-                ("plucker", None), ("rank", None), ("degree_sum", None)],
+        checks=_FULL_CHECKS,
         expects={"plucker": True, "rank": 2, "degree_sum": 4},
         integrate=None,
         expected={"jacobi": True, "casimirs": True,
@@ -250,8 +239,7 @@ def _build_sklyanin(params):
         structure_kind="jacobian", multiplier=PolyExpr.const(v, lam),
         casimirs=[("Q1", q1), ("Q2", q2)], weights=None,
         hamiltonians=[x4],
-        checks=[("jacobi", None), ("casimirs", None), ("theorem31", None),
-                ("plucker", None), ("rank", None), ("degree_sum", None)],
+        checks=_FULL_CHECKS,
         expects={"plucker": True, "rank": 2, "degree_sum": 4},
         integrate=None,
         expected={"jacobi": True, "casimirs": True, "lambda_coord": lam,
@@ -289,8 +277,7 @@ def _build_quadrics61(params):
         name="quadrics61", params=params, vars=v, structure=ps,
         structure_kind="table", multiplier=None,
         casimirs=[("p1", p1), ("p2", p2)], weights=None, hamiltonians=[],
-        checks=[("jacobi", None), ("casimirs", None), ("theorem31", None),
-                ("plucker", None), ("rank", None), ("degree_sum", None)],
+        checks=_FULL_CHECKS,
         expects={"plucker": True, "rank": 2, "degree_sum": 4},
         integrate=None,
         expected={"jacobi": True, "casimirs": True,
@@ -369,8 +356,7 @@ def _build_q5(params):
         name="q5", params=params, vars=v, structure=ps,
         structure_kind="table", multiplier=None,
         casimirs=[("P", p)], weights=None, hamiltonians=[],
-        checks=[("jacobi", None), ("casimirs", None), ("theorem31", None),
-                ("plucker", None), ("rank", None), ("degree_sum", None)],
+        checks=_FULL_CHECKS,
         expects={"plucker": False, "rank": 4, "degree_sum": 5},
         integrate=None,
         expected={"jacobi": True, "casimirs": True,
@@ -626,26 +612,6 @@ def bdu_casimirs(variables=("p", "q", "r", "x", "y", "z")):
           - p * q * x - p * r * y - q * r * z - x * y * z + p * r * x * z)
     p2 = p * z + x * r - q * y
     return [("P1", p1), ("P2", p2)]
-
-
-def bdu_relation_sides(ps: PoissonStructure, p1: PolyExpr, p2: PolyExpr):
-    """Left and right sides of the quartic/quadratic determinantal relation
-    on the six Stokes coordinates (p, q, r, x, y, z):
-
-        {x,y}{p,z} + {y,z}{p,x} + {z,x}{p,y}
-            = det [[dP1/dq, dP1/dr], [dP2/dq, dP2/dr]].
-    """
-    if ps.n != 6:
-        raise DomainError("the determinantal relation needs six variables")
-    vp, vq, vr, vx, vy, vz = range(6)
-    m = ps.matrix
-    lhs = (m[vx][vy] * m[vp][vz] + m[vy][vz] * m[vp][vx]
-           + m[vz][vx] * m[vp][vy])
-    names = ps.vars
-    d1q, d1r = p1.diff(names[vq]), p1.diff(names[vr])
-    d2q, d2r = p2.diff(names[vq]), p2.diff(names[vr])
-    rhs = d1q * d2r - d1r * d2q
-    return lhs, rhs
 
 
 @register("bdu_casimirs", {},

@@ -14,13 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .catalog import BuiltModel, IntegrateRequest
 from .errors import ArityError, ModelSyntaxError
-from .poly import PolyExpr, _rational_pow
-from .structures import NambuStructure, PoissonStructure
-
-CHECK_NAMES = ("jacobi", "casimirs", "quasi", "theorem31", "plucker", "rank",
-               "extendability", "fi", "degree_sum", "bdu_relation")
+from .poly import MonomialMap, PolyExpr, _rational_pow
+from .runner import CHECKS, FI_MAX, _key, _literal_text, _projection
+from .structures import NambuStructure, PoissonStructure, jacobian_structure
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>[ \t\r\n]+)
@@ -142,14 +139,11 @@ def _parse_power(stream, env, variables):
 
 
 def _parse_exponent(stream):
-    if stream.accept("("):
-        neg = bool(stream.accept("-"))
-        t = stream.expect_kind("number")
-        stream.expect(")")
-        v = Fraction(t.text)
-        return -v if neg else v
+    paren = stream.accept("(")
     neg = bool(stream.accept("-"))
     t = stream.expect_kind("number")
+    if paren:
+        stream.expect(")")
     v = Fraction(t.text)
     return -v if neg else v
 
@@ -199,6 +193,14 @@ def parse_polynomial(text: str, variables, extra_env: dict | None = None) -> Pol
 # ---------------- model files ----------------
 
 @dataclass
+class IntegrateRequest:
+    x0: tuple
+    step: float
+    t_end: float
+    monitors: tuple  # names among casimirs/vars
+
+
+@dataclass
 class ModelSpec:
     name: str = "model"
     vars: tuple = ()
@@ -230,7 +232,6 @@ class ModelSpec:
         if self.structure_kind == "table":
             return PoissonStructure.from_table(self.vars, self.table)
         if self.structure_kind == "jacobian":
-            from .structures import jacobian_structure
             mult = self.multiplier if self.multiplier is not None \
                 else PolyExpr.const(self.vars, 1)
             return jacobian_structure(self.vars, self.casimir_polys(), mult)
@@ -251,6 +252,7 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
     spec = ModelSpec(name=name)
     env: dict[str, PolyExpr] = {}
     structure_seen = False
+    pins = {}                       # expect key -> its statement token
 
     t = stream.peek()
     if t.kind == "eof":
@@ -346,9 +348,16 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
             stream.expect(";")
         elif stmt == "expect":
             cname, carg = _parse_checkname(stream)
-            key = cname if carg is None else f"{cname}({carg})"
             stream.expect("=")
-            spec.expects[key] = _parse_literal(stream)
+            lit = stream.peek()
+            value = _parse_literal(stream)
+            if _projection(cname, value) is None:
+                kinds = "/".join(CHECKS[cname].expect)
+                raise ModelSyntaxError(f"expect {cname} takes {kinds} literals",
+                                       lit.line, lit.column, lit.text)
+            key = _key(cname, carg)
+            spec.expects[key] = value
+            pins[key] = t
             stream.expect(";")
         elif stmt == "integrate":
             stream.expect("from")
@@ -375,6 +384,11 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
         raise ModelSyntaxError("model declares no variables", 1, 1)
     if not structure_seen:
         raise ModelSyntaxError("model declares no structure", 1, 1)
+    requested = {_key(*c) for c in spec.checks}
+    for key, t in pins.items():
+        if key not in requested:
+            raise ModelSyntaxError(f"expect {key} pins a check no check "
+                                   "statement requests", t.line, t.column, key)
     if spec.integrate:
         for mname in spec.integrate.monitors:
             if spec.named_poly(mname) is None:
@@ -387,16 +401,21 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
 def _parse_checkname(stream):
     t = stream.expect_kind("ident")
     name = t.text
-    if name not in CHECK_NAMES:
+    if name not in CHECKS:
         raise ModelSyntaxError("unknown check", t.line, t.column, name)
-    arg = None
-    if name in ("quasi", "fi"):
-        stream.expect("(")
-        if name == "quasi":
-            arg = stream.expect_kind("ident").text
-        else:
-            arg = int(Fraction(stream.expect_kind("number").text))
-        stream.expect(")")
+    kind = CHECKS[name].arg
+    if kind is None:
+        return (name, None)
+    stream.expect("(")
+    if kind == "ident":
+        arg = stream.expect_kind("ident").text
+    else:
+        a = stream.expect_kind("number")
+        if not (a.text.isdigit() and int(a.text) <= FI_MAX):
+            raise ModelSyntaxError(f"{name} takes an integer from 0 to {FI_MAX}",
+                                   a.line, a.column, a.text)
+        arg = int(a.text)
+    stream.expect(")")
     return (name, arg)
 
 
@@ -452,7 +471,7 @@ def render_model(spec: ModelSpec) -> str:
         out.append("hamiltonian "
                    + ", ".join(h.render() for h in spec.hamiltonians) + ";")
     if spec.checks:
-        out.append("check " + ", ".join(_checkname_text(c) for c in spec.checks) + ";")
+        out.append("check " + ", ".join(_key(*c) for c in spec.checks) + ";")
     for key, val in spec.expects.items():
         out.append(f"expect {key} = {_literal_text(val)};")
     if spec.integrate:
@@ -463,21 +482,9 @@ def render_model(spec: ModelSpec) -> str:
     return "\n".join(out) + "\n"
 
 
-def _checkname_text(c):
-    name, arg = c
-    return name if arg is None else f"{name}({arg})"
-
-
-def _literal_text(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return str(v)
-
-
-def model_spec_from_built(bm: BuiltModel) -> ModelSpec:
-    """Lower a catalog model to an emission-ready spec (parameters inlined)."""
+def model_spec_from_built(bm) -> ModelSpec:
+    """Lower a built catalog model (``catalog.BuiltModel``, or anything with
+    its fields) to an emission-ready spec (parameters inlined)."""
     spec = ModelSpec(name=bm.name)
     spec.vars = bm.vars
     spec.weights = bm.weights
@@ -496,9 +503,8 @@ def model_spec_from_built(bm: BuiltModel) -> ModelSpec:
     return spec
 
 
-def parse_map_file(text: str, old_vars) -> "MonomialMap":
+def parse_map_file(text: str, old_vars) -> MonomialMap:
     """``map IDENT = scaled-monomial ;`` lines over the old variables."""
-    from .poly import MonomialMap
     stream = _Stream(tokenize(text))
     env = {v: PolyExpr.var(v, tuple(old_vars)) for v in old_vars}
     assignments = []

@@ -1,4 +1,5 @@
-"""Wedge-power duality between the bracket bivector and the Casimir minors.
+"""Wedge-power duality between the bracket bivector and the Casimir minors,
+and the other determinantal relations between brackets and Casimirs.
 
 For a structure of rank n - l with Casimirs Q_1..Q_l and even n - l = 2m, the
 m-th wedge power of the bivector equals a constant multiple of the volume
@@ -108,6 +109,26 @@ def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> Duality
         _sources=(ps.matrix, dual_side,
                   sorted(set(wedge_side.coeffs) | set(dual_side.coeffs))),
     )
+
+
+def bdu_relation_sides(ps: PoissonStructure, p1: PolyExpr, p2: PolyExpr):
+    """Left and right sides of the quartic/quadratic determinantal relation
+    on the six Stokes coordinates (p, q, r, x, y, z):
+
+        {x,y}{p,z} + {y,z}{p,x} + {z,x}{p,y}
+            = det [[dP1/dq, dP1/dr], [dP2/dq, dP2/dr]].
+    """
+    if ps.n != 6:
+        raise DomainError("the determinantal relation needs six variables")
+    vp, vq, vr, vx, vy, vz = range(6)
+    m = ps.matrix
+    lhs = (m[vx][vy] * m[vp][vz] + m[vy][vz] * m[vp][vx]
+           + m[vz][vx] * m[vp][vy])
+    names = ps.vars
+    d1q, d1r = p1.diff(names[vq]), p1.diff(names[vr])
+    d2q, d2r = p2.diff(names[vq]), p2.diff(names[vr])
+    rhs = d1q * d2r - d1r * d2q
+    return lhs, rhs
 
 
 @dataclass

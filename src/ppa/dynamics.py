@@ -218,6 +218,27 @@ def _monitor_values(monitored, variables) -> Callable:
     return lambda x: [p.eval_float(x) for p in polys]
 
 
+# Most RK4 steps one integration may take: it bounds the work of a hostile
+# window (``step 1e-9 until 1e9`` asks for 10^18); catalog windows take 10^4.
+MAX_STEPS = 10 ** 8
+
+
+def _step_count(step: float, t_end: float) -> int:
+    """Steps from t = 0 to t_end.  The window must be a whole number of
+    steps, up to float rounding (a relative 1e-9), and at most MAX_STEPS."""
+    if not (0 < step < math.inf and 0 < t_end < math.inf):
+        raise DomainError("step and t_end must be positive and finite")
+    steps = round(min(t_end / step, MAX_STEPS + 1))
+    if steps > MAX_STEPS:
+        raise DomainError(f"step {step!r} until {t_end!r} needs more than "
+                          f"{MAX_STEPS} steps")
+    if steps == 0 or abs(steps * step - t_end) > 1e-9 * t_end:
+        raise DomainError(f"step {step!r} does not divide t_end {t_end!r}; "
+                          f"the nearest reachable t_end is "
+                          f"{max(steps, 1) * step:.12g}")
+    return steps
+
+
 def integrate(field: PolyVectorField, x0: Sequence[float], step: float,
               t_end: float,
               monitored: Sequence[tuple[str, PolyExpr]] = (),
@@ -226,10 +247,11 @@ def integrate(field: PolyVectorField, x0: Sequence[float], step: float,
 
     Drift of F is max over steps of |F(x(t)) - F(x0)| / max(1, |F(x0)|).
     A non-finite state, or a float overflow while evaluating the field or a
-    monitor, aborts with DivergenceError carrying the last valid time.
+    monitor, aborts with DivergenceError carrying the last valid time.  A
+    window that is not a whole number of steps, or is longer than MAX_STEPS,
+    raises DomainError before the first step.
     """
-    if step <= 0 or t_end <= 0:
-        raise DomainError("step and t_end must be positive")
+    steps = _step_count(step, t_end)
     n = len(field.vars)
     if len(x0) != n:
         raise DomainError("initial point dimension mismatch")
@@ -238,7 +260,6 @@ def integrate(field: PolyVectorField, x0: Sequence[float], step: float,
     drift = {name: 0.0 for name in names}
     times = [0.0]
     states = [tuple(x)] if record_states else []
-    steps = round(t_end / step)
     t = 0.0
     half = step / 2.0
     sixth = step / 6.0

@@ -1,5 +1,8 @@
 """Check orchestration and report assembly for parsed models.
 
+``CHECKS`` is the one table of checks, read by the DSL to validate ``check``
+and ``expect`` statements and by ``run_checks`` to run them.
+
 Checks run in declaration order.  Value-style predicates (plucker, rank,
 degree_sum) report as ``info`` unless an expect clause pins them; pinned
 checks pass or fail on the comparison.  Reports are a pure function of the
@@ -14,10 +17,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable, Optional
 
-from .catalog import bdu_relation_sides
-from .dsl import ModelSpec
-from .duality import degree_sum_check, duality_check
+from .duality import bdu_relation_sides, degree_sum_check, duality_check
 from .errors import ParityError, PpaError
 from .geometry import check_projective_extendability
 from .poly import PolyExpr
@@ -33,6 +35,10 @@ from .structures import (
     nambu_bracket,
     plucker_rank2_test,
 )
+
+# Largest N accepted in ``fi(N)``: each tuple is one full evaluation of the
+# identity, so N bounds the work of the check.
+FI_MAX = 100
 
 
 @dataclass
@@ -81,160 +87,90 @@ class CheckReport:
         return "\n".join(lines) + "\n"
 
 
-def run_checks(spec: ModelSpec, seed: int = 0) -> CheckReport:
-    structure = spec.build_structure()
-    report = CheckReport(model=spec.name, seed=seed)
-    for cname, carg in spec.checks:
-        observed = {}
-        result = _run_one(spec, structure, cname, carg, seed, observed)
-        _apply_expectation(spec, result, cname, carg, observed)
-        report.results.append(result)
-    return report
+# ---------------- the check table ----------------
+
+# Applicability conditions: (test(spec, structure), skip witness when false).
+_POISSON = (lambda spec, s: isinstance(s, PoissonStructure),
+            "needs a Poisson structure")
+_BINARY = (_POISSON[0], "binary-bracket check; structure is n-ary")
+_CASIMIRS = (lambda spec, s: bool(spec.casimirs), "no Casimirs declared")
+_BDU_SHAPE = (lambda spec, s: (isinstance(s, PoissonStructure) and s.n == 6
+                               and len(spec.casimirs) >= 2),
+              "needs six variables and two Casimirs")
+_BDU_TABLE = (lambda spec, s: any(not p.is_zero() for _, p in s.entries_upper()),
+              "no bracket table supplied")
 
 
-def _key(cname, carg):
-    return cname if carg is None else f"{cname}({carg})"
+# Run functions return (status, lambda text, witness, observed value).  They
+# call the predicates through this module's globals at call time, so a
+# rebound predicate (the benchmark tracer wraps them) is the one that runs.
+
+def _run_jacobi(spec, structure, arg, seed):
+    rep = check_jacobi(structure)
+    if rep.holds:
+        return "pass", None, None, True
+    i, j, k, resid = rep.witnesses[0]
+    return ("fail", None, f"jacobiator({spec.vars[i]},{spec.vars[j]},"
+                          f"{spec.vars[k]}) = {resid.render()}", False)
 
 
-def _run_one(spec, structure, cname, carg, seed, _OBSERVED) -> CheckResult:
-    """Execute one check; observed predicate values land in _OBSERVED for
-    the expect-clause comparison."""
-    name = _key(cname, carg)
-    poisson = isinstance(structure, PoissonStructure)
+def _run_casimirs(spec, structure, arg, seed):
+    central = is_casimir if isinstance(structure, PoissonStructure) \
+        else _nambu_is_casimir
+    bad = [qname for qname, q in spec.casimirs if not central(structure, q)]
+    if bad:
+        return "fail", None, "not central: " + ", ".join(bad), False
+    return "pass", None, None, True
+
+
+def _run_quasi(spec, structure, arg, seed):
+    q = spec.named_poly(arg)
+    if q is None:
+        return "fail", None, f"unknown name {arg!r}", None
+    ok = is_quasi_casimir(structure, q)
+    return ("pass" if ok else "fail"), None, None, ok
+
+
+def _run_theorem31(spec, structure, arg, seed):
     try:
-        if cname == "jacobi":
-            if not poisson:
-                return CheckResult(name, "skipped",
-                                   witness="binary-bracket check; structure is n-ary")
-            rep = check_jacobi(structure)
-            _OBSERVED[name] = rep.holds
-            if rep.holds:
-                return CheckResult(name, "pass")
-            i, j, k, resid = rep.witnesses[0]
-            return CheckResult(name, "fail",
-                               witness=f"jacobiator({spec.vars[i]},{spec.vars[j]},"
-                                       f"{spec.vars[k]}) = {resid.render()}")
+        rep = duality_check(structure, spec.casimir_polys())
+    except ParityError as e:
+        return "skipped", None, str(e), None
+    lam = "non-constant" if rep.lam_coord is None else _literal_text(rep.lam_coord)
+    if rep.holds:
+        return "pass", lam, None, rep
+    return ("fail", lam, "wedge power is not a constant multiple "
+                         "of the Casimir-minor dual", rep)
 
-        if cname == "casimirs":
-            if not spec.casimirs:
-                return CheckResult(name, "skipped", witness="no Casimirs declared")
-            bad = []
-            for qname, q in spec.casimirs:
-                ok = is_casimir(structure, q) if poisson \
-                    else _nambu_is_casimir(structure, q)
-                if not ok:
-                    bad.append(qname)
-            _OBSERVED[name] = not bad
-            if bad:
-                return CheckResult(name, "fail",
-                                   witness="not central: " + ", ".join(bad))
-            return CheckResult(name, "pass")
 
-        if cname == "quasi":
-            if not poisson:
-                return CheckResult(name, "skipped", witness="needs a Poisson structure")
-            q = spec.named_poly(carg)
-            if q is None:
-                return CheckResult(name, "fail", witness=f"unknown name {carg!r}")
-            ok = is_quasi_casimir(structure, q)
-            _OBSERVED[name] = ok
-            return CheckResult(name, "pass" if ok else "fail")
+def _run_plucker(spec, structure, arg, seed):
+    rep = plucker_rank2_test(structure)
+    if rep.rank_le_2:
+        return "info", None, "plucker = true", True
+    w = ",".join(spec.vars[i] for i in rep.witness)
+    return "info", None, f"plucker = false ({w})", False
 
-        if cname == "theorem31":
-            if not poisson:
-                return CheckResult(name, "skipped", witness="needs a Poisson structure")
-            if not spec.casimirs:
-                return CheckResult(name, "skipped", witness="no Casimirs declared")
-            try:
-                rep = duality_check(structure, spec.casimir_polys())
-            except ParityError as e:
-                return CheckResult(name, "skipped", witness=str(e))
-            _OBSERVED[name] = rep
-            lam_text = ("non-constant" if rep.lam_coord is None
-                        else _frac_text(rep.lam_coord))
-            if rep.holds:
-                return CheckResult(name, "pass", lam=lam_text)
-            return CheckResult(name, "fail", lam=lam_text,
-                               witness="wedge power is not a constant multiple "
-                                       "of the Casimir-minor dual")
 
-        if cname == "plucker":
-            if not poisson:
-                return CheckResult(name, "skipped", witness="needs a Poisson structure")
-            rep = plucker_rank2_test(structure)
-            _OBSERVED[name] = rep.rank_le_2
-            if rep.rank_le_2:
-                return CheckResult(name, "info", witness="plucker = true")
-            w = ",".join(spec.vars[i] for i in rep.witness)
-            return CheckResult(name, "info", witness=f"plucker = false ({w})")
+def _run_rank(spec, structure, arg, seed):
+    r = generic_rank(structure, samples=8, seed=seed)
+    return "info", None, f"rank = {r}", r
 
-        if cname == "rank":
-            if not poisson:
-                return CheckResult(name, "skipped", witness="needs a Poisson structure")
-            r = generic_rank(structure, samples=8, seed=seed)
-            _OBSERVED[name] = r
-            return CheckResult(name, "info", witness=f"rank = {r}")
 
-        if cname == "extendability":
-            if not poisson:
-                return CheckResult(name, "skipped", witness="needs a Poisson structure")
-            v = check_projective_extendability(structure)
-            _OBSERVED[name] = v.extendable_necessary_conditions
-            if v.extendable_necessary_conditions:
-                return CheckResult(name, "pass",
-                                   witness=f"max degree {v.max_degree}; no obstruction found")
-            if not v.degree_ok:
-                return CheckResult(name, "fail",
-                                   witness=f"bracket degree {v.max_degree} exceeds 3")
-            (i, j, k), resid = next(iter(v.cyclic_residuals.items()))
-            return CheckResult(name, "fail",
-                               witness=f"cyclic residual ({spec.vars[i]},{spec.vars[j]},"
-                                       f"{spec.vars[k]}): {resid.render()}")
-
-        if cname == "fi":
-            ok, resid = _run_fi(spec, structure, int(carg), seed)
-            _OBSERVED[name] = ok
-            if ok:
-                return CheckResult(name, "pass")
-            return CheckResult(name, "fail", witness=f"residual {resid.render()}")
-
-        if cname == "degree_sum":
-            if not spec.casimirs:
-                return CheckResult(name, "skipped", witness="no Casimirs declared")
-            rep = degree_sum_check(spec.casimir_polys(), len(spec.vars), spec.weights)
-            _OBSERVED[name] = rep
-            eq = "true" if rep.equals_dimension else "false"
-            return CheckResult(name, "info",
-                               witness=f"sum = {rep.sum_of_degrees}, weights sum = "
-                                       f"{rep.weight_sum}, equal = {eq}")
-
-        if cname == "bdu_relation":
-            if not poisson or structure.n != 6 or len(spec.casimirs) < 2:
-                return CheckResult(name, "skipped",
-                                   witness="needs six variables and two Casimirs")
-            if all(p.is_zero() for _, p in structure.entries_upper()):
-                return CheckResult(name, "skipped",
-                                   witness="no bracket table supplied")
-            lhs, rhs = bdu_relation_sides(structure, spec.casimirs[0][1],
-                                          spec.casimirs[1][1])
-            ok = lhs == rhs
-            _OBSERVED[name] = ok
-            if ok:
-                return CheckResult(name, "pass")
-            return CheckResult(name, "fail",
-                               witness=f"difference = {(lhs - rhs).render()}")
-
-        return CheckResult(name, "skipped", witness="not implemented")
-    except PpaError as e:
-        return CheckResult(name, "fail", witness=str(e))
+def _run_extendability(spec, structure, arg, seed):
+    v = check_projective_extendability(structure)
+    if v.extendable_necessary_conditions:
+        return ("pass", None,
+                f"max degree {v.max_degree}; no obstruction found", True)
+    if not v.degree_ok:
+        return "fail", None, f"bracket degree {v.max_degree} exceeds 3", False
+    (i, j, k), resid = next(iter(v.cyclic_residuals.items()))
+    return ("fail", None, f"cyclic residual ({spec.vars[i]},{spec.vars[j]},"
+                          f"{spec.vars[k]}): {resid.render()}", False)
 
 
 def _nambu_is_casimir(ns: NambuStructure, q: PolyExpr) -> bool:
-    gens = PolyExpr.gens(ns.vars)
-    for combo in combinations(gens, ns.arity - 1):
-        if not nambu_bracket(ns, list(combo) + [q]).is_zero():
-            return False
-    return True
+    return all(nambu_bracket(ns, list(combo) + [q]).is_zero()
+               for combo in combinations(PolyExpr.gens(ns.vars), ns.arity - 1))
 
 
 def _run_fi(spec, structure, count, seed):
@@ -274,49 +210,114 @@ def _run_fi(spec, structure, count, seed):
     for args in tuples:
         resid = identity_residual(args)
         if not resid.is_zero():
-            return False, resid
-    return True, PolyExpr.zero(spec.vars)
+            return "fail", None, f"residual {resid.render()}", False
+    return "pass", None, None, True
 
 
-def _apply_expectation(spec, result: CheckResult, cname, carg, observed_map):
-    key = _key(cname, carg)
-    if key not in spec.expects:
-        return
-    expected = spec.expects[key]
-    observed = observed_map.get(key)
-    ok: bool
-    shown: str
-    if cname == "theorem31" and observed is not None and not isinstance(observed, bool):
-        if isinstance(expected, bool):
-            ok, shown = observed.holds == expected, str(observed.holds).lower()
-        else:
-            ok = observed.lam_coord == Fraction(expected)
-            shown = ("none" if observed.lam_coord is None
-                     else _frac_text(observed.lam_coord))
-    elif cname == "degree_sum" and observed is not None:
-        if isinstance(expected, bool):
-            ok, shown = observed.equals_dimension == expected, str(observed.equals_dimension).lower()
-        else:
-            ok, shown = observed.sum_of_degrees == int(expected), str(observed.sum_of_degrees)
-    elif isinstance(expected, bool):
-        ok, shown = observed == expected, str(observed).lower()
-    else:
-        ok, shown = observed == expected, str(observed)
-    note = f"expected {_expect_text(expected)}, observed {shown}"
-    if ok:
-        result.status = "pass"
-        result.witness = (result.witness + "; " if result.witness else "") + note
-    else:
-        result.status = "fail"
-        result.witness = (result.witness + "; " if result.witness else "") + note
+def _run_degree_sum(spec, structure, arg, seed):
+    rep = degree_sum_check(spec.casimir_polys(), len(spec.vars), spec.weights)
+    return ("info", None,
+            f"sum = {rep.sum_of_degrees}, weights sum = {rep.weight_sum}, "
+            f"equal = {_literal_text(rep.equals_dimension)}", rep)
 
 
-def _expect_text(v):
+def _run_bdu_relation(spec, structure, arg, seed):
+    lhs, rhs = bdu_relation_sides(structure, spec.casimirs[0][1],
+                                  spec.casimirs[1][1])
+    if lhs == rhs:
+        return "pass", None, None, True
+    return "fail", None, f"difference = {(lhs - rhs).render()}", False
+
+
+@dataclass(frozen=True)
+class Check:
+    """One check: ``run(spec, structure, arg, seed)`` returns (status,
+    lambda text, witness, observed value); ``needs`` are its applicability
+    conditions; ``arg`` is its DSL argument (None, ``"ident"`` or ``"int"``);
+    ``expect`` maps each literal kind a pin may use (``"bool"``, ``"int"``,
+    ``"rational"``) to the projection of the observed value it compares."""
+    run: Callable
+    needs: tuple = ()
+    arg: Optional[str] = None
+    expect: dict = field(default_factory=lambda: {"bool": bool})
+
+    def skip_witness(self, spec, structure) -> Optional[str]:
+        """The witness of the first unmet condition, or None when it runs."""
+        return next((witness for test, witness in self.needs
+                     if not test(spec, structure)), None)
+
+
+CHECKS: dict[str, Check] = {
+    "jacobi": Check(_run_jacobi, (_BINARY,)),
+    "casimirs": Check(_run_casimirs, (_CASIMIRS,)),
+    "quasi": Check(_run_quasi, (_POISSON,), arg="ident"),
+    "theorem31": Check(_run_theorem31, (_POISSON, _CASIMIRS),
+                       expect={"bool": lambda rep: rep.holds,
+                               "rational": lambda rep: rep.lam_coord}),
+    "plucker": Check(_run_plucker, (_POISSON,)),
+    "rank": Check(_run_rank, (_POISSON,), expect={"int": int}),
+    "extendability": Check(_run_extendability, (_POISSON,)),
+    "fi": Check(_run_fi, arg="int"),
+    "degree_sum": Check(_run_degree_sum, (_CASIMIRS,),
+                        expect={"bool": lambda rep: rep.equals_dimension,
+                                "int": lambda rep: rep.sum_of_degrees}),
+    "bdu_relation": Check(_run_bdu_relation, (_BDU_SHAPE, _BDU_TABLE)),
+}
+
+
+def _key(cname, carg):
+    """``name`` or ``name(arg)``: report names and expect keys."""
+    return cname if carg is None else f"{cname}({carg})"
+
+
+def _literal_text(v) -> str:
     if isinstance(v, bool):
-        return str(v).lower()
+        return "true" if v else "false"
     return str(v)
 
 
-def _frac_text(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _projection(cname, literal) -> Optional[Callable]:
+    """What an ``expect cname = literal`` pin compares, or None when the
+    check takes no literal of that kind.  A rational pin accepts integers."""
+    kinds = CHECKS[cname].expect
+    if isinstance(literal, bool):
+        return kinds.get("bool")
+    if isinstance(literal, int) and "int" in kinds:
+        return kinds["int"]
+    return kinds.get("rational")
+
+
+# ---------------- running ----------------
+
+def run_checks(spec, seed: int = 0) -> CheckReport:
+    """Run the checks a parsed model (``dsl.ModelSpec``) requests."""
+    structure = spec.build_structure()
+    report = CheckReport(model=spec.name, seed=seed)
+    for cname, carg in spec.checks:
+        check, name = CHECKS[cname], _key(cname, carg)
+        try:
+            skip = check.skip_witness(spec, structure)
+            if skip is None:
+                status, lam, witness, observed = check.run(spec, structure,
+                                                           carg, seed)
+            else:
+                status, lam, witness, observed = "skipped", None, skip, None
+        except PpaError as e:
+            status, lam, witness, observed = "fail", None, str(e), None
+        result = CheckResult(name, status, lam, witness)
+        if name in spec.expects:
+            _apply_expectation(result, cname, spec.expects[name], observed)
+        report.results.append(result)
+    return report
+
+
+def _apply_expectation(result: CheckResult, cname, expected, observed):
+    if observed is None:
+        # nothing was observed; numeric pins have always shown this as "None"
+        value, shown = None, "none" if isinstance(expected, bool) else "None"
+    else:
+        value = _projection(cname, expected)(observed)
+        shown = "none" if value is None else _literal_text(value)
+    result.status = "pass" if value == expected else "fail"
+    note = f"expected {_literal_text(expected)}, observed {shown}"
+    result.witness = (result.witness + "; " if result.witness else "") + note

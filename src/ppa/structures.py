@@ -31,21 +31,10 @@ from .exterior import (
 from .poly import PolyExpr, exact_divisibility
 
 
-@dataclass(frozen=True)
-class JacobianProvenance:
-    casimirs: tuple[PolyExpr, ...]
-    multiplier: PolyExpr
-
-
-@dataclass(frozen=True)
-class ExplicitTable:
-    pass
-
-
 class PoissonStructure:
     """Antisymmetric bracket matrix over a fixed variable tuple."""
 
-    def __init__(self, variables: Sequence[str], matrix, provenance=None):
+    def __init__(self, variables: Sequence[str], matrix):
         self.vars = tuple(variables)
         n = len(self.vars)
         self.n = n
@@ -63,7 +52,6 @@ class PoissonStructure:
             for j in range(i + 1, n):
                 if self.matrix[i][j] != -self.matrix[j][i]:
                     raise DomainError(f"bracket matrix not antisymmetric at ({i},{j})")
-        self.provenance = provenance or ExplicitTable()
         # Casimir candidate -> verdict: the matrix never changes, so a
         # candidate checked once (say by the casimirs check) is not checked
         # again by a later predicate (theorem31) on the same structure.
@@ -81,9 +69,6 @@ class PoissonStructure:
             matrix[i][j] = p
             matrix[j][i] = -p
         return cls(variables, matrix)
-
-    def bracket_entry(self, i: int, j: int) -> PolyExpr:
-        return self.matrix[i][j]
 
     def entries_upper(self):
         for i in range(self.n):
@@ -164,9 +149,7 @@ def jacobian_structure(variables, casimirs: Sequence[PolyExpr],
                 p = multiplier * coeff
                 matrix[i][j] = p if sign > 0 else -p
             matrix[j][i] = -matrix[i][j]
-    return PoissonStructure(
-        variables, matrix,
-        JacobianProvenance(tuple(casimirs), multiplier))
+    return PoissonStructure(variables, matrix)
 
 
 # ---------------- bracket evaluation ----------------

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from ppa import catalog
-from ppa.duality import degree_sum_check, duality_check
+from ppa.duality import bdu_relation_sides, degree_sum_check, duality_check
 from ppa.errors import DomainError
 from ppa.geometry import check_projective_extendability
 from ppa.poly import PolyExpr
@@ -140,7 +140,7 @@ def test_bdu_relation_machinery():
     # a structure that cannot satisfy the relation: canonical {p,q}=1 table
     table = {(0, 1): PolyExpr.const(m.vars, 1)}
     ps = PoissonStructure.from_table(m.vars, table)
-    lhs, rhs = catalog.bdu_relation_sides(ps, p1, p2)
+    lhs, rhs = bdu_relation_sides(ps, p1, p2)
     assert lhs.is_zero()
     names = m.vars
     pq, pr = p1.diff(names[1]), p1.diff(names[2])

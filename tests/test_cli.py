@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from ppa.cli import main
 
 
@@ -134,6 +136,19 @@ def test_integrate_overflow_is_divergence(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("divergence:") and "last valid t = 0.0" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("window,message", [
+    ("step 1e-09 until 1000000000.0", "needs more than"),
+    ("step 0.3 until 1.0", "nearest reachable t_end is 0.9")])
+def test_integrate_window_limits_exit_two(tmp_path, capsys, window, message):
+    f = emit(tmp_path, "euler_top")
+    text = f.read_text()
+    assert "step 0.001 until 10.0" in text
+    f.write_text(text.replace("step 0.001 until 10.0", window))
+    assert run_cli("integrate", str(f), "--out", str(tmp_path / "t.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 def test_integrate_requires_statement(tmp_path):

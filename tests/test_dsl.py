@@ -7,6 +7,7 @@ import pytest
 from ppa import catalog, dsl
 from ppa.errors import ArityError, ModelSyntaxError
 from ppa.poly import MonomialMap, PolyExpr
+from ppa.runner import FI_MAX
 
 Q3_TEXT = (
     "vars x1 x2 x3; param k = 2; "
@@ -91,6 +92,41 @@ def test_expect_and_integrate_statements():
     assert spec.integrate.x0 == (1.0, 2.0, 0.5)
     assert spec.integrate.step == 0.001
     assert spec.integrate.monitors == ("Q", "x3")
+
+
+def test_expect_without_check_rejected():
+    with pytest.raises(ModelSyntaxError) as e:
+        dsl.parse_model("vars x1 x2 x3; structure table { }; "
+                        "check jacobi;\nexpect rank = 2;")
+    assert e.value.line == 2 and e.value.token == "rank"
+    # the pin keys on the argument too
+    with pytest.raises(ModelSyntaxError):
+        dsl.parse_model("vars x1 x2 x3; structure table { }; "
+                        "check fi(1); expect fi(2) = true;")
+
+
+@pytest.mark.parametrize("check,literal", [
+    ("plucker", "1"), ("jacobi", "1"), ("rank", "true"), ("rank", "5/2"),
+    ("degree_sum", "3/2"), ("casimirs", "0")])
+def test_expect_literal_kind_rejected(check, literal):
+    text = (f"vars x1 x2 x3; casimir Q = x3; structure jacobian; "
+            f"check {check};\nexpect {check} = {literal};")
+    with pytest.raises(ModelSyntaxError) as e:
+        dsl.parse_model(text)
+    assert e.value.line == 2 and e.value.token == literal
+
+
+@pytest.mark.parametrize("arg", ["1/2", "101", "1000000000", "4/2"])
+def test_fi_argument_out_of_range_rejected(arg):
+    with pytest.raises(ModelSyntaxError) as e:
+        dsl.parse_model(f"vars x1 x2 x3; structure table {{ }}; check fi({arg});")
+    assert e.value.token == arg
+
+
+def test_fi_argument_bounds():
+    spec = dsl.parse_model(f"vars x1 x2 x3; structure table {{ }}; "
+                           f"check fi(0), fi({FI_MAX});")
+    assert spec.checks == [("fi", 0), ("fi", FI_MAX)]
 
 
 def test_let_references_resolve():

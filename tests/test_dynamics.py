@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from ppa import catalog, dsl
-from ppa.dynamics import (PolyVectorField, constants_of_motion_check,
+from ppa.dynamics import (MAX_STEPS, PolyVectorField, constants_of_motion_check,
                           decoupling_check, fairlie_field,
                           hamiltonian_vector_field, integrate,
                           nambu_vector_field, write_trajectory_csv)
@@ -219,6 +219,29 @@ def test_invalid_integration_arguments():
         integrate(f, (1.0, 0.5, 0.25), -0.1, 1.0, [])
     with pytest.raises(DomainError):
         integrate(f, (1.0, 0.5), 0.1, 1.0, [])
+
+
+def test_window_over_max_steps_rejected():
+    m = euler_model()
+    f = hamiltonian_vector_field(m.structure, m.hamiltonians[0])
+    for step, t_end in ((1e-9, 1e9), (1.0, MAX_STEPS + 1.0), (1e-300, 1e300),
+                        (1e-3, math.inf)):
+        with pytest.raises(DomainError):
+            integrate(f, (1.0, 0.5, 0.25), step, t_end, [])
+
+
+def test_window_not_a_whole_number_of_steps_rejected():
+    m = euler_model()
+    f = hamiltonian_vector_field(m.structure, m.hamiltonians[0])
+    with pytest.raises(DomainError) as e:
+        integrate(f, (1.0, 0.5, 0.25), 0.3, 1.0, [])
+    assert "nearest reachable t_end is 0.9" in str(e.value)
+    with pytest.raises(DomainError) as e:
+        integrate(f, (1.0, 0.5, 0.25), 1.0, 0.4, [])
+    assert "nearest reachable t_end is 1" in str(e.value)
+    # a window that is whole up to float rounding ends on steps * step
+    rep = integrate(f, (1.0, 0.5, 0.25), 0.1, 0.7, [])
+    assert len(rep.times) == 8 and rep.times[-1] == pytest.approx(0.7)
 
 
 def test_trajectory_csv_format(tmp_path):

@@ -1,0 +1,58 @@
+"""Guards on the package layout: the README lists exactly the checks of the
+check table, and the catalog sits above the DSL and the runner."""
+
+import ast
+import re
+from pathlib import Path
+
+from ppa.runner import CHECKS
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ppa"
+
+
+def test_readme_check_bullet_names_the_table():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    bullet = re.search(r"^- `check` name.*?(?=^- )", readme, re.M | re.S).group()
+    listed = re.findall(r"`(\w+)(\(\w+\))?`", bullet.split("with names", 1)[1])
+    assert [name for name, _ in listed] == list(CHECKS)
+    assert {name: bool(arg) for name, arg in listed} == \
+        {name: check.arg is not None for name, check in CHECKS.items()}
+
+
+def _package_imports(path):
+    """Modules of the package that ``path`` imports anywhere in its body."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module] if node.module
+                       else [alias.name for alias in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) \
+                else [alias.name for alias in node.names]
+            out.update(n.split(".")[1] for n in names
+                       if n and n.startswith("ppa."))
+    return out
+
+
+def test_only_the_cli_and_the_package_import_catalog():
+    importers = {p.name for p in PACKAGE.glob("*.py")
+                 if "catalog" in _package_imports(p)}
+    assert importers == {"cli.py", "__init__.py"}
+
+
+def test_module_imports_are_acyclic():
+    graph = {p.stem: _package_imports(p) - {p.stem}
+             for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    done = set()
+
+    def visit(mod, path):
+        assert mod not in path, " -> ".join(path + [mod])
+        if mod in done:
+            return
+        for dep in graph.get(mod, ()):
+            visit(dep, path + [mod])
+        done.add(mod)
+
+    for mod in graph:
+        visit(mod, [])

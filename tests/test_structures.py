@@ -282,7 +282,7 @@ def test_fi_wrong_argument_count():
         check_fundamental_identity(ns, PolyExpr.gens(V3)[:2])
 
 
-def test_jacobian_provenance_casimirs_verified():
+def test_catalog_jacobian_casimirs_are_central():
     for name in ("q3", "sklyanin", "dell", "singular_k3_split"):
         m = catalog.build(name)
         for _, q in m.casimirs:
