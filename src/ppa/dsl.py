@@ -5,6 +5,11 @@ named polynomials, exactly one structure, optional Hamiltonians, requested
 checks with optional expected outcomes, and an optional integration request.
 Canonical emission inlines every parameter and renders polynomials in the
 canonical term order, so emit -> parse -> emit is byte-stable.
+
+Hostile input stays bounded: a numeric literal is at most
+``MAX_LITERAL_CHARS`` characters, parentheses nest at most ``MAX_NESTING``
+deep, and a power's exponent, as a reduced fraction, has numerator and
+denominator at most ``poly.MAX_EXPONENT``.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ArityError, ModelSyntaxError
-from .poly import MonomialMap, PolyExpr, _rational_pow
+from .errors import ArityError, DomainError, ModelSyntaxError
+from .poly import MAX_EXPONENT, MonomialMap, PolyExpr, _rational_pow
 from .runner import CHECKS, FI_MAX, _key, _literal_text, _projection
 from .structures import NambuStructure, PoissonStructure, jacobian_structure
 
@@ -27,6 +32,12 @@ _TOKEN_RE = re.compile(r"""
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<punct>[;,{}()=^*+\-])
 """, re.VERBOSE)
+
+# Python refuses int strings past 4300 digits; below that, parsing stays fast.
+MAX_LITERAL_CHARS = 4000
+# Each level of parentheses takes five parser frames, far below Python's
+# recursion limit at this depth.
+MAX_NESTING = 50
 
 
 @dataclass
@@ -46,6 +57,10 @@ def tokenize(text: str) -> list[Token]:
             raise ModelSyntaxError("unexpected character", line, col, text[pos])
         kind = m.lastgroup
         chunk = m.group()
+        if kind in ("number", "float") and len(chunk) > MAX_LITERAL_CHARS:
+            raise ModelSyntaxError(
+                f"numeric literal longer than {MAX_LITERAL_CHARS} characters",
+                line, col, chunk)
         if kind not in ("ws", "comment"):
             tokens.append(Token(kind, chunk, line, col))
         newlines = chunk.count("\n")
@@ -63,6 +78,7 @@ class _Stream:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0          # open parentheses in the current expression
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -94,6 +110,20 @@ class _Stream:
     def error(self, msg: str):
         t = self.peek()
         raise ModelSyntaxError(msg, t.line, t.column, t.text)
+
+    def number(self, integer: bool = False) -> Fraction:
+        """The next token as an exact rational (an integer if asked)."""
+        t = self.expect_kind("number")
+        try:
+            v = Fraction(t.text)
+        except ZeroDivisionError:
+            raise ModelSyntaxError("zero denominator", t.line, t.column, t.text) from None
+        except ValueError:      # PYTHONINTMAXSTRDIGITS set below MAX_LITERAL_CHARS
+            raise ModelSyntaxError("numeric literal too long", t.line, t.column,
+                                   t.text) from None
+        if integer and v.denominator != 1:
+            raise ModelSyntaxError("expected an integer", t.line, t.column, t.text)
+        return v
 
 
 # ---------------- polynomial expressions ----------------
@@ -141,16 +171,18 @@ def _parse_power(stream, env, variables):
 def _parse_exponent(stream):
     paren = stream.accept("(")
     neg = bool(stream.accept("-"))
-    t = stream.expect_kind("number")
+    v = stream.number()
     if paren:
         stream.expect(")")
-    v = Fraction(t.text)
     return -v if neg else v
 
 
 def _poly_pow(base: PolyExpr, e: Fraction, stream) -> PolyExpr:
     if e.denominator == 1 and e >= 0:
-        return base ** int(e)
+        return base ** int(e)           # PolyExpr.__pow__ bounds e
+    if max(abs(e.numerator), e.denominator) > MAX_EXPONENT:
+        raise DomainError(f"exponent {e}: numerator and denominator must be at "
+                          f"most MAX_EXPONENT = {MAX_EXPONENT}")
     if base.is_monomial():
         (mono, coef), = base.terms.items()
         return PolyExpr(base.vars, {tuple(Fraction(x) * e for x in mono):
@@ -161,16 +193,20 @@ def _poly_pow(base: PolyExpr, e: Fraction, stream) -> PolyExpr:
 def _parse_atom(stream, env, variables):
     t = stream.peek()
     if t.kind == "number":
-        stream.next()
-        return PolyExpr.const(variables, Fraction(t.text))
+        return PolyExpr.const(variables, stream.number())
     if t.kind == "ident":
         stream.next()
         if t.text not in env:
             raise ModelSyntaxError("unknown identifier", t.line, t.column, t.text)
         return env[t.text]
     if stream.accept("("):
+        if stream.depth == MAX_NESTING:
+            raise ModelSyntaxError(f"parentheses nested deeper than {MAX_NESTING}",
+                                   t.line, t.column, t.text)
+        stream.depth += 1
         p = parse_poly_expr(stream, env, variables)
         stream.expect(")")
+        stream.depth -= 1
         return p
     stream.error("expected a polynomial atom")
 
@@ -275,7 +311,7 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
         elif stmt == "weights":
             ws = []
             while stream.peek().kind == "number":
-                ws.append(int(Fraction(stream.next().text)))
+                ws.append(int(stream.number(integer=True)))
             if not ws:
                 stream.error("weights needs integers")
             spec.weights = tuple(ws)
@@ -284,7 +320,7 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
             pname = stream.expect_kind("ident").text
             stream.expect("=")
             neg = bool(stream.accept("-"))
-            val = Fraction(stream.expect_kind("number").text)
+            val = stream.number()
             spec.params[pname] = -val if neg else val
             env[pname] = PolyExpr.const(spec.vars, spec.params[pname])
             stream.expect(";")
@@ -330,7 +366,7 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
                     spec.table[key] = p if i < j else -p
             elif kind == "nambu":
                 spec.structure_kind = "nambu"
-                spec.nambu_arity = int(Fraction(stream.expect_kind("number").text))
+                spec.nambu_arity = int(stream.number(integer=True))
                 if stream.accept("lambda"):
                     spec.multiplier = parse_poly_expr(stream, env, spec.vars)
             else:
@@ -425,10 +461,8 @@ def _parse_literal(stream):
         stream.next()
         return t.text == "true"
     neg = bool(stream.accept("-"))
-    t = stream.peek()
-    if t.kind == "number":
-        stream.next()
-        v = Fraction(t.text)
+    if stream.peek().kind == "number":
+        v = stream.number()
         v = -v if neg else v
         return int(v) if v.denominator == 1 else v
     stream.error("expected true, false, or a rational literal")
@@ -437,11 +471,17 @@ def _parse_literal(stream):
 def _parse_float(stream):
     neg = bool(stream.accept("-"))
     t = stream.peek()
-    if t.kind in ("float", "number"):
-        stream.next()
-        v = float(Fraction(t.text)) if t.kind == "number" else float(t.text)
-        return -v if neg else v
-    stream.error("expected a numeric literal")
+    if t.kind == "float":
+        v = float(stream.next().text)
+    elif t.kind == "number":
+        try:
+            v = float(stream.number())
+        except OverflowError:
+            raise ModelSyntaxError("numeric literal out of float range",
+                                   t.line, t.column, t.text) from None
+    else:
+        stream.error("expected a numeric literal")
+    return -v if neg else v
 
 
 # ---------------- canonical emission ----------------

@@ -45,11 +45,13 @@ class DivergenceError(RuntimeError):
 
 
 class ModelSyntaxError(PpaError):
-    """DSL parse failure; carries line/column and the offending token."""
+    """DSL parse failure; carries line/column and the offending token (shown
+    cut to its first 40 characters)."""
 
     def __init__(self, message, line, column, token=None):
         at = f"{line}:{column}"
-        tok = f" near {token!r}" if token else ""
+        shown = token if token is None or len(token) <= 40 else token[:37] + "..."
+        tok = f" near {shown!r}" if token else ""
         super().__init__(f"{message} at {at}{tok}")
         self.line = line
         self.column = column

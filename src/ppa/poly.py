@@ -11,21 +11,32 @@ The coefficient field is Q throughout; no floats enter until a caller asks
 for a floating evaluation.
 
 Representation: a ``PolyExpr`` keeps integer numerators over one positive
-common denominator, reduced so that gcd(den, *numerators) == 1.  That form
-is unique, so equality and hashing compare the stored fields directly, and
-products and sums run on Python ints, dividing out the content only when the
-denominator is not 1 (after Monagan & Pearce, CASC 2007).  ``terms`` is the
-read-only ``Fraction`` view of the same coefficients, built on first use.
-Every result is exact; term order follows the same accumulation as
-``Fraction`` arithmetic would, so iteration order (and with it float sums
-over the terms) does not depend on the representation.
+common denominator, reduced so that gcd(den, *numerators) == 1.  A
+polynomial-grade value keys its numerators by one packed ``int`` per
+monomial, a ``FIELD_BITS``-bit field per variable with the first variable
+in the top field; a Laurent/Puiseux value keys them by exponent tuples.  A
+value is packed exactly when it is polynomial-grade, so the form is unique:
+equality and hashing compare the stored fields directly, products add
+packed keys as plain integers and run on Python ints, dividing out the
+content only when the denominator is not 1 (after Monagan & Pearce, CASC
+2007).  Every exponent of a polynomial-grade value is at most
+``MAX_EXPONENT``, which leaves each field's top bit free: a product of two
+such values cannot carry between fields, and one test of the top bits of
+its result finds any exponent past the limit.  Exceeding it raises
+``DomainError``.  ``terms`` is the read-only ``Fraction`` view keyed by
+exponent tuples, built on first use.  Every result is exact; term order
+follows the same accumulation as ``Fraction`` arithmetic would, so iteration
+order (and with it float sums over the terms) does not depend on the
+representation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import add
+from operator import add, or_
+from struct import Struct, error as StructError
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -65,6 +76,52 @@ def _is_grade(monos) -> bool:
     return all(isinstance(e, int) and e >= 0 for m in monos for e in m)
 
 
+# ---------------- packed exponent keys ----------------
+
+FIELD_BITS = 16                 # the width of a struct "h" field
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+class _Layouts(dict):
+    """n -> (fields, guard), built on first use.  ``fields`` is the
+    ``Struct`` of a key's big-endian bytes over n variables, one signed
+    16-bit field per variable, the first variable on top; a signed field
+    refuses any value past MAX_EXPONENT.  ``guard`` has the top bit of every
+    field set."""
+
+    def __missing__(self, n):
+        lay = self[n] = (Struct(f">{n}h"), int.from_bytes(b"\x80\x00" * n, "big"))
+        return lay
+
+
+_LAYOUTS = _Layouts()
+
+
+def _over_limit(what) -> DomainError:
+    return DomainError(f"{what} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+
+
+def _packed(num: dict, n: int) -> dict:
+    """``num`` with its exponent tuples (nonnegative ints, n of them)
+    replaced by packed keys, in the same order."""
+    pack = _LAYOUTS[n][0].pack
+    try:
+        return {int.from_bytes(pack(*m), "big"): c for m, c in num.items()}
+    except StructError:
+        top = max(e for m in num for e in m)
+        raise _over_limit(f"exponent {top}") from None
+
+
+def _tuple_num(p) -> dict:
+    """``p``'s numerators keyed by exponent tuples, in term order."""
+    if not p._grade:
+        return p._num
+    fields = _LAYOUTS[len(p.vars)][0]
+    unpack, size = fields.unpack, fields.size
+    return {unpack(k.to_bytes(size, "big")): c for k, c in p._num.items()}
+
+
 class PolyExpr:
     """Immutable sparse polynomial with rational coefficients and exponents."""
 
@@ -83,7 +140,7 @@ class PolyExpr:
                     raise VariableSetError(
                         f"exponent tuple {mono} does not match {nv} variables")
                 clean[tuple(_exp(e) for e in mono)] = c
-        _fill(self, variables, *_over_common_den(clean), _is_grade(clean))
+        _fill(self, variables, *_over_common_den(clean), False)
 
     def __setattr__(self, *a):
         raise AttributeError("PolyExpr is immutable")
@@ -94,7 +151,8 @@ class PolyExpr:
         view = self._terms
         if view is None:
             den = self._den
-            view = MappingProxyType({m: Fraction(c, den) for m, c in self._num.items()})
+            view = MappingProxyType({m: Fraction(c, den)
+                                     for m, c in _tuple_num(self).items()})
             _set_terms(self, view)
         return view
 
@@ -110,15 +168,13 @@ class PolyExpr:
         variables = tuple(variables)
         if value == 0:
             return _new(variables, {}, 1, True)
-        return _new(variables, {(0,) * len(variables): value.numerator},
-                    value.denominator, True)
+        return _new(variables, {0: value.numerator}, value.denominator, True)
 
     @classmethod
     def var(cls, name: str, variables) -> "PolyExpr":
         variables = tuple(variables)
-        i = variables.index(name)
-        mono = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return _new(variables, {mono: 1}, 1, True)
+        shift = FIELD_BITS * (len(variables) - 1 - variables.index(name))
+        return _new(variables, {1 << shift: 1}, 1, True)
 
     @classmethod
     def gens(cls, variables) -> tuple["PolyExpr", ...]:
@@ -131,8 +187,9 @@ class PolyExpr:
         return not self._num
 
     def is_constant(self) -> bool:
+        # the constant monomial is polynomial-grade, so it is the packed key 0
         num = self._num
-        return not num or (len(num) == 1 and not any(next(iter(num))))
+        return not num or (len(num) == 1 and self._grade and not next(iter(num)))
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
@@ -204,17 +261,33 @@ class PolyExpr:
             return NotImplemented
         out: dict = {}
         get = out.get
-        right = list(b._num.items())
-        grade = a._grade and b._grade
-        for m1, c1 in a._num.items():
+        if a._grade and b._grade:
+            # packed keys add field by field: no field carries, since every
+            # stored exponent is at most MAX_EXPONENT
+            right = list(b._num.items())
+            for m1, c1 in a._num.items():
+                for m2, c2 in right:
+                    m = m1 + m2
+                    s = get(m, 0) + c1 * c2
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+            if out and reduce(or_, out) & _LAYOUTS[len(a.vars)][1]:
+                raise _over_limit("an exponent of the product")
+            return _reduced(a.vars, out, a._den * b._den, True)
+        if not (a._num and b._num):     # zero is packed: skip unpacking it
+            return PolyExpr.zero(a.vars)
+        right = list(_tuple_num(b).items())
+        for m1, c1 in _tuple_num(a).items():
             for m2, c2 in right:
-                m = tuple(map(add, m1, m2)) if grade else tuple(map(_exp, map(add, m1, m2)))
+                m = tuple(map(_exp, map(add, m1, m2)))
                 s = get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 else:
                     del out[m]
-        return _reduced(a.vars, out, a._den * b._den, grade or _is_grade(out))
+        return _reduced(a.vars, out, a._den * b._den, False)
 
     __rmul__ = __mul__
 
@@ -229,6 +302,13 @@ class PolyExpr:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise DomainError("polynomial powers must be nonnegative integers")
+        if n > MAX_EXPONENT:
+            raise _over_limit(f"power {n}")
+        if self._grade and n > 1:
+            # the top exponent of each variable multiplies by n exactly
+            top = max((e for m in _tuple_num(self) for e in m), default=0)
+            if n * top > MAX_EXPONENT:
+                raise _over_limit(f"exponent {n * top} of the power")
         out = PolyExpr.const(self.vars, 1)
         base = self
         while n:
@@ -256,8 +336,10 @@ class PolyExpr:
         i = self.vars.index(var)
         if self._grade:
             # e -> e - 1 is injective on the surviving terms: nothing collides
-            out = {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
-                   for m, c in self._num.items() if m[i]}
+            shift = FIELD_BITS * (len(self.vars) - 1 - i)
+            unit = 1 << shift
+            out = {m - unit: c * e for m, c in self._num.items()
+                   if (e := m >> shift & _FIELD_MASK)}
             return _reduced(self.vars, out, self._den, True)
         frac: dict = {}
         for m, c in self.terms.items():
@@ -272,38 +354,39 @@ class PolyExpr:
                 frac.pop(nm, None)
             else:
                 frac[nm] = s
-        return _new(self.vars, *_over_common_den(frac), _is_grade(frac))
+        return _new(self.vars, *_over_common_den(frac), False)
 
     def total_degree(self):
         """Maximum term degree (None for the zero polynomial)."""
         if self.is_zero():
             return None
-        return max(sum(m) for m in self._num)
+        return max(sum(m) for m in _tuple_num(self))
 
     def weighted_degree(self, weights: Sequence[int]):
         if self.is_zero():
             return None
         if len(weights) != len(self.vars):
             raise VariableSetError("weight tuple does not match variables")
-        return max(sum(w * e for w, e in zip(weights, m)) for m in self._num)
+        return max(sum(w * e for w, e in zip(weights, m)) for m in _tuple_num(self))
 
     def is_weighted_homogeneous(self, weights: Sequence[int]) -> bool:
-        degs = {sum(w * e for w, e in zip(weights, m)) for m in self._num}
+        degs = {sum(w * e for w, e in zip(weights, m)) for m in _tuple_num(self)}
         return len(degs) <= 1
 
     def homogeneous_component(self, degree: int) -> "PolyExpr":
-        out = {m: c for m, c in self._num.items() if sum(m) == degree}
-        return _reduced(self.vars, out, self._den, self._grade or _is_grade(out))
+        out = {m: c for m, c in _tuple_num(self).items() if sum(m) == degree}
+        return _reduced(self.vars, out, self._den, False)
 
     def leading(self):
         """(monomial, coefficient) of the graded-lex leading term."""
         if self.is_zero():
             raise DomainError("zero polynomial has no leading term")
-        m = max(self._num, key=monomial_key)
-        return m, Fraction(self._num[m], self._den)
+        num = _tuple_num(self)
+        m = max(num, key=monomial_key)
+        return m, Fraction(num[m], self._den)
 
     def coefficient(self, mono: tuple) -> Fraction:
-        c = self._num.get(tuple(_exp(e) for e in mono))
+        c = _tuple_num(self).get(tuple(_exp(e) for e in mono))
         return Fraction(0) if c is None else Fraction(c, self._den)
 
     # ---------------- evaluation ----------------
@@ -319,7 +402,8 @@ class PolyExpr:
             return Fraction(0)
         # x_i = p_i/q_i; with E_i the top exponent of x_i, each term is
         # c * prod p_i^e * q_i^(E_i - e) over den * prod q_i^E_i.
-        tops = [max(col) for col in zip(*self._num)]
+        num = _tuple_num(self)
+        tops = [max(col) for col in zip(*num)]
         scaled = []
         den = self._den
         for x, top in zip(pt, tops):
@@ -335,7 +419,7 @@ class PolyExpr:
                 den *= q ** top
             scaled.append(pw)
         total = 0
-        for m, c in self._num.items():
+        for m, c in num.items():
             for pw, e in zip(scaled, m):
                 c *= pw[e]
             total += c
@@ -386,43 +470,40 @@ class PolyExpr:
         variables = tuple(variables)
         if variables == self.vars:
             return self
+        num = _tuple_num(self)
         pos = []
         for i, v in enumerate(self.vars):
             if v not in variables:
-                if any(m[i] != 0 for m in self._num):
+                if any(m[i] != 0 for m in num):
                     raise VariableSetError(f"variable {v} in use, cannot drop")
                 pos.append(None)
             else:
                 pos.append(variables.index(v))
         out: dict = {}
-        for m, c in self._num.items():
+        for m, c in num.items():
             nm = [0] * len(variables)
             for i, e in enumerate(m):
                 if e != 0:
                     nm[pos[i]] = e
             out[tuple(nm)] = c
-        return _new(variables, out, self._den, self._grade)
+        return _new(variables, out, self._den, False)
 
     def subs_var(self, var: str, value: "PolyExpr") -> "PolyExpr":
         """Substitute one variable by a polynomial (integer powers only)."""
         i = self.vars.index(var)
         value = value.with_vars(self.vars)
-        powers = {0: PolyExpr.const(self.vars, 1)}
-
-        def vpow(e):
+        powers = [PolyExpr.const(self.vars, 1)]
+        out = PolyExpr.zero(self.vars)
+        for m, c in _tuple_num(self).items():
+            e = m[i]
             if not isinstance(e, int) or e < 0:
                 raise DomainError(
                     f"cannot substitute into exponent {e} of {var}")
-            if e not in powers:
-                powers[e] = vpow(e - 1) * value
-            return powers[e]
-
-        out = PolyExpr.zero(self.vars)
-        for m, c in self._num.items():
             rest = m[:i] + (0,) + m[i + 1:]
-            term = _reduced(self.vars, {rest: c}, self._den,
-                            self._grade or _is_grade((rest,)))
-            out = out + term * vpow(m[i])
+            term = _reduced(self.vars, {rest: c}, self._den, False)
+            while len(powers) <= e:
+                powers.append(powers[-1] * value)
+            out = out + term * powers[e]
         return out
 
     # ---------------- rendering ----------------
@@ -476,6 +557,11 @@ _set_terms = PolyExpr._terms.__set__
 
 
 def _fill(p, variables, num, den, grade):
+    """``grade`` True: ``num`` is keyed by packed ints.  False: by exponent
+    tuples, packed here when they are all polynomial-grade."""
+    if not grade and _is_grade(num):
+        num = _packed(num, len(variables))
+        grade = True
     _set_vars(p, variables)
     _set_num(p, num)
     _set_den(p, den)
@@ -484,8 +570,9 @@ def _fill(p, variables, num, den, grade):
 
 
 def _new(variables, num, den, grade) -> PolyExpr:
-    """Trusted constructor: ``num`` holds nonzero ints keyed by normalized
-    exponent tuples, ``den`` > 0 and the pair is already reduced."""
+    """Trusted constructor: ``num`` holds nonzero ints keyed as ``_fill``
+    takes them (packed ints when ``grade``, else normalized exponent
+    tuples), ``den`` > 0 and the pair is already reduced."""
     p = _alloc(PolyExpr)
     _fill(p, variables, num, den, grade)
     return p
@@ -512,17 +599,23 @@ def _sum(a: PolyExpr, b: PolyExpr, sign: int) -> PolyExpr:
     """a + sign*b over one variable set.  b's terms are added in order to a
     copy of a's: a sum that cancels removes its key, so a later term with
     that monomial is appended at the end."""
+    if not b._num:                  # zero is packed: skip unpacking it
+        return a
+    if not a._num:
+        return b if sign == 1 else -b
     den = lcm(a._den, b._den)
     fa, fb = den // a._den, sign * (den // b._den)
-    terms = dict(a._num) if fa == 1 else {m: c * fa for m, c in a._num.items()}
+    grade = a._grade and b._grade
+    na, nb = (a._num, b._num) if grade else (_tuple_num(a), _tuple_num(b))
+    terms = dict(na) if fa == 1 else {m: c * fa for m, c in na.items()}
     get = terms.get
-    for m, c in b._num.items():
+    for m, c in nb.items():
         s = get(m, 0) + c * fb
         if s:
             terms[m] = s
         else:
             del terms[m]
-    return _reduced(a.vars, terms, den, (a._grade and b._grade) or _is_grade(terms))
+    return _reduced(a.vars, terms, den, grade)
 
 
 def _frac_str(x) -> str:

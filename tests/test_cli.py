@@ -151,6 +151,23 @@ def test_integrate_window_limits_exit_two(tmp_path, capsys, window, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("casimir,message", [
+    ("1/0", "parse error: zero denominator at 1:28 near '1/0'"),
+    ("7" * 5000 + "*x1", "parse error: numeric literal longer than 4000"),
+    ("(" * 5000 + "x1" + ")" * 5000, "parse error: parentheses nested deeper than 50"),
+    ("x1^70000", "error: power 70000 exceeds MAX_EXPONENT = 32767"),
+    ("(x1+x2+x3)^40000", "error: power 40000 exceeds MAX_EXPONENT"),
+    ("(x1^2+x2)^20000", "error: exponent 40000 of the power exceeds MAX_EXPONENT"),
+    ("x1^(1/40000)", "error: exponent 1/40000: numerator and denominator")])
+def test_hostile_literals_exit_two(tmp_path, capsys, casimir, message):
+    f = tmp_path / "m.ppa"
+    f.write_text(f"vars x1 x2 x3; casimir P = {casimir}; structure jacobian;\n"
+                 "check jacobi;\n")
+    assert run_cli("check", str(f)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+
+
 def test_integrate_requires_statement(tmp_path):
     f = emit(tmp_path, "q3")
     assert run_cli("integrate", str(f), "--out", str(tmp_path / "t.csv")) == 2

@@ -194,3 +194,30 @@ def test_bad_token_position():
     with pytest.raises(ModelSyntaxError) as e:
         dsl.parse_model("vars x1;\nstructure @jacobian;")
     assert e.value.line == 2
+
+
+def test_nesting_limit():
+    x1 = PolyExpr.var("x1", ("x1",))
+    deep = "(" * dsl.MAX_NESTING + "x1" + ")" * dsl.MAX_NESTING
+    assert dsl.parse_polynomial(deep, ("x1",)) == x1
+    assert dsl.parse_polynomial(f"{deep} * {deep}", ("x1",)) == x1 ** 2
+    with pytest.raises(ModelSyntaxError, match="nested deeper than"):
+        dsl.parse_polynomial(f"({deep})", ("x1",))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("vars x1 x2; weights 1 3/2; structure table { };", "expected an integer"),
+    ("vars x1 x2 x3; structure nambu 5/2;", "expected an integer"),
+    ("vars x1 x2; param k = 2/0; structure table { };", "zero denominator"),
+    ("vars x1; structure table { }; check rank; expect rank = 1/0;",
+     "zero denominator"),
+    ("vars x1; structure table { }; integrate from (1/0) step 1 until 1;",
+     "zero denominator"),
+    ("vars x1; structure table { }; integrate from (1" + "0" * 400
+     + ") step 1 until 1;", "out of float range"),
+    ("vars x1; let p = x1^(2/0); structure table { };", "zero denominator"),
+    ("vars x1; let p = 1." + "0" * 4000 + "; structure table { };",
+     "longer than 4000")])
+def test_numeric_literal_errors(text, message):
+    with pytest.raises(ModelSyntaxError, match=message):
+        dsl.parse_model(text)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ppa.errors import (DomainError, PolynomialGradeError, SingularMapError,
                         VariableSetError)
-from ppa.poly import (MonomialMap, PolyExpr, exact_divisibility,
+from ppa.poly import (MAX_EXPONENT, MonomialMap, PolyExpr, exact_divisibility,
                       float_evaluator, substitute)
 
 V3 = ("x1", "x2", "x3")
@@ -512,3 +512,175 @@ def test_float_evaluator_refuses_fractional_exponents():
     p = PolyExpr(("x",), {(F(1, 2),): F(1)})
     with pytest.raises(PolynomialGradeError):
         float_evaluator([p], p.vars)
+
+
+# ---------------- packed exponent keys: a tuple/Fraction reference ----------------
+
+MAX_E = MAX_EXPONENT
+HALF = MAX_E // 2
+# Small exponents, and now and then one near MAX_EXPONENT / 2, so that
+# products and squares reach the limit from both sides.
+PACK_EXPS = mostly(st.integers(0, 3), st.integers(HALF - 2, HALF + 1))
+
+
+def packed_case(n):
+    """(variables, p, q, point): p and q as dicts over n variables, q sharing
+    terms with -p half the time."""
+    variables = tuple(f"x{i + 1}" for i in range(n))
+    terms = st.dictionaries(st.tuples(*[PACK_EXPS] * n), COEFFS, max_size=5)
+    point = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                     min_size=n, max_size=n)
+    return st.tuples(st.just(variables), terms, terms, st.booleans(), point).map(
+        lambda t: (t[0], t[1], _ref_add(t[2], t[1], -1) if t[3] else t[2], t[4]))
+
+
+def _ref_add(p, q, sign):
+    out = dict(p)
+    for m, c in q.items():
+        s = out.get(m, F(0)) + sign * c
+        if s == 0:
+            out.pop(m, None)
+        else:
+            out[m] = s
+    return out
+
+
+def _ref_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            s = out.get(m, F(0)) + c1 * c2
+            if s == 0:
+                out.pop(m, None)
+            else:
+                out[m] = s
+    return out
+
+
+def _ref_pow(p, k, n):
+    out = {(0,) * n: F(1)}
+    for _ in range(k):
+        out = _ref_mul(out, p)
+    return out
+
+
+def _ref_diff(p, i):
+    return {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in p.items() if m[i]}
+
+
+def _ref_eval(p, point):
+    total = F(0)
+    for m, c in p.items():
+        for x, e in zip(point, m):
+            c *= x ** e
+        total += c
+    return total
+
+
+def agrees(got, want, ordered=True):
+    """``got`` (a PolyExpr, or the exception it raised) against the reference
+    dict: equal terms, in the same order when ``ordered``, or DomainError
+    exactly when the reference has an exponent past MAX_EXPONENT."""
+    if max((e for m in want for e in m), default=0) > MAX_E:
+        return isinstance(got, DomainError)
+    if not isinstance(got, PolyExpr):
+        return False
+    assert_canonical(got)
+    if ordered:
+        return list(got.terms.items()) == list(want.items())
+    return dict(got.terms) == want
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except DomainError as e:
+        return e
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(packed_case), st.integers(0, 3))
+# in p * q, x1*x2 cancels (x1 * x2 - x2 * x1) and then comes back
+# (1 * x1*x2): it must move to the end
+@example((V3, {(1, 0, 0): F(1), (0, 1, 0): F(1), (0, 0, 0): F(1)},
+          {(0, 1, 0): F(1), (1, 0, 0): F(-1), (1, 1, 0): F(1)}, [F(1), F(2), F(3)]), 2)
+def test_packed_kernel_matches_tuple_reference(case, k):
+    variables, dp, dq, point = case
+    n = len(variables)
+    p, q = PolyExpr(variables, dp), PolyExpr(variables, dq)
+    assert p.is_polynomial_grade() and q.is_polynomial_grade()
+    assert agrees(p + q, _ref_add(dp, dq, 1))
+    assert agrees(p - q, _ref_add(dp, dq, -1))
+    assert agrees(outcome(lambda: p * q), _ref_mul(dp, dq))
+    assert agrees(outcome(lambda: q * p), _ref_mul(dq, dp))
+    assert agrees(outcome(lambda: p ** k), _ref_pow(dp, k, n), ordered=False)
+    for i, v in enumerate(variables):
+        assert agrees(p.diff(v), _ref_diff(dp, i))
+    if max((e for m in dp for e in m), default=0) <= 3:
+        assert p.eval_exact(point) == _ref_eval(dp, point)
+    # reversed variables, plus one unused variable in front
+    wider = ("w",) + variables[::-1]
+    assert agrees(p.with_vars(wider), {(0,) + m[::-1]: c for m, c in dp.items()})
+    assert p.with_vars(wider).with_vars(variables) == p
+    if max((m[0] for m in dp), default=0) <= 3:
+        # x1 -> q, expanded in the reference by repeated products
+        subbed = {}
+        for m, c in dp.items():
+            term = _ref_mul({(0,) + m[1:]: c}, _ref_pow(dq, m[0], n))
+            subbed = _ref_add(subbed, term, 1)
+        assert agrees(outcome(lambda: p.subs_var(variables[0], q)), subbed,
+                      ordered=False)
+
+
+def test_laurent_result_that_is_polynomial_equals_direct_value():
+    x1, x2, x3 = gens3()
+    root = PolyExpr(V3, {(F(1, 2), 0, 0): F(1)})
+    inverse = PolyExpr(V3, {(-1, 0, 0): F(2)})
+    for laurent, direct in ((root * root, x1),
+                            (inverse * x1 ** 2 * x2, x1 * x2 * 2),
+                            (root + x3 - root, x3),
+                            (PolyExpr(V3, {(F(1, 2), 1, 0): F(1)}) ** 4, x1 ** 2 * x2 ** 4),
+                            (PolyExpr(V3, {(F(3, 2), 0, 0): F(2, 3)}).diff("x1")
+                             * root, x1),
+                            (PolyExpr(V3, {(F(4, 2), F(0), 1): F(1)}), x1 ** 2 * x3)):
+        assert laurent.is_polynomial_grade()
+        assert laurent == direct and hash(laurent) == hash(direct)
+        assert list(laurent.terms) == list(direct.terms)
+
+
+def test_exponent_limit_in_construction():
+    assert PolyExpr(V3, {(0, MAX_E, 0): F(1)}) == gens3()[1] ** MAX_E
+    with pytest.raises(DomainError):
+        PolyExpr(V3, {(0, MAX_E + 1, 0): F(1)})
+    # a Laurent value may go past the limit; it is not packed
+    assert not PolyExpr(V3, {(-1, MAX_E + 1, 0): F(1)}).is_polynomial_grade()
+
+
+def test_exponent_limit_in_products():
+    x1, x2, x3 = gens3()
+    top = x3 ** MAX_E
+    assert (x3 ** (MAX_E - 1) * x3).terms == top.terms
+    assert (top * x2 ** MAX_E).terms == {(0, MAX_E, MAX_E): F(1)}
+    # x3 sits in the lowest field: one more must raise, not carry into x2
+    for a, b in ((top, x3), (x3, top), (top, x3 + x1),
+                 (x3 ** HALF, x3 ** (HALF + 2))):
+        with pytest.raises(DomainError):
+            a * b
+    root = PolyExpr(V3, {(0, 0, F(1, 2)): F(1)})
+    assert root * PolyExpr(V3, {(0, 0, F(2 * MAX_E - 1, 2)): F(1)}) == top
+    with pytest.raises(DomainError):
+        root * PolyExpr(V3, {(0, 0, F(2 * MAX_E + 1, 2)): F(1)})
+
+
+def test_exponent_limit_in_powers():
+    x1, x2, x3 = gens3()
+    assert (x1 ** MAX_E).terms == {(MAX_E, 0, 0): F(1)}
+    assert ((x1 * x2 ** 2) ** HALF).terms == {(HALF, 2 * HALF, 0): F(1)}
+    assert PolyExpr.const(V3, 1) ** MAX_E == 1
+    # refused before any multiplication, so a large base costs nothing
+    for base, k in ((x1, MAX_E + 1), (x1 * x2 ** 2, HALF + 1),
+                    (x1 + x2 + x3, MAX_E + 1), (PolyExpr.const(V3, 2), MAX_E + 1),
+                    ((x1 + x2 + x3) ** 3, HALF)):
+        with pytest.raises(DomainError):
+            base ** k
