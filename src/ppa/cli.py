@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import catalog as _catalog
@@ -139,7 +138,7 @@ def _cmd_catalog(args) -> int:
             print(f"error: bad --param {kv!r}, need NAME=VALUE", file=sys.stderr)
             return 2
         k, v = kv.split("=", 1)
-        bindings[k.strip()] = Fraction(v.strip())
+        bindings[k.strip()] = dsl.parse_rational(v)
     built = _catalog.build(args.name, bindings)
     text = dsl.render_model(dsl.model_spec_from_built(built))
     if args.emit:

@@ -125,6 +125,12 @@ class _Stream:
             raise ModelSyntaxError("expected an integer", t.line, t.column, t.text)
         return v
 
+    def rational(self) -> Fraction:
+        """RATIONAL: an optional '-', then INT or INT/INT."""
+        neg = bool(self.accept("-"))
+        v = self.number()
+        return -v if neg else v
+
 
 # ---------------- polynomial expressions ----------------
 
@@ -170,11 +176,10 @@ def _parse_power(stream, env, variables):
 
 def _parse_exponent(stream):
     paren = stream.accept("(")
-    neg = bool(stream.accept("-"))
-    v = stream.number()
+    v = stream.rational()
     if paren:
         stream.expect(")")
-    return -v if neg else v
+    return v
 
 
 def _poly_pow(base: PolyExpr, e: Fraction, stream) -> PolyExpr:
@@ -185,8 +190,10 @@ def _poly_pow(base: PolyExpr, e: Fraction, stream) -> PolyExpr:
                           f"most MAX_EXPONENT = {MAX_EXPONENT}")
     if base.is_monomial():
         (mono, coef), = base.terms.items()
+        # an integral power of a negative coefficient stays rational
+        ce = int(e) if e.denominator == 1 else e
         return PolyExpr(base.vars, {tuple(Fraction(x) * e for x in mono):
-                                    _rational_pow(coef, e)})
+                                    _rational_pow(coef, ce)})
     stream.error("fractional or negative powers apply only to monomials")
 
 
@@ -224,6 +231,15 @@ def parse_polynomial(text: str, variables, extra_env: dict | None = None) -> Pol
         raise ModelSyntaxError("trailing input after expression",
                                t.line, t.column, t.text)
     return p
+
+
+def parse_rational(text: str) -> Fraction:
+    """Exactly one RATIONAL literal, as a ``param`` statement reads it."""
+    stream = _Stream(tokenize(text))
+    v = stream.rational()
+    if stream.peek().kind != "eof":
+        stream.error("trailing input after a rational literal")
+    return v
 
 
 # ---------------- model files ----------------
@@ -319,9 +335,7 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
         elif stmt == "param":
             pname = stream.expect_kind("ident").text
             stream.expect("=")
-            neg = bool(stream.accept("-"))
-            val = stream.number()
-            spec.params[pname] = -val if neg else val
+            spec.params[pname] = stream.rational()
             env[pname] = PolyExpr.const(spec.vars, spec.params[pname])
             stream.expect(";")
         elif stmt in ("let", "casimir"):

@@ -104,6 +104,21 @@ def test_catalog_bad_param(tmp_path):
     assert run_cli("catalog", "q3", "--param", "zz=1") == 2
 
 
+@pytest.mark.parametrize("value", ["1/0", "abc", "0.5", "1e400",
+                                   "2; check jacobi", "", "--1"])
+def test_catalog_param_is_one_rational_literal(value, capsys):
+    assert run_cli("catalog", "q3", "--param", f"k={value}") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("parse error:") and "Traceback" not in err
+
+
+def test_catalog_param_negative_rational(capsys):
+    # k = -5/7 takes integral negative powers of a negative constant
+    assert run_cli("catalog", "q5", "--param", "k=-5/7") == 0
+    assert "structure table {" in capsys.readouterr().out
+
+
 def test_integrate_writes_csv(tmp_path, capsys):
     f = emit(tmp_path, "euler_top")
     csv_out = tmp_path / "traj.csv"

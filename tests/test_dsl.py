@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from ppa import catalog, dsl
-from ppa.errors import ArityError, ModelSyntaxError
+from ppa.errors import ArityError, DomainError, ModelSyntaxError
 from ppa.poly import MonomialMap, PolyExpr
 from ppa.runner import FI_MAX
 
@@ -151,6 +151,24 @@ def test_fractional_exponent_expression():
     p = dsl.parse_polynomial("2*x1^(3/2)*x3^(-2) - 1/3", ("x1", "x2", "x3"))
     assert p.coefficient((F(3, 2), 0, -2)) == 2
     assert p.coefficient((0, 0, 0)) == F(-1, 3)
+
+
+def test_integral_negative_powers_of_negative_constants():
+    spec = dsl.parse_model("vars x1 x2 x3; param k = -2; "
+                           "casimir P = k^(-1)*x1^2 + x2*x3; structure jacobian;")
+    x1, x2, x3 = PolyExpr.gens(spec.vars)
+    assert spec.casimirs[0][1] == x1 ** 2 * F(-1, 2) + x2 * x3
+    assert dsl.parse_polynomial("(-2*x1)^(-3)", ("x1",)).coefficient((-3,)) \
+        == F(-1, 8)
+    with pytest.raises(DomainError, match="rational power 1/2"):
+        dsl.parse_polynomial("(-x1)^(1/2)", ("x1",))
+
+
+def test_parse_rational_reads_one_literal():
+    assert dsl.parse_rational("-5/7") == F(-5, 7)
+    for text in ("1/0", "abc", "0.5", "1e400", "2; check jacobi", "", "- -1"):
+        with pytest.raises(ModelSyntaxError):
+            dsl.parse_rational(text)
 
 
 def test_fractional_power_of_sum_rejected():

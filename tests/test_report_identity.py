@@ -26,3 +26,21 @@ def test_catalog_reports_byte_identical():
             for seed in (0, 1):
                 digest.update(runner.run_checks(spec, seed=seed).to_json().encode())
     assert digest.hexdigest() == CATALOG_REPORT_SHA256
+
+
+# sha256 over the canonical text of all 39 catalog emissions (entries in name
+# order, each at its defaults and then at its alternates), as
+# ``ppa catalog NAME --emit`` writes them.
+CATALOG_EMISSION_SHA256 = "575a1761e9c549a3c8ba1b8ea3fc266a72fb1713f93f60d1c988305d42067f1f"
+
+
+def test_catalog_emissions_byte_identical():
+    digest = hashlib.sha256()
+    count = 0
+    for name in catalog.names():
+        for bindings in [None] + list(catalog.entry(name).alternates):
+            built = catalog.build(name, bindings)
+            digest.update(dsl.render_model(dsl.model_spec_from_built(built)).encode())
+            count += 1
+    assert count == 39
+    assert digest.hexdigest() == CATALOG_EMISSION_SHA256
