@@ -15,7 +15,7 @@ denominator at most ``poly.MAX_EXPONENT``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -50,27 +50,28 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    pos, line, col = 0, 1, 1
+    pos, line, line_start = 0, 1, 0       # only whitespace spans lines
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            raise ModelSyntaxError("unexpected character", line, col, text[pos])
+            raise ModelSyntaxError("unexpected character", line,
+                                   pos - line_start + 1, text[pos])
         kind = m.lastgroup
-        chunk = m.group()
-        if kind in ("number", "float") and len(chunk) > MAX_LITERAL_CHARS:
-            raise ModelSyntaxError(
-                f"numeric literal longer than {MAX_LITERAL_CHARS} characters",
-                line, col, chunk)
-        if kind not in ("ws", "comment"):
+        if kind == "ws":
+            newline = m.group().rfind("\n")
+            if newline >= 0:
+                line += m.group().count("\n")
+                line_start = pos + newline + 1
+        elif kind != "comment":
+            chunk = m.group()
+            col = pos - line_start + 1
+            if kind in ("number", "float") and len(chunk) > MAX_LITERAL_CHARS:
+                raise ModelSyntaxError(
+                    f"numeric literal longer than {MAX_LITERAL_CHARS} characters",
+                    line, col, chunk)
             tokens.append(Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
         pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -537,24 +538,10 @@ def render_model(spec: ModelSpec) -> str:
 
 
 def model_spec_from_built(bm) -> ModelSpec:
-    """Lower a built catalog model (``catalog.BuiltModel``, or anything with
-    its fields) to an emission-ready spec (parameters inlined)."""
-    spec = ModelSpec(name=bm.name)
-    spec.vars = bm.vars
-    spec.weights = bm.weights
-    spec.casimirs = list(bm.casimirs)
-    spec.structure_kind = bm.structure_kind
-    spec.multiplier = bm.multiplier
-    if bm.structure_kind == "table":
-        spec.table = {key: p for key, p in bm.structure.entries_upper()
-                      if not p.is_zero()}
-    if bm.structure_kind == "nambu":
-        spec.nambu_arity = bm.structure.arity
-    spec.hamiltonians = list(bm.hamiltonians)
-    spec.checks = list(bm.checks)
-    spec.expects = dict(bm.expects)
-    spec.integrate = bm.integrate
-    return spec
+    """The spec of a built catalog model (``catalog.BuiltModel``), which is
+    its template as ``parse_model`` read it, bindings included as ``param``
+    statements; ``render_model`` inlines them."""
+    return ModelSpec(**{f.name: getattr(bm, f.name) for f in fields(ModelSpec)})
 
 
 def parse_map_file(text: str, old_vars) -> MonomialMap:

@@ -164,3 +164,15 @@ def test_nambu_entries_have_consistent_arity():
         assert isinstance(m.structure, NambuStructure)
         assert m.structure.arity == 4
         assert len(m.hamiltonians) == 3
+
+
+def test_each_expected_fact_stated_once():
+    # a template's expect pins, and for a Jacobian structure its multiplier,
+    # are the only statement of those outcomes
+    for name in catalog.names():
+        e = catalog.entry(name)
+        m = e.build()
+        assert not set(e.facts) & set(m.expects), name
+        assert set(m.expects) <= set(m.expected), name
+        if m.structure_kind == "jacobian":
+            assert "lambda_coord" not in e.facts, name

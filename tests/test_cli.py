@@ -113,6 +113,14 @@ def test_catalog_param_is_one_rational_literal(value, capsys):
     assert err.startswith("parse error:") and "Traceback" not in err
 
 
+def test_catalog_dell_initial_point_needs_real_roots(capsys):
+    # x3 = sqrt(x1^2 - k^2) at x1 = 5/4
+    assert run_cli("catalog", "dell", "--param", "k=5/4") == 0
+    capsys.readouterr()
+    assert run_cli("catalog", "dell", "--param", "k=-2") == 2
+    assert capsys.readouterr().err.startswith("error: k must lie in")
+
+
 def test_catalog_param_negative_rational(capsys):
     # k = -5/7 takes integral negative powers of a negative constant
     assert run_cli("catalog", "q5", "--param", "k=-5/7") == 0
