@@ -229,8 +229,11 @@ def _dell_hook(p):
     x1, x5 = 1.25, 0.5
     x0 = (x1, math.sqrt(x1 * x1 - 1.0), math.sqrt(x1 * x1 - float(p["k"]) ** 2),
           math.sqrt(1.0 + float(p["g2"]) * x1 * x1 + x5 ** 2), x5, 1.0)
+    # With kt = 2 (the first alternate) the flow leaves the representable
+    # range at t = 0.134; a flow faster than the default's gets 0.1.
+    until = 0.1 if p["kt"] ** 2 > 1 else 0.15
     return (f"integrate from ({', '.join(map(repr, x0))}) step 0.001 "
-            "until 0.15 monitor Q1 Q2 Q3 Q4 x6;")
+            f"until {until!r} monitor Q1 Q2 Q3 Q4 x6;")
 
 
 _entry("dell", "double-elliptic bracket on the intersection of four quadrics", """

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ppa import catalog
 from ppa.cli import main
 
 
@@ -125,6 +126,23 @@ def test_catalog_param_negative_rational(capsys):
     # k = -5/7 takes integral negative powers of a negative constant
     assert run_cli("catalog", "q5", "--param", "k=-5/7") == 0
     assert "structure table {" in capsys.readouterr().out
+
+
+def _integrate_requests():
+    for name in catalog.names():
+        for i, bindings in enumerate([None] + catalog.entry(name).alternates):
+            if catalog.build(name, bindings).integrate:
+                yield pytest.param(name, bindings, id=f"{name}-{i}")
+
+
+@pytest.mark.parametrize("name,bindings", list(_integrate_requests()))
+def test_every_catalog_integrate_request_completes(tmp_path, capsys, name,
+                                                   bindings):
+    params = [f"{k}={v}" for k, v in (bindings or {}).items()]
+    model = emit(tmp_path, name, *params)
+    csv_out = tmp_path / "traj.csv"
+    assert run_cli("integrate", str(model), "--out", str(csv_out)) == 0
+    assert "divergence" not in capsys.readouterr().err
 
 
 def test_integrate_writes_csv(tmp_path, capsys):
