@@ -224,14 +224,13 @@ def _dell_hook(p):
     _positive_g2(p)
     _require(p["kt"] != 0, "kt must be nonzero")
     _require(abs(p["k"]) <= F(5, 4), "k must lie in [-5/4, 5/4]")
-    # A point on the first three quadric levels (positive roots); Q4 is
-    # monitored at its induced initial level.
+    # x0 is on the first three quadric levels; Q4 is monitored at its own.
     x1, x5 = 1.25, 0.5
     x0 = (x1, math.sqrt(x1 * x1 - 1.0), math.sqrt(x1 * x1 - float(p["k"]) ** 2),
           math.sqrt(1.0 + float(p["g2"]) * x1 * x1 + x5 ** 2), x5, 1.0)
-    # With kt = 2 (the first alternate) the flow leaves the representable
-    # range at t = 0.134; a flow faster than the default's gets 0.1.
-    until = 0.1 if p["kt"] ** 2 > 1 else 0.15
+    # kt cancels out of the flow; it escapes at t = c/sqrt(g2) with c in
+    # [0.34, 0.9] for g2 >= 1 (g2 = 9: at t = 0.134, so the window is 0.1).
+    until = min(0.15, round(0.3 / math.sqrt(p["g2"]), 3))
     return (f"integrate from ({', '.join(map(repr, x0))}) step 0.001 "
             f"until {until!r} monitor Q1 Q2 Q3 Q4 x6;")
 

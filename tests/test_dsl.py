@@ -164,13 +164,6 @@ def test_integral_negative_powers_of_negative_constants():
         dsl.parse_polynomial("(-x1)^(1/2)", ("x1",))
 
 
-def test_parse_rational_reads_one_literal():
-    assert dsl.parse_rational("-5/7") == F(-5, 7)
-    for text in ("1/0", "abc", "0.5", "1e400", "2; check jacobi", "", "- -1"):
-        with pytest.raises(ModelSyntaxError):
-            dsl.parse_rational(text)
-
-
 def test_fractional_power_of_sum_rejected():
     with pytest.raises(ModelSyntaxError):
         dsl.parse_polynomial("(x1+x2)^(1/2)", ("x1", "x2"))

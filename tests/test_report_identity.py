@@ -28,9 +28,9 @@ def test_catalog_reports_byte_identical():
     assert digest.hexdigest() == CATALOG_REPORT_SHA256
 
 
-# sha256 over the canonical text of the 39 distinct catalog emissions (entries in name
-# order, each at its defaults and then at its alternates), as
-# ``ppa catalog NAME --emit`` writes them.  It moved from 575a1761...7f1f
+# sha256 over the canonical text of the 39 distinct catalog emissions
+# (entries in name order, each at its defaults and then at its alternates),
+# as ``ppa catalog NAME --emit`` writes them.  It moved from 575a1761...7f1f
 # only when dell's first alternate (kt = 2) got the window ``until 0.1``.
 CATALOG_EMISSION_SHA256 = "8af21f368f74c01d45dc16f809ce588d38961efd6c72a4773e67fe4c63640139"
 
