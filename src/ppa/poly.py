@@ -309,6 +309,11 @@ class PolyExpr:
             top = max((e for m in _tuple_num(self) for e in m), default=0)
             if n * top > MAX_EXPONENT:
                 raise _over_limit(f"exponent {n * top} of the power")
+        if self._grade and len(self._num) == 1:
+            # a packed key times n adds each field n times, and (c/d)^n
+            # stays reduced
+            (m, c), = self._num.items()
+            return _new(self.vars, {m * n: c ** n}, self._den ** n, True)
         out = PolyExpr.const(self.vars, 1)
         base = self
         while n:

@@ -605,6 +605,8 @@ def outcome(fn):
 # (1 * x1*x2): it must move to the end
 @example((V3, {(1, 0, 0): F(1), (0, 1, 0): F(1), (0, 0, 0): F(1)},
           {(0, 1, 0): F(1), (1, 0, 0): F(-1), (1, 1, 0): F(1)}, [F(1), F(2), F(3)]), 2)
+# a single term takes the direct power path
+@example((V3, {(1, 0, 2): F(-2, 3)}, {(0, 1, 0): F(1)}, [F(1), F(2), F(3)]), 3)
 def test_packed_kernel_matches_tuple_reference(case, k):
     variables, dp, dq, point = case
     n = len(variables)
