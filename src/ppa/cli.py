@@ -2,7 +2,8 @@
 
 Subcommands: check, integrate, catalog, transport.  Exit codes: 0 when no
 requested check fails, 1 on check failure or divergence, 2 on usage, parse,
-or model errors.
+or model errors, and 2 on any other exception, which is reported as an
+internal error so that it never reads as a failed check.
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ def main(argv=None) -> int:
         return 2
     except (PpaError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, or_
 from struct import Struct, error as StructError
 from types import MappingProxyType
@@ -81,6 +81,11 @@ def _is_grade(monos) -> bool:
 FIELD_BITS = 16                 # the width of a struct "h" field
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _FIELD_MASK = (1 << FIELD_BITS) - 1
+
+# The most terms a power may be predicted to have: ``p ** n`` refuses with
+# ``DomainError`` before it multiplies anything when its predicted size is
+# larger.  A limit, so that hostile input stays bounded work.
+MAX_TERMS = 10 ** 6
 
 
 class _Layouts(dict):
@@ -155,6 +160,11 @@ class PolyExpr:
                                      for m, c in _tuple_num(self).items()})
             _set_terms(self, view)
         return view
+
+    @property
+    def term_count(self) -> int:
+        """Number of nonzero terms; builds no ``terms`` view."""
+        return len(self._num)
 
     # ---------------- constructors ----------------
 
@@ -314,6 +324,17 @@ class PolyExpr:
             # stays reduced
             (m, c), = self._num.items()
             return _new(self.vars, {m * n: c ** n}, self._den ** n, True)
+        t = len(self._num)
+        if n > 1 and t > 1:
+            # at most one term per multiset of n terms, and for
+            # polynomial-grade values one per monomial of degree <= n * d
+            size = comb(t + n - 1, n)
+            if self._grade:
+                v = len(self.vars)
+                size = min(size, comb(v + n * self.total_degree(), v))
+            if size > MAX_TERMS:
+                raise DomainError(f"power {n} of a {t}-term polynomial may have "
+                                  f"more than MAX_TERMS = {MAX_TERMS} terms")
         out = PolyExpr.const(self.vars, 1)
         base = self
         while n:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -69,6 +70,23 @@ class PoissonStructure:
             matrix[i][j] = p
             matrix[j][i] = -p
         return cls(variables, matrix)
+
+    @cached_property
+    def _rank2(self) -> tuple[bool, Optional[tuple[int, int]]]:
+        """(rank <= 2, pivot): the pivot is the nonzero upper entry p_ab
+        with the fewest terms, ties going to the smallest (a, b), or None
+        for the zero matrix.  Over Q(x) the Schur complement of the pivot
+        block gives rank = 2 + rank S with S_kl = Pf(a,b,k,l) / p_ab, so
+        rank <= 2 iff those C(n-2, 2) Pfaffians vanish.  Computed once per
+        structure, since the matrix never changes."""
+        nonzero = [(p.term_count, ij) for ij, p in self.entries_upper()
+                   if not p.is_zero()]
+        if not nonzero:
+            return True, None
+        pivot = min(nonzero)[1]
+        rest = [k for k in range(self.n) if k not in pivot]
+        return (all(pfaffian(self.matrix, pivot + kl).is_zero()
+                    for kl in combinations(rest, 2)), pivot)
 
     def entries_upper(self):
         for i in range(self.n):
@@ -212,8 +230,21 @@ def jacobiator(ps: PoissonStructure, i: int, j: int, k: int) -> PolyExpr:
 
 
 def check_jacobi(ps: PoissonStructure) -> JacobiReport:
-    """Exact symbolic Jacobi check on every coordinate triple; the gradient
-    of every bracket entry is taken once."""
+    """Exact symbolic Jacobi check.
+
+    When rank <= 2 holds with pivot p_ab, the bivector is X ^ Y over Q(x)
+    and [pi, pi] = X' ^ Y' ^ W with X'_a = Y'_b = 1, X'_b = Y'_a = 0; its
+    (a, b, k) component is p_ab (W_k - W_a X'_k - W_b Y'_k), so the n - 2
+    jacobiators on the triples {a, b, k} vanish iff [pi, pi] = 0 (Vaisman,
+    *Lectures on the Geometry of Poisson Manifolds*, 1994).  That decides
+    a pass.  Anything else runs every coordinate triple, which is the one
+    path that collects witnesses; there the gradient of every bracket entry
+    is taken once."""
+    low_rank, pivot = ps._rank2
+    if low_rank and (pivot is None or all(
+            jacobiator(ps, *sorted(pivot + (k,))).is_zero()
+            for k in range(ps.n) if k not in pivot)):
+        return JacobiReport(holds=True, witnesses=[])
     m = ps.matrix
     grads = [[_gradient(p) for p in row] for row in m]
     witnesses = []
@@ -255,7 +286,11 @@ class PluckerReport:
 
 
 def plucker_rank2_test(ps: PoissonStructure) -> PluckerReport:
-    """All 4x4 Pfaffians vanish iff the bivector is decomposable."""
+    """All 4x4 Pfaffians vanish iff the bivector is decomposable.  The
+    structure's pivot test decides a pass; a failure runs every 4-subset in
+    order, so the witness is the first subset whose Pfaffian is nonzero."""
+    if ps._rank2[0]:
+        return PluckerReport(True)
     for sub in combinations(range(ps.n), 4):
         if not pfaffian(ps.matrix, sub).is_zero():
             return PluckerReport(False, sub)

@@ -1,10 +1,11 @@
 """CLI behaviour: exit codes, JSON reports, determinism, subcommands."""
 
+import dataclasses
 import json
 
 import pytest
 
-from ppa import catalog
+from ppa import catalog, runner
 from ppa.cli import main
 
 
@@ -198,6 +199,8 @@ def test_integrate_window_limits_exit_two(tmp_path, capsys, window, message):
     ("x1^70000", "error: power 70000 exceeds MAX_EXPONENT = 32767"),
     ("(x1+x2+x3)^40000", "error: power 40000 exceeds MAX_EXPONENT"),
     ("(x1^2+x2)^20000", "error: exponent 40000 of the power exceeds MAX_EXPONENT"),
+    ("(x1+x2+x3)^2000", "error: power 2000 of a 3-term polynomial may have more "
+                        "than MAX_TERMS"),
     ("x1^(1/40000)", "error: exponent 1/40000: numerator and denominator")])
 def test_hostile_literals_exit_two(tmp_path, capsys, casimir, message):
     f = tmp_path / "m.ppa"
@@ -206,6 +209,17 @@ def test_hostile_literals_exit_two(tmp_path, capsys, casimir, message):
     assert run_cli("check", str(f)) == 2
     err = capsys.readouterr().err
     assert err.startswith(message) and "Traceback" not in err
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    f = emit(tmp_path, "q3")
+    monkeypatch.setitem(runner.CHECKS, "jacobi",
+                        dataclasses.replace(runner.CHECKS["jacobi"], run=boom))
+    assert run_cli("check", str(f)) == 2
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
 def test_integrate_requires_statement(tmp_path):

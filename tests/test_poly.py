@@ -7,6 +7,7 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
+from ppa import poly
 from ppa.errors import (DomainError, PolynomialGradeError, SingularMapError,
                         VariableSetError)
 from ppa.poly import (MAX_EXPONENT, MonomialMap, PolyExpr, exact_divisibility,
@@ -335,6 +336,7 @@ def assert_canonical(p):
     equal value with an equal hash, and every coefficient is a Fraction."""
     q = PolyExpr(p.vars, p.terms)
     assert q == p and hash(q) == hash(p)
+    assert p.term_count == len(p.terms)
     assert all(type(c) is F and c != 0 for c in p.terms.values())
 
 
@@ -686,3 +688,24 @@ def test_exponent_limit_in_powers():
                     ((x1 + x2 + x3) ** 3, HALF)):
         with pytest.raises(DomainError):
             base ** k
+
+
+def test_term_limit_in_powers(monkeypatch):
+    # about 2.9e9 terms: refused before anything is multiplied
+    y = PolyExpr.gens([f"y{i}" for i in range(6)])
+    with pytest.raises(DomainError, match="MAX_TERMS = 1000000"):
+        sum(y[1:], y[0]) ** 200
+    x1, x2, x3 = gens3()
+    monkeypatch.setattr(poly, "MAX_TERMS", 10)
+    assert (x1 + x2 + x3) ** 3 == (x1 + x2 + x3) * (x1 + x2 + x3) ** 2
+    with pytest.raises(DomainError):
+        (x1 + x2 + x3) ** 4       # C(6, 4) = 15 multisets of terms
+    # in one variable the degree bound is the tighter one: 13 monomials of
+    # degree at most 12, against C(6, 3) = 20 multisets
+    x, = PolyExpr.gens(("x",))
+    q = x + x ** 2 + x ** 3 + x ** 4
+    monkeypatch.setattr(poly, "MAX_TERMS", 13)
+    assert (q ** 3).term_count == 10
+    monkeypatch.setattr(poly, "MAX_TERMS", 12)
+    with pytest.raises(DomainError):
+        q ** 3
