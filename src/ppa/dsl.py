@@ -17,10 +17,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Optional
 
 from .errors import ArityError, DomainError, ModelSyntaxError
-from .poly import MAX_EXPONENT, MonomialMap, PolyExpr, _rational_pow
+from .poly import (MAX_EXPONENT, MonomialMap, PolyExpr, _rational_pow,
+                   _require_product_size)
 from .runner import CHECKS, FI_MAX, _key, _literal_text, _projection
 from .structures import NambuStructure, PoissonStructure, jacobian_structure
 
@@ -148,10 +151,14 @@ def parse_poly_expr(stream: _Stream, env: dict, variables) -> PolyExpr:
 
 
 def _parse_term(stream, env, variables):
-    acc = _parse_unary(stream, env, variables)
+    factors = [_parse_unary(stream, env, variables)]
     while stream.accept("*"):
-        acc = acc * _parse_unary(stream, env, variables)
-    return acc
+        factors.append(_parse_unary(stream, env, variables))
+    if len(factors) > 1:
+        # the size of the whole product is bounded before anything is
+        # multiplied, as a power's is
+        _require_product_size(factors)
+    return reduce(mul, factors)
 
 
 def _parse_unary(stream, env, variables):

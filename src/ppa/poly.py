@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import add, or_
 from struct import Struct, error as StructError
 from types import MappingProxyType
@@ -82,9 +82,10 @@ FIELD_BITS = 16                 # the width of a struct "h" field
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 
-# The most terms a power may be predicted to have: ``p ** n`` refuses with
-# ``DomainError`` before it multiplies anything when its predicted size is
-# larger.  A limit, so that hostile input stays bounded work.
+# The most terms a power or a product may be predicted to have: ``p ** n``
+# and ``a * b`` refuse with ``DomainError`` before they multiply anything
+# when their predicted size is larger.  A limit, so that hostile input stays
+# bounded work.
 MAX_TERMS = 10 ** 6
 
 
@@ -269,35 +270,9 @@ class PolyExpr:
         a, b = self._align(other)
         if a is None:
             return NotImplemented
-        out: dict = {}
-        get = out.get
-        if a._grade and b._grade:
-            # packed keys add field by field: no field carries, since every
-            # stored exponent is at most MAX_EXPONENT
-            right = list(b._num.items())
-            for m1, c1 in a._num.items():
-                for m2, c2 in right:
-                    m = m1 + m2
-                    s = get(m, 0) + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-            if out and reduce(or_, out) & _LAYOUTS[len(a.vars)][1]:
-                raise _over_limit("an exponent of the product")
-            return _reduced(a.vars, out, a._den * b._den, True)
-        if not (a._num and b._num):     # zero is packed: skip unpacking it
-            return PolyExpr.zero(a.vars)
-        right = list(_tuple_num(b).items())
-        for m1, c1 in _tuple_num(a).items():
-            for m2, c2 in right:
-                m = tuple(map(_exp, map(add, m1, m2)))
-                s = get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return _reduced(a.vars, out, a._den * b._den, False)
+        if len(a._num) * len(b._num) > MAX_TERMS:
+            _require_product_size((a, b))
+        return _product(a, b)
 
     __rmul__ = __mul__
 
@@ -339,8 +314,8 @@ class PolyExpr:
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
+                out = _product(out, base)
+            base = _product(base, base) if n > 1 else base
             n >>= 1
         return out
 
@@ -424,31 +399,7 @@ class PolyExpr:
         pt = [_coeff(x) for x in point]
         if not self._grade:
             return self._eval_exact_laurent(pt)
-        if not self._num:
-            return Fraction(0)
-        # x_i = p_i/q_i; with E_i the top exponent of x_i, each term is
-        # c * prod p_i^e * q_i^(E_i - e) over den * prod q_i^E_i.
-        num = _tuple_num(self)
-        tops = [max(col) for col in zip(*num)]
-        scaled = []
-        den = self._den
-        for x, top in zip(pt, tops):
-            p, q = x.numerator, x.denominator
-            pw = [1] * (top + 1)
-            for e in range(1, top + 1):
-                pw[e] = pw[e - 1] * p
-            if q != 1:
-                qw = q
-                for e in range(top - 1, -1, -1):
-                    pw[e] *= qw
-                    qw *= q
-                den *= q ** top
-            scaled.append(pw)
-        total = 0
-        for m, c in num.items():
-            for pw, e in zip(scaled, m):
-                c *= pw[e]
-            total += c
+        den, (total,) = _integer_evaluator([self])(pt)
         return Fraction(total, den)
 
     def _eval_exact_laurent(self, pt) -> Fraction:
@@ -644,9 +595,135 @@ def _sum(a: PolyExpr, b: PolyExpr, sign: int) -> PolyExpr:
     return _reduced(a.vars, terms, den, grade)
 
 
+def _accumulate(out: dict, left, right) -> None:
+    """Add the product of two packed term lists into ``out``.  Packed keys
+    add field by field: no field carries, since every stored exponent is at
+    most MAX_EXPONENT.  A sum that cancels removes its key."""
+    get = out.get
+    for m1, c1 in left:
+        for m2, c2 in right:
+            m = m1 + m2
+            s = get(m, 0) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+
+
+def _product(a: PolyExpr, b: PolyExpr) -> PolyExpr:
+    """a * b over one variable set, with no term budget (``__pow__`` has
+    bounded its whole result before it multiplies)."""
+    out: dict = {}
+    if a._grade and b._grade:
+        _accumulate(out, a._num.items(), list(b._num.items()))
+        if out and reduce(or_, out) & _LAYOUTS[len(a.vars)][1]:
+            raise _over_limit("an exponent of the product")
+        return _reduced(a.vars, out, a._den * b._den, True)
+    if not (a._num and b._num):     # zero is packed: skip unpacking it
+        return PolyExpr.zero(a.vars)
+    get = out.get
+    right = list(_tuple_num(b).items())
+    for m1, c1 in _tuple_num(a).items():
+        for m2, c2 in right:
+            m = tuple(map(_exp, map(add, m1, m2)))
+            s = get(m, 0) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return _reduced(a.vars, out, a._den * b._den, False)
+
+
+def _sum_of_products(variables, pairs) -> PolyExpr:
+    """sum a*b over ``pairs`` of polynomial-grade values over ``variables``,
+    accumulated into one packed dict over one common denominator (after
+    Monagan & Pearce, CASC 2007).  Each product is held to the term budget
+    of ``__mul__``, the ``MAX_EXPONENT`` test runs once on the sum, and the
+    result is reduced, so it is canonical.  Its term order is not that of a
+    ``_sum`` chain of products: use it where the result is only zero-tested
+    or rendered (``render`` sorts its terms)."""
+    # the longer factor of each pair runs in the inner loop
+    pairs = [(a, b) if len(a._num) <= len(b._num) else (b, a)
+             for a, b in pairs if a._num and b._num]
+    den = lcm(*(a._den * b._den for a, b in pairs))
+    out: dict = {}
+    for a, b in pairs:
+        if len(a._num) * len(b._num) > MAX_TERMS:
+            _require_product_size((a, b))
+        f = den // (a._den * b._den)
+        _accumulate(out, a._num.items(), list(b._num.items()) if f == 1
+                    else [(m, c * f) for m, c in b._num.items()])
+    if out and reduce(or_, out) & _LAYOUTS[len(variables)][1]:
+        raise _over_limit("an exponent of the product")
+    return _reduced(tuple(variables), out, den, True)
+
+
+def _require_product_size(factors) -> None:
+    """Refuse with ``DomainError`` when the product of ``factors`` may have
+    more than MAX_TERMS terms.  It has at most one term per choice of a term
+    from each factor and, when every factor is polynomial-grade, at most one
+    per monomial whose degree lies between the sums of the factors' lowest
+    and highest term degrees; those degrees are computed only when the
+    first bound is over."""
+    size = prod(len(f._num) for f in factors)
+    if size > MAX_TERMS and all(f._grade for f in factors):
+        lo = hi = 0
+        for f in factors:
+            degrees = [sum(m) for m in _tuple_num(f)]
+            lo, hi = lo + min(degrees), hi + max(degrees)
+        v = max(len(f.vars) for f in factors)
+        size = min(size, comb(v + hi, v) - comb(v + lo - 1, v))
+    if size > MAX_TERMS:
+        counts = " x ".join(str(len(f._num)) for f in factors)
+        raise DomainError(f"a product of polynomials with {counts} terms may "
+                          f"have more than MAX_TERMS = {MAX_TERMS} terms")
+
+
 def _frac_str(x) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+# ---------------- shared exact evaluation ----------------
+
+def _integer_evaluator(polys: Sequence[PolyExpr]):
+    """Exact evaluation of polynomial-grade ``polys`` over one variable set
+    at rational points: ``f(point)`` returns ``(den, nums)``, the values
+    over one positive common denominator.  Each polynomial is unpacked
+    once, here, over the lcm of their denominators, and at each point one
+    table of powers per variable serves all of them: with x_i = p_i/q_i and
+    E_i the top exponent of x_i, a term c * x^e is
+    c * prod p_i^e_i * q_i^(E_i - e_i) over prod q_i^E_i."""
+    common = lcm(*(p._den for p in polys))
+    nums = [[(m, c * (common // p._den)) for m, c in _tuple_num(p).items()]
+            for p in polys]
+    tops = [max(col) for col in zip(*(m for num in nums for m, _ in num))]
+
+    def f(point):
+        den = common
+        tables = []
+        for x, top in zip(point, tops):
+            p, q = x.numerator, x.denominator
+            pw = [1] * (top + 1)
+            for e in range(1, top + 1):
+                pw[e] = pw[e - 1] * p
+            if q != 1:
+                qw = q
+                for e in range(top - 1, -1, -1):
+                    pw[e] *= qw
+                    qw *= q
+                den *= q ** top
+            tables.append(pw)
+        out = []
+        for num in nums:
+            total = 0
+            for m, c in num:
+                for pw, e in zip(tables, m):
+                    c *= pw[e]
+                total += c
+            out.append(total)
+        return den, out
+    return f
 
 
 # ---------------- compiled float evaluation ----------------

@@ -25,11 +25,10 @@ from .exterior import (
     differential,
     indices_of,
     mask_of,
-    pfaffian,
     shuffle_signature,
     wedge_all,
 )
-from .poly import PolyExpr, exact_divisibility
+from .poly import PolyExpr, _integer_evaluator, _sum_of_products, exact_divisibility
 
 
 class PoissonStructure:
@@ -85,7 +84,7 @@ class PoissonStructure:
             return True, None
         pivot = min(nonzero)[1]
         rest = [k for k in range(self.n) if k not in pivot]
-        return (all(pfaffian(self.matrix, pivot + kl).is_zero()
+        return (all(_pfaffian4(self.matrix, *pivot, *kl).is_zero()
                     for kl in combinations(rest, 2)), pivot)
 
     def entries_upper(self):
@@ -216,11 +215,24 @@ def _gradient(p: PolyExpr) -> list[PolyExpr]:
 
 def _jacobiator(matrix, i: int, j: int, k: int, g_jk, g_ki, g_ij) -> PolyExpr:
     """sum_l p_il d_l p_jk + p_jl d_l p_ki + p_kl d_l p_ij, given the three
-    gradients."""
-    total = PolyExpr.zero(g_jk[0].vars)
+    gradients, as one fused sum of products (zero-tested or rendered)."""
+    pairs = []
     for l, (d_jk, d_ki, d_ij) in enumerate(zip(g_jk, g_ki, g_ij)):
-        total = total + matrix[i][l] * d_jk + matrix[j][l] * d_ki + matrix[k][l] * d_ij
-    return total
+        pairs += ((matrix[i][l], d_jk), (matrix[j][l], d_ki), (matrix[k][l], d_ij))
+    return _sum_of_products(g_jk[0].vars, pairs)
+
+
+def _pfaffian4(m, a: int, b: int, k: int, l: int) -> PolyExpr:
+    """Pf(a,b,k,l) = p_ab p_kl - p_ak p_bl + p_al p_bk, written by
+    antisymmetry as one fused sum of three products (zero-tested only)."""
+    return _sum_of_products(m[a][b].vars, ((m[a][b], m[k][l]), (m[a][k], m[l][b]),
+                                           (m[a][l], m[b][k])))
+
+
+def _hamiltonian_row(ps: PoissonStructure, grad, k: int) -> PolyExpr:
+    """{Q, x_k} = sum_i p_ik dQ/dx_i, given the gradient of Q, as one fused
+    sum of products (zero-tested or divided only)."""
+    return _sum_of_products(ps.vars, [(row[k], g) for row, g in zip(ps.matrix, grad)])
 
 
 def jacobiator(ps: PoissonStructure, i: int, j: int, k: int) -> PolyExpr:
@@ -256,27 +268,27 @@ def check_jacobi(ps: PoissonStructure) -> JacobiReport:
 
 
 def is_casimir(ps: PoissonStructure, q: PolyExpr) -> bool:
+    """True iff {q, x_k} = 0 for every coordinate, tested on the Hamiltonian
+    rows of q, which share one gradient."""
     q = q.with_vars(ps.vars)
     q.require_polynomial_grade("Casimir candidate")
     verdict = ps._casimir_verdicts.get(q)
     if verdict is None:
-        gens = PolyExpr.gens(ps.vars)
-        verdict = all(bracket_of(ps, q, x).is_zero() for x in gens)
+        grad = _gradient(q)
+        verdict = all(_hamiltonian_row(ps, grad, k).is_zero() for k in range(ps.n))
         ps._casimir_verdicts[q] = verdict
     return verdict
 
 
 def is_quasi_casimir(ps: PoissonStructure, q: PolyExpr) -> bool:
-    """True iff {q, x_i} is divisible by q for every coordinate."""
+    """True iff {q, x_k} is divisible by q for every coordinate."""
     q = q.with_vars(ps.vars)
     if q.is_zero():
         raise DomainError("quasi-Casimir candidate must be nonzero")
     q.require_polynomial_grade("quasi-Casimir candidate")
-    for x in PolyExpr.gens(ps.vars):
-        ok, _ = exact_divisibility(bracket_of(ps, q, x), q)
-        if not ok:
-            return False
-    return True
+    grad = _gradient(q)
+    return all(exact_divisibility(_hamiltonian_row(ps, grad, k), q)[0]
+               for k in range(ps.n))
 
 
 @dataclass
@@ -292,7 +304,7 @@ def plucker_rank2_test(ps: PoissonStructure) -> PluckerReport:
     if ps._rank2[0]:
         return PluckerReport(True)
     for sub in combinations(range(ps.n), 4):
-        if not pfaffian(ps.matrix, sub).is_zero():
+        if not _pfaffian4(ps.matrix, *sub).is_zero():
             return PluckerReport(False, sub)
     return PluckerReport(True)
 
@@ -301,42 +313,69 @@ SAMPLE_GRID = [Fraction(i, 3) for i in range(-7, 8) if i != 0]
 
 
 def generic_rank(ps: PoissonStructure, samples: int = 8, seed: int = 0) -> int:
-    """Max exact rank of the bracket matrix over sampled rational points."""
+    """Largest exact rank of the bracket matrix over ``samples`` points drawn
+    from SAMPLE_GRID^n by ``random.Random(seed)``.
+
+    A point's rank never exceeds the generic rank (the rank over Q(x)), so
+    the result is a lower bound on it.  It falls short only if every sample
+    is a zero of the Pfaffian of each principal block of full rank: such a
+    Pfaffian has degree D <= (r/2) d for generic rank r and entry degree at
+    most d, so by Schwartz-Zippel (Schwartz 1980; Zippel 1979) one uniform
+    point of the 14-value grid is a zero with probability at most D/14 and
+    all 8 default samples with probability at most (D/14)^8; for D >= 14
+    that bound says nothing.
+
+    Sampling stops once the best rank reaches a proven bound on the generic
+    rank, since no later sample can then raise it, so the result is the one
+    every sample would give: n - n % 2 always (an antisymmetric matrix has
+    even rank), and 2 when the structure already holds a true rank-2 verdict
+    (``jacobi`` and ``plucker`` compute it; this function never does).
+
+    Each entry is unpacked once per call, and at each point the entries
+    share one table of powers per variable.  Their common denominator is
+    cleared, which leaves the rank unchanged, and the rank of the integer
+    matrix is taken by fraction-free elimination."""
     if samples < 1:
         raise DomainError("need at least one sample")
+    n = ps.n
+    verdict = ps.__dict__.get("_rank2")          # the cached verdict, if any
+    bound = 2 if verdict is not None and verdict[0] else n - n % 2
+    upper = [(ij, p) for ij, p in ps.entries_upper() if not p.is_zero()]
+    # the values share one denominator, so their numerators make an integer
+    # matrix of the same rank
+    values = _integer_evaluator([p for _, p in upper])
     rng = random.Random(seed)
     best = 0
     for _ in range(samples):
-        point = [rng.choice(SAMPLE_GRID) for _ in range(ps.n)]
-        # antisymmetric: evaluate the upper triangle and mirror it
-        rows = [[Fraction(0)] * ps.n for _ in range(ps.n)]
-        for (i, j), p in ps.entries_upper():
-            v = p.eval_exact(point)
+        point = [rng.choice(SAMPLE_GRID) for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
+        for ((i, j), _), v in zip(upper, values(point)[1]):
             rows[i][j], rows[j][i] = v, -v
-        best = max(best, _fraction_rank(rows))
-        if best == ps.n:
+        best = max(best, _integer_rank(rows))
+        if best >= bound:
             break
     return best
 
 
-def _fraction_rank(rows) -> int:
-    m = [row[:] for row in rows]
-    nr, nc = len(m), len(m[0]) if m else 0
-    rank = 0
-    row = 0
-    for col in range(nc):
-        piv = next((r for r in range(row, nr) if m[r][col] != 0), None)
+def _integer_rank(m) -> int:
+    """Rank of an integer matrix by fraction-free elimination (Bareiss,
+    Math. Comp. 1968), overwriting ``m``.  After k pivots each entry below
+    them is a (k+1)-minor of the input, so dividing by the previous pivot is
+    exact."""
+    rank, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        for r in range(nr):
-            if r != row and m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        row += 1
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        p = top[col]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col]
+            m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], top)]
+        prev = p
         rank += 1
-        if row == nr:
+        if rank == len(m):
             break
     return rank
 

@@ -211,6 +211,20 @@ def test_hostile_literals_exit_two(tmp_path, capsys, casimir, message):
     assert err.startswith(message) and "Traceback" not in err
 
 
+def test_product_chain_exits_two(tmp_path, capsys):
+    # the 96th power written as a chain of eight products: each product of
+    # the chain is bounded, and so is the whole chain before it multiplies
+    f = tmp_path / "m.ppa"
+    f.write_text("vars x1 x2 x3 x4 x5 x6;\n"
+                 "let a = (x1+x2+x3+x4+x5+x6)^12;\n"
+                 "casimir P = a*a*a*a*a*a*a*a;\n"
+                 "structure jacobian;\ncheck casimirs;\n")
+    assert run_cli("check", str(f)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a product of polynomials with 6188 x 6188")
+    assert "MAX_TERMS = 1000000" in err and "Traceback" not in err
+
+
 def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     def boom(*args):
         raise RuntimeError("boom")

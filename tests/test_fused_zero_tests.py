@@ -1,0 +1,258 @@
+"""The fused zero tests and the integer sampled rank against their definitions.
+
+``is_casimir`` and ``is_quasi_casimir`` test the Hamiltonian rows
+{Q, x_k} = sum_i p_ik dQ/dx_i, ``_jacobiator`` and the 4x4 Pfaffians sum
+their products in one fused kernel, and ``generic_rank`` takes the rank of
+integer matrices by fraction-free elimination.  Each is compared here with
+what it replaces: ``bracket_of``, a ``_sum`` chain of products, ``pfaffian``
+and a ``Fraction`` elimination over the same sample points.
+"""
+
+import random
+from fractions import Fraction as F
+from itertools import combinations, permutations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import synthetic
+from ppa import dsl, structures
+from ppa.exterior import pfaffian
+from ppa.poly import PolyExpr, exact_divisibility
+from ppa.structures import (SAMPLE_GRID, PoissonStructure, bracket_of,
+                            generic_rank, is_casimir, is_quasi_casimir)
+
+VARS = tuple(f"x{i + 1}" for i in range(7))
+
+
+def table(n, entries):
+    return PoissonStructure.from_table(VARS[:n], entries)
+
+
+def polys(n, max_terms=3):
+    mono = st.tuples(*[st.integers(0, 2)] * n)
+    coeff = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    return st.dictionaries(mono, coeff, max_size=max_terms).map(
+        lambda d: PolyExpr(VARS[:n], d))
+
+
+@st.composite
+def random_tables(draw):
+    """Rational entries, odd and even n, many of them zero."""
+    n = draw(st.integers(2, 7))
+    return table(n, {ij: draw(polys(n, 2)) for ij in combinations(range(n), 2)
+                     if draw(st.booleans())})
+
+
+@st.composite
+def zero_tables(draw):
+    return table(draw(st.integers(2, 7)), {})
+
+
+@st.composite
+def rank4_tables(draw):
+    """X ^ Y + Z ^ W: rank 4 unless the planes meet."""
+    n = draw(st.integers(4, 6))
+    x, y, z, w = (draw(st.lists(polys(n, 2), min_size=n, max_size=n))
+                  for _ in range(4))
+    return table(n, {(i, j): x[i] * y[j] - x[j] * y[i] + z[i] * w[j] - z[j] * w[i]
+                     for i, j in combinations(range(n), 2)})
+
+
+@st.composite
+def log_canonical_tables(draw):
+    """{x_i, x_j} = c_ij x_i x_j: every monomial is a quasi-Casimir."""
+    n = draw(st.integers(2, 6))
+    gens = PolyExpr.gens(VARS[:n])
+    return table(n, {(i, j): gens[i] * gens[j] * draw(st.fractions(-2, 2, max_denominator=3))
+                     for i, j in combinations(range(n), 2)})
+
+
+def jacobian(n, seed):
+    return dsl.parse_model(synthetic.model_text(n, seed)).build_structure()
+
+
+@st.composite
+def jacobian_structures(draw):
+    """Rank 2 and Poisson, with known Casimirs (odd n included)."""
+    n = draw(st.integers(3, 6))
+    seed = draw(st.integers(0, 10 ** 6))
+    spec = dsl.parse_model(synthetic.model_text(n, seed))
+    return spec.build_structure(), spec.casimir_polys()
+
+
+tables = st.one_of(random_tables(), zero_tables(), rank4_tables(),
+                   log_canonical_tables(), jacobian_structures().map(lambda t: t[0]))
+
+
+# ---------------- Casimir and quasi-Casimir rows ----------------
+
+def casimir_by_definition(ps, q):
+    return all(bracket_of(ps, q, x).is_zero() for x in PolyExpr.gens(ps.vars))
+
+
+def quasi_by_definition(ps, q):
+    return all(exact_divisibility(bracket_of(ps, q, x), q)[0]
+               for x in PolyExpr.gens(ps.vars))
+
+
+@st.composite
+def structures_and_candidates(draw):
+    """(structure, candidate) pairs where either verdict can come out true."""
+    kind = draw(st.sampled_from(["jacobian", "log", "random"]))
+    if kind == "jacobian":
+        ps, qs = draw(jacobian_structures())
+        q = draw(st.sampled_from(qs))
+        if draw(st.booleans()):
+            q = q + draw(polys(ps.n, 1))
+    elif kind == "log":
+        ps = draw(log_canonical_tables())
+        q = draw(polys(ps.n, 1 if draw(st.booleans()) else 3))
+    else:
+        ps = draw(random_tables())
+        q = draw(polys(ps.n))
+    return ps, q
+
+
+@settings(max_examples=120, deadline=None)
+@given(structures_and_candidates())
+def test_hamiltonian_rows_are_the_brackets(case):
+    ps, q = case
+    grad = [q.diff(v) for v in ps.vars]
+    for k, x in enumerate(PolyExpr.gens(ps.vars)):
+        assert structures._hamiltonian_row(ps, grad, k) == bracket_of(ps, q, x)
+    assert is_casimir(ps, q) == casimir_by_definition(ps, q)
+    if not q.is_zero():
+        assert is_quasi_casimir(ps, q) == quasi_by_definition(ps, q)
+
+
+@pytest.mark.parametrize("a,b", list(permutations(range(4), 2)))
+def test_every_row_is_tested(a, b):
+    # {x_a, x_b} = 1 alone: x_a fails to be central, and to be a
+    # quasi-Casimir, in row b and nowhere else
+    ps = table(4, {tuple(sorted((a, b))): PolyExpr.const(VARS[:4], 1 if a < b else -1)})
+    xa = PolyExpr.var(VARS[a], VARS[:4])
+    assert not is_casimir(ps, xa) and not casimir_by_definition(ps, xa)
+    assert not is_quasi_casimir(ps, xa) and not quasi_by_definition(ps, xa)
+    grad = [xa.diff(v) for v in ps.vars]
+    assert [not structures._hamiltonian_row(ps, grad, k).is_zero()
+            for k in range(4)] == [k == b for k in range(4)]
+
+
+# ---------------- jacobiators and Pfaffians ----------------
+
+def jacobiator_chain(m, i, j, k):
+    """The jacobiator as a ``_sum`` chain of products."""
+    g = {(r, s): [m[r][s].diff(v) for v in m[r][s].vars]
+         for r, s in ((j, k), (k, i), (i, j))}
+    total = PolyExpr.zero(m[0][0].vars)
+    for l in range(len(m)):
+        total = (total + m[i][l] * g[j, k][l] + m[j][l] * g[k, i][l]
+                 + m[k][l] * g[i, j][l])
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables)
+def test_jacobiator_equals_the_sum_chain(ps):
+    for i, j, k in combinations(range(ps.n), 3):
+        assert structures.jacobiator(ps, i, j, k) == jacobiator_chain(ps.matrix, i, j, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables.filter(lambda ps: 4 <= ps.n <= 5))
+def test_four_by_four_pfaffians_equal_pfaffian(ps):
+    # every ordering, since a pivot need not come first in index order
+    for sub in permutations(range(ps.n), 4):
+        assert structures._pfaffian4(ps.matrix, *sub) == pfaffian(ps.matrix, sub)
+
+
+# ---------------- the sampled rank ----------------
+
+def fraction_rank(rows):
+    m = [row[:] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col] / m[rank][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def value(p, point):
+    total = F(0)
+    for mono, c in p.terms.items():
+        for x, e in zip(point, mono):
+            c *= x ** e
+        total += c
+    return total
+
+
+def reference_rank(ps, samples, seed):
+    """The largest rank over every sample point, with no early exit."""
+    rng = random.Random(seed)
+    best = 0
+    for _ in range(samples):
+        point = [rng.choice(SAMPLE_GRID) for _ in range(ps.n)]
+        best = max(best, fraction_rank([[value(p, point) for p in row]
+                                        for row in ps.matrix]))
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables, st.integers(1, 8), st.integers(0, 10 ** 6), st.booleans())
+def test_generic_rank_equals_fraction_elimination(ps, samples, seed, verdict_first):
+    if verdict_first:
+        ps._rank2           # as jacobi or plucker would leave it
+    assert generic_rank(ps, samples, seed) == reference_rank(ps, samples, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 6), st.randoms())
+def test_integer_rank_equals_fraction_rank(rows, cols, inner, rnd):
+    # a product of rows x inner and inner x cols integer factors, so every
+    # rank up to min(rows, cols) comes up, with zero columns skipped
+    a = [[rnd.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
+    b = [[rnd.randint(-3, 3) * rnd.randint(0, 1) for _ in range(cols)]
+         for _ in range(inner)]
+    m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] if b
+         else [0] * cols for row in a]
+    assert structures._integer_rank([r[:] for r in m]) == \
+        fraction_rank([[F(x) for x in r] for r in m])
+
+
+def test_rank_four_is_not_cut_at_two():
+    # Pf(x1,x2,x3,x4) = x1 - v, with v the first sampled value of x1: rank
+    # 2 at the first point and 4 at the later ones, whether or not the
+    # rank-2 verdict (false here) is already held
+    v = random.Random(0).choice(SAMPLE_GRID)
+    x1 = PolyExpr.var("x1", VARS[:4])
+    ps = table(4, {(0, 1): PolyExpr.const(VARS[:4], 1), (2, 3): x1 - v})
+    assert reference_rank(ps, 1, 0) == 2 and reference_rank(ps, 8, 0) == 4
+    assert generic_rank(ps) == 4
+    assert ps._rank2[0] is False
+    assert generic_rank(ps) == 4
+
+
+def test_rank_stops_at_a_proven_bound(monkeypatch):
+    calls = []
+    real = structures._integer_rank
+    monkeypatch.setattr(structures, "_integer_rank",
+                        lambda m: calls.append(m) or real(m))
+    ps = jacobian(6, 1)
+    assert generic_rank(ps) == 2 and len(calls) == 8
+    assert "_rank2" not in ps.__dict__          # rank never computes the verdict
+    assert ps._rank2[0]
+    calls.clear()
+    assert generic_rank(ps) == 2 and len(calls) == 1
+    # a constant table of full rank stops at n - n % 2 = 4 in five variables
+    calls.clear()
+    const = table(5, {(0, 1): PolyExpr.const(VARS[:5], 1),
+                      (2, 3): PolyExpr.const(VARS[:5], 1)})
+    assert generic_rank(const) == 4 and len(calls) == 1

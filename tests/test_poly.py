@@ -709,3 +709,36 @@ def test_term_limit_in_powers(monkeypatch):
     monkeypatch.setattr(poly, "MAX_TERMS", 12)
     with pytest.raises(DomainError):
         q ** 3
+
+
+def test_term_limit_in_products(monkeypatch):
+    # 6188 x 6188 terms of degree 12 and 42: the product has every monomial
+    # of degree 54 in six variables, about 5.0e6 of them, so it is refused
+    # before anything is multiplied
+    y = PolyExpr.gens([f"y{i}" for i in range(6)])
+    a = sum(y[1:], y[0]) ** 12
+    with pytest.raises(DomainError, match="6188 x 6188 terms may have more than "
+                                          "MAX_TERMS = 1000000"):
+        a * (a * y[0] ** 30)
+    with pytest.raises(DomainError, match="MAX_TERMS"):
+        poly._sum_of_products(a.vars, [(y[0], y[1]), (a, a * y[0] ** 30)])
+    x1, x2, x3 = gens3()
+    s = x1 + x2 + x3
+    monkeypatch.setattr(poly, "MAX_TERMS", 10)
+    # 3 x 6 term pairs, but only the 10 monomials of degree 3
+    assert (s * s ** 2).term_count == 10
+    assert poly._sum_of_products(V3, [(s, s ** 2)]) == s ** 3
+    with pytest.raises(DomainError):
+        s * (s + 1) ** 2          # 20 - 1 monomials of degree 1 to 3
+    with pytest.raises(DomainError):
+        poly._sum_of_products(V3, [(s, (s + 1) ** 2)])
+    # a power bounds its whole result, so its own products are not refused:
+    # 10 multisets of 3 terms, while p * p^2 could have 406 monomials
+    p = x1 ** 9 + x2 ** 9 + x3 ** 9
+    assert (p ** 3).term_count == 10
+    with pytest.raises(DomainError):
+        p * p ** 2
+    # a Laurent factor has only the term-pair bound
+    z = PolyExpr(V3, {(F(1, 2), 0, 0): 1, (0, F(1, 2), 0): 1, (0, 0, -1): 1})
+    with pytest.raises(DomainError):
+        z * (s * s)
