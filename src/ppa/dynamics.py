@@ -4,22 +4,28 @@ Symbolic checks are exact; the integrator is deliberately plain: classical
 fourth-order Runge-Kutta with a fixed step, so drift numbers are
 reproducible regression values rather than artifacts of adaptivity.
 
-The field and the monitored invariants are evaluated in floats by generated
-straight-line code (:func:`ppa.poly.float_evaluator`), one statement per term
-in term order, bit-identical to ``PolyExpr.eval_float``.  Arithmetic overflow
-during integration is reported as a divergence, like a non-finite state;
-``ppa integrate`` exits 1 on either.
+Each :func:`integrate` call runs one generated function
+(:func:`_rk4_kernel`) whose float operations are those of the list form over
+``PolyExpr.eval_float``, in the same order, so trajectories, drifts and CSV
+bytes are bit-identical to it.  Arithmetic overflow during integration is
+reported as a divergence, like a non-finite state; ``ppa integrate`` exits 1
+on either.  The report stores the rows that :func:`write_trajectory_csv`
+writes.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import DivergenceError, DomainError
-from .poly import PolyExpr, float_evaluator
+from .poly import PolyExpr, _float_sum_lines, float_evaluator
 from .structures import NambuStructure, PoissonStructure, bracket_of, nambu_bracket
 
 
@@ -43,8 +49,9 @@ class PolyVectorField:
         return total
 
     def compiled(self) -> Callable[[Sequence[float]], list[float]]:
-        """Float evaluation of every component in one call, used by the
-        integrator (see :func:`float_evaluator`)."""
+        """Float evaluation of every component in one call (see
+        :func:`float_evaluator`).  :func:`integrate` generates its own field
+        function from the same statements."""
         return float_evaluator(self.components, self.vars)
 
 
@@ -200,22 +207,53 @@ def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
 
 # ---------------- numerical integration ----------------
 
+class _States(Sequence):
+    """Read-only view of a report's recorded states: one tuple of the n
+    coordinates per row of its flat ``rows``."""
+
+    def __init__(self, report: "TrajectoryReport"):
+        self._rows = report.rows
+        self._width = report.width
+        self._dim = report.dim
+        self._len = len(report.rows) // report.width if report.recorded else 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._len))]
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("state index out of range")
+        start = i * self._width + 1
+        return tuple(self._rows[start:start + self._dim])
+
+
 @dataclass
 class TrajectoryReport:
-    times: list
-    states: list
+    """One RK4 run.  ``rows`` holds, flat, one row per step from t = 0:
+    t, the ``dim`` coordinates and the monitor values when the states were
+    recorded, t alone otherwise.  ``times`` and ``states`` are read-only
+    views of it."""
+    rows: array
+    dim: int
     drift: dict          # invariant name -> max relative deviation
     monitor_names: list
+    recorded: bool = True
 
+    @property
+    def width(self) -> int:
+        return 1 + self.dim + len(self.monitor_names) if self.recorded else 1
 
-def _monitor_values(monitored, variables) -> Callable:
-    """``x -> [p(x) for _, p in monitored]`` in one call: generated code when
-    every monitor is polynomial-grade, ``eval_float`` otherwise, so that
-    fractional exponents keep its domain checks."""
-    polys = [p.with_vars(variables) for _, p in monitored]
-    if all(p.is_polynomial_grade() for p in polys):
-        return float_evaluator(polys, variables)
-    return lambda x: [p.eval_float(x) for p in polys]
+    @property
+    def times(self) -> memoryview:
+        return memoryview(self.rows).toreadonly()[::self.width]
+
+    @property
+    def states(self) -> _States:
+        return _States(self)
 
 
 # Most RK4 steps one integration may take: it bounds the work of a hostile
@@ -239,6 +277,99 @@ def _step_count(step: float, t_end: float) -> int:
     return steps
 
 
+def _diverged(t: float) -> DivergenceError:
+    return DivergenceError(
+        f"trajectory left the representable range after t={t}", t)
+
+
+def _tuple(names) -> str:
+    return "(" + "".join(f"{x}, " for x in names) + ")"
+
+
+def _rk4_kernel(field: PolyVectorField, monitors: Sequence[PolyExpr],
+                record_states: bool) -> Callable:
+    """Generate ``run(x0, ..., x{n-1}, steps, step, record) -> drifts``,
+    the whole RK4 run of :func:`integrate`.
+
+    The field ``f`` and the monitors ``g`` are generated functions of the n
+    coordinates (through :func:`_float_sum_lines`); ``g`` is ``eval_float``
+    instead, with its domain checks, when a monitor is not
+    polynomial-grade.  ``f`` is called four times per step and ``g`` once;
+    the stage points, the update and the drift maxima are inline code, each
+    stage and update the expression of the list form
+    ``x[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])``, so every
+    value is bit-identical to it.  A non-finite state, tested before the
+    monitors see it, or an ``OverflowError`` raises ``DivergenceError``
+    with the last valid t.  ``record`` takes each row as a tuple: t, the
+    state and the monitor values, or t alone without ``record_states``."""
+    n = len(field.vars)
+    xs = [f"x{i}" for i in range(n)]
+    ms = [f"m{j}" for j in range(len(monitors))]
+    args = ", ".join(xs)
+    namespace = {"isfinite": math.isfinite, "diverged": _diverged}
+    lines = [f"def f({args}):"]
+    for i, c in enumerate(field.components):
+        lines += ["    " + line for line in _float_sum_lines(c, xs, f"a{i}")]
+    lines.append(f"    return {_tuple(f'a{i}' for i in range(n))}")
+    if all(p.is_polynomial_grade() for p in monitors):
+        lines.append(f"def g({args}):")
+        for m, p in zip(ms, monitors):
+            lines += ["    " + line for line in _float_sum_lines(p, xs, m)]
+        lines.append(f"    return {_tuple(ms)}")
+    else:
+        namespace["g"] = lambda *x: [p.eval_float(x) for p in monitors]
+
+    def stage(k, scale):
+        return ", ".join(f"{x} + {scale} * k{k}_{i}" for i, x in enumerate(xs))
+
+    def ks(k):
+        return _tuple(f"k{k}_{i}" for i in range(n))
+
+    row = _tuple(["t", *xs, *ms] if record_states else ["t"])
+    finite = " and ".join(f"isfinite({x})" for x in xs) or "True"
+    params = "".join(f"{x}, " for x in xs)
+    lines += [f"def run({params}steps, step, record, f=f, g=g, isfinite=isfinite):",
+              "    half = step / 2.0",
+              "    sixth = step / 6.0",
+              "    t = 0.0",
+              "    try:",
+              f"        {_tuple(ms)} = g({args})"]
+    for j, m in enumerate(ms):
+        lines += [f"        b{j} = {m}", f"        s{j} = max(1.0, abs(b{j}))",
+                  f"        d{j} = 0.0"]
+    lines += [f"        record({row})",
+              "        for s in range(steps):",
+              f"            {ks(1)} = f({args})",
+              f"            {ks(2)} = f({stage(1, 'half')})",
+              f"            {ks(3)} = f({stage(2, 'half')})",
+              f"            {ks(4)} = f({stage(3, 'step')})"]
+    lines += [f"            {x} = {x} + sixth * "
+              f"(k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+              for i, x in enumerate(xs)]
+    lines += [f"            if not ({finite}):",
+              "                raise diverged(t)",
+              f"            {_tuple(ms)} = g({args})",
+              "            t = (s + 1) * step",
+              f"            record({row})"]
+    for j, m in enumerate(ms):
+        lines += [f"            d = abs({m} - b{j}) / s{j}",
+                  f"            if d > d{j}:",
+                  f"                d{j} = d"]
+    lines += ["    except OverflowError:",
+              "        raise diverged(t) from None",
+              f"    return {_tuple(f'd{j}' for j in range(len(ms)))}"]
+    exec(_compile_kernel("\n".join(lines)), namespace)
+    return namespace["run"]
+
+
+@lru_cache(maxsize=8)
+def _compile_kernel(source: str):
+    """Compiling a run costs more than generating it (about 0.8 ms of
+    dell's 1 ms), and calls on one field and monitor list generate the same
+    source: they share one code object."""
+    return compile(source, "<rk4_kernel>", "exec")
+
+
 def integrate(field: PolyVectorField, x0: Sequence[float], step: float,
               t_end: float,
               monitored: Sequence[tuple[str, PolyExpr]] = (),
@@ -249,58 +380,67 @@ def integrate(field: PolyVectorField, x0: Sequence[float], step: float,
     A non-finite state, or a float overflow while evaluating the field or a
     monitor, aborts with DivergenceError carrying the last valid time.  A
     window that is not a whole number of steps, or is longer than MAX_STEPS,
-    raises DomainError before the first step.
+    raises DomainError before the first step.  The run is one generated
+    function (:func:`_rk4_kernel`); the report stores its rows.
     """
     steps = _step_count(step, t_end)
     n = len(field.vars)
     if len(x0) != n:
         raise DomainError("initial point dimension mismatch")
     names = [name for name, _ in monitored]
-    x = [float(v) for v in x0]
-    drift = {name: 0.0 for name in names}
-    times = [0.0]
-    states = [tuple(x)] if record_states else []
-    t = 0.0
-    half = step / 2.0
-    sixth = step / 6.0
+    polys = [p.with_vars(field.vars) for _, p in monitored]
     try:
-        f = field.compiled()
-        mon = _monitor_values(monitored, field.vars)
-        base = mon(x)
-        scale = [max(1.0, abs(b)) for b in base]
-        for s in range(steps):
-            k1 = f(x)
-            k2 = f([x[i] + half * k1[i] for i in range(n)])
-            k3 = f([x[i] + half * k2[i] for i in range(n)])
-            k4 = f([x[i] + step * k3[i] for i in range(n)])
-            x = [x[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                 for i in range(n)]
-            if not all(map(math.isfinite, x)):
-                raise DivergenceError(
-                    f"trajectory left the representable range after t={t}", t)
-            values = mon(x)
-            t = (s + 1) * step
-            times.append(t)
-            if record_states:
-                states.append(tuple(x))
-            for name, v, b, sc in zip(names, values, base, scale):
-                d = abs(v - b) / sc
-                if d > drift[name]:
-                    drift[name] = d
+        run = _rk4_kernel(field, polys, record_states)
     except OverflowError:
-        raise DivergenceError(
-            f"trajectory left the representable range after t={t}", t) from None
-    return TrajectoryReport(times=times, states=states, drift=drift,
-                            monitor_names=names)
+        raise _diverged(0.0) from None
+    rows = array("d")
+    drift = dict.fromkeys(names, 0.0)
+    # monitors that share a name report the largest of their drifts
+    for name, d in zip(names, run(*map(float, x0), steps, step, rows.extend)):
+        if d > drift[name]:
+            drift[name] = d
+    return TrajectoryReport(rows=rows, dim=n, drift=drift,
+                            monitor_names=names, recorded=record_states)
+
+
+# Rows formatted per ``%`` by write_trajectory_csv: fewer, longer writes;
+# the bytes do not depend on it.
+CSV_CHUNK_ROWS = 64
 
 
 def write_trajectory_csv(report: TrajectoryReport, field_vars, monitored,
                          path) -> None:
-    """CSV with header t,x1,...,xn,<invariant names>; 17 significant digits."""
+    """CSV with header t,x1,...,xn,<invariant names>; 17 significant digits.
+
+    The values are the report's stored rows; ``monitored`` must name the
+    report's monitors in order, and the report must hold its states
+    (``record_states``), or DomainError is raised.  The file is written to a
+    temporary file in the target directory and renamed over ``path`` only
+    when complete, so a failure leaves any earlier file intact.
+    """
     names = [name for name, _ in monitored]
-    mon = _monitor_values(monitored, field_vars)
-    row = ",".join(["%.17g"] * (1 + len(field_vars) + len(names))) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["t", *field_vars, *names]) + "\n")
-        fh.writelines(row % (t, *state, *mon(state))
-                      for t, state in zip(report.times, report.states))
+    if names != report.monitor_names:
+        raise DomainError(f"monitors {names} are not the report's "
+                          f"{report.monitor_names}")
+    if len(field_vars) != report.dim:
+        raise DomainError("variables do not match the report's dimension")
+    if not report.recorded:
+        raise DomainError("the report holds no states (record_states=False)")
+    width = report.width
+    row = ",".join(["%.17g"] * width) + "\n"
+    chunk = CSV_CHUNK_ROWS * width
+    rows = report.rows
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path),
+                       f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(",".join(["t", *field_vars, *names]) + "\n")
+            for start in range(0, len(rows), chunk):
+                values = tuple(rows[start:start + chunk])
+                fh.write(row * (len(values) // width) % values)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

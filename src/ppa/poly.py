@@ -730,36 +730,45 @@ def _integer_evaluator(polys: Sequence[PolyExpr]):
 
 def float_evaluator(polys: Sequence[PolyExpr], variables: Sequence[str]):
     """Compile ``f(x) -> [p.eval_float(x) for p in polys]`` for
-    polynomial-grade ``polys``, with ``x`` in ``variables`` order.
-
-    The generated function is straight-line code: per polynomial an
-    accumulator set to ``0.0`` and one ``+=`` statement per term, in term
-    order, of the form ``C * xi ** e * ...``.  ``C`` is the ``repr`` of the
-    float coefficient, which reads back exactly, the variables follow their
-    order and zero exponents are left out.  Those are the float operations
-    ``eval_float`` performs, in the same order, so every value is
-    bit-identical to it and a power that overflows raises ``OverflowError``
-    as it does there.  ``**`` stays even for ``e = 1``; Horner's rule or
-    repeated products would round differently.  One flat statement per term
-    keeps the parser's nesting limit out of reach at any term count.  A
-    coefficient too large for a float raises ``OverflowError`` here, where
-    ``eval_float`` would raise it on every call.
-    """
+    polynomial-grade ``polys``, with ``x`` in ``variables`` order; each value
+    is bit-identical to ``eval_float`` (see :func:`_float_sum_lines`)."""
     variables = tuple(variables)
     xs = [f"x{i}" for i in range(len(variables))]
     lines = ["def f(x):"]
     if xs:
         lines.append(f"    {', '.join(xs)}, = x")
     for k, p in enumerate(polys):
-        p = p.with_vars(variables).require_polynomial_grade("float-evaluated polynomial")
-        lines.append(f"    a{k} = 0.0")
-        for m, c in p.terms.items():
-            factors = [repr(float(c))] + [f"{x} ** {e}" for x, e in zip(xs, m) if e]
-            lines.append(f"    a{k} += {' * '.join(factors)}")
+        lines += ["    " + line
+                  for line in _float_sum_lines(p.with_vars(variables), xs, f"a{k}")]
     lines.append(f"    return [{', '.join(f'a{k}' for k in range(len(polys)))}]")
     namespace: dict = {}
     exec(compile("\n".join(lines), "<float_evaluator>", "exec"), namespace)
     return namespace["f"]
+
+
+def _float_sum_lines(p: PolyExpr, xs: Sequence[str], acc: str) -> list[str]:
+    """Straight-line statements that set the float ``acc`` to
+    ``p.eval_float`` at the floats named ``xs`` (in ``p.vars`` order), for
+    polynomial-grade ``p``: ``acc`` set to ``0.0``, then one ``+=``
+    statement per term, in term order, of the form ``C * xi ** e * ...``.
+
+    ``C`` is the ``repr`` of the float coefficient, which reads back
+    exactly, the variables follow their order and zero exponents are left
+    out.  Those are the float operations ``eval_float`` performs, in the
+    same order, so the value is bit-identical to it and a power that
+    overflows raises ``OverflowError`` as it does there.  ``**`` stays even
+    for ``e = 1``; Horner's rule or repeated products would round
+    differently.  One flat statement per term keeps the parser's nesting
+    limit out of reach at any term count.  A coefficient too large for a
+    float raises ``OverflowError`` here, where ``eval_float`` would raise it
+    on every call.  Every generated float evaluation goes through here.
+    """
+    p.require_polynomial_grade("float-evaluated polynomial")
+    lines = [f"{acc} = 0.0"]
+    for m, c in p.terms.items():
+        factors = [repr(float(c))] + [f"{x} ** {e}" for x, e in zip(xs, m) if e]
+        lines.append(f"{acc} += {' * '.join(factors)}")
+    return lines
 
 
 # ---------------- divisibility ----------------

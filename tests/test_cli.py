@@ -164,6 +164,8 @@ def test_integrate_divergence_exit_one(tmp_path, capsys):
         "integrate from (2.0, 2.0) step 0.01 until 50.0;\n")
     assert run_cli("integrate", str(f), "--out", str(tmp_path / "t.csv")) == 1
     assert "divergence" in capsys.readouterr().err
+    # no CSV, and no temporary file either
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blowup.ppa"]
 
 
 def test_integrate_overflow_is_divergence(tmp_path, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ppa import catalog, dsl
+from ppa import catalog, dsl, dynamics
 from ppa.dynamics import (MAX_STEPS, PolyVectorField, constants_of_motion_check,
                           decoupling_check, fairlie_field,
                           hamiltonian_vector_field, integrate,
@@ -316,3 +316,91 @@ def test_overflow_in_a_step_is_divergence():
     with pytest.raises(DivergenceError) as e:
         integrate(drift, (0.0,), 1.0, 10.0, [("cube", x1 ** 3)])
     assert e.value.last_valid_time == 2.0
+
+
+def test_report_views_are_read_only():
+    m = euler_model()
+    f = hamiltonian_vector_field(m.structure, m.hamiltonians[0])
+    rep = integrate(f, (1.0, 0.5, 0.25), 0.25, 1.0, [("Q1", m.casimirs[0][1])])
+    assert list(rep.times) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert len(rep.states) == 5 and rep.states[0] == (1.0, 0.5, 0.25)
+    assert rep.states[-1] == rep.states[4]
+    assert rep.states[1:3] == list(rep.states)[1:3]
+    with pytest.raises(TypeError):
+        rep.times[0] = 1.0
+    with pytest.raises(TypeError):
+        rep.states[0] = (0.0, 0.0, 0.0)
+    with pytest.raises(IndexError):
+        rep.states[5]
+    bare = integrate(f, (1.0, 0.5, 0.25), 0.25, 1.0, [("Q1", m.casimirs[0][1])],
+                     record_states=False)
+    assert list(bare.times) == list(rep.times) and len(bare.states) == 0
+    assert bare.drift == rep.drift
+
+
+def test_csv_needs_the_recorded_states(tmp_path):
+    m = euler_model()
+    f = hamiltonian_vector_field(m.structure, m.hamiltonians[0])
+    mon = [("Q1", m.casimirs[0][1])]
+    rep = integrate(f, (1.0, 0.5, 0.25), 0.1, 1.0, mon, record_states=False)
+    assert len(rep.times) == 11
+    path = tmp_path / "traj.csv"
+    with pytest.raises(DomainError, match="record_states"):
+        write_trajectory_csv(rep, m.vars, mon, path)
+    assert not path.exists()
+
+
+def test_csv_monitors_must_be_the_reports(tmp_path):
+    m = euler_model()
+    f = hamiltonian_vector_field(m.structure, m.hamiltonians[0])
+    q1 = ("Q1", m.casimirs[0][1])
+    energy = ("H", m.hamiltonians[0])
+    rep = integrate(f, (1.0, 0.5, 0.25), 0.1, 1.0, [q1])
+    path = tmp_path / "traj.csv"
+    for monitors in ([], [energy], [q1, energy]):
+        with pytest.raises(DomainError, match="monitors"):
+            write_trajectory_csv(rep, m.vars, monitors, path)
+    with pytest.raises(DomainError, match="dimension"):
+        write_trajectory_csv(rep, m.vars[:2], [q1], path)
+    assert not path.exists()
+    write_trajectory_csv(rep, m.vars, [q1], path)
+    assert len(path.read_text().splitlines()) == 12
+
+
+class FailingFile:
+    """A text file whose second write raises, after the first went out."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError("no space left on device")
+        return self.fh.write(text)
+
+
+def test_csv_write_failing_part_way_keeps_the_old_file(tmp_path, monkeypatch):
+    m = euler_model()
+    f = hamiltonian_vector_field(m.structure, m.hamiltonians[0])
+    mon = [("Q1", m.casimirs[0][1])]
+    rep = integrate(f, (1.0, 0.5, 0.25), 0.01, 5.0, mon)
+    path = tmp_path / "traj.csv"
+    path.write_text("old contents\n")
+    monkeypatch.setattr(dynamics, "open",
+                        lambda *a, **k: FailingFile(open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="no space"):
+        write_trajectory_csv(rep, m.vars, mon, path)
+    assert path.read_text() == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
+    monkeypatch.undo()
+    write_trajectory_csv(rep, m.vars, mon, path)
+    assert len(path.read_text().splitlines()) == 1 + len(rep.times)
+    assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]

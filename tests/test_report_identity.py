@@ -12,6 +12,7 @@ platform.
 import hashlib
 
 from ppa import catalog, dsl, runner
+from ppa.dynamics import hamiltonian_vector_field, integrate, write_trajectory_csv
 
 CATALOG_REPORT_SHA256 = "82b1dc6f89bfefdf5376ef8bc252ce06301fb09b33b08508d3dc51c2285f1a25"
 
@@ -46,3 +47,43 @@ def test_catalog_emissions_byte_identical():
             texts.add(text)
     assert len(texts) == 39
     assert digest.hexdigest() == CATALOG_EMISSION_SHA256
+
+
+# sha256 of the trajectory CSV of every integrate request of euler_top and
+# dell (defaults, then alternates), each model through ``render_model`` and
+# ``parse_model`` and integrated over its whole window.  The values are
+# floats written with 17 significant digits: they pin the integrator's
+# arithmetic bit for bit, for float ``**`` as the C library's ``pow``
+# computes it (glibc on Linux).  euler_top's second alternate lowers each J
+# by 2, which changes H by the Casimir -2*Q1: the field, and so the CSV, are
+# the default's.
+CATALOG_INTEGRATE_CSV_SHA256 = {
+    "euler_top": [
+        "4a854af028aa1772af07b0529520d5b1de355841fc90c7427615822bb146e9d9",
+        "992ed150b774631603325d249cf6aaff01eff6dbd1837d8f46346f0b28dd6626",
+        "4a854af028aa1772af07b0529520d5b1de355841fc90c7427615822bb146e9d9",
+    ],
+    "dell": [
+        "9125d5bae92df7e9c6e705469ee55c766310c30db33d4871a8de41e7e02943a2",
+        "79798b6981f2aac7dad61ded94de87c0986aa50b62472f863118c4a115bf4f3c",
+        "4317f2b3b3ff97b2daeacc381a7331f348df26b763e9f23039ca50ecd1074c5c",
+    ],
+}
+
+
+def test_catalog_integrate_csv_byte_identical(tmp_path):
+    path = tmp_path / "traj.csv"
+    for name, digests in CATALOG_INTEGRATE_CSV_SHA256.items():
+        found = []
+        for bindings in [None] + list(catalog.entry(name).alternates):
+            built = catalog.build(name, bindings)
+            spec = dsl.parse_model(dsl.render_model(dsl.model_spec_from_built(built)),
+                                   name=name)
+            req = spec.integrate
+            field = hamiltonian_vector_field(spec.build_structure(),
+                                             spec.hamiltonians[0])
+            monitors = [(m, spec.named_poly(m)) for m in req.monitors]
+            report = integrate(field, req.x0, req.step, req.t_end, monitors)
+            write_trajectory_csv(report, spec.vars, monitors, path)
+            found.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert found == digests, name
