@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm, prod
-from operator import add, or_
+from operator import add, mul, or_
 from struct import Struct, error as StructError
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -820,6 +820,13 @@ def _mat_inverse(rows):
     return [row[n:] for row in aug]
 
 
+def _integer_lattice(rows) -> tuple:
+    """``(D, N)`` with rows = N / D for a rational matrix: D is the least
+    common denominator of its entries and N has int entries."""
+    den = lcm(*(e.denominator for row in rows for e in row))
+    return den, tuple(tuple(int(e * den) for e in row) for row in rows)
+
+
 def _rational_pow(base: Fraction, e) -> Fraction:
     """base**e staying in Q; DomainError when the root is irrational."""
     base = Fraction(base)
@@ -834,10 +841,11 @@ def _rational_pow(base: Fraction, e) -> Fraction:
 
     def iroot(v, r):
         # integer Newton iteration, exact for arbitrary magnitudes
-        if v == 0:
-            return 0
-        if r == 1:
+        if v < 2 or r == 1:
             return v
+        if r >= v.bit_length():
+            # 1 < v < 2 ** r, so the root lies strictly between 1 and 2
+            raise DomainError(f"{v} has no exact integer {r}-th root")
         x = 1 << ((v.bit_length() + r - 1) // r + 1)
         while True:
             y = ((r - 1) * x + v // x ** (r - 1)) // r
@@ -857,12 +865,18 @@ class MonomialMap:
     """Invertible change of variables by scaled monomials.
 
     Row a declares ``new_a = scale_a * prod_i old_i ** matrix[a][i]``.  The
-    exponent matrix must be invertible over Q.
+    exponent matrix must be invertible over Q, and neither variable tuple
+    may repeat a name.  The matrix and its inverse are also kept as integer
+    lattices (see :func:`_integer_lattice`).
     """
 
     def __init__(self, old_vars, new_vars, matrix, scales=None):
         self.old_vars = tuple(old_vars)
         self.new_vars = tuple(new_vars)
+        for names, which in ((self.old_vars, "old"), (self.new_vars, "new")):
+            if len(set(names)) != len(names):
+                twice = next(v for v in names if names.count(v) > 1)
+                raise VariableSetError(f"{which} variable {twice} is named twice in the map")
         n = len(self.old_vars)
         if len(self.new_vars) != n:
             raise SingularMapError("monomial map must be square")
@@ -872,7 +886,11 @@ class MonomialMap:
         self.scales = tuple(_coeff(s) for s in (scales or [1] * n))
         if any(s == 0 for s in self.scales):
             raise SingularMapError("zero scale factor")
-        self._inv = _mat_inverse(self.matrix)  # raises when singular
+        self._forward_lattice = _integer_lattice(self.matrix)
+        # raises when singular
+        self._inverse_lattice = _integer_lattice(_mat_inverse(self.matrix))
+        self._dscales = None
+        self._jacobian = None
 
     @classmethod
     def identity(cls, variables):
@@ -895,17 +913,25 @@ class MonomialMap:
             scales.append(coef)
         return cls(old_vars, new_vars, rows, scales)
 
+    def _scale_factors(self) -> tuple:
+        """The d_i of ``old_i = d_i * prod_a new_a ** inverse[i][a]``, that
+        is d_i = prod_a scale_a ** -inverse[i][a], computed on first use.
+        Raises ``DomainError`` (on every call, since nothing is stored then)
+        when one leaves Q."""
+        if self._dscales is None:
+            den, rows = self._inverse_lattice
+            self._dscales = tuple(
+                prod((_rational_pow(s, _exp_over(-e, den))
+                      for s, e in zip(self.scales, row) if s != 1 and e),
+                     start=Fraction(1))
+                for row in rows)
+        return self._dscales
+
     def inverse(self) -> "MonomialMap":
-        n = len(self.old_vars)
-        inv_scales = []
-        for i in range(n):
-            s = Fraction(1)
-            for a in range(n):
-                s *= _rational_pow(self.scales[a], _exp(-Fraction(self._inv[i][a])))
-            inv_scales.append(s)
+        den, rows = self._inverse_lattice
         return MonomialMap(self.new_vars, self.old_vars,
-                           [[self._inv[i][a] for a in range(n)] for i in range(n)],
-                           inv_scales)
+                           [[_exp_over(e, den) for e in row] for row in rows],
+                           self._scale_factors())
 
     def forward_exprs(self) -> list[PolyExpr]:
         """The new variables as (possibly Puiseux) monomials of the old."""
@@ -915,13 +941,17 @@ class MonomialMap:
         return out
 
     def jacobian_det_monomial(self) -> PolyExpr:
-        """det(d new/d old) as a monomial of the old variables."""
-        n = len(self.old_vars)
-        det = _det_fraction(self.matrix)
-        for s in self.scales:
-            det *= s
-        exps = tuple(_exp(sum(self.matrix[a][i] for a in range(n)) - 1) for i in range(n))
-        return PolyExpr(self.old_vars, {exps: det})
+        """det(d new/d old) as a monomial of the old variables, computed on
+        first use."""
+        if self._jacobian is None:
+            n = len(self.old_vars)
+            det = _det_fraction(self.matrix)
+            for s in self.scales:
+                det *= s
+            exps = tuple(_exp(sum(self.matrix[a][i] for a in range(n)) - 1)
+                         for i in range(n))
+            self._jacobian = PolyExpr(self.old_vars, {exps: det})
+        return self._jacobian
 
 
 def _det_fraction(rows):
@@ -952,31 +982,48 @@ def substitute(p: PolyExpr, mmap: MonomialMap) -> PolyExpr:
     """
     if p.vars != mmap.old_vars:
         p = p.with_vars(mmap.old_vars)
-    n = len(mmap.old_vars)
-    inv = mmap._inv
-    # old_i = d_i * prod_a new_a ** inv[i][a]
-    dscales = []
-    for i in range(n):
-        s = Fraction(1)
-        for a in range(n):
-            e = _exp(Fraction(inv[i][a]))
-            if mmap.scales[a] != 1 and e != 0:
-                s *= _rational_pow(mmap.scales[a], _exp(-Fraction(e)))
-        dscales.append(s)
-    out: dict = {}
-    for mono, c in p.terms.items():
-        coef = c
-        new_e = [Fraction(0)] * n
-        for i, e in enumerate(mono):
-            if e == 0:
-                continue
-            coef *= _rational_pow(dscales[i], e) if dscales[i] != 1 else 1
-            for a in range(n):
-                new_e[a] += Fraction(e) * Fraction(inv[i][a])
-        key = tuple(_exp(x) for x in new_e)
-        s = out.get(key, Fraction(0)) + coef
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return PolyExpr(mmap.new_vars, out)
+    num = _tuple_num(p)
+    scale = 1
+    if not p._grade:
+        scale = lcm(*(e.denominator for m in num for e in m))
+        num = {tuple(int(e * scale) for e in m): c for m, c in num.items()}
+    return _lattice_image(mmap, num, p._den, scale)
+
+
+def _exp_over(k: int, den: int):
+    """The exponent k/den as ``PolyExpr`` keeps it: an int when den divides
+    k, else a reduced Fraction."""
+    return k // den if k % den == 0 else Fraction(k, den)
+
+
+def _lattice_image(mmap: MonomialMap, num: dict, den: int, scale: int) -> PolyExpr:
+    """The terms ``num`` / ``den`` over the map's old variables, keyed by
+    the integer vectors ``scale * x`` of their exponent vectors x,
+    re-expressed in the new variables.
+
+    With old_i = d_i * prod_a new_a ** inverse[i][a] and inverse = N / D, a
+    term x goes to the exponent vector (scale * x) . N / (scale * D), found
+    by integer dot products, and its coefficient gains the factor
+    prod_i d_i ** x_i.  The map is injective on exponent vectors, so no two
+    terms meet.  Every call asks the map for the d_i, so a d_i outside Q
+    raises ``DomainError`` every time; their powers are taken only for the
+    terms given.  An exponent past ``MAX_EXPONENT`` in a polynomial-grade
+    result raises ``DomainError``.
+    """
+    dscales = mmap._scale_factors()
+    lat_den, rows = mmap._inverse_lattice
+    cols = tuple(zip(*rows))
+    total = scale * lat_den
+    keys = [tuple(_exp_over(sum(map(mul, x, col)), total) for col in cols)
+            for x in num]
+    powered = [(i, d) for i, d in enumerate(dscales) if d != 1]
+    if not powered:
+        return _reduced(mmap.new_vars, dict(zip(keys, num.values())), den, False)
+    frac = {}
+    for key, (x, c) in zip(keys, num.items()):
+        coef = Fraction(c, den)
+        for i, d in powered:
+            if x[i]:
+                coef *= _rational_pow(d, _exp_over(x[i], scale))
+        frac[key] = coef
+    return _new(mmap.new_vars, *_over_common_den(frac), False)

@@ -1,9 +1,16 @@
 """CLI behaviour: exit codes, JSON reports, determinism, subcommands."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
+from datetime import timedelta
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppa import catalog, runner
 from ppa.cli import main
@@ -253,6 +260,75 @@ def test_transport_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "polynomial_grade: true" in out
     assert run_cli("check", str(emitted)) == 0
+
+
+def test_transport_refuses_repeated_map_names(tmp_path, capsys):
+    model = emit(tmp_path, "q3")
+    mapfile = tmp_path / "m.map"
+    mapfile.write_text("map y1 = x1;\nmap y1 = x2;\nmap y3 = x3;\n")
+    emitted = tmp_path / "out.ppa"
+    capsys.readouterr()
+    assert run_cli("transport", str(model), "--map", str(mapfile),
+                   "--emit", str(emitted)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: new variable y1 is named twice in the map\n"
+    assert not emitted.exists()
+
+
+def run_cli_captured(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+MAP_EXPONENTS = sorted({Fraction(a, d) for d in (1, 2, 3) for a in range(-2 * d, 2 * d + 1)})
+
+
+@st.composite
+def map_files(draw):
+    """Map files over x1 x2 x3: mostly three lines with distinct new names,
+    else a wrong line count or a repeated name.  Line k is a scaled
+    monomial with a nonzero exponent at variable perm[k] and sparse other
+    ones, so most of the maps are invertible: a permutation of the
+    variables in a third of the maps, else small exponents, integral in
+    half of them."""
+    count = draw(st.sampled_from([3, 3, 3, 0, 1, 2, 4]))
+    names = draw(st.permutations(["y1", "y2", "y3", "w", "x1"]))[:count]
+    if count > 1 and draw(st.booleans()):
+        names[-1] = names[0]
+    exps = draw(st.sampled_from([[0], [-2, -1, 1, 2], MAP_EXPONENTS]))
+    off_diagonal = st.sampled_from([0, 0] + exps)
+    perm = draw(st.permutations(range(3)))
+    lines = []
+    for k, name in enumerate(names):
+        row = [draw(off_diagonal) for _ in range(3)]
+        row[perm[k % 3]] = draw(st.sampled_from([e for e in exps if e] or [1]))
+        scale = draw(st.sampled_from(["1"] * 4 + ["-1", "4", "2", "9/4", "-1/8"]))
+        factors = [f"x{i}^({e})" for i, e in enumerate(row, 1) if e]
+        lines.append(f"map {name} = " + "*".join([f"({scale})"] + factors) + ";")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5))
+@given(map_files(), st.booleans())
+def test_transport_fuzz_exit_codes(map_text, emit_it):
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "q3.ppa"
+        assert run_cli_captured("catalog", "q3", "--emit", str(model))[0] == 0
+        mapfile = Path(tmp) / "m.map"
+        mapfile.write_text(map_text)
+        emitted = Path(tmp) / "out.ppa"
+        argv = ["transport", str(model), "--map", str(mapfile)]
+        code, _, err = run_cli_captured(*(argv + ["--emit", str(emitted)] if emit_it
+                                          else argv))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err and "internal error" not in err
+        if code == 0 and emit_it:
+            # what transport writes, check reads
+            code, _, err = run_cli_captured("check", str(emitted))
+            assert code in (0, 1) and not err
 
 
 def test_transport_nonpolynomial_report(tmp_path, capsys):

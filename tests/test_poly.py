@@ -225,6 +225,20 @@ def test_singular_map_rejected():
         MonomialMap(("x", "y"), ("u", "v"), [[1, 1], [2, 2]])
 
 
+@pytest.mark.parametrize("old, new", [(V3, ("y1", "y1", "y3")),
+                                      (("x1", "x2", "x1"), ("y1", "y2", "y3"))])
+def test_repeated_map_names_rejected(old, new):
+    with pytest.raises(VariableSetError, match="named twice"):
+        MonomialMap(old, new, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_map_caches_are_the_computed_values():
+    m = MonomialMap(("x",), ("y",), [[2]], scales=[F(4)])     # y = 4x^2
+    assert m.jacobian_det_monomial() is m.jacobian_det_monomial()
+    assert m.jacobian_det_monomial() == PolyExpr(("x",), {(1,): F(8)})
+    assert m.inverse().scales == (F(1, 2),)                   # x = (y/4)^(1/2)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from([[[1, 0, 0], [0, 1, F(-1, 2)], [0, 0, F(3, 2)]],
                         [[F(-3, 4), F(3, 2), 0], [F(1, 4), F(-1, 2), 1],

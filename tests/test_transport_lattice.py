@@ -1,0 +1,230 @@
+"""Differential test of the closed-form, integer-lattice monomial transport.
+
+``transport_bracket`` and ``substitute`` are checked against reference
+copies of the formulas they replaced: the bracket as a chain of
+``PolyExpr`` products, {y_a, y_b} = sum_{i<j} (dy_a/dx_i dy_b/dx_j -
+dy_a/dx_j dy_b/dx_i) p_ij, and the substitution with ``Fraction``
+exponent vectors.  Both sides must agree on every entry, on the
+polynomial-grade verdict and on which inputs raise ``DomainError``.
+"""
+
+from fractions import Fraction as F
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ppa.errors import DomainError, SingularMapError
+from ppa.geometry import TransportResult, transport_bracket
+from ppa.poly import (MAX_EXPONENT, MonomialMap, PolyExpr, _exp, _mat_inverse,
+                      _rational_pow, substitute)
+from ppa.structures import PoissonStructure
+
+
+# ---------------- reference formulas ----------------
+
+def reference_substitute(p, mmap):
+    if p.vars != mmap.old_vars:
+        p = p.with_vars(mmap.old_vars)
+    n = len(mmap.old_vars)
+    inv = _mat_inverse(mmap.matrix)
+    dscales = []
+    for i in range(n):
+        s = F(1)
+        for a in range(n):
+            e = _exp(F(inv[i][a]))
+            if mmap.scales[a] != 1 and e != 0:
+                s *= _rational_pow(mmap.scales[a], _exp(-F(e)))
+        dscales.append(s)
+    out = {}
+    for mono, c in p.terms.items():
+        coef = c
+        new_e = [F(0)] * n
+        for i, e in enumerate(mono):
+            if e == 0:
+                continue
+            coef *= _rational_pow(dscales[i], e) if dscales[i] != 1 else 1
+            for a in range(n):
+                new_e[a] += F(e) * F(inv[i][a])
+        key = tuple(_exp(x) for x in new_e)
+        s = out.get(key, F(0)) + coef
+        if s == 0:
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return PolyExpr(mmap.new_vars, out)
+
+
+def reference_transport(ps, mmap):
+    n = ps.n
+    ys = [PolyExpr(mmap.old_vars, {mmap.matrix[a]: mmap.scales[a]}) for a in range(n)]
+    dy = [[y.diff(v) for v in ps.vars] for y in ys]
+    entries = [[PolyExpr.zero(mmap.new_vars) for _ in range(n)] for _ in range(n)]
+    grade_ok = True
+    for a in range(n):
+        for b in range(a + 1, n):
+            acc = PolyExpr.zero(ps.vars)
+            for (i, j), p in ps.entries_upper():
+                if p.is_zero():
+                    continue
+                acc = acc + (dy[a][i] * dy[b][j] - dy[a][j] * dy[b][i]) * p
+            out = reference_substitute(acc, mmap)
+            entries[a][b] = out
+            entries[b][a] = -out
+            grade_ok = grade_ok and out.is_polynomial_grade()
+    return TransportResult(tuple(mmap.new_vars), entries, grade_ok)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except DomainError:
+        return DomainError
+
+
+def assert_same_transport(ps, mmap):
+    got = outcome(transport_bracket, ps, mmap)
+    want = outcome(reference_transport, ps, mmap)
+    if want is DomainError or got is DomainError:
+        assert got is want
+        return
+    assert got.new_vars == want.new_vars
+    assert got.entries == want.entries
+    assert got.polynomial_grade == want.polynomial_grade
+
+
+def assert_same_substitute(p, mmap):
+    got = outcome(substitute, p, mmap)
+    want = outcome(reference_substitute, p, mmap)
+    assert got is want if DomainError in (got, want) else got == want
+
+
+# ---------------- strategies ----------------
+
+# {-2..2} plus the halves and thirds between them
+EXPONENTS = sorted({F(a, d) for d in (1, 2, 3) for a in range(-2 * d, 2 * d + 1)})
+# 1 (half the draws), perfect squares (and a cube), non-squares, and
+# negatives, whose fractional powers leave Q
+SCALES = [F(4), F(9, 4), F(1, 16), F(8), F(2), F(3, 5), F(-1), F(-4)]
+SCALES = st.sampled_from([F(1)] * len(SCALES) + SCALES)
+COEFFS = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+
+
+def names(prefix, n):
+    return tuple(f"{prefix}{i}" for i in range(1, n + 1))
+
+
+@st.composite
+def maps(draw, n, exponents=st.sampled_from(EXPONENTS), scales=SCALES):
+    rows = draw(st.lists(st.lists(exponents, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    scales = draw(st.lists(scales, min_size=n, max_size=n))
+    try:
+        return MonomialMap(names("x", n), names("y", n), rows, scales)
+    except SingularMapError:
+        return draw(st.nothing())
+
+
+def polys(variables, exponents, max_terms=3):
+    term = st.tuples(st.tuples(*[exponents] * len(variables)), COEFFS)
+    return st.lists(term, max_size=max_terms).map(
+        lambda ts: PolyExpr(variables, dict(ts)))
+
+
+@st.composite
+def tables(draw, n, exponents=st.integers(0, 3)):
+    v = names("x", n)
+    entries = {(i, j): draw(polys(v, exponents)) for i, j in combinations(range(n), 2)}
+    return PoissonStructure.from_table(v, entries)
+
+
+@st.composite
+def unimodular_maps(draw, n):
+    """Integer exponent matrices of determinant +-1, so the inverse is an
+    integer matrix too: a row permutation after a few row additions."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        k = draw(st.sampled_from([-1, 1, 2]))
+        rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    rows = [rows[i] for i in draw(st.permutations(range(n)))]
+    scales = draw(st.lists(SCALES, min_size=n, max_size=n))
+    return MonomialMap(names("x", n), names("y", n), rows, scales)
+
+
+@st.composite
+def cases(draw):
+    n = draw(st.integers(1, 4))
+    return draw(tables(n)), draw(st.one_of(maps(n), unimodular_maps(n)))
+
+
+# ---------------- tests ----------------
+
+@settings(max_examples=250, deadline=None)
+@given(cases())
+def test_transport_matches_the_product_chain(case):
+    ps, mmap = case
+    assert_same_transport(ps, mmap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.one_of(polys(names("x", n), st.integers(0, 3), max_terms=4),
+              polys(names("x", n), st.sampled_from(EXPONENTS), max_terms=4)),
+    st.one_of(maps(n), unimodular_maps(n)))))
+def test_substitute_matches_fraction_exponents(case):
+    p, mmap = case
+    assert_same_substitute(p, mmap)
+
+
+# Exponents near MAX_EXPONENT / 2: the chain's intermediate products can
+# pass MAX_EXPONENT even where the result would not, and it raises there.
+# The scales are +-1, since powers of other scales to exponents this large
+# are numbers of millions of digits.
+BIG = st.sampled_from([0, 1, F(1, 2), -1, 16382, 16383, 16384, 20000, MAX_EXPONENT])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+    tables(n, st.sampled_from([0, 1, 2, MAX_EXPONENT - 1])),
+    maps(n, BIG, st.sampled_from([F(1), F(-1)])))))
+def test_transport_matches_the_chain_near_the_exponent_limit(case):
+    ps, mmap = case
+    assert_same_transport(ps, mmap)
+
+
+def test_cancelled_terms_take_no_scale_power():
+    # In {y1, y2} the two contributions x1^(-1/2) * x2^(-2/3) * x3^(-2)
+    # cancel.  Their scale factor would need (-8)^(-2/3), a negative base
+    # under a fractional exponent, which raises DomainError; the terms that
+    # survive elsewhere need none, so the transport must not raise.
+    v = names("x", 3)
+    mmap = MonomialMap(v, names("y", 3),
+                       [[F(1, 2), -1, -1], [0, F(1, 3), -1], [0, 0, -1]],
+                       [F(1, 4), F(-1), F(2)])
+    ps = PoissonStructure.from_table(v, {(0, 1): PolyExpr(v, {(0, 1, 0): 1}),
+                                         (0, 2): PolyExpr(v, {(0, 0, 1): F(1, 3)})})
+    got = transport_bracket(ps, mmap)
+    assert got.entries[0][1].is_zero()
+    assert got.entries == reference_transport(ps, mmap).entries
+
+
+@pytest.mark.parametrize("rows, scales", [
+    ([[2]], [F(2)]),                        # d = 2^(-1/2)
+    ([[1, F(1, 2)], [0, 1]], [F(1), F(-1)]),  # a square root of -1
+])
+def test_scale_factors_raise_in_substitute_transport_and_inverse(rows, scales):
+    n = len(rows)
+    mmap = MonomialMap(names("x", n), names("y", n), rows, scales)
+    zero = PolyExpr.zero(mmap.old_vars)
+    for _ in range(2):                      # nothing is cached by a failure
+        with pytest.raises(DomainError):
+            substitute(zero, mmap)
+        with pytest.raises(DomainError):
+            mmap.inverse()
+    ps = PoissonStructure.from_table(mmap.old_vars, {})
+    if n > 1:
+        with pytest.raises(DomainError):
+            transport_bracket(ps, mmap)
+    else:                                   # no pair, so no substitution
+        assert transport_bracket(ps, mmap).polynomial_grade
