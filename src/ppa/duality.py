@@ -1,11 +1,16 @@
-"""Wedge-power duality between the bracket bivector and the Casimir minors,
+"""Theorem 3.1 duality between the bracket Pfaffians and the Casimir minors,
 and the other determinantal relations between brackets and Casimirs.
 
 For a structure of rank n - l with Casimirs Q_1..Q_l and even n - l = 2m, the
 m-th wedge power of the bivector equals a constant multiple of the volume
-dual of dQ_1 ^ ... ^ dQ_l.  The constant reported as ``lam`` carries the m!
-of the wedge power; ``lam_coord`` = lam / m! matches the coordinate-level
-identity relating 2m x 2m Pfaffians to l x l Jacobian minors.
+dual of dQ_1 ^ ... ^ dQ_l.  Coefficientwise, on each 2m-subset S,
+m! * Pf(pi_S) is that constant times the l x l minor of the Casimir
+gradients on the complementary columns, up to the shuffle sign.  The check
+computes exactly that: the principal 2m x 2m Pfaffians of the bracket matrix
+against the volume dual of dQ_1 ^ ... ^ dQ_l, which a Jacobian structure
+carries from its construction.  The constant reported as ``lam`` carries the
+m!; ``lam_coord`` = lam / m! is the coordinate-level constant relating the
+Pfaffians to the minors.
 """
 
 from __future__ import annotations
@@ -14,12 +19,14 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import DegenerateCasimirError, DomainError, ParityError, VariableSetError
-from .exterior import PolyMultivector, differential, indices_of, pfaffian, volume_dual, wedge_all, wedge_power
-from .poly import PolyExpr
-from .structures import PoissonStructure, is_casimir
+from .exterior import (PolyMultivector, differential, indices_of, mask_of, pfaffian,
+                       volume_dual, wedge_all)
+from .poly import PolyExpr, _constant_ratio
+from .structures import PoissonStructure, _pfaffian4, is_casimir
 
 
 @dataclass
@@ -47,15 +54,36 @@ class DualityReport:
                 for mask in masks}
 
 
+def _principal_pfaffian(matrix, sub: tuple) -> PolyExpr:
+    """Pf of the principal block on a sorted 2-, 4- or 6-subset: the entry
+    itself, one fused sum, or the expansion of :func:`pfaffian`."""
+    if len(sub) == 2:
+        return matrix[sub[0]][sub[1]]
+    if len(sub) == 4:
+        return _pfaffian4(matrix, *sub)
+    return pfaffian(matrix, sub)
+
+
+def _casimir_form(ps: PoissonStructure, casimirs: list):
+    """dQ_1 ^ ... ^ dQ_l, taken from the structure when it was built from
+    these Casimirs."""
+    form = ps._casimir_form
+    if form is not None and form[0] == tuple(casimirs):
+        return form[1]
+    return wedge_all([differential(q) for q in casimirs])
+
+
 def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> DualityReport:
-    """Compare the (n-l)/2-th wedge power of the bivector with the dual of
-    dQ_1 ^ ... ^ dQ_l and extract the constant factor.
+    """Compare m! times the principal 2m x 2m Pfaffians of the bracket, the
+    coefficients of the m-th wedge power with 2m = n - l, with the dual of
+    dQ_1 ^ ... ^ dQ_l, and extract the constant factor.
 
     The Casimirs are verified first; the comparison refuses functions that
-    are not actually central.  The constant is read off one leading
-    coefficient of the dual side and every entry is then compared exactly
-    against that multiple, so a non-constant or mismatched ratio anywhere
-    fails the check.
+    are not actually central.  Every Pfaffian on the support of the dual
+    side must be one and the same rational multiple of its dual coefficient,
+    and every Pfaffian off it must vanish.  A non-constant or mismatched
+    ratio anywhere fails the check, and only then is the whole wedge power
+    formed, as the residual.
     """
     casimirs = [q.with_vars(ps.vars) for q in casimirs]
     if not casimirs:
@@ -67,47 +95,49 @@ def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> Duality
     if (n - l) % 2 != 0:
         raise ParityError(f"n - l = {n - l} is odd")
     m = (n - l) // 2
-
-    wedge_side = wedge_power(ps.as_bivector(), m) if m >= 1 else None
-    if wedge_side is None:
+    if m < 1:
         raise ParityError("rank-0 comparison is vacuous")
-    dual_side = volume_dual(wedge_all([differential(q) for q in casimirs]))
+    dual_side = volume_dual(_casimir_form(ps, casimirs))
 
     if dual_side.is_zero():
         raise DegenerateCasimirError(
             "dQ_1 ^ ... ^ dQ_l vanishes identically; Casimirs are dependent")
 
-    # One constant for every mask: read it off a leading coefficient of the
-    # dual side, then confirm the whole entry.  A zero dual entry never
-    # divides: the stored coefficients are nonzero.
-    zero = PolyExpr.zero(ps.vars)
+    # One constant for every mask: each Pfaffian on the dual support must be
+    # the same multiple of its (nonzero) dual coefficient.
+    matrix = ps.matrix
     proportional = True
-    lam: Optional[Fraction] = None
+    lam_coord: Optional[Fraction] = None
     for mask, d in dual_side.coeffs.items():
-        w = wedge_side.coeffs.get(mask, zero)
-        dm, dc = d.leading()
-        cand = w.coefficient(dm) / dc
-        if w != d * cand or (lam is not None and lam != cand):
+        cand = _constant_ratio(_principal_pfaffian(matrix, indices_of(mask)), d)
+        if cand is None or (lam_coord is not None and lam_coord != cand):
             proportional = False
             break
-        lam = cand
-    # entries of the wedge side outside the dual support must vanish
-    if proportional and any(mask not in dual_side.coeffs for mask in wedge_side.coeffs):
+        lam_coord = cand
+    # Pfaffians outside the dual support must vanish
+    if proportional and any(not _principal_pfaffian(matrix, sub).is_zero()
+                            for sub in combinations(range(n), 2 * m)
+                            if mask_of(sub) not in dual_side.coeffs):
         proportional = False
 
-    # the dual side is nonzero, so a proportional outcome has set lam
-    residual = wedge_side - dual_side.scaled(lam) if proportional else wedge_side
-    holds = proportional and lam != 0 and residual.is_zero()
-
     fact = math.factorial(m)
+    if proportional:
+        # the dual side is nonzero, so lam is set, and the wedge power is
+        # exactly lam times the dual side
+        residual = PolyMultivector(ps.vars, 2 * m)
+        masks = sorted(dual_side.coeffs)
+    else:
+        residual = PolyMultivector(ps.vars, 2 * m, {
+            mask_of(sub): _principal_pfaffian(matrix, sub) * fact
+            for sub in combinations(range(n), 2 * m)})
+        masks = sorted(set(residual.coeffs) | set(dual_side.coeffs))
     return DualityReport(
-        holds=holds,
-        lam=lam if proportional else None,
-        lam_coord=lam / fact if proportional else None,
+        holds=proportional and lam_coord != 0,
+        lam=lam_coord * fact if proportional else None,
+        lam_coord=lam_coord if proportional else None,
         m=m,
         residual=residual,
-        _sources=(ps.matrix, dual_side,
-                  sorted(set(wedge_side.coeffs) | set(dual_side.coeffs))),
+        _sources=(matrix, dual_side, masks),
     )
 
 

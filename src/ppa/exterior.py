@@ -24,7 +24,7 @@ def mask_of(indices: Iterable[int]) -> int:
 
 
 def indices_of(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(MAX_DIM) if mask >> i & 1)
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def merge_sign(mask_a: int, mask_b: int) -> int:
@@ -167,15 +167,6 @@ def wedge_all(elements: Sequence[_GradedElement]):
     return acc
 
 
-def wedge_power(a: _GradedElement, m: int):
-    if m < 1:
-        raise ArityError("wedge power needs m >= 1")
-    acc = a
-    for _ in range(m - 1):
-        acc = wedge(acc, a)
-    return acc
-
-
 def volume_dual(element: _GradedElement):
     """Duality through the standard volume form.
 
@@ -189,8 +180,7 @@ def volume_dual(element: _GradedElement):
     out: dict[int, PolyExpr] = {}
     for mask, p in element.coeffs.items():
         comp = full & ~mask
-        sign = shuffle_signature(indices_of(mask), indices_of(comp))
-        out[comp] = p if sign > 0 else p * -1
+        out[comp] = p if merge_sign(mask, comp) > 0 else -p
     return target(element.vars, n - element.grade, out)
 
 

@@ -36,7 +36,7 @@ class TransportResult:
         if not self.polynomial_grade:
             raise PolynomialGradeError(
                 "transported brackets have fractional exponents")
-        return PoissonStructure(self.new_vars, self.entries)
+        return PoissonStructure._trusted(self.new_vars, self.entries)
 
 
 def transport_bracket(ps: PoissonStructure, mmap: MonomialMap) -> TransportResult:

@@ -88,6 +88,12 @@ _FIELD_MASK = (1 << FIELD_BITS) - 1
 # bounded work.
 MAX_TERMS = 10 ** 6
 
+# The most bits a rational power may be predicted to have: ``_rational_pow``
+# refuses with ``DomainError`` before it computes a larger one (about 0.2 s
+# of big-integer work at the limit).  A limit, so that hostile input stays
+# bounded work.
+MAX_POWER_BITS = 1 << 20
+
 
 class _Layouts(dict):
     """n -> (fields, guard), built on first use.  ``fields`` is the
@@ -799,6 +805,23 @@ def exact_divisibility(p: PolyExpr, q: PolyExpr):
     return True, quot
 
 
+def _constant_ratio(p: PolyExpr, d: PolyExpr):
+    """The rational c with p = c * d for nonzero ``d`` over p's variables,
+    or None when there is none: p has d's monomials and its numerators are
+    proportional to d's, tested by integer cross-multiplication on the
+    stored form without building c * d."""
+    pn, dn = p._num, d._num
+    if not pn:
+        return Fraction(0)
+    if pn.keys() != dn.keys():
+        return None
+    k = next(iter(dn))
+    a, b = pn[k], dn[k]
+    if any(c * b != a * dn[m] for m, c in pn.items()):
+        return None
+    return Fraction(a * d._den, b * p._den)
+
+
 # ---------------- monomial maps ----------------
 
 def _mat_inverse(rows):
@@ -828,16 +851,25 @@ def _integer_lattice(rows) -> tuple:
 
 
 def _rational_pow(base: Fraction, e) -> Fraction:
-    """base**e staying in Q; DomainError when the root is irrational."""
+    """base**e staying in Q; DomainError when the root is irrational or when
+    the numerator or denominator of the result would have more than
+    MAX_POWER_BITS bits.  A part of the base with b bits has at least
+    (b - 1) * |e| bits in the result, so that is the size refused."""
     base = Fraction(base)
     if isinstance(e, int):
         if base == 0 and e < 0:
             raise DomainError("zero scale with negative exponent")
-        return base ** e
-    e = Fraction(e)
-    if base <= 0:
-        raise DomainError(f"cannot take rational power {e} of {base}")
+    else:
+        e = Fraction(e)
+        if base <= 0:
+            raise DomainError(f"cannot take rational power {e} of {base}")
     num, den = base.numerator, base.denominator
+    bits = max(num.bit_length(), den.bit_length()) - 1
+    if bits * abs(e) > MAX_POWER_BITS:
+        raise DomainError(f"the power {e} of a {bits + 1}-bit rational would have "
+                          f"more than MAX_POWER_BITS = {MAX_POWER_BITS} bits")
+    if isinstance(e, int):
+        return base ** e
 
     def iroot(v, r):
         # integer Newton iteration, exact for arbitrary magnitudes

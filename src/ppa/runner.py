@@ -26,13 +26,16 @@ from .poly import PolyExpr
 from .structures import (
     NambuStructure,
     PoissonStructure,
+    _cofactor_row,
+    _contract,
+    _gradient,
+    _stacked_minors,
     bracket_of,
     check_fundamental_identity,
     check_jacobi,
     generic_rank,
     is_casimir,
     is_quasi_casimir,
-    nambu_bracket,
     plucker_rank2_test,
 )
 
@@ -169,8 +172,18 @@ def _run_extendability(spec, structure, arg, seed):
 
 
 def _nambu_is_casimir(ns: NambuStructure, q: PolyExpr) -> bool:
-    return all(nambu_bracket(ns, list(combo) + [q]).is_zero()
-               for combo in combinations(PolyExpr.gens(ns.vars), ns.arity - 1))
+    """True iff {x_c1, ..., x_c(r-1), q} = 0 for every coordinate tuple,
+    each bracket a cofactor contraction with the one gradient of q."""
+    q = q.with_vars(ns.vars)
+    q.require_polynomial_grade("bracket argument")
+    grad = _gradient(q)
+    units = [_gradient(x) for x in PolyExpr.gens(ns.vars)]
+    slot = ns.arity - 1
+    for combo in combinations(range(ns.n), slot):
+        minors = _stacked_minors(ns, [units[c] for c in combo])
+        if not _contract(_cofactor_row(ns, minors, slot), grad).is_zero():
+            return False
+    return True
 
 
 def _run_fi(spec, structure, count, seed):

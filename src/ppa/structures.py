@@ -56,6 +56,22 @@ class PoissonStructure:
         # candidate checked once (say by the casimirs check) is not checked
         # again by a later predicate (theorem31) on the same structure.
         self._casimir_verdicts: dict[PolyExpr, bool] = {}
+        # (Casimirs, dQ_1 ^ ... ^ dQ_l) when the table was built from them
+        self._casimir_form = None
+
+    @classmethod
+    def _trusted(cls, variables: tuple, matrix, casimir_form=None) -> "PoissonStructure":
+        """Trusted constructor for a table built antisymmetric: ``matrix`` is
+        a full n x n list of polynomial-grade ``PolyExpr`` over ``variables``
+        with a zero diagonal and p_ji = -p_ij, so none of ``__init__``'s
+        checks run."""
+        ps = cls.__new__(cls)
+        ps.vars = variables
+        ps.n = len(variables)
+        ps.matrix = [list(row) for row in matrix]
+        ps._casimir_verdicts = {}
+        ps._casimir_form = casimir_form
+        return ps
 
     @classmethod
     def from_table(cls, variables, entries: dict) -> "PoissonStructure":
@@ -125,6 +141,14 @@ class NambuStructure:
         if self.arity < 1:
             raise ArityError("too many Casimirs for the dimension")
 
+    @cached_property
+    def _casimir_minors(self) -> dict:
+        """Column mask -> the nonzero m x m minor of the Casimir gradients on
+        those columns (the constant 1 on no columns when m = 0): the bottom
+        of every cofactor row, computed once per structure."""
+        return _stacked_minors(self, [_gradient(q) for q in self.casimirs],
+                               {0: PolyExpr.const(self.vars, 1)})
+
     def __repr__(self):
         return f"<NambuStructure n={self.n} arity={self.arity}>"
 
@@ -151,7 +175,8 @@ def jacobian_structure(variables, casimirs: Sequence[PolyExpr],
     else:
         w = None
     full = (1 << n) - 1
-    matrix = [[None] * n for _ in range(n)]
+    zero = PolyExpr.zero(variables)
+    matrix = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             comp = full & ~mask_of((i, j))
@@ -160,13 +185,14 @@ def jacobian_structure(variables, casimirs: Sequence[PolyExpr],
             else:
                 coeff = w.coeffs.get(comp)
             if coeff is None:
-                matrix[i][j] = PolyExpr.zero(variables)
+                matrix[i][j] = zero
             else:
                 sign = shuffle_signature((i, j), indices_of(comp))
                 p = multiplier * coeff
                 matrix[i][j] = p if sign > 0 else -p
             matrix[j][i] = -matrix[i][j]
-    return PoissonStructure(variables, matrix)
+    return PoissonStructure._trusted(variables, matrix,
+                                     (tuple(casimirs), w) if casimirs else None)
 
 
 # ---------------- bracket evaluation ----------------
@@ -199,6 +225,71 @@ def nambu_bracket(ns: NambuStructure, args: Sequence[PolyExpr]) -> PolyExpr:
     full = (1 << ns.n) - 1
     coeff = top.coeffs.get(full, PolyExpr.zero(ns.vars))
     return ns.multiplier * coeff
+
+
+def _stack_row(row, minors: dict) -> dict:
+    """One Laplace step: ``minors`` maps column masks of one size to the
+    nonzero determinants of some rows on those columns; the result maps
+    each mask one column larger to the nonzero determinant with ``row`` put
+    on top, expanded along it as one fused sum per minor.  Column c of a
+    mask sits at position popcount(mask below c), which gives its sign."""
+    terms: dict = {}
+    for c, e in enumerate(row):
+        if e.is_zero():
+            continue
+        bit, below, neg = 1 << c, (1 << c) - 1, -e
+        for mask, d in minors.items():
+            if not mask & bit:
+                odd = bin(mask & below).count("1") & 1
+                terms.setdefault(mask | bit, []).append((neg if odd else e, d))
+    out = {}
+    for mask, pairs in terms.items():
+        d = _sum_of_products(row[0].vars, pairs)
+        if not d.is_zero():
+            out[mask] = d
+    return out
+
+
+def _stacked_minors(ns: NambuStructure, grads, minors=None) -> dict:
+    """The nonzero minors of the rows ``grads`` (top to bottom) put on top
+    of the rows whose minors are ``minors``, by default the Casimir
+    gradients."""
+    if minors is None:
+        minors = ns._casimir_minors
+    for row in reversed(grads):
+        minors = _stack_row(row, minors)
+    return minors
+
+
+def _cofactor_row(ns: NambuStructure, minors: dict, slot: int) -> list[PolyExpr]:
+    """W with {a_1, ..., a_r} = sum_j W_j d_j a_slot, given the minors of the
+    other r - 1 argument gradients (in slot order) stacked on the Casimir
+    gradients: W_j is the multiplier times the cofactor (slot, j) of the
+    matrix of argument and Casimir gradients, the signed (n-1)-minor of the
+    other rows without column j."""
+    n = ns.n
+    mu = ns.multiplier
+    scale = mu.constant_value() if mu.is_constant() else None
+    full = (1 << n) - 1
+    zero = PolyExpr.zero(ns.vars)
+    out = []
+    for j in range(n):
+        c = minors.get(full ^ 1 << j)
+        if c is None:
+            out.append(zero)
+            continue
+        sign = -1 if (slot + j) & 1 else 1
+        if scale is None:
+            c = mu * c
+            out.append(c if sign > 0 else -c)
+        else:
+            out.append(c if sign * scale == 1 else c * (sign * scale))
+    return out
+
+
+def _contract(row, grad) -> PolyExpr:
+    """sum_j row_j grad_j as one fused sum (zero-tested or differentiated)."""
+    return _sum_of_products(grad[0].vars, zip(row, grad))
 
 
 # ---------------- verification predicates ----------------
@@ -398,17 +489,36 @@ def check_fundamental_identity(ns: NambuStructure,
 
     against {f_1,...,f_{r-1}, {f_r,...,f_{2r-1}}}; the residual is their
     difference.
+
+    Each bracket is a cofactor contraction sum_j W_j d_j g in the slot of
+    g (see :func:`_cofactor_row`): the head's row serves the r inner
+    brackets and the right side, one row per tail slot serves the outer
+    brackets, each argument's gradient is taken once, and the residual is
+    accumulated as one fused sum of products.
     """
     r = ns.arity
     if len(test_args) != 2 * r - 1:
         raise ArityError(f"need {2 * r - 1} arguments for arity {r}")
     f = [a.with_vars(ns.vars) for a in test_args]
-    head, tail = f[:r - 1], f[r - 1:]
-    lhs = PolyExpr.zero(ns.vars)
-    for pos in range(r):
-        inner = nambu_bracket(ns, head + [tail[pos]])
-        outer_args = tail[:pos] + [inner] + tail[pos + 1:]
-        lhs = lhs + nambu_bracket(ns, outer_args)
-    rhs = nambu_bracket(ns, head + [nambu_bracket(ns, tail)])
-    residual = lhs - rhs
+    for a in f:
+        a.require_polynomial_grade("bracket argument")
+    grads = [_gradient(a) for a in f]
+    g_head, g_tail = grads[:r - 1], grads[r - 1:]
+    head = _cofactor_row(ns, _stacked_minors(ns, g_head), r - 1)
+    # after[pos]: the minors of the tail gradients after slot pos stacked
+    # on the Casimir gradients, shared by the rows of the slots up to pos
+    after = [ns._casimir_minors]
+    for g in reversed(g_tail[1:]):
+        after.append(_stack_row(g, after[-1]))
+    after.reverse()
+    pairs = []
+    for pos, g in enumerate(g_tail):
+        row = _cofactor_row(ns, _stacked_minors(ns, g_tail[:pos], after[pos]), pos)
+        # {f_r, ..., {f_1, ..., f_{r-1}, f_i}, ..., f_{2r-1}}
+        pairs += zip(row, _gradient(_contract(head, g)))
+        if pos == 0:
+            tail_bracket = _contract(row, g)
+    # minus {f_1, ..., f_{r-1}, {f_r, ..., f_{2r-1}}}
+    pairs += zip(head, (-d for d in _gradient(tail_bracket)))
+    residual = _sum_of_products(ns.vars, pairs)
     return FundamentalIdentityReport(residual.is_zero(), residual)

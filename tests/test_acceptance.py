@@ -10,6 +10,7 @@ from itertools import combinations
 
 import pytest
 
+from oracles import wedge_power
 from ppa import catalog, dsl
 from ppa.cli import main as cli_main
 from ppa.duality import degree_sum_check, duality_check
@@ -17,7 +18,7 @@ from ppa.dynamics import (constants_of_motion_check, decoupling_check,
                           hamiltonian_vector_field, integrate,
                           nambu_vector_field)
 from ppa.errors import DivergenceError
-from ppa.exterior import pfaffian, wedge_power
+from ppa.exterior import pfaffian
 from ppa.geometry import (chart_compare, check_projective_extendability,
                           transport_bracket)
 from ppa.poly import MonomialMap, PolyExpr, substitute

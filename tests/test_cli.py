@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import tempfile
+import time
 from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
@@ -274,6 +275,22 @@ def test_transport_refuses_repeated_map_names(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: new variable y1 is named twice in the map\n"
     assert not emitted.exists()
+
+
+def test_transport_refuses_oversized_scale_power(tmp_path, capsys):
+    # the inverse map has x3 = 2^(-9*10^8) * y1^(9*10^8) * ...: the power of
+    # the scale is refused by its predicted size before it is computed
+    model = emit(tmp_path, "q3")
+    mapfile = tmp_path / "m.map"
+    mapfile.write_text("map y1 = 2*x1;\nmap y2 = x1^30000*x2;\nmap y3 = x2^30000*x3;\n")
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run_cli("transport", str(model), "--map", str(mapfile)) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the power -900000000 of a 2-bit rational would "
+                            "have more than MAX_POWER_BITS = 1048576 bits\n")
 
 
 def run_cli_captured(*argv):

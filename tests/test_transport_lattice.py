@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from ppa.errors import DomainError, SingularMapError
 from ppa.geometry import TransportResult, transport_bracket
-from ppa.poly import (MAX_EXPONENT, MonomialMap, PolyExpr, _exp, _mat_inverse,
-                      _rational_pow, substitute)
+from ppa.poly import (MAX_EXPONENT, MAX_POWER_BITS, MonomialMap, PolyExpr, _exp,
+                      _mat_inverse, _rational_pow, substitute)
 from ppa.structures import PoissonStructure
 
 
@@ -228,3 +228,15 @@ def test_scale_factors_raise_in_substitute_transport_and_inverse(rows, scales):
             transport_bracket(ps, mmap)
     else:                                   # no pair, so no substitution
         assert transport_bracket(ps, mmap).polynomial_grade
+
+
+def test_rational_pow_refuses_by_predicted_bits():
+    # a b-bit part has at least (b - 1) * |e| bits in the power: 2^e has
+    # |e| + 1 bits, so e = MAX_POWER_BITS is computed and one more refused
+    assert _rational_pow(F(1, 2), -MAX_POWER_BITS) == 2 ** MAX_POWER_BITS
+    assert _rational_pow(F(-1), -10 ** 12) == 1          # 1-bit parts never grow
+    assert _rational_pow(F(4), F(MAX_POWER_BITS, 2)) == 2 ** MAX_POWER_BITS
+    for base, e in ((F(2), MAX_POWER_BITS + 1), (F(1, 3), -MAX_POWER_BITS - 1),
+                    (F(4), F(MAX_POWER_BITS + 1, 2))):
+        with pytest.raises(DomainError, match="MAX_POWER_BITS"):
+            _rational_pow(base, e)
