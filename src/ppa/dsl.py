@@ -1,10 +1,21 @@
-"""Model DSL: lexer, recursive-descent parser, and canonical emission.
+"""Model DSL: scanner, recursive-descent parser, and canonical emission.
 
 A model file declares variables, optional weights, rational parameters,
 named polynomials, exactly one structure, optional Hamiltonians, requested
 checks with optional expected outcomes, and an optional integration request.
 Canonical emission inlines every parameter and renders polynomials in the
 canonical term order, so emit -> parse -> emit is byte-stable.
+
+The scanner is one pass of one regular expression that skips whitespace and
+comments; a token is a plain ``(kind, text, offset)`` tuple, and a line and
+column are computed from the offset only when an error is raised.  A term
+whose factors are all monomial (a rational literal or a name bound to one
+packed term, each with optional signs and a nonnegative integer power) is
+folded as it is read into one packed key over one numerator and one
+denominator; any other term multiplies ``PolyExpr`` factors.  An expression
+adds all its terms in one pass over one common denominator
+(``poly._sum``).  Values, term order and errors are those of building and
+adding one ``PolyExpr`` per factor, left to right.
 
 Hostile input stays bounded: a numeric literal is at most
 ``MAX_LITERAL_CHARS`` characters, parentheses nest at most ``MAX_NESTING``
@@ -18,22 +29,29 @@ import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from operator import mul
 from typing import Optional
 
 from .errors import ArityError, DomainError, ModelSyntaxError
-from .poly import (MAX_EXPONENT, MonomialMap, PolyExpr, _rational_pow,
-                   _require_product_size)
+from .poly import (_LAYOUTS, MAX_EXPONENT, MonomialMap, PolyExpr, _over_limit,
+                   _rational_pow, _reduced, _require_product_size, _sum)
 from .runner import CHECKS, FI_MAX, _key, _literal_text, _projection
 from .structures import NambuStructure, PoissonStructure, jacobian_structure
 
+# Whitespace and comments are skipped in front of every token.  Each
+# position ends in exactly one group: a token, the end of the text, or an
+# unexpected character, which takes the rest of the text with it (so it is
+# the last token) and is refused by ``tokenize``.  The token groups start
+# with distinct characters, except that a float is tried before an integer.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<float>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
-  | (?P<number>\d+(?:/\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<punct>[;,{}()=^*+\-])
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    (?:(?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+      |(?P<punct>[;,{}()=^*+\-])
+      |(?P<float>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
+      |(?P<number>\d+(?:/\d+)?)
+      |(?P<eof>\Z)
+      |(?P<bad>.)(?s:.*))
 """, re.VERBOSE)
 
 # Python refuses int strings past 4300 digits; below that, parsing stays fast.
@@ -43,90 +61,87 @@ MAX_LITERAL_CHARS = 4000
 MAX_NESTING = 50
 
 
-@dataclass
-class Token:
-    kind: str      # float | number | ident | punct | eof
-    text: str
-    line: int
-    column: int
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    pos, line, line_start = 0, 1, 0       # only whitespace spans lines
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ModelSyntaxError("unexpected character", line,
-                                   pos - line_start + 1, text[pos])
-        kind = m.lastgroup
-        if kind == "ws":
-            newline = m.group().rfind("\n")
-            if newline >= 0:
-                line += m.group().count("\n")
-                line_start = pos + newline + 1
-        elif kind != "comment":
-            chunk = m.group()
-            col = pos - line_start + 1
+def tokenize(text: str) -> list[tuple]:
+    """``(kind, text, offset)`` tuples, kind one of float, number, ident,
+    punct and eof; the list ends in one eof token."""
+    tokens = [(k := m.lastgroup, m[k], m.start(k)) for m in _TOKEN_RE.finditer(text)]
+    if len(tokens) > 1 and tokens[-2][0] == "eof":
+        tokens.pop()        # the end after trailing whitespace matches twice
+    if len(text) > MAX_LITERAL_CHARS:
+        for kind, chunk, offset in tokens:
             if kind in ("number", "float") and len(chunk) > MAX_LITERAL_CHARS:
                 raise ModelSyntaxError(
                     f"numeric literal longer than {MAX_LITERAL_CHARS} characters",
-                    line, col, chunk)
-            tokens.append(Token(kind, chunk, line, col))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
+                    *_position(text, offset), chunk)
+    if len(tokens) > 1 and tokens[-2][0] == "bad":
+        raise ModelSyntaxError("unexpected character",
+                               *_position(text, tokens[-2][2]), tokens[-2][1])
     return tokens
 
 
 class _Stream:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """The tokens of ``text`` and a cursor over them.  ``accept`` and
+    ``expect`` compare texts only: every text they are asked for is punctuation
+    or a name, which no number and no eof token can spell."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
         self.i = 0
         self.depth = 0          # open parentheses in the current expression
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.tokens[self.i]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         t = self.tokens[self.i]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.i += 1
         return t
 
-    def accept(self, text: str) -> Optional[Token]:
-        t = self.peek()
-        if t.kind in ("punct", "ident") and t.text == text:
-            return self.next()
+    def accept(self, text: str) -> Optional[tuple]:
+        t = self.tokens[self.i]
+        if t[1] == text:
+            self.i += 1
+            return t
         return None
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if (t.kind in ("punct", "ident")) and t.text == text:
-            return self.next()
-        raise ModelSyntaxError(f"expected {text!r}", t.line, t.column, t.text)
+    def expect(self, text: str) -> tuple:
+        t = self.tokens[self.i]
+        if t[1] == text:
+            self.i += 1
+            return t
+        raise self.error_at(t, f"expected {text!r}", t[1])
 
-    def expect_kind(self, kind: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ModelSyntaxError(f"expected {kind}", t.line, t.column, t.text)
+    def expect_kind(self, kind: str) -> tuple:
+        t = self.tokens[self.i]
+        if t[0] != kind:
+            raise self.error_at(t, f"expected {kind}", t[1])
         return self.next()
 
+    def error_at(self, t: tuple, msg: str, token=None) -> ModelSyntaxError:
+        return ModelSyntaxError(msg, *_position(self.text, t[2]), token)
+
     def error(self, msg: str):
-        t = self.peek()
-        raise ModelSyntaxError(msg, t.line, t.column, t.text)
+        t = self.tokens[self.i]
+        raise self.error_at(t, msg, t[1])
 
     def number(self, integer: bool = False) -> Fraction:
         """The next token as an exact rational (an integer if asked)."""
         t = self.expect_kind("number")
         try:
-            v = Fraction(t.text)
+            v = Fraction(t[1])
         except ZeroDivisionError:
-            raise ModelSyntaxError("zero denominator", t.line, t.column, t.text) from None
+            raise self.error_at(t, "zero denominator", t[1]) from None
         except ValueError:      # PYTHONINTMAXSTRDIGITS set below MAX_LITERAL_CHARS
-            raise ModelSyntaxError("numeric literal too long", t.line, t.column,
-                                   t.text) from None
+            raise self.error_at(t, "numeric literal too long", t[1]) from None
         if integer and v.denominator != 1:
-            raise ModelSyntaxError("expected an integer", t.line, t.column, t.text)
+            raise self.error_at(t, "expected an integer", t[1])
         return v
 
     def rational(self) -> Fraction:
@@ -139,18 +154,49 @@ class _Stream:
 # ---------------- polynomial expressions ----------------
 
 def parse_poly_expr(stream: _Stream, env: dict, variables) -> PolyExpr:
-    """expr := term (('+'|'-') term)*"""
-    acc = _parse_term(stream, env, variables)
+    """expr := term (('+'|'-') term)*, added in one pass.  Only a step
+    that adds a Laurent/Puiseux term, or a term over another variable set,
+    can raise; such a step is taken as soon as its term is read, as it was
+    when the terms were added one at a time."""
+    items = [(_parse_term(stream, env, variables), 1)]
+    tokens = stream.tokens
     while True:
-        if stream.accept("+"):
-            acc = acc + _parse_term(stream, env, variables)
-        elif stream.accept("-"):
-            acc = acc - _parse_term(stream, env, variables)
+        op = tokens[stream.i][1]
+        if op == "+":
+            sign = 1
+        elif op == "-":
+            sign = -1
         else:
-            return acc
+            return _added(variables, items)
+        stream.i += 1
+        p = _parse_term(stream, env, variables)
+        items.append((p, sign))
+        if not p._grade or p.vars != variables or items[0][0].vars != variables:
+            items = [(_added(variables, items), 1)]
+
+
+def _added(variables, items) -> PolyExpr:
+    """The sum of the (term, sign) ``items``, the first sign +1: one
+    ``poly._sum`` over ``variables``, or, when a term is over another
+    variable set, one ``+`` or ``-`` at a time, so constants adapt to the
+    other side as those operators adapt them."""
+    if len(items) == 1:
+        return items[0][0]
+    if all(p.vars == variables for p, _ in items):
+        return _sum(variables, items)
+    acc = items[0][0]
+    for p, sign in items[1:]:
+        acc = acc + p if sign > 0 else acc - p
+    return acc
 
 
 def _parse_term(stream, env, variables):
+    """term := factor ('*' factor)*"""
+    start = stream.i
+    folded = _fold_monomials(stream, env, variables)
+    if folded is not None:
+        return folded
+    stream.i = start
     factors = [_parse_unary(stream, env, variables)]
     while stream.accept("*"):
         factors.append(_parse_unary(stream, env, variables))
@@ -159,6 +205,95 @@ def _parse_term(stream, env, variables):
         # multiplied, as a power's is
         _require_product_size(factors)
     return reduce(mul, factors)
+
+
+def _fold_monomials(stream, env, variables):
+    """The term at the cursor when every factor is monomial, read into one
+    packed key, numerator and denominator; None when a factor is not (the
+    cursor is then left inside the term).  A factor is a rational literal or a name bound
+    to one packed term over ``variables``, with optional signs and a
+    nonnegative integer power.  As in a product of ``PolyExpr`` factors, a
+    zero factor ends the exponent tests, and the field top bits are tested
+    after each factor, so no exponent past MAX_EXPONENT carries into the
+    next field; that error is raised once the term is read."""
+    tokens = stream.tokens
+    i = stream.i
+    key, num, den = 0, 1, 1
+    guard = _LAYOUTS[len(variables)][1]
+    overflow = False
+    while True:
+        kind, text, _ = tokens[i]
+        while text == "-" or text == "+":
+            if text == "-":
+                num = -num
+            i += 1
+            kind, text, _ = tokens[i]
+        if kind == "number":
+            stream.i = i
+            k = 0
+            c, d = _literal(stream, text)
+        elif kind == "ident":
+            p = env.get(text)
+            if p is None:
+                raise stream.error_at(tokens[i], "unknown identifier", text)
+            if len(p._num) != 1 or not p._grade or p.vars != variables:
+                return None
+            (k, c), = p._num.items()
+            d = p._den
+        elif text == "(":
+            return None
+        else:
+            stream.i = i
+            stream.error("expected a polynomial atom")
+        i += 1
+        if tokens[i][1] == "^":
+            i += 1
+            stream.i = i
+            if tokens[i][0] == "number":        # a bare INT or INT/INT
+                n, e = _literal(stream, tokens[i][1])
+                i += 1
+            else:
+                n, e = _parse_exponent(stream).as_integer_ratio()
+                i = stream.i
+            if e != 1 or n < 0:
+                return None
+            # the checks and the value of PolyExpr.__pow__ on one term
+            if n > MAX_EXPONENT:
+                raise _over_limit(f"power {n}")
+            if n > 1 and k:
+                top = max(_LAYOUTS[len(variables)][0].unpack(
+                    k.to_bytes(2 * len(variables), "big")))
+                if n * top > MAX_EXPONENT:
+                    raise _over_limit(f"exponent {n * top} of the power")
+            k, c, d = k * n, c ** n, d ** n
+        if num and not overflow:
+            num *= c
+            den *= d
+            key += k
+            overflow = bool(num and key & guard)
+        if tokens[i][1] != "*":
+            break
+        i += 1
+    stream.i = i
+    if overflow:
+        raise _over_limit("an exponent of the product")
+    if not num:
+        return PolyExpr.zero(variables)
+    return _reduced(variables, {key: num}, den, True)
+
+
+def _literal(stream, text):
+    """(numerator, denominator) of the number token ``text`` at the cursor,
+    reduced; a refused literal raises ``_Stream.number``'s error."""
+    a, _, b = text.partition("/")
+    try:
+        a, b = int(a), int(b or 1)
+    except ValueError:
+        stream.number()
+    if not b:
+        stream.number()
+    g = gcd(a, b)
+    return a // g, b // g
 
 
 def _parse_unary(stream, env, variables):
@@ -207,17 +342,17 @@ def _poly_pow(base: PolyExpr, e: Fraction, stream) -> PolyExpr:
 
 def _parse_atom(stream, env, variables):
     t = stream.peek()
-    if t.kind == "number":
+    if t[0] == "number":
         return PolyExpr.const(variables, stream.number())
-    if t.kind == "ident":
+    if t[0] == "ident":
         stream.next()
-        if t.text not in env:
-            raise ModelSyntaxError("unknown identifier", t.line, t.column, t.text)
-        return env[t.text]
+        if t[1] not in env:
+            raise stream.error_at(t, "unknown identifier", t[1])
+        return env[t[1]]
     if stream.accept("("):
         if stream.depth == MAX_NESTING:
-            raise ModelSyntaxError(f"parentheses nested deeper than {MAX_NESTING}",
-                                   t.line, t.column, t.text)
+            raise stream.error_at(t, f"parentheses nested deeper than {MAX_NESTING}",
+                                  t[1])
         stream.depth += 1
         p = parse_poly_expr(stream, env, variables)
         stream.expect(")")
@@ -232,20 +367,19 @@ def parse_polynomial(text: str, variables, extra_env: dict | None = None) -> Pol
     env = {v: PolyExpr.var(v, variables) for v in variables}
     for k, v in (extra_env or {}).items():
         env[k] = v if isinstance(v, PolyExpr) else PolyExpr.const(variables, v)
-    stream = _Stream(tokenize(text))
+    stream = _Stream(text)
     p = parse_poly_expr(stream, env, variables)
     t = stream.peek()
-    if t.kind != "eof":
-        raise ModelSyntaxError("trailing input after expression",
-                               t.line, t.column, t.text)
+    if t[0] != "eof":
+        raise stream.error_at(t, "trailing input after expression", t[1])
     return p
 
 
 def parse_rational(text: str) -> Fraction:
     """Exactly one RATIONAL literal, as a ``param`` statement reads it."""
-    stream = _Stream(tokenize(text))
+    stream = _Stream(text)
     v = stream.rational()
-    if stream.peek().kind != "eof":
+    if stream.peek()[0] != "eof":
         stream.error("trailing input after a rational literal")
     return v
 
@@ -308,25 +442,25 @@ class ModelSpec:
 
 
 def parse_model(text: str, name: str = "model") -> ModelSpec:
-    stream = _Stream(tokenize(text))
+    stream = _Stream(text)
     spec = ModelSpec(name=name)
     env: dict[str, PolyExpr] = {}
     structure_seen = False
     pins = {}                       # expect key -> its statement token
 
     t = stream.peek()
-    if t.kind == "eof":
-        raise ModelSyntaxError("empty model", t.line, t.column)
+    if t[0] == "eof":
+        raise stream.error_at(t, "empty model")
 
-    while stream.peek().kind != "eof":
+    while stream.peek()[0] != "eof":
         t = stream.expect_kind("ident")
-        stmt = t.text
+        stmt = t[1]
         if stmt == "vars":
             if spec.vars:
-                raise ModelSyntaxError("vars declared twice", t.line, t.column)
+                raise stream.error_at(t, "vars declared twice")
             names = []
-            while stream.peek().kind == "ident":
-                names.append(stream.next().text)
+            while stream.peek()[0] == "ident":
+                names.append(stream.next()[1])
             if not names:
                 stream.error("vars needs at least one name")
             spec.vars = tuple(names)
@@ -334,23 +468,22 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
             stream.expect(";")
         elif stmt == "weights":
             ws = []
-            while stream.peek().kind == "number":
+            while stream.peek()[0] == "number":
                 ws.append(int(stream.number(integer=True)))
             if not ws:
                 stream.error("weights needs integers")
             spec.weights = tuple(ws)
             stream.expect(";")
         elif stmt == "param":
-            pname = stream.expect_kind("ident").text
+            pname = stream.expect_kind("ident")[1]
             stream.expect("=")
             spec.params[pname] = stream.rational()
             env[pname] = PolyExpr.const(spec.vars, spec.params[pname])
             stream.expect(";")
         elif stmt in ("let", "casimir"):
-            pname = stream.expect_kind("ident").text
+            pname = stream.expect_kind("ident")[1]
             if pname in env:
-                raise ModelSyntaxError(f"name {pname!r} already defined",
-                                       t.line, t.column)
+                raise stream.error_at(t, f"name {pname!r} already defined")
             stream.expect("=")
             p = parse_poly_expr(stream, env, spec.vars)
             stream.expect(";")
@@ -358,9 +491,9 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
             (spec.casimirs if stmt == "casimir" else spec.lets).append((pname, p))
         elif stmt == "structure":
             if structure_seen:
-                raise ModelSyntaxError("structure declared twice", t.line, t.column)
+                raise stream.error_at(t, "structure declared twice")
             structure_seen = True
-            kind = stream.expect_kind("ident").text
+            kind = stream.expect_kind("ident")[1]
             if kind == "jacobian":
                 spec.structure_kind = "jacobian"
                 if stream.accept("lambda"):
@@ -370,9 +503,9 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
                 stream.expect("{")
                 while not stream.accept("}"):
                     stream.expect("{")
-                    a = stream.expect_kind("ident").text
+                    a = stream.expect_kind("ident")[1]
                     stream.expect(",")
-                    b = stream.expect_kind("ident").text
+                    b = stream.expect_kind("ident")[1]
                     stream.expect("}")
                     stream.expect("=")
                     p = parse_poly_expr(stream, env, spec.vars)
@@ -411,8 +544,8 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
             value = _parse_literal(stream)
             if _projection(cname, value) is None:
                 kinds = "/".join(CHECKS[cname].expect)
-                raise ModelSyntaxError(f"expect {cname} takes {kinds} literals",
-                                       lit.line, lit.column, lit.text)
+                raise stream.error_at(lit, f"expect {cname} takes {kinds} literals",
+                                      lit[1])
             key = _key(cname, carg)
             spec.expects[key] = value
             pins[key] = t
@@ -430,13 +563,13 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
             t_end = _parse_float(stream)
             monitors = []
             if stream.accept("monitor"):
-                while stream.peek().kind == "ident":
-                    monitors.append(stream.next().text)
+                while stream.peek()[0] == "ident":
+                    monitors.append(stream.next()[1])
             stream.expect(";")
             spec.integrate = IntegrateRequest(tuple(x0), step, t_end,
                                               tuple(monitors))
         else:
-            raise ModelSyntaxError("unknown statement", t.line, t.column, stmt)
+            raise stream.error_at(t, "unknown statement", stmt)
 
     if not spec.vars:
         raise ModelSyntaxError("model declares no variables", 1, 1)
@@ -445,8 +578,8 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
     requested = {_key(*c) for c in spec.checks}
     for key, t in pins.items():
         if key not in requested:
-            raise ModelSyntaxError(f"expect {key} pins a check no check "
-                                   "statement requests", t.line, t.column, key)
+            raise stream.error_at(t, f"expect {key} pins a check no check "
+                                  "statement requests", key)
     if spec.integrate:
         for mname in spec.integrate.monitors:
             if spec.named_poly(mname) is None:
@@ -458,32 +591,32 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
 
 def _parse_checkname(stream):
     t = stream.expect_kind("ident")
-    name = t.text
+    name = t[1]
     if name not in CHECKS:
-        raise ModelSyntaxError("unknown check", t.line, t.column, name)
+        raise stream.error_at(t, "unknown check", name)
     kind = CHECKS[name].arg
     if kind is None:
         return (name, None)
     stream.expect("(")
     if kind == "ident":
-        arg = stream.expect_kind("ident").text
+        arg = stream.expect_kind("ident")[1]
     else:
         a = stream.expect_kind("number")
-        if not (a.text.isdigit() and int(a.text) <= FI_MAX):
-            raise ModelSyntaxError(f"{name} takes an integer from 0 to {FI_MAX}",
-                                   a.line, a.column, a.text)
-        arg = int(a.text)
+        if not (a[1].isdigit() and int(a[1]) <= FI_MAX):
+            raise stream.error_at(a, f"{name} takes an integer from 0 to {FI_MAX}",
+                                  a[1])
+        arg = int(a[1])
     stream.expect(")")
     return (name, arg)
 
 
 def _parse_literal(stream):
     t = stream.peek()
-    if t.kind == "ident" and t.text in ("true", "false"):
+    if t[0] == "ident" and t[1] in ("true", "false"):
         stream.next()
-        return t.text == "true"
+        return t[1] == "true"
     neg = bool(stream.accept("-"))
-    if stream.peek().kind == "number":
+    if stream.peek()[0] == "number":
         v = stream.number()
         v = -v if neg else v
         return int(v) if v.denominator == 1 else v
@@ -493,14 +626,14 @@ def _parse_literal(stream):
 def _parse_float(stream):
     neg = bool(stream.accept("-"))
     t = stream.peek()
-    if t.kind == "float":
-        v = float(stream.next().text)
-    elif t.kind == "number":
+    if t[0] == "float":
+        v = float(stream.next()[1])
+    elif t[0] == "number":
         try:
             v = float(stream.number())
         except OverflowError:
-            raise ModelSyntaxError("numeric literal out of float range",
-                                   t.line, t.column, t.text) from None
+            raise stream.error_at(t, "numeric literal out of float range",
+                                  t[1]) from None
     else:
         stream.error("expected a numeric literal")
     return -v if neg else v
@@ -553,16 +686,17 @@ def model_spec_from_built(bm) -> ModelSpec:
 
 def parse_map_file(text: str, old_vars) -> MonomialMap:
     """``map IDENT = scaled-monomial ;`` lines over the old variables."""
-    stream = _Stream(tokenize(text))
-    env = {v: PolyExpr.var(v, tuple(old_vars)) for v in old_vars}
+    stream = _Stream(text)
+    old_vars = tuple(old_vars)
+    env = {v: PolyExpr.var(v, old_vars) for v in old_vars}
     assignments = []
-    while stream.peek().kind != "eof":
+    while stream.peek()[0] != "eof":
         stream.expect("map")
-        name = stream.expect_kind("ident").text
+        name = stream.expect_kind("ident")[1]
         stream.expect("=")
-        p = parse_poly_expr(stream, env, tuple(old_vars))
+        p = parse_poly_expr(stream, env, old_vars)
         stream.expect(";")
         assignments.append((name, p))
     if not assignments:
         raise ModelSyntaxError("empty map file", 1, 1)
-    return MonomialMap.from_monomials(tuple(old_vars), assignments)
+    return MonomialMap.from_monomials(old_vars, assignments)

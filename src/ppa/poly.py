@@ -88,6 +88,14 @@ _FIELD_MASK = (1 << FIELD_BITS) - 1
 # bounded work.
 MAX_TERMS = 10 ** 6
 
+# The most term pairs one product may multiply: ``_product`` (behind ``*``
+# and the squarings of ``**``) and ``_sum_of_products``, for each of its
+# pairs, refuse with ``DomainError`` before they multiply more.  MAX_TERMS
+# bounds sizes, this bounds work: about half a second at the limit.  The
+# largest product of the catalog checks, the synthetic n = 3..8 checks and
+# the benchmark workloads multiplies 30770 pairs (170 x 181 terms, n = 8).
+MAX_TERM_PAIRS = 10 ** 6
+
 # The most bits a rational power may be predicted to have: ``_rational_pow``
 # refuses with ``DomainError`` before it computes a larger one (about 0.2 s
 # of big-integer work at the limit).  A limit, so that hostile input stays
@@ -249,7 +257,7 @@ class PolyExpr:
         a, b = self._align(other)
         if a is None:
             return NotImplemented
-        return _sum(a, b, 1)
+        return _sum(a.vars, ((a, 1), (b, 1)))
 
     __radd__ = __add__
 
@@ -260,7 +268,7 @@ class PolyExpr:
         a, b = self._align(other)
         if a is None:
             return NotImplemented
-        return _sum(a, b, -1)
+        return _sum(a.vars, ((a, 1), (b, -1)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -578,27 +586,70 @@ def _over_common_den(frac: dict):
     return {m: c.numerator * (den // c.denominator) for m, c in frac.items()}, den
 
 
-def _sum(a: PolyExpr, b: PolyExpr, sign: int) -> PolyExpr:
-    """a + sign*b over one variable set.  b's terms are added in order to a
-    copy of a's: a sum that cancels removes its key, so a later term with
-    that monomial is appended at the end."""
-    if not b._num:                  # zero is packed: skip unpacking it
-        return a
-    if not a._num:
-        return b if sign == 1 else -b
-    den = lcm(a._den, b._den)
-    fa, fb = den // a._den, sign * (den // b._den)
-    grade = a._grade and b._grade
-    na, nb = (a._num, b._num) if grade else (_tuple_num(a), _tuple_num(b))
-    terms = dict(na) if fa == 1 else {m: c * fa for m, c in na.items()}
+def _sum(variables, items) -> PolyExpr:
+    """The sum of sign * value over ``items``, (value, sign) pairs with every
+    value over ``variables`` and sign +1 or -1, in one pass over one common
+    denominator.  Each value's terms are added in order to one dict, the
+    first value's copied: a sum that cancels removes its key, so a later
+    term with that monomial is appended at the end.  Values, term order and
+    errors are those of adding the values one at a time, which packs each
+    Laurent/Puiseux partial sum that is left polynomial-grade: one left
+    with an exponent past MAX_EXPONENT raises here too."""
+    live, den, grade = [], 1, True
+    for v, s in items:
+        if v._num:                  # zero is packed: skip it
+            live.append((v, s))
+            if v._den != den:
+                den = lcm(den, v._den)
+            grade = grade and v._grade
+    if len(live) < 2:
+        if not live:
+            return PolyExpr.zero(variables)
+        v, s = live[0]
+        return v if s == 1 else -v
+    rest = iter(live)
+    v, s = next(rest)
+    f = s * (den // v._den)
+    first = v._num if grade else _tuple_num(v)
+    terms = dict(first) if f == 1 else {m: c * f for m, c in first.items()}
     get = terms.get
-    for m, c in nb.items():
-        s = get(m, 0) + c * fb
-        if s:
-            terms[m] = s
-        else:
-            del terms[m]
-    return _reduced(a.vars, terms, den, grade)
+    if grade:
+        for v, s in rest:
+            f = s * (den // v._den)
+            for m, c in v._num.items():
+                t = get(m, 0) + c * f
+                if t:
+                    terms[m] = t
+                else:
+                    del terms[m]
+        return _reduced(variables, terms, den, True)
+    # kinds[k]: the keys of ``terms`` of kind k (see _key_kind)
+    kinds = [0, 0, 0]
+    for m in terms:
+        kinds[_key_kind(m)] += 1
+    for v, s in rest:
+        f = s * (den // v._den)
+        for m, c in _tuple_num(v).items():
+            old = get(m)
+            t = (old or 0) + c * f
+            if t:
+                if old is None:
+                    kinds[_key_kind(m)] += 1
+                terms[m] = t
+            else:
+                del terms[m]
+                kinds[_key_kind(m)] -= 1
+        if kinds[2] and not kinds[1]:
+            _packed(terms, len(variables))      # raises
+    return _reduced(variables, terms, den, False)
+
+
+def _key_kind(m) -> int:
+    """0 for a polynomial-grade exponent tuple within MAX_EXPONENT, 1 for
+    one off the grade, 2 for a polynomial-grade one past MAX_EXPONENT."""
+    if not _is_grade((m,)):
+        return 1
+    return 2 if max(m, default=0) > MAX_EXPONENT else 0
 
 
 def _accumulate(out: dict, left, right) -> None:
@@ -618,7 +669,8 @@ def _accumulate(out: dict, left, right) -> None:
 
 def _product(a: PolyExpr, b: PolyExpr) -> PolyExpr:
     """a * b over one variable set, with no term budget (``__pow__`` has
-    bounded its whole result before it multiplies)."""
+    bounded its whole result before it multiplies) but the term-pair one."""
+    _require_term_pairs(a, b)
     out: dict = {}
     if a._grade and b._grade:
         _accumulate(out, a._num.items(), list(b._num.items()))
@@ -656,12 +708,22 @@ def _sum_of_products(variables, pairs) -> PolyExpr:
     for a, b in pairs:
         if len(a._num) * len(b._num) > MAX_TERMS:
             _require_product_size((a, b))
+        _require_term_pairs(a, b)
         f = den // (a._den * b._den)
         _accumulate(out, a._num.items(), list(b._num.items()) if f == 1
                     else [(m, c * f) for m, c in b._num.items()])
     if out and reduce(or_, out) & _LAYOUTS[len(variables)][1]:
         raise _over_limit("an exponent of the product")
     return _reduced(tuple(variables), out, den, True)
+
+
+def _require_term_pairs(a: PolyExpr, b: PolyExpr) -> None:
+    """Refuse with ``DomainError`` a product of a and b that would multiply
+    more than MAX_TERM_PAIRS term pairs."""
+    if len(a._num) * len(b._num) > MAX_TERM_PAIRS:
+        raise DomainError(f"a product of polynomials with {len(a._num)} x "
+                          f"{len(b._num)} terms multiplies more than "
+                          f"MAX_TERM_PAIRS = {MAX_TERM_PAIRS} term pairs")
 
 
 def _require_product_size(factors) -> None:

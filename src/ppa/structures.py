@@ -75,16 +75,32 @@ class PoissonStructure:
 
     @classmethod
     def from_table(cls, variables, entries: dict) -> "PoissonStructure":
-        """Build from {(i, j): PolyExpr} with 0-based i < j; rest is zero."""
+        """Build from {(i, j): PolyExpr} with 0-based i < j; rest is zero.
+        The table is antisymmetric by construction, so of ``__init__``'s
+        checks only the diagonal, grade and variable-set ones run, in its
+        order; an index outside the variables is refused, and the rest of
+        the matrix is one shared zero."""
         variables = tuple(variables)
         n = len(variables)
-        matrix = [[None] * n for _ in range(n)]
+        zero = PolyExpr.zero(variables)
+        matrix = [[zero] * n for _ in range(n)]
         for (i, j), p in entries.items():
             if i == j:
                 raise DomainError("diagonal table entry")
+            if not (0 <= i < n and 0 <= j < n):
+                raise DomainError(f"table entry ({i},{j}) outside {n} variables")
             matrix[i][j] = p
             matrix[j][i] = -p
-        return cls(variables, matrix)
+        for i, row in enumerate(matrix):
+            for j in range(i + 1, n):
+                p = row[j]
+                if p is zero:
+                    continue
+                p.require_polynomial_grade(f"bracket entry ({i},{j})")
+                if p.vars != variables:
+                    row[j] = p = p.with_vars(variables)
+                    matrix[j][i] = -p
+        return cls._trusted(variables, matrix)
 
     @cached_property
     def _rank2(self) -> tuple[bool, Optional[tuple[int, int]]]:

@@ -4,16 +4,29 @@
 ``duality_check_by_wedges`` is theorem31 computed from it and from the
 volume dual of the wedged Casimir differentials, as the library computed
 it before it took the wedge side from principal Pfaffians.
+
+``tokenize``, ``parse_model``, ``parse_polynomial`` and ``parse_map_file``
+are the model DSL front end as it was before it scanned its input in one
+pass and folded monomial terms (see the section at the end).
 """
 
 import math
+import re
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Optional
 
+from ppa.dsl import IntegrateRequest, ModelSpec
 from ppa.duality import DualityReport
-from ppa.errors import ArityError, DegenerateCasimirError, DomainError, ParityError
+from ppa.errors import (ArityError, DegenerateCasimirError, DomainError,
+                        ModelSyntaxError, ParityError)
 from ppa.exterior import (PolyForm, PolyMultivector, differential, indices_of,
                           shuffle_signature, wedge, wedge_all)
-from ppa.poly import PolyExpr
+from ppa.poly import (MAX_EXPONENT, MonomialMap, PolyExpr, _rational_pow,
+                      _require_product_size)
+from ppa.runner import CHECKS, FI_MAX, _key, _projection
 from ppa.structures import is_casimir
 
 
@@ -88,3 +101,451 @@ def duality_check_by_wedges(ps, casimirs) -> DualityReport:
         _sources=(ps.matrix, dual_side,
                   sorted(set(wedge_side.coeffs) | set(dual_side.coeffs))),
     )
+
+
+# ---------------- the model DSL front end, token by token ----------------
+#
+# A verbatim copy of the DSL front end as it was before the one-scan
+# scanner and the folded monomial terms: ``Token`` dataclasses, a
+# ``_Stream`` of them, and a recursive descent that builds a ``PolyExpr``
+# per factor and sums a term at a time.  ``tests/test_dsl_front_end.py``
+# compares ``ppa.dsl`` with it, field by field and error by error.
+
+_TOKEN_RE = re.compile(r"""
+    (?P<ws>[ \t\r\n]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<float>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
+  | (?P<number>\d+(?:/\d+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<punct>[;,{}()=^*+\-])
+""", re.VERBOSE)
+
+# Python refuses int strings past 4300 digits; below that, parsing stays fast.
+MAX_LITERAL_CHARS = 4000
+# Each level of parentheses takes five parser frames, far below Python's
+# recursion limit at this depth.
+MAX_NESTING = 50
+
+
+@dataclass
+class Token:
+    kind: str      # float | number | ident | punct | eof
+    text: str
+    line: int
+    column: int
+
+
+def tokenize(text: str) -> list[Token]:
+    tokens = []
+    pos, line, line_start = 0, 1, 0       # only whitespace spans lines
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise ModelSyntaxError("unexpected character", line,
+                                   pos - line_start + 1, text[pos])
+        kind = m.lastgroup
+        if kind == "ws":
+            newline = m.group().rfind("\n")
+            if newline >= 0:
+                line += m.group().count("\n")
+                line_start = pos + newline + 1
+        elif kind != "comment":
+            chunk = m.group()
+            col = pos - line_start + 1
+            if kind in ("number", "float") and len(chunk) > MAX_LITERAL_CHARS:
+                raise ModelSyntaxError(
+                    f"numeric literal longer than {MAX_LITERAL_CHARS} characters",
+                    line, col, chunk)
+            tokens.append(Token(kind, chunk, line, col))
+        pos = m.end()
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
+    return tokens
+
+
+class _Stream:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+        self.depth = 0          # open parentheses in the current expression
+
+    def peek(self) -> Token:
+        return self.tokens[self.i]
+
+    def next(self) -> Token:
+        t = self.tokens[self.i]
+        if t.kind != "eof":
+            self.i += 1
+        return t
+
+    def accept(self, text: str) -> Optional[Token]:
+        t = self.peek()
+        if t.kind in ("punct", "ident") and t.text == text:
+            return self.next()
+        return None
+
+    def expect(self, text: str) -> Token:
+        t = self.peek()
+        if (t.kind in ("punct", "ident")) and t.text == text:
+            return self.next()
+        raise ModelSyntaxError(f"expected {text!r}", t.line, t.column, t.text)
+
+    def expect_kind(self, kind: str) -> Token:
+        t = self.peek()
+        if t.kind != kind:
+            raise ModelSyntaxError(f"expected {kind}", t.line, t.column, t.text)
+        return self.next()
+
+    def error(self, msg: str):
+        t = self.peek()
+        raise ModelSyntaxError(msg, t.line, t.column, t.text)
+
+    def number(self, integer: bool = False) -> Fraction:
+        """The next token as an exact rational (an integer if asked)."""
+        t = self.expect_kind("number")
+        try:
+            v = Fraction(t.text)
+        except ZeroDivisionError:
+            raise ModelSyntaxError("zero denominator", t.line, t.column, t.text) from None
+        except ValueError:      # PYTHONINTMAXSTRDIGITS set below MAX_LITERAL_CHARS
+            raise ModelSyntaxError("numeric literal too long", t.line, t.column,
+                                   t.text) from None
+        if integer and v.denominator != 1:
+            raise ModelSyntaxError("expected an integer", t.line, t.column, t.text)
+        return v
+
+    def rational(self) -> Fraction:
+        """RATIONAL: an optional '-', then INT or INT/INT."""
+        neg = bool(self.accept("-"))
+        v = self.number()
+        return -v if neg else v
+
+
+# ---------------- polynomial expressions ----------------
+
+def parse_poly_expr(stream: _Stream, env: dict, variables) -> PolyExpr:
+    """expr := term (('+'|'-') term)*"""
+    acc = _parse_term(stream, env, variables)
+    while True:
+        if stream.accept("+"):
+            acc = acc + _parse_term(stream, env, variables)
+        elif stream.accept("-"):
+            acc = acc - _parse_term(stream, env, variables)
+        else:
+            return acc
+
+
+def _parse_term(stream, env, variables):
+    factors = [_parse_unary(stream, env, variables)]
+    while stream.accept("*"):
+        factors.append(_parse_unary(stream, env, variables))
+    if len(factors) > 1:
+        # the size of the whole product is bounded before anything is
+        # multiplied, as a power's is
+        _require_product_size(factors)
+    return reduce(mul, factors)
+
+
+def _parse_unary(stream, env, variables):
+    sign = 1
+    while True:
+        if stream.accept("-"):
+            sign = -sign
+        elif stream.accept("+"):
+            pass
+        else:
+            break
+    p = _parse_power(stream, env, variables)
+    return p if sign > 0 else -p
+
+
+def _parse_power(stream, env, variables):
+    base = _parse_atom(stream, env, variables)
+    if stream.accept("^"):
+        e = _parse_exponent(stream)
+        return _poly_pow(base, e, stream)
+    return base
+
+
+def _parse_exponent(stream):
+    paren = stream.accept("(")
+    v = stream.rational()
+    if paren:
+        stream.expect(")")
+    return v
+
+
+def _poly_pow(base: PolyExpr, e: Fraction, stream) -> PolyExpr:
+    if e.denominator == 1 and e >= 0:
+        return base ** int(e)           # PolyExpr.__pow__ bounds e
+    if max(abs(e.numerator), e.denominator) > MAX_EXPONENT:
+        raise DomainError(f"exponent {e}: numerator and denominator must be at "
+                          f"most MAX_EXPONENT = {MAX_EXPONENT}")
+    if base.is_monomial():
+        (mono, coef), = base.terms.items()
+        # an integral power of a negative coefficient stays rational
+        ce = int(e) if e.denominator == 1 else e
+        return PolyExpr(base.vars, {tuple(Fraction(x) * e for x in mono):
+                                    _rational_pow(coef, ce)})
+    stream.error("fractional or negative powers apply only to monomials")
+
+
+def _parse_atom(stream, env, variables):
+    t = stream.peek()
+    if t.kind == "number":
+        return PolyExpr.const(variables, stream.number())
+    if t.kind == "ident":
+        stream.next()
+        if t.text not in env:
+            raise ModelSyntaxError("unknown identifier", t.line, t.column, t.text)
+        return env[t.text]
+    if stream.accept("("):
+        if stream.depth == MAX_NESTING:
+            raise ModelSyntaxError(f"parentheses nested deeper than {MAX_NESTING}",
+                                   t.line, t.column, t.text)
+        stream.depth += 1
+        p = parse_poly_expr(stream, env, variables)
+        stream.expect(")")
+        stream.depth -= 1
+        return p
+    stream.error("expected a polynomial atom")
+
+
+def parse_polynomial(text: str, variables, extra_env: dict | None = None) -> PolyExpr:
+    """Standalone expression parser over a fixed variable tuple."""
+    variables = tuple(variables)
+    env = {v: PolyExpr.var(v, variables) for v in variables}
+    for k, v in (extra_env or {}).items():
+        env[k] = v if isinstance(v, PolyExpr) else PolyExpr.const(variables, v)
+    stream = _Stream(tokenize(text))
+    p = parse_poly_expr(stream, env, variables)
+    t = stream.peek()
+    if t.kind != "eof":
+        raise ModelSyntaxError("trailing input after expression",
+                               t.line, t.column, t.text)
+    return p
+
+
+def parse_rational(text: str) -> Fraction:
+    """Exactly one RATIONAL literal, as a ``param`` statement reads it."""
+    stream = _Stream(tokenize(text))
+    v = stream.rational()
+    if stream.peek().kind != "eof":
+        stream.error("trailing input after a rational literal")
+    return v
+
+
+
+def parse_model(text: str, name: str = "model") -> ModelSpec:
+    stream = _Stream(tokenize(text))
+    spec = ModelSpec(name=name)
+    env: dict[str, PolyExpr] = {}
+    structure_seen = False
+    pins = {}                       # expect key -> its statement token
+
+    t = stream.peek()
+    if t.kind == "eof":
+        raise ModelSyntaxError("empty model", t.line, t.column)
+
+    while stream.peek().kind != "eof":
+        t = stream.expect_kind("ident")
+        stmt = t.text
+        if stmt == "vars":
+            if spec.vars:
+                raise ModelSyntaxError("vars declared twice", t.line, t.column)
+            names = []
+            while stream.peek().kind == "ident":
+                names.append(stream.next().text)
+            if not names:
+                stream.error("vars needs at least one name")
+            spec.vars = tuple(names)
+            env.update({v: PolyExpr.var(v, spec.vars) for v in spec.vars})
+            stream.expect(";")
+        elif stmt == "weights":
+            ws = []
+            while stream.peek().kind == "number":
+                ws.append(int(stream.number(integer=True)))
+            if not ws:
+                stream.error("weights needs integers")
+            spec.weights = tuple(ws)
+            stream.expect(";")
+        elif stmt == "param":
+            pname = stream.expect_kind("ident").text
+            stream.expect("=")
+            spec.params[pname] = stream.rational()
+            env[pname] = PolyExpr.const(spec.vars, spec.params[pname])
+            stream.expect(";")
+        elif stmt in ("let", "casimir"):
+            pname = stream.expect_kind("ident").text
+            if pname in env:
+                raise ModelSyntaxError(f"name {pname!r} already defined",
+                                       t.line, t.column)
+            stream.expect("=")
+            p = parse_poly_expr(stream, env, spec.vars)
+            stream.expect(";")
+            env[pname] = p
+            (spec.casimirs if stmt == "casimir" else spec.lets).append((pname, p))
+        elif stmt == "structure":
+            if structure_seen:
+                raise ModelSyntaxError("structure declared twice", t.line, t.column)
+            structure_seen = True
+            kind = stream.expect_kind("ident").text
+            if kind == "jacobian":
+                spec.structure_kind = "jacobian"
+                if stream.accept("lambda"):
+                    spec.multiplier = parse_poly_expr(stream, env, spec.vars)
+            elif kind == "table":
+                spec.structure_kind = "table"
+                stream.expect("{")
+                while not stream.accept("}"):
+                    stream.expect("{")
+                    a = stream.expect_kind("ident").text
+                    stream.expect(",")
+                    b = stream.expect_kind("ident").text
+                    stream.expect("}")
+                    stream.expect("=")
+                    p = parse_poly_expr(stream, env, spec.vars)
+                    stream.expect(";")
+                    if a not in spec.vars or b not in spec.vars:
+                        stream.error(f"table pair ({a},{b}) uses unknown variables")
+                    i, j = spec.vars.index(a), spec.vars.index(b)
+                    if i == j:
+                        stream.error("diagonal table entry")
+                    key = (i, j) if i < j else (j, i)
+                    if key in spec.table:
+                        stream.error(f"duplicate table entry for ({a},{b})")
+                    spec.table[key] = p if i < j else -p
+            elif kind == "nambu":
+                spec.structure_kind = "nambu"
+                spec.nambu_arity = int(stream.number(integer=True))
+                if stream.accept("lambda"):
+                    spec.multiplier = parse_poly_expr(stream, env, spec.vars)
+            else:
+                stream.error("structure must be jacobian, table, or nambu")
+            stream.expect(";")
+        elif stmt == "hamiltonian":
+            spec.hamiltonians.append(parse_poly_expr(stream, env, spec.vars))
+            while stream.accept(","):
+                spec.hamiltonians.append(parse_poly_expr(stream, env, spec.vars))
+            stream.expect(";")
+        elif stmt == "check":
+            spec.checks.append(_parse_checkname(stream))
+            while stream.accept(","):
+                spec.checks.append(_parse_checkname(stream))
+            stream.expect(";")
+        elif stmt == "expect":
+            cname, carg = _parse_checkname(stream)
+            stream.expect("=")
+            lit = stream.peek()
+            value = _parse_literal(stream)
+            if _projection(cname, value) is None:
+                kinds = "/".join(CHECKS[cname].expect)
+                raise ModelSyntaxError(f"expect {cname} takes {kinds} literals",
+                                       lit.line, lit.column, lit.text)
+            key = _key(cname, carg)
+            spec.expects[key] = value
+            pins[key] = t
+            stream.expect(";")
+        elif stmt == "integrate":
+            stream.expect("from")
+            stream.expect("(")
+            x0 = [_parse_float(stream)]
+            while stream.accept(","):
+                x0.append(_parse_float(stream))
+            stream.expect(")")
+            stream.expect("step")
+            step = _parse_float(stream)
+            stream.expect("until")
+            t_end = _parse_float(stream)
+            monitors = []
+            if stream.accept("monitor"):
+                while stream.peek().kind == "ident":
+                    monitors.append(stream.next().text)
+            stream.expect(";")
+            spec.integrate = IntegrateRequest(tuple(x0), step, t_end,
+                                              tuple(monitors))
+        else:
+            raise ModelSyntaxError("unknown statement", t.line, t.column, stmt)
+
+    if not spec.vars:
+        raise ModelSyntaxError("model declares no variables", 1, 1)
+    if not structure_seen:
+        raise ModelSyntaxError("model declares no structure", 1, 1)
+    requested = {_key(*c) for c in spec.checks}
+    for key, t in pins.items():
+        if key not in requested:
+            raise ModelSyntaxError(f"expect {key} pins a check no check "
+                                   "statement requests", t.line, t.column, key)
+    if spec.integrate:
+        for mname in spec.integrate.monitors:
+            if spec.named_poly(mname) is None:
+                raise ModelSyntaxError(f"unknown monitor {mname!r}", 1, 1)
+        if len(spec.integrate.x0) != len(spec.vars):
+            raise ModelSyntaxError("integrate point dimension mismatch", 1, 1)
+    return spec
+
+
+def _parse_checkname(stream):
+    t = stream.expect_kind("ident")
+    name = t.text
+    if name not in CHECKS:
+        raise ModelSyntaxError("unknown check", t.line, t.column, name)
+    kind = CHECKS[name].arg
+    if kind is None:
+        return (name, None)
+    stream.expect("(")
+    if kind == "ident":
+        arg = stream.expect_kind("ident").text
+    else:
+        a = stream.expect_kind("number")
+        if not (a.text.isdigit() and int(a.text) <= FI_MAX):
+            raise ModelSyntaxError(f"{name} takes an integer from 0 to {FI_MAX}",
+                                   a.line, a.column, a.text)
+        arg = int(a.text)
+    stream.expect(")")
+    return (name, arg)
+
+
+def _parse_literal(stream):
+    t = stream.peek()
+    if t.kind == "ident" and t.text in ("true", "false"):
+        stream.next()
+        return t.text == "true"
+    neg = bool(stream.accept("-"))
+    if stream.peek().kind == "number":
+        v = stream.number()
+        v = -v if neg else v
+        return int(v) if v.denominator == 1 else v
+    stream.error("expected true, false, or a rational literal")
+
+
+def _parse_float(stream):
+    neg = bool(stream.accept("-"))
+    t = stream.peek()
+    if t.kind == "float":
+        v = float(stream.next().text)
+    elif t.kind == "number":
+        try:
+            v = float(stream.number())
+        except OverflowError:
+            raise ModelSyntaxError("numeric literal out of float range",
+                                   t.line, t.column, t.text) from None
+    else:
+        stream.error("expected a numeric literal")
+    return -v if neg else v
+
+
+def parse_map_file(text: str, old_vars) -> MonomialMap:
+    """``map IDENT = scaled-monomial ;`` lines over the old variables."""
+    stream = _Stream(tokenize(text))
+    env = {v: PolyExpr.var(v, tuple(old_vars)) for v in old_vars}
+    assignments = []
+    while stream.peek().kind != "eof":
+        stream.expect("map")
+        name = stream.expect_kind("ident").text
+        stream.expect("=")
+        p = parse_poly_expr(stream, env, tuple(old_vars))
+        stream.expect(";")
+        assignments.append((name, p))
+    if not assignments:
+        raise ModelSyntaxError("empty map file", 1, 1)
+    return MonomialMap.from_monomials(tuple(old_vars), assignments)

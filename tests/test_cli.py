@@ -375,3 +375,27 @@ def test_bdu_relation_skipped_without_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "bdu_relation: skipped" in out
     assert "no bracket table supplied" in out
+
+
+@pytest.mark.parametrize("lines,message", [
+    (["let a = (x1+x2+x3+x4+x5+x6)^12;", "let b = a*a;"],
+     "error: a product of polynomials with 6188 x 6188 terms multiplies more "
+     "than MAX_TERM_PAIRS = 1000000 term pairs\n"),
+    (["casimir P = (x1+x2+x3+x4+x5+x6)^24;"],
+     "error: a product of polynomials with 1287 x 1287 terms multiplies more "
+     "than MAX_TERM_PAIRS = 1000000 term pairs\n"),
+    (["casimir P = x2^30000*x2^30000*x2^30000;"],
+     "error: an exponent of the product exceeds MAX_EXPONENT = 32767\n"),
+    (["casimir P = x1*x2^32767*x2;"],
+     "error: an exponent of the product exceeds MAX_EXPONENT = 32767\n"),
+])
+def test_product_work_and_carries_exit_two(tmp_path, lines, message):
+    # each used to take about 21 s (the first two) or would carry an
+    # exponent into the next variable's field if tested once per term
+    f = tmp_path / "m.ppa"
+    f.write_text("\n".join(["vars x1 x2 x3 x4 x5 x6;"] + lines
+                           + ["structure jacobian;", "check casimirs;"]) + "\n")
+    start = time.perf_counter()
+    code, out, err = run_cli_captured("check", str(f))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", message)

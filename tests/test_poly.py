@@ -756,3 +756,28 @@ def test_term_limit_in_products(monkeypatch):
     z = PolyExpr(V3, {(F(1, 2), 0, 0): 1, (0, F(1, 2), 0): 1, (0, 0, -1): 1})
     with pytest.raises(DomainError):
         z * (s * s)
+
+
+def test_term_pair_limit(monkeypatch):
+    # (y0+...+y5)^24 has 593,775 terms, within MAX_TERMS, but its squaring
+    # of the 16th power takes 1287^2 pairs: refused before it multiplies
+    y = PolyExpr.gens([f"y{i}" for i in range(6)])
+    s = sum(y[1:], y[0])
+    with pytest.raises(DomainError, match="1287 x 1287 terms multiplies more than "
+                                          "MAX_TERM_PAIRS = 1000000 term pairs"):
+        s ** 24                   # the squaring of the 16th power
+    x1, x2, x3 = gens3()
+    t = x1 + x2 + x3
+    monkeypatch.setattr(poly, "MAX_TERM_PAIRS", 9)
+    assert (t * t).term_count == 6
+    with pytest.raises(DomainError, match="3 x 6 terms"):
+        t * t ** 2
+    with pytest.raises(DomainError, match="MAX_TERM_PAIRS = 9"):
+        t ** 4                    # squares the 6-term square
+    assert poly._sum_of_products(V3, [(t, t), (x1, t ** 2)]) == t * t + x1 * t ** 2
+    with pytest.raises(DomainError, match="3 x 6 terms"):
+        poly._sum_of_products(V3, [(t, t), (t ** 2, t)])
+    # a Laurent product has the same budget
+    z = PolyExpr(V3, {(F(1, 2), 0, 0): 1, (0, F(1, 2), 0): 1, (0, 0, -1): 1, (1, 0, 0): 1})
+    with pytest.raises(DomainError, match="4 x 3 terms"):
+        z * t

@@ -287,3 +287,47 @@ def test_catalog_jacobian_casimirs_are_central():
         m = catalog.build(name)
         for _, q in m.casimirs:
             assert is_casimir(m.structure, q), name
+
+
+# ---------------- trusted tables ----------------
+
+def full_matrix(variables, entries):
+    n = len(variables)
+    matrix = [[None] * n for _ in range(n)]
+    for (i, j), p in entries.items():
+        matrix[i][j], matrix[j][i] = p, -p
+    return matrix
+
+
+def outcome(build):
+    try:
+        ps = build()
+        return ps.vars, ps.matrix
+    except Exception as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("entries", [
+    {},
+    {(0, 1): "x1", (1, 2): "x1*x2 - 3", (0, 2): "-x2^2"},
+    {(2, 1): "x3", (0, 1): "1/2"},
+    {(0, 1): "0", (1, 2): "x1"},
+    {(0, 2): "x1^(1/2)", (0, 1): "x2^(-1)"},      # the first in row order fails
+    {(1, 2): "x1^(1/2)", (0, 2): "y"},            # the wrong variables come first
+    {(0, 1): "c"},                                # a constant over no variables
+])
+def test_from_table_matches_the_checked_constructor(entries):
+    from ppa.dsl import parse_polynomial
+    env = {"y": PolyExpr.var("y", ("x1", "x2", "x3", "y")), "c": PolyExpr.const((), 3)}
+    table = {ij: parse_polynomial(text, V3, env) for ij, text in entries.items()}
+    assert outcome(lambda: PoissonStructure.from_table(V3, table)) == \
+        outcome(lambda: PoissonStructure(V3, full_matrix(V3, table)))
+
+
+def test_from_table_refuses_the_diagonal_and_foreign_indices():
+    x1 = PolyExpr.var("x1", V3)
+    with pytest.raises(DomainError, match="diagonal table entry"):
+        PoissonStructure.from_table(V3, {(1, 1): x1})
+    for ij in ((0, 3), (-1, 0)):
+        with pytest.raises(DomainError, match="outside 3 variables"):
+            PoissonStructure.from_table(V3, {ij: x1})
