@@ -35,7 +35,8 @@ from typing import Optional
 
 from .errors import ArityError, DomainError, ModelSyntaxError
 from .poly import (_LAYOUTS, MAX_EXPONENT, MonomialMap, PolyExpr, _over_limit,
-                   _rational_pow, _reduced, _require_product_size, _sum)
+                   _rational_pow, _reduced, _require_power_bits, _require_product_size,
+                   _sum)
 from .runner import CHECKS, FI_MAX, _key, _literal_text, _projection
 from .structures import NambuStructure, PoissonStructure, jacobian_structure
 
@@ -265,6 +266,8 @@ def _fold_monomials(stream, env, variables):
                     k.to_bytes(2 * len(variables), "big")))
                 if n * top > MAX_EXPONENT:
                     raise _over_limit(f"exponent {n * top} of the power")
+            if n > 1:
+                _require_power_bits(c, d, n)
             k, c, d = k * n, c ** n, d ** n
         if num and not overflow:
             num *= c

@@ -9,6 +9,12 @@ cancellation are re-expressed in the new variables.  Everything stays
 exact.  Intermediate terms may carry fractional exponents, and only the
 final re-expressed entries are judged for polynomial grade (that judgement
 is the interesting output for the mirror-type maps).
+
+chart_compare substitutes z = -rest / a, the root of an eliminator linear in
+z, into a bracket in one more variable.  z is kept as integer exponent
+vectors too, with its powers built once per call, and each entry's residual
+against the first chart is one pass over integer tuples; only the residuals
+become ``PolyExpr`` values, and the exponent limit is judged on them.
 """
 
 from __future__ import annotations
@@ -17,12 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import add
+from operator import add, itemgetter, sub
 from typing import Optional
 
 from .errors import DomainError, PolynomialGradeError
-from .poly import (MAX_EXPONENT, MAX_TERMS, MonomialMap, PolyExpr, _lattice_image,
-                   _tuple_num, substitute)
+from .poly import (MAX_EXPONENT, MAX_TERMS, MonomialMap, PolyExpr, _accumulate_tuples,
+                   _constant_ratio, _exp_over, _lattice_image, _reduced,
+                   _require_term_pairs, _tuple_num, substitute)
 from .structures import PoissonStructure
 
 
@@ -70,7 +77,6 @@ def transport_bracket(ps: PoissonStructure, mmap: MonomialMap) -> TransportResul
         la, lb = lattice[a], lattice[b]
         sab = mmap.scales[a] * mmap.scales[b]
         acc: dict = {}
-        get = acc.get
         for i, j, lift, terms in table:
             minor = la[i] * lb[j] - la[j] * lb[i]
             if not minor:
@@ -78,14 +84,7 @@ def transport_bracket(ps: PoissonStructure, mmap: MonomialMap) -> TransportResul
             shift = list(map(add, la, lb))
             shift[i] -= scale
             shift[j] -= scale
-            k = sab.numerator * minor * lift
-            for m, c in terms:
-                key = tuple(map(add, shift, m))
-                t = get(key, 0) + c * k
-                if t:
-                    acc[key] = t
-                else:
-                    del acc[key]
+            _accumulate_tuples(acc, ((shift, sab.numerator * minor * lift),), terms)
         common = sab.denominator * scale * scale * p_den
         out = _lattice_image(mmap, acc, common, scale)
         entries[a][b] = out
@@ -181,10 +180,17 @@ def chart_compare(ps_a: PoissonStructure, ps_b: PoissonStructure,
     """Compare two derivations of one bracket across charts.
 
     ``ps_b`` lives in the variables of ``ps_a`` plus one extra variable z;
-    ``eliminator`` must be linear in z with a single-monomial z-coefficient,
-    so z solves to a Laurent monomial expression.  The first nonzero entry
-    pair fixes one global constant; every remaining pair is compared against
-    that constant, with denominators cleared through the z-coefficient.
+    ``eliminator`` = a * z + rest must be linear in z with a single-monomial
+    z-coefficient a, so z = -rest / a is a Laurent (or Puiseux) expression
+    in the variables of ``ps_a``.  The first pair of nonzero entries fixes
+    one global constant c; each residual b - c * a (c = 1 while none is
+    fixed), b being the entry of ``ps_b`` at that z, is multiplied by the
+    least monomial that clears its negative exponents.  z is one dict over
+    integer exponent vectors (scaled by the least common denominator of the
+    eliminator's exponents) whose powers are built once, and each residual
+    is one pass over the terms of b and a.  A residual with a fractional
+    exponent raises ``PolynomialGradeError``, and an entry or residual with
+    an exponent past ``MAX_EXPONENT`` raises ``DomainError``.
     """
     extra = [v for v in ps_b.vars if v not in ps_a.vars]
     if len(extra) != 1:
@@ -192,73 +198,77 @@ def chart_compare(ps_a: PoissonStructure, ps_b: PoissonStructure,
     z = extra[0]
     elim = eliminator.with_vars(ps_b.vars)
     zi = ps_b.vars.index(z)
-
-    if any(m[zi] not in (0, 1) for m in elim.terms) or \
-            all(m[zi] == 0 for m in elim.terms):
+    terms = _tuple_num(elim)
+    if any(m[zi] not in (0, 1) for m in terms) or all(m[zi] == 0 for m in terms):
         raise DomainError(f"eliminator must have degree exactly 1 in {z}")
-    rest = PolyExpr(ps_b.vars, {m: c for m, c in elim.terms.items() if m[zi] == 0})
-    acoef = PolyExpr(ps_b.vars,
-                     {tuple(e if t != zi else 0 for t, e in enumerate(m)): c
-                      for m, c in elim.terms.items() if m[zi] == 1})
-    if not acoef.is_monomial():
+    linear = [(m, c) for m, c in terms.items() if m[zi] == 1]
+    if len(linear) != 1:
         raise DomainError("z-coefficient of the eliminator must be one monomial")
-
-    # z = -rest / acoef as a Laurent polynomial
-    (am, ac), = acoef.terms.items()
-    ainv = PolyExpr(ps_b.vars, {tuple(-e for e in am): Fraction(1) / ac})
-    z_value = -rest * ainv
-
+    missing = [v for v in ps_a.vars if v not in ps_b.vars]
+    if missing:
+        raise DomainError(f"variable {missing[0]} of the first structure is "
+                          f"not a variable of the second")
+    if ps_a.n < 2:
+        return ChartComparison(agree=True, constant=None, residuals={}, eliminated_var=z)
     order = [ps_b.vars.index(v) for v in ps_a.vars]
+    pick = itemgetter(*order)
+    scale = 1 if elim._grade else lcm(*(e.denominator for m in terms for e in m
+                                         if isinstance(e, Fraction)))
+    (am, ac), = linear
+    zden = abs(ac)
+    # z = -rest / a over zden; powers[e] holds the terms of z ** e over zden ** e
+    zterms = [(tuple(int((e - f) * scale) for e, f in zip(pick(m), pick(am))),
+               -c if ac > 0 else c) for m, c in terms.items() if m[zi] == 0]
+    zero = (0,) * ps_a.n
+    powers = [[(zero, 1)]]
     residuals = {}
     constant: Optional[Fraction] = None
     anchored = False
-    agree = True
     for ai, aj in combinations(range(ps_a.n), 2):
-        b_entry = ps_b.matrix[order[ai]][order[aj]].subs_var(z, z_value)
-        b_entry = _drop_unused(b_entry, z).with_vars(ps_a.vars)
-        a_entry = ps_a.matrix[ai][aj]
-        if not anchored and not a_entry.is_zero() and not b_entry.is_zero():
-            anchored = True
-            constant = _constant_ratio(b_entry, a_entry)
+        a_entry, b_entry = ps_a.matrix[ai][aj], ps_b.matrix[order[ai]][order[aj]]
+        num = _tuple_num(b_entry)
+        top = max((m[zi] for m in num), default=0)
+        while len(powers) <= top:
+            _require_term_pairs(len(powers[-1]), len(zterms))
+            nxt: dict = {}
+            _accumulate_tuples(nxt, powers[-1], zterms)
+            powers.append(list(nxt.items()))
         c = constant if constant is not None else Fraction(1)
-        resid = _clear_denominators(b_entry - a_entry * c)
-        if not resid.is_zero():
-            agree = False
-            residuals[(ai, aj)] = resid
-    return ChartComparison(agree=agree, constant=constant,
+        # (b - c * a) * lift over den, with lift clearing c's and a's denominators
+        b_den = b_entry._den * zden ** top
+        lift = c.denominator * a_entry._den
+        den = b_den * lift
+        acc: dict = {}
+        for m, cb in num.items():
+            base = pick(m) if scale == 1 else tuple(e * scale for e in pick(m))
+            _accumulate_tuples(acc, ((base, cb * zden ** (top - m[zi]) * lift),),
+                               powers[m[zi]])
+        if not anchored and acc and a_entry._num:
+            anchored = True
+            b = {tuple(_exp_over(e, scale) for e in m): t for m, t in acc.items()}
+            constant = _constant_ratio(_reduced(ps_a.vars, b, den, False), a_entry)
+            if constant is not None:
+                continue
+        a_terms = _tuple_num(a_entry).items()
+        _accumulate_tuples(acc, ((zero, -c.numerator * b_den),), a_terms if scale == 1 else
+                           [(tuple(e * scale for e in m), t) for m, t in a_terms])
+        if acc:
+            residuals[(ai, aj)] = _cleared(ps_a.vars, acc, den, scale)
+    return ChartComparison(agree=not residuals, constant=constant,
                            residuals=residuals, eliminated_var=z)
 
 
-def _drop_unused(p: PolyExpr, var: str) -> PolyExpr:
-    keep = tuple(v for v in p.vars if v != var)
-    return p.with_vars(keep)
-
-
-def _constant_ratio(num: PolyExpr, den: PolyExpr) -> Optional[Fraction]:
-    """c with num = c*den, when such a rational constant exists."""
-    dm, dc = den.leading()
-    c = num.coefficient(dm) / dc
-    if num == den * c:
-        return c
-    return None
-
-
-def _clear_denominators(p: PolyExpr) -> PolyExpr:
-    """Multiply by the minimal monomial making all exponents nonnegative."""
-    if p.is_zero() or p.is_polynomial_grade():
-        return p
-    n = len(p.vars)
-    shift = [0] * n
-    for m in p.terms:
-        for i, e in enumerate(m):
-            if e < 0:
-                shift[i] = max(shift[i], -e if isinstance(e, int) else 0)
-        for i, e in enumerate(m):
-            if not isinstance(e, int):
-                raise PolynomialGradeError(
-                    "fractional exponents cannot be cleared by a monomial")
-    mono = PolyExpr(p.vars, {tuple(shift): Fraction(1)})
-    return p * mono
+def _cleared(variables, acc: dict, den: int, scale: int) -> PolyExpr:
+    """``acc`` / ``den``, keyed by exponent vectors times ``scale``, times
+    the least monomial that makes every exponent nonnegative."""
+    if scale != 1 and any(e % scale for m in acc for e in m):
+        raise PolynomialGradeError("fractional exponents cannot be cleared by a monomial")
+    low = [min(0, *col) for col in zip(*acc)]
+    if scale != 1:
+        acc = {tuple((e - s) // scale for e, s in zip(m, low)): c for m, c in acc.items()}
+    elif any(low):
+        acc = {tuple(map(sub, m, low)): c for m, c in acc.items()}
+    return _reduced(variables, acc, den, False)
 
 
 def mukai_pairing_check(ps: PoissonStructure, surface: PolyExpr,

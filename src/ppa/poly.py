@@ -97,7 +97,8 @@ MAX_TERMS = 10 ** 6
 MAX_TERM_PAIRS = 10 ** 6
 
 # The most bits a rational power may be predicted to have: ``_rational_pow``
-# refuses with ``DomainError`` before it computes a larger one (about 0.2 s
+# and the integer powers of ``__pow__`` and of the DSL's monomial terms
+# refuse with ``DomainError`` before they compute a larger one (about 0.2 s
 # of big-integer work at the limit).  A limit, so that hostile input stays
 # bounded work.
 MAX_POWER_BITS = 1 << 20
@@ -308,6 +309,12 @@ class PolyExpr:
             top = max((e for m in _tuple_num(self) for e in m), default=0)
             if n * top > MAX_EXPONENT:
                 raise _over_limit(f"exponent {n * top} of the power")
+        if n > 1 and self._num:
+            # by Gauss's lemma the power's denominator is den ** n, and its
+            # numerator at the largest monomial (lexicographically, which
+            # packed keys and exponent tuples both order) is that of self
+            # to the n
+            _require_power_bits(self._num[max(self._num)], self._den, n)
         if self._grade and len(self._num) == 1:
             # a packed key times n adds each field n times, and (c/d)^n
             # stays reduced
@@ -667,10 +674,27 @@ def _accumulate(out: dict, left, right) -> None:
                 del out[m]
 
 
+def _accumulate_tuples(out: dict, left, right) -> None:
+    """Add the product of two term lists keyed by int exponent tuples into
+    ``out``, as :func:`_accumulate` does for packed keys.  The tuples add
+    componentwise, with no exponent limit: callers that key Laurent or
+    Puiseux terms by integer multiples of their exponents judge the result
+    themselves."""
+    get = out.get
+    for m1, c1 in left:
+        for m2, c2 in right:
+            m = tuple(map(add, m1, m2))
+            s = get(m, 0) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+
+
 def _product(a: PolyExpr, b: PolyExpr) -> PolyExpr:
     """a * b over one variable set, with no term budget (``__pow__`` has
     bounded its whole result before it multiplies) but the term-pair one."""
-    _require_term_pairs(a, b)
+    _require_term_pairs(len(a._num), len(b._num))
     out: dict = {}
     if a._grade and b._grade:
         _accumulate(out, a._num.items(), list(b._num.items()))
@@ -708,7 +732,7 @@ def _sum_of_products(variables, pairs) -> PolyExpr:
     for a, b in pairs:
         if len(a._num) * len(b._num) > MAX_TERMS:
             _require_product_size((a, b))
-        _require_term_pairs(a, b)
+        _require_term_pairs(len(a._num), len(b._num))
         f = den // (a._den * b._den)
         _accumulate(out, a._num.items(), list(b._num.items()) if f == 1
                     else [(m, c * f) for m, c in b._num.items()])
@@ -717,13 +741,13 @@ def _sum_of_products(variables, pairs) -> PolyExpr:
     return _reduced(tuple(variables), out, den, True)
 
 
-def _require_term_pairs(a: PolyExpr, b: PolyExpr) -> None:
-    """Refuse with ``DomainError`` a product of a and b that would multiply
-    more than MAX_TERM_PAIRS term pairs."""
-    if len(a._num) * len(b._num) > MAX_TERM_PAIRS:
-        raise DomainError(f"a product of polynomials with {len(a._num)} x "
-                          f"{len(b._num)} terms multiplies more than "
-                          f"MAX_TERM_PAIRS = {MAX_TERM_PAIRS} term pairs")
+def _require_term_pairs(ta: int, tb: int) -> None:
+    """Refuse with ``DomainError`` a product of polynomials with ``ta`` and
+    ``tb`` terms that would multiply more than MAX_TERM_PAIRS term pairs."""
+    if ta * tb > MAX_TERM_PAIRS:
+        raise DomainError(f"a product of polynomials with {ta} x {tb} terms "
+                          f"multiplies more than MAX_TERM_PAIRS = {MAX_TERM_PAIRS} "
+                          f"term pairs")
 
 
 def _require_product_size(factors) -> None:
@@ -912,11 +936,21 @@ def _integer_lattice(rows) -> tuple:
     return den, tuple(tuple(int(e * den) for e in row) for row in rows)
 
 
+def _require_power_bits(num: int, den: int, e) -> None:
+    """Refuse with ``DomainError`` the power ``e`` of num / den when a part
+    of the result would have more than MAX_POWER_BITS bits.  A part with
+    b bits is at least 2 ** (b - 1), so it has at least (b - 1) * |e| bits
+    in the power: that is the size refused."""
+    bits = max(num.bit_length(), den.bit_length()) - 1
+    if bits * abs(e) > MAX_POWER_BITS:
+        raise DomainError(f"the power {e} of a {bits + 1}-bit rational would have "
+                          f"more than MAX_POWER_BITS = {MAX_POWER_BITS} bits")
+
+
 def _rational_pow(base: Fraction, e) -> Fraction:
     """base**e staying in Q; DomainError when the root is irrational or when
     the numerator or denominator of the result would have more than
-    MAX_POWER_BITS bits.  A part of the base with b bits has at least
-    (b - 1) * |e| bits in the result, so that is the size refused."""
+    MAX_POWER_BITS bits (see :func:`_require_power_bits`)."""
     base = Fraction(base)
     if isinstance(e, int):
         if base == 0 and e < 0:
@@ -926,10 +960,7 @@ def _rational_pow(base: Fraction, e) -> Fraction:
         if base <= 0:
             raise DomainError(f"cannot take rational power {e} of {base}")
     num, den = base.numerator, base.denominator
-    bits = max(num.bit_length(), den.bit_length()) - 1
-    if bits * abs(e) > MAX_POWER_BITS:
-        raise DomainError(f"the power {e} of a {bits + 1}-bit rational would have "
-                          f"more than MAX_POWER_BITS = {MAX_POWER_BITS} bits")
+    _require_power_bits(num, den, e)
     if isinstance(e, int):
         return base ** e
 

@@ -7,7 +7,10 @@ it before it took the wedge side from principal Pfaffians.
 
 ``tokenize``, ``parse_model``, ``parse_polynomial`` and ``parse_map_file``
 are the model DSL front end as it was before it scanned its input in one
-pass and folded monomial terms (see the section at the end).
+pass and folded monomial terms (see its section).
+
+``chart_compare`` is the chart comparison as it was before it substituted
+on an integer exponent lattice (see the section at the end).
 """
 
 import math
@@ -15,19 +18,21 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from operator import mul
 from typing import Optional
 
 from ppa.dsl import IntegrateRequest, ModelSpec
 from ppa.duality import DualityReport
 from ppa.errors import (ArityError, DegenerateCasimirError, DomainError,
-                        ModelSyntaxError, ParityError)
+                        ModelSyntaxError, ParityError, PolynomialGradeError)
 from ppa.exterior import (PolyForm, PolyMultivector, differential, indices_of,
                           shuffle_signature, wedge, wedge_all)
+from ppa.geometry import ChartComparison
 from ppa.poly import (MAX_EXPONENT, MonomialMap, PolyExpr, _rational_pow,
                       _require_product_size)
 from ppa.runner import CHECKS, FI_MAX, _key, _projection
-from ppa.structures import is_casimir
+from ppa.structures import PoissonStructure, is_casimir
 
 
 def wedge_power(a, m: int):
@@ -549,3 +554,96 @@ def parse_map_file(text: str, old_vars) -> MonomialMap:
     if not assignments:
         raise ModelSyntaxError("empty map file", 1, 1)
     return MonomialMap.from_monomials(tuple(old_vars), assignments)
+
+
+# ---------------- chart comparison by substitution ----------------
+#
+# A verbatim copy of ``chart_compare`` as it was before z = -rest / a was
+# kept on an integer exponent lattice: ``PolyExpr.subs_var`` per entry, a
+# leading-term constant ratio and a monomial product that clears
+# denominators.  ``tests/test_chart_lattice.py`` compares ``ppa.geometry``
+# with it, result by result and error by error.
+
+def chart_compare(ps_a: PoissonStructure, ps_b: PoissonStructure,
+                  eliminator: PolyExpr) -> ChartComparison:
+    """Compare two derivations of one bracket across charts.
+
+    ``ps_b`` lives in the variables of ``ps_a`` plus one extra variable z;
+    ``eliminator`` must be linear in z with a single-monomial z-coefficient,
+    so z solves to a Laurent monomial expression.  The first nonzero entry
+    pair fixes one global constant; every remaining pair is compared against
+    that constant, with denominators cleared through the z-coefficient.
+    """
+    extra = [v for v in ps_b.vars if v not in ps_a.vars]
+    if len(extra) != 1:
+        raise DomainError("second structure must add exactly one variable")
+    z = extra[0]
+    elim = eliminator.with_vars(ps_b.vars)
+    zi = ps_b.vars.index(z)
+
+    if any(m[zi] not in (0, 1) for m in elim.terms) or \
+            all(m[zi] == 0 for m in elim.terms):
+        raise DomainError(f"eliminator must have degree exactly 1 in {z}")
+    rest = PolyExpr(ps_b.vars, {m: c for m, c in elim.terms.items() if m[zi] == 0})
+    acoef = PolyExpr(ps_b.vars,
+                     {tuple(e if t != zi else 0 for t, e in enumerate(m)): c
+                      for m, c in elim.terms.items() if m[zi] == 1})
+    if not acoef.is_monomial():
+        raise DomainError("z-coefficient of the eliminator must be one monomial")
+
+    # z = -rest / acoef as a Laurent polynomial
+    (am, ac), = acoef.terms.items()
+    ainv = PolyExpr(ps_b.vars, {tuple(-e for e in am): Fraction(1) / ac})
+    z_value = -rest * ainv
+
+    order = [ps_b.vars.index(v) for v in ps_a.vars]
+    residuals = {}
+    constant: Optional[Fraction] = None
+    anchored = False
+    agree = True
+    for ai, aj in combinations(range(ps_a.n), 2):
+        b_entry = ps_b.matrix[order[ai]][order[aj]].subs_var(z, z_value)
+        b_entry = _drop_unused(b_entry, z).with_vars(ps_a.vars)
+        a_entry = ps_a.matrix[ai][aj]
+        if not anchored and not a_entry.is_zero() and not b_entry.is_zero():
+            anchored = True
+            constant = _constant_ratio(b_entry, a_entry)
+        c = constant if constant is not None else Fraction(1)
+        resid = _clear_denominators(b_entry - a_entry * c)
+        if not resid.is_zero():
+            agree = False
+            residuals[(ai, aj)] = resid
+    return ChartComparison(agree=agree, constant=constant,
+                           residuals=residuals, eliminated_var=z)
+
+
+def _drop_unused(p: PolyExpr, var: str) -> PolyExpr:
+    keep = tuple(v for v in p.vars if v != var)
+    return p.with_vars(keep)
+
+
+def _constant_ratio(num: PolyExpr, den: PolyExpr) -> Optional[Fraction]:
+    """c with num = c*den, when such a rational constant exists."""
+    dm, dc = den.leading()
+    c = num.coefficient(dm) / dc
+    if num == den * c:
+        return c
+    return None
+
+
+def _clear_denominators(p: PolyExpr) -> PolyExpr:
+    """Multiply by the minimal monomial making all exponents nonnegative."""
+    if p.is_zero() or p.is_polynomial_grade():
+        return p
+    n = len(p.vars)
+    shift = [0] * n
+    for m in p.terms:
+        for i, e in enumerate(m):
+            if e < 0:
+                shift[i] = max(shift[i], -e if isinstance(e, int) else 0)
+        for i, e in enumerate(m):
+            if not isinstance(e, int):
+                raise PolynomialGradeError(
+                    "fractional exponents cannot be cleared by a monomial")
+    mono = PolyExpr(p.vars, {tuple(shift): Fraction(1)})
+    return p * mono

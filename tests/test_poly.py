@@ -781,3 +781,21 @@ def test_term_pair_limit(monkeypatch):
     z = PolyExpr(V3, {(F(1, 2), 0, 0): 1, (0, F(1, 2), 0): 1, (0, 0, -1): 1, (1, 0, 0): 1})
     with pytest.raises(DomainError, match="4 x 3 terms"):
         z * t
+
+
+def test_integer_power_bits_limit():
+    # a b-bit coefficient or denominator has at least (b - 1) * n bits in
+    # the n-th power: 2^32 to the MAX_EXPONENT is 32 * 32767 bits, within
+    # MAX_POWER_BITS, and 2^33 is refused before anything is computed
+    x1, x2, x3 = gens3()
+    assert (x1 * 2 ** 32) ** MAX_EXPONENT == \
+        PolyExpr(V3, {(MAX_EXPONENT, 0, 0): 2 ** (32 * MAX_EXPONENT)})
+    for p in (x1 * 2 ** 33, PolyExpr.const(V3, F(1, 2 ** 33)),
+              x1 * 3 ** 21 + x2,                  # the leading coefficient
+              PolyExpr(V3, {(F(1, 2), 0, 0): 2 ** 33})):
+        with pytest.raises(DomainError, match=f"the power {MAX_EXPONENT} of a 34-bit "
+                                              f"rational would have more than "
+                                              f"MAX_POWER_BITS = {poly.MAX_POWER_BITS}"):
+            p ** MAX_EXPONENT
+    assert ((x1 * 3 + x2) / 2) ** 2 == (x1 * x1 * 9 + x1 * x2 * 6 + x2 * x2) / 4
+
