@@ -26,7 +26,7 @@ from .errors import DegenerateCasimirError, DomainError, ParityError, VariableSe
 from .exterior import (PolyMultivector, differential, indices_of, mask_of, pfaffian,
                        volume_dual, wedge_all)
 from .poly import PolyExpr, _constant_ratio
-from .structures import PoissonStructure, _pfaffian4, is_casimir
+from .structures import PoissonStructure, is_casimir
 
 
 @dataclass
@@ -52,16 +52,6 @@ class DualityReport:
         return {indices_of(mask): (pfaffian(matrix, indices_of(mask)),
                                    dual_side.coeffs.get(mask, zero))
                 for mask in masks}
-
-
-def _principal_pfaffian(matrix, sub: tuple) -> PolyExpr:
-    """Pf of the principal block on a sorted 2-, 4- or 6-subset: the entry
-    itself, one fused sum, or the expansion of :func:`pfaffian`."""
-    if len(sub) == 2:
-        return matrix[sub[0]][sub[1]]
-    if len(sub) == 4:
-        return _pfaffian4(matrix, *sub)
-    return pfaffian(matrix, sub)
 
 
 def _casimir_form(ps: PoissonStructure, casimirs: list):
@@ -109,13 +99,13 @@ def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> Duality
     proportional = True
     lam_coord: Optional[Fraction] = None
     for mask, d in dual_side.coeffs.items():
-        cand = _constant_ratio(_principal_pfaffian(matrix, indices_of(mask)), d)
+        cand = _constant_ratio(pfaffian(matrix, indices_of(mask)), d)
         if cand is None or (lam_coord is not None and lam_coord != cand):
             proportional = False
             break
         lam_coord = cand
     # Pfaffians outside the dual support must vanish
-    if proportional and any(not _principal_pfaffian(matrix, sub).is_zero()
+    if proportional and any(not pfaffian(matrix, sub).is_zero()
                             for sub in combinations(range(n), 2 * m)
                             if mask_of(sub) not in dual_side.coeffs):
         proportional = False
@@ -128,7 +118,7 @@ def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> Duality
         masks = sorted(dual_side.coeffs)
     else:
         residual = PolyMultivector(ps.vars, 2 * m, {
-            mask_of(sub): _principal_pfaffian(matrix, sub) * fact
+            mask_of(sub): pfaffian(matrix, sub) * fact
             for sub in combinations(range(n), 2 * m)})
         masks = sorted(set(residual.coeffs) | set(dual_side.coeffs))
     return DualityReport(

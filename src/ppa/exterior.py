@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ArityError, DomainError
-from .poly import PolyExpr
+from .poly import PolyExpr, _sum_of_products
 
 MAX_DIM = 8
 
@@ -185,10 +185,13 @@ def volume_dual(element: _GradedElement):
 
 
 def pfaffian(matrix, subset: Sequence[int]) -> PolyExpr:
-    """Pfaffian of the antisymmetric principal block on an ordered index tuple.
+    """Pfaffian of the principal block on an ordered index tuple.
 
-    ``matrix[i][j]`` entries are PolyExpr; the tuple order matters (an odd
-    reordering flips the sign).  Computed by expansion along the first row.
+    ``matrix[i][j]`` entries are polynomial-grade PolyExpr over one variable
+    set; only the entries (s_i, s_j) with i < j in tuple order are read, so
+    the tuple order matters (an odd reordering flips the sign).  A 2-subset
+    gives its entry; a larger one is expanded along its first row as one
+    fused sum of products (+-p_{s0 sk}, Pf(rest)).
     """
     subset = tuple(subset)
     if len(subset) % 2 != 0:
@@ -198,26 +201,22 @@ def pfaffian(matrix, subset: Sequence[int]) -> PolyExpr:
     if not subset:
         some = matrix[0][0]
         return PolyExpr.const(some.vars, 1)
+    if len(subset) > 2:
+        for pos, a in enumerate(subset):
+            for b in subset[pos + 1:]:
+                if not matrix[a][b]._grade:
+                    matrix[a][b].require_polynomial_grade(f"pfaffian entry ({a},{b})")
+    return _expanded(matrix, subset)
 
-    def rec(order: tuple[int, ...]) -> PolyExpr:
-        if not order:
-            return None
-        if len(order) == 2:
-            return matrix[order[0]][order[1]]
-        first = order[0]
-        total = None
-        for pos in range(1, len(order)):
-            entry = matrix[first][order[pos]]
-            if entry.is_zero():
-                continue
-            rest = order[1:pos] + order[pos + 1:]
-            sub = rec(rest)
-            term = entry * sub
-            if pos % 2 == 0:
-                term = term * -1
-            total = term if total is None else total + term
-        if total is None:
-            total = PolyExpr.zero(matrix[subset[0]][subset[1]].vars)
-        return total
 
-    return rec(subset)
+def _expanded(matrix, order: tuple) -> PolyExpr:
+    row = matrix[order[0]]
+    if len(order) == 2:
+        return row[order[1]]
+    pairs = []
+    for pos in range(1, len(order)):
+        entry = row[order[pos]]
+        if entry._num:
+            sub = _expanded(matrix, order[1:pos] + order[pos + 1:])
+            pairs.append((entry if pos % 2 else -entry, sub))
+    return _sum_of_products(row[order[1]].vars, pairs)

@@ -7,8 +7,8 @@ integer exponent vectors, the exponent matrix and its inverse being kept
 as integer lattices over one denominator, and only the terms that survive
 cancellation are re-expressed in the new variables.  Everything stays
 exact.  Intermediate terms may carry fractional exponents, and only the
-final re-expressed entries are judged for polynomial grade (that judgement
-is the interesting output for the mirror-type maps).
+final re-expressed entries are judged: for polynomial grade (the interesting
+output for the mirror-type maps) and against the exponent limit.
 
 chart_compare substitutes z = -rest / a, the root of an eliminator linear in
 z, into a bracket in one more variable.  z is kept as integer exponent
@@ -27,9 +27,8 @@ from operator import add, itemgetter, sub
 from typing import Optional
 
 from .errors import DomainError, PolynomialGradeError
-from .poly import (MAX_EXPONENT, MAX_TERMS, MonomialMap, PolyExpr, _accumulate_tuples,
-                   _constant_ratio, _exp_over, _lattice_image, _reduced,
-                   _require_term_pairs, _tuple_num, substitute)
+from .poly import (MonomialMap, PolyExpr, _accumulate_tuples, _constant_ratio,
+                   _exp_over, _lattice_image, _reduced, _require_term_pairs, _tuple_num)
 from .structures import PoissonStructure
 
 
@@ -55,15 +54,15 @@ def transport_bracket(ps: PoissonStructure, mmap: MonomialMap) -> TransportResul
     terms of the p_ij that shifts their exponent vectors, all scaled to
     integers by the least common denominator of M.  The terms that survive
     cancellation are re-expressed in the new variables through the inverse
-    map, as :func:`substitute` does."""
+    map, as :func:`substitute` does.  Limits are judged on those entries
+    only: a polynomial-grade entry with an exponent past ``MAX_EXPONENT``
+    raises ``DomainError``, as does a scale factor outside Q."""
     if tuple(mmap.old_vars) != ps.vars:
         raise DomainError("map old variables do not match the structure")
     n = ps.n
     scale, lattice = mmap._forward_lattice      # M = lattice / scale
     table = [(i, j, p._den, _tuple_num(p)) for (i, j), p in ps.entries_upper()
              if not p.is_zero()]
-    if _products_may_hit_limits(scale, lattice, table):
-        return _transport_by_products(ps, mmap)
     # each minor of M is an integer minor of the lattice over scale^2, and
     # the p_ij go over their common denominator
     p_den = lcm(*(den for _, _, den, _ in table))
@@ -87,41 +86,6 @@ def transport_bracket(ps: PoissonStructure, mmap: MonomialMap) -> TransportResul
             _accumulate_tuples(acc, ((shift, sab.numerator * minor * lift),), terms)
         common = sab.denominator * scale * scale * p_den
         out = _lattice_image(mmap, acc, common, scale)
-        entries[a][b] = out
-        entries[b][a] = -out
-        grade_ok = grade_ok and out.is_polynomial_grade()
-    return TransportResult(tuple(mmap.new_vars), entries, grade_ok)
-
-
-def _products_may_hit_limits(scale, lattice, table) -> bool:
-    """True when the product chain of :func:`_transport_by_products` could
-    meet a limit of ``PolyExpr`` arithmetic before the end: an exponent
-    past ``MAX_EXPONENT`` in an all-polynomial-grade intermediate (a y_a, a
-    product of two derivatives, that times p_ij, or a partial sum), all of
-    whose exponents are at most 2 * max(M) + max(p_ij), with
-    M = lattice / scale, or a product past ``MAX_TERMS``.  Such a limit decides whether the transport raises
-    ``DomainError``, so those inputs take the chain itself."""
-    top_m = max(map(max, lattice), default=0)
-    top_p = max((max(map(max, num)) for _, _, _, num in table), default=0)
-    return (2 * max(top_m, 0) > (MAX_EXPONENT - top_p) * scale
-            or any(len(num) > MAX_TERMS for _, _, _, num in table))
-
-
-def _transport_by_products(ps: PoissonStructure, mmap: MonomialMap) -> TransportResult:
-    """{y_a, y_b} = sum_{i<j} (dy_a/dx_i dy_b/dx_j - dy_a/dx_j dy_b/dx_i) p_ij
-    in ``PolyExpr`` arithmetic, re-expressed through :func:`substitute`."""
-    n = ps.n
-    ys = mmap.forward_exprs()
-    dy = [[y.diff(v) for v in ps.vars] for y in ys]
-    entries = [[PolyExpr.zero(mmap.new_vars) for _ in range(n)] for _ in range(n)]
-    grade_ok = True
-    for a, b in combinations(range(n), 2):
-        acc = PolyExpr.zero(ps.vars)
-        for (i, j), p in ps.entries_upper():
-            if p.is_zero():
-                continue
-            acc = acc + (dy[a][i] * dy[b][j] - dy[a][j] * dy[b][i]) * p
-        out = substitute(acc, mmap)
         entries[a][b] = out
         entries[b][a] = -out
         grade_ok = grade_ok and out.is_polynomial_grade()

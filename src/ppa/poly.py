@@ -311,10 +311,11 @@ class PolyExpr:
                 raise _over_limit(f"exponent {n * top} of the power")
         if n > 1 and self._num:
             # by Gauss's lemma the power's denominator is den ** n, and its
-            # numerator at the largest monomial (lexicographically, which
-            # packed keys and exponent tuples both order) is that of self
-            # to the n
-            _require_power_bits(self._num[max(self._num)], self._den, n)
+            # numerators at the largest and the smallest monomial (in lex
+            # order, a monomial order that packed keys and exponent tuples
+            # both follow) are those of self to the n
+            num = self._num
+            _require_power_bits(max(num[max(num)], num[min(num)], key=abs), self._den, n)
         if self._grade and len(self._num) == 1:
             # a packed key times n adds each field n times, and (c/d)^n
             # stays reduced

@@ -25,6 +25,7 @@ from .exterior import (
     differential,
     indices_of,
     mask_of,
+    pfaffian,
     shuffle_signature,
     wedge_all,
 )
@@ -116,7 +117,7 @@ class PoissonStructure:
             return True, None
         pivot = min(nonzero)[1]
         rest = [k for k in range(self.n) if k not in pivot]
-        return (all(_pfaffian4(self.matrix, *pivot, *kl).is_zero()
+        return (all(pfaffian(self.matrix, pivot + kl).is_zero()
                     for kl in combinations(rest, 2)), pivot)
 
     def entries_upper(self):
@@ -329,13 +330,6 @@ def _jacobiator(matrix, i: int, j: int, k: int, g_jk, g_ki, g_ij) -> PolyExpr:
     return _sum_of_products(g_jk[0].vars, pairs)
 
 
-def _pfaffian4(m, a: int, b: int, k: int, l: int) -> PolyExpr:
-    """Pf(a,b,k,l) = p_ab p_kl - p_ak p_bl + p_al p_bk, written by
-    antisymmetry as one fused sum of three products (zero-tested only)."""
-    return _sum_of_products(m[a][b].vars, ((m[a][b], m[k][l]), (m[a][k], m[l][b]),
-                                           (m[a][l], m[b][k])))
-
-
 def _hamiltonian_row(ps: PoissonStructure, grad, k: int) -> PolyExpr:
     """{Q, x_k} = sum_i p_ik dQ/dx_i, given the gradient of Q, as one fused
     sum of products (zero-tested or divided only)."""
@@ -411,7 +405,7 @@ def plucker_rank2_test(ps: PoissonStructure) -> PluckerReport:
     if ps._rank2[0]:
         return PluckerReport(True)
     for sub in combinations(range(ps.n), 4):
-        if not _pfaffian4(ps.matrix, *sub).is_zero():
+        if not pfaffian(ps.matrix, sub).is_zero():
             return PluckerReport(False, sub)
     return PluckerReport(True)
 

@@ -10,7 +10,11 @@ are the model DSL front end as it was before it scanned its input in one
 pass and folded monomial terms (see its section).
 
 ``chart_compare`` is the chart comparison as it was before it substituted
-on an integer exponent lattice (see the section at the end).
+on an integer exponent lattice (see its section).
+
+``pfaffian`` is the principal Pfaffian as a recursive chain of products
+and sums, as it was before it became one fused sum per expansion (see the
+section at the end).
 """
 
 import math
@@ -20,14 +24,14 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import mul
-from typing import Optional
+from typing import Optional, Sequence
 
 from ppa.dsl import IntegrateRequest, ModelSpec
 from ppa.duality import DualityReport
 from ppa.errors import (ArityError, DegenerateCasimirError, DomainError,
                         ModelSyntaxError, ParityError, PolynomialGradeError)
-from ppa.exterior import (PolyForm, PolyMultivector, differential, indices_of,
-                          shuffle_signature, wedge, wedge_all)
+from ppa.exterior import (MAX_DIM, PolyForm, PolyMultivector, differential,
+                          indices_of, shuffle_signature, wedge, wedge_all)
 from ppa.geometry import ChartComparison
 from ppa.poly import (MAX_EXPONENT, MonomialMap, PolyExpr, _rational_pow,
                       _require_product_size)
@@ -647,3 +651,44 @@ def _clear_denominators(p: PolyExpr) -> PolyExpr:
                     "fractional exponents cannot be cleared by a monomial")
     mono = PolyExpr(p.vars, {tuple(shift): Fraction(1)})
     return p * mono
+
+
+# ---------------- the recursive Pfaffian ----------------
+
+def pfaffian(matrix, subset: Sequence[int]) -> PolyExpr:
+    """Pfaffian of the antisymmetric principal block on an ordered index tuple.
+
+    ``matrix[i][j]`` entries are PolyExpr; the tuple order matters (an odd
+    reordering flips the sign).  Computed by expansion along the first row.
+    """
+    subset = tuple(subset)
+    if len(subset) % 2 != 0:
+        raise ArityError("pfaffian needs an even-size index set")
+    if len(subset) > MAX_DIM:
+        raise ArityError(f"pfaffian block larger than {MAX_DIM}")
+    if not subset:
+        some = matrix[0][0]
+        return PolyExpr.const(some.vars, 1)
+
+    def rec(order: tuple[int, ...]) -> PolyExpr:
+        if not order:
+            return None
+        if len(order) == 2:
+            return matrix[order[0]][order[1]]
+        first = order[0]
+        total = None
+        for pos in range(1, len(order)):
+            entry = matrix[first][order[pos]]
+            if entry.is_zero():
+                continue
+            rest = order[1:pos] + order[pos + 1:]
+            sub = rec(rest)
+            term = entry * sub
+            if pos % 2 == 0:
+                term = term * -1
+            total = term if total is None else total + term
+        if total is None:
+            total = PolyExpr.zero(matrix[subset[0]][subset[1]].vars)
+        return total
+
+    return rec(subset)

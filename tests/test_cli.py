@@ -397,12 +397,16 @@ def test_bdu_relation_skipped_without_table(tmp_path, capsys):
     ([f"casimir P = (1/{'7' * 100}*x1)^32767;"],
      "error: the power 32767 of a 332-bit rational would have more than "
      "MAX_POWER_BITS = 1048576 bits\n"),
+    (["casimir P = (x1 + 10460353203*x2)^32767;"],
+     "error: the power 32767 of a 34-bit rational would have more than "
+     "MAX_POWER_BITS = 1048576 bits\n"),
 ])
 def test_product_work_and_carries_exit_two(tmp_path, lines, message):
     # each used to take about 21 s (the first two) or would carry an
     # exponent into the next variable's field if tested once per term; the
     # integer powers of large coefficients took seconds (19 s for the 400
-    # sevens) and are refused by their predicted size
+    # sevens, 58 s for 3^21 on the trailing term) and are refused by their
+    # predicted size
     f = tmp_path / "m.ppa"
     f.write_text("\n".join(["vars x1 x2 x3 x4 x5 x6;"] + lines
                            + ["structure jacobian;", "check casimirs;"]) + "\n")

@@ -1,11 +1,12 @@
 """The fused zero tests and the integer sampled rank against their definitions.
 
 ``is_casimir`` and ``is_quasi_casimir`` test the Hamiltonian rows
-{Q, x_k} = sum_i p_ik dQ/dx_i, ``_jacobiator`` and the 4x4 Pfaffians sum
-their products in one fused kernel, and ``generic_rank`` takes the rank of
+{Q, x_k} = sum_i p_ik dQ/dx_i, ``_jacobiator`` and ``pfaffian`` sum their
+products in one fused kernel, and ``generic_rank`` takes the rank of
 integer matrices by fraction-free elimination.  Each is compared here with
-what it replaces: ``bracket_of``, a ``_sum`` chain of products, ``pfaffian``
-and a ``Fraction`` elimination over the same sample points.
+what it replaces: ``bracket_of``, a ``_sum`` chain of products, the
+recursive ``oracles.pfaffian`` and a ``Fraction`` elimination over the same
+sample points.
 """
 
 import random
@@ -15,14 +16,16 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import synthetic
 from ppa import dsl, structures
+from ppa.errors import PolynomialGradeError
 from ppa.exterior import pfaffian
 from ppa.poly import PolyExpr, exact_divisibility
 from ppa.structures import (SAMPLE_GRID, PoissonStructure, bracket_of,
                             generic_rank, is_casimir, is_quasi_casimir)
 
-VARS = tuple(f"x{i + 1}" for i in range(7))
+VARS = tuple(f"x{i + 1}" for i in range(8))
 
 
 def table(n, entries):
@@ -164,7 +167,51 @@ def test_jacobiator_equals_the_sum_chain(ps):
 def test_four_by_four_pfaffians_equal_pfaffian(ps):
     # every ordering, since a pivot need not come first in index order
     for sub in permutations(range(ps.n), 4):
-        assert structures._pfaffian4(ps.matrix, *sub) == pfaffian(ps.matrix, sub)
+        assert pfaffian(ps.matrix, sub) == oracles.pfaffian(ps.matrix, sub)
+
+
+@st.composite
+def upper_matrices(draw):
+    """Rows filled above the diagonal only (zeros below and on it), n = 6..8:
+    the Pfaffian reads the entries (s_i, s_j) with i < j in tuple order, so
+    an ordering that is not increasing reads zeros, as the recursion does."""
+    n = draw(st.integers(6, 8))
+    zero = PolyExpr.zero(VARS[:n])
+    m = [[zero] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        m[i][j] = draw(polys(n, 2))
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(upper_matrices(),
+                 random_tables().filter(lambda ps: ps.n >= 6).map(lambda ps: ps.matrix),
+                 jacobian_structures().filter(lambda t: t[0].n == 6)
+                 .map(lambda t: t[0].matrix)),
+       st.data())
+def test_six_and_eight_pfaffians_equal_the_recursion(m, data):
+    n = len(m)
+    for size in range(2, n + 1, 2):
+        sub = data.draw(st.permutations(range(n)))[:size]
+        assert pfaffian(m, sub) == oracles.pfaffian(m, sub)
+        assert pfaffian(m, sorted(sub)) == oracles.pfaffian(m, sorted(sub))
+
+
+def test_a_laurent_block_raises_polynomial_grade_error():
+    # the fused sum takes packed keys only; a 2-subset is its entry, and an
+    # ordering that reads (3, 1) in place of (1, 3) never sees the Laurent
+    # entry
+    v = VARS[:4]
+    x1, x2, x3, x4 = PolyExpr.gens(v)
+    laurent = PolyExpr(v, {(-1, 0, 0, 1): F(1, 2)})
+    m = [[PolyExpr.zero(v)] * 4 for _ in range(4)]
+    m[0][1], m[0][2], m[0][3], m[1][2], m[1][3], m[2][3] = x1, x2, x3, x4, laurent, x1
+    with pytest.raises(PolynomialGradeError, match=r"pfaffian entry \(1,3\)"):
+        pfaffian(m, (0, 1, 2, 3))
+    with pytest.raises(PolynomialGradeError, match=r"pfaffian entry \(1,3\)"):
+        pfaffian(m, (2, 1, 3, 0))
+    assert pfaffian(m, (1, 3)) == laurent
+    assert pfaffian(m, (0, 3, 1, 2)) == oracles.pfaffian(m, (0, 3, 1, 2))
 
 
 # ---------------- the sampled rank ----------------

@@ -786,12 +786,15 @@ def test_term_pair_limit(monkeypatch):
 def test_integer_power_bits_limit():
     # a b-bit coefficient or denominator has at least (b - 1) * n bits in
     # the n-th power: 2^32 to the MAX_EXPONENT is 32 * 32767 bits, within
-    # MAX_POWER_BITS, and 2^33 is refused before anything is computed
+    # MAX_POWER_BITS, and 2^33 is refused before anything is computed; the
+    # coefficients of the lexicographically largest and smallest terms are
+    # exact powers in the result
     x1, x2, x3 = gens3()
     assert (x1 * 2 ** 32) ** MAX_EXPONENT == \
         PolyExpr(V3, {(MAX_EXPONENT, 0, 0): 2 ** (32 * MAX_EXPONENT)})
     for p in (x1 * 2 ** 33, PolyExpr.const(V3, F(1, 2 ** 33)),
               x1 * 3 ** 21 + x2,                  # the leading coefficient
+              x1 + x2 * 3 ** 21,                  # the trailing coefficient
               PolyExpr(V3, {(F(1, 2), 0, 0): 2 ** 33})):
         with pytest.raises(DomainError, match=f"the power {MAX_EXPONENT} of a 34-bit "
                                               f"rational would have more than "

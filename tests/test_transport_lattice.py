@@ -6,6 +6,11 @@ copies of the formulas they replaced: the bracket as a chain of
 dy_a/dx_j dy_b/dx_i) p_ij, and the substitution with ``Fraction``
 exponent vectors.  Both sides must agree on every entry, on the
 polynomial-grade verdict and on which inputs raise ``DomainError``.
+
+Near ``MAX_EXPONENT`` the chain can raise on an intermediate product whose
+exponents the result never reaches, while the transport judges the limit
+on its entries only.  There the transport is checked against the closed
+form over plain exponent dicts, with no limit at all.
 """
 
 from fractions import Fraction as F
@@ -17,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from ppa.errors import DomainError, SingularMapError
 from ppa.geometry import TransportResult, transport_bracket
 from ppa.poly import (MAX_EXPONENT, MAX_POWER_BITS, MonomialMap, PolyExpr, _exp,
-                      _mat_inverse, _rational_pow, substitute)
+                      _is_grade, _mat_inverse, _rational_pow, substitute)
 from ppa.structures import PoissonStructure
 
 
@@ -73,6 +78,64 @@ def reference_transport(ps, mmap):
             entries[b][a] = -out
             grade_ok = grade_ok and out.is_polynomial_grade()
     return TransportResult(tuple(mmap.new_vars), entries, grade_ok)
+
+
+def limit_free_transport(ps, mmap):
+    """{(a, b): {exponent tuple: coefficient}} of the closed form
+    s_a s_b sum_{i<j} (M_ai M_bj - M_aj M_bi) x ** (M_a + M_b - e_i - e_j)
+    p_ij, re-expressed through x_i = d_i * prod_a y_a ** inv[i][a], over
+    ``Fraction`` exponent dicts with no exponent limit.  A scale factor
+    outside Q raises ``DomainError``, as ``_rational_pow`` does, whenever
+    there is an entry to re-express."""
+    n, rows, scales = ps.n, mmap.matrix, mmap.scales
+    if n < 2:
+        return {}
+    inv = _mat_inverse(rows)
+    d = [F(1)] * n
+    for i in range(n):
+        for a in range(n):
+            if scales[a] != 1 and inv[i][a] != 0:
+                d[i] *= _rational_pow(scales[a], _exp(-F(inv[i][a])))
+    entries = {}
+    for a, b in combinations(range(n), 2):
+        acc = {}
+        for (i, j), p in ps.entries_upper():
+            minor = rows[a][i] * rows[b][j] - rows[a][j] * rows[b][i]
+            for mono, c in (p.terms.items() if minor else ()):
+                x = tuple(rows[a][k] + rows[b][k] + mono[k] - (k == i) - (k == j)
+                          for k in range(n))
+                acc[x] = acc.get(x, 0) + scales[a] * scales[b] * minor * c
+        out = {}
+        for x, c in acc.items():
+            if c:
+                for i in range(n):
+                    if x[i] and d[i] != 1:
+                        c *= _rational_pow(d[i], _exp(x[i]))
+                out[tuple(_exp(sum(x[i] * F(inv[i][k]) for i in range(n)))
+                          for k in range(n))] = c
+        entries[a, b] = out
+    return entries
+
+
+def assert_matches_limit_free(ps, mmap):
+    """The transport raises ``DomainError`` exactly where the limit-free
+    closed form has a scale factor outside Q or a polynomial-grade entry
+    with an exponent past ``MAX_EXPONENT``; otherwise its entries are that
+    form's."""
+    got = outcome(transport_bracket, ps, mmap)
+    ref = outcome(limit_free_transport, ps, mmap)
+    if ref is not DomainError and any(
+            _is_grade(terms) and max((e for m in terms for e in m), default=0) > MAX_EXPONENT
+            for terms in ref.values()):
+        ref = DomainError
+    if ref is DomainError:
+        assert got is DomainError
+        return
+    assert got is not DomainError
+    for (a, b), terms in ref.items():
+        want = PolyExpr(mmap.new_vars, terms)
+        assert got.entries[a][b] == want and got.entries[b][a] == -want
+    assert got.polynomial_grade == all(_is_grade(t) for t in ref.values())
 
 
 def outcome(f, *args):
@@ -178,9 +241,10 @@ def test_substitute_matches_fraction_exponents(case):
 
 
 # Exponents near MAX_EXPONENT / 2: the chain's intermediate products can
-# pass MAX_EXPONENT even where the result would not, and it raises there.
-# The scales are +-1, since powers of other scales to exponents this large
-# are numbers of millions of digits.
+# pass MAX_EXPONENT even where the result would not, and it raises there;
+# the transport then follows the limit-free closed form.  The scales are
+# +-1, since powers of other scales to exponents this large are numbers of
+# millions of digits.
 BIG = st.sampled_from([0, 1, F(1, 2), -1, 16382, 16383, 16384, 20000, MAX_EXPONENT])
 
 
@@ -190,7 +254,45 @@ BIG = st.sampled_from([0, 1, F(1, 2), -1, 16382, 16383, 16384, 20000, MAX_EXPONE
     maps(n, BIG, st.sampled_from([F(1), F(-1)])))))
 def test_transport_matches_the_chain_near_the_exponent_limit(case):
     ps, mmap = case
-    assert_same_transport(ps, mmap)
+    if outcome(reference_transport, ps, mmap) is DomainError:
+        assert_matches_limit_free(ps, mmap)
+    else:
+        assert_same_transport(ps, mmap)
+
+
+@pytest.mark.parametrize("rows, entry, want", [
+    # y1 = x2, y2 = x1 * x2^32767 over {x1, x2} = x1 * x2: the chain's
+    # product times p_12 has x2^32768, the entry is -y1 * y2
+    ([[0, 1], [1, MAX_EXPONENT]], {(1, 1): 1}, {(1, 1): -1}),
+    # y1 = x1 * x3^16384, y2 = x2 * x3^16384, y3 = x3^16382 over
+    # {x1, x2} = 1: dy1/dx1 * dy2/dx2 = x3^32768 in the chain, and the entry
+    # is x3^32768 = y3^(16384/8191)
+    ([[1, 0, 16384], [0, 1, 16384], [0, 0, 16382]], {(0, 0, 0): 1},
+     {(0, 0, F(16384, 8191)): 1}),
+])
+def test_a_map_whose_chain_raised_returns_its_entries(rows, entry, want):
+    n = len(rows)
+    v, w = names("x", n), names("y", n)
+    mmap = MonomialMap(v, w, rows)
+    ps = PoissonStructure.from_table(v, {(0, 1): PolyExpr(v, entry)})
+    assert outcome(reference_transport, ps, mmap) is DomainError
+    got = transport_bracket(ps, mmap)
+    assert got.entries[0][1] == PolyExpr(w, want) == -got.entries[1][0]
+    assert all(got.entries[a][b].is_zero() for a, b in combinations(range(n), 2)
+               if (a, b) != (0, 1))
+    assert got.polynomial_grade == (n == 2)
+    assert_matches_limit_free(ps, mmap)
+
+
+def test_an_entry_past_the_exponent_limit_raises():
+    # y1 = x1^(1/2) over {x1, x2} = x1^32767 * x2: the entry is
+    # 1/2 * y1^65533 * y2, polynomial-grade and past MAX_EXPONENT
+    v = names("x", 2)
+    mmap = MonomialMap(v, names("y", 2), [[F(1, 2), 0], [0, 1]])
+    ps = PoissonStructure.from_table(v, {(0, 1): PolyExpr(v, {(MAX_EXPONENT, 1): 1})})
+    with pytest.raises(DomainError, match="^exponent 65533 exceeds MAX_EXPONENT = 32767$"):
+        transport_bracket(ps, mmap)
+    assert_matches_limit_free(ps, mmap)
 
 
 def test_cancelled_terms_take_no_scale_power():
