@@ -7,10 +7,11 @@ dual of dQ_1 ^ ... ^ dQ_l.  Coefficientwise, on each 2m-subset S,
 m! * Pf(pi_S) is that constant times the l x l minor of the Casimir
 gradients on the complementary columns, up to the shuffle sign.  The check
 computes exactly that: the principal 2m x 2m Pfaffians of the bracket matrix
-against the volume dual of dQ_1 ^ ... ^ dQ_l, which a Jacobian structure
-carries from its construction.  The constant reported as ``lam`` carries the
-m!; ``lam_coord`` = lam / m! is the coordinate-level constant relating the
-Pfaffians to the minors.
+against the volume dual of the table of Casimir minors
+(``structures.casimir_minors``), which a Jacobian structure keeps from its
+construction.  The constant reported as ``lam`` carries the m!; ``lam_coord``
+= lam / m! is the coordinate-level constant relating the Pfaffians to the
+minors.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import DegenerateCasimirError, DomainError, ParityError, VariableSetError
-from .exterior import (PolyMultivector, differential, indices_of, mask_of, pfaffian,
-                       volume_dual, wedge_all)
+from .exterior import PolyForm, PolyMultivector, indices_of, mask_of, pfaffian, volume_dual
 from .poly import PolyExpr, _constant_ratio
-from .structures import PoissonStructure, is_casimir
+from .structures import PoissonStructure, casimir_minors, is_casimir
 
 
 @dataclass
@@ -54,13 +54,13 @@ class DualityReport:
                 for mask in masks}
 
 
-def _casimir_form(ps: PoissonStructure, casimirs: list):
-    """dQ_1 ^ ... ^ dQ_l, taken from the structure when it was built from
-    these Casimirs."""
-    form = ps._casimir_form
-    if form is not None and form[0] == tuple(casimirs):
-        return form[1]
-    return wedge_all([differential(q) for q in casimirs])
+def _casimir_minors(ps: PoissonStructure, casimirs: list) -> dict:
+    """The minor table of the Casimirs, taken from the structure when it was
+    built from them."""
+    built = ps._casimir_minors
+    if built is not None and built[0] == tuple(casimirs):
+        return built[1]
+    return casimir_minors(ps.vars, casimirs)
 
 
 def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> DualityReport:
@@ -87,7 +87,7 @@ def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> Duality
     m = (n - l) // 2
     if m < 1:
         raise ParityError("rank-0 comparison is vacuous")
-    dual_side = volume_dual(_casimir_form(ps, casimirs))
+    dual_side = volume_dual(PolyForm(ps.vars, l, _casimir_minors(ps, casimirs)))
 
     if dual_side.is_zero():
         raise DegenerateCasimirError(
@@ -137,13 +137,13 @@ def bdu_relation_sides(ps: PoissonStructure, p1: PolyExpr, p2: PolyExpr):
 
         {x,y}{p,z} + {y,z}{p,x} + {z,x}{p,y}
             = det [[dP1/dq, dP1/dr], [dP2/dq, dP2/dr]].
+
+    The left side is the Pfaffian of the bracket block on (p, x, y, z).
     """
     if ps.n != 6:
         raise DomainError("the determinantal relation needs six variables")
     vp, vq, vr, vx, vy, vz = range(6)
-    m = ps.matrix
-    lhs = (m[vx][vy] * m[vp][vz] + m[vy][vz] * m[vp][vx]
-           + m[vz][vx] * m[vp][vy])
+    lhs = pfaffian(ps.matrix, (vp, vx, vy, vz))
     names = ps.vars
     d1q, d1r = p1.diff(names[vq]), p1.diff(names[vr])
     d2q, d2r = p2.diff(names[vq]), p2.diff(names[vr])

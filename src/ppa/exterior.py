@@ -3,7 +3,10 @@
 Grade-k objects store coefficients keyed by index-subset bitmasks.  Forms and
 multivectors share the combinatorics and differ only in how they pair; the
 volume-form duality maps one onto the other with the signature of the
-(subset, complement) shuffle.
+(subset, complement) shuffle.  Principal Pfaffians are fused expansions.
+The minors of gradient rows, the coefficients of wedges of differentials,
+are not built here: ``structures.casimir_minors`` reads them off one
+Laplace table.
 """
 
 from __future__ import annotations
@@ -36,22 +39,6 @@ def merge_sign(mask_a: int, mask_b: int) -> int:
         if mask_b >> b & 1:
             inversions += bin(mask_a >> (b + 1)).count("1")
     return -1 if inversions & 1 else 1
-
-
-def shuffle_signature(first: Sequence[int], second: Sequence[int]) -> int:
-    """Signature of the permutation (first..., second...) of 0..n-1.
-
-    Both parts may come in any order; repeated indices give zero.
-    """
-    seq = list(first) + list(second)
-    seen = set()
-    for s in seq:
-        if s in seen:
-            return 0
-        seen.add(s)
-    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-              if seq[i] > seq[j])
-    return -1 if inv & 1 else 1
 
 
 class _GradedElement:
@@ -121,16 +108,6 @@ class PolyMultivector(_GradedElement):
     kind = "multivector"
 
 
-def one_form(variables, coeffs: Sequence[PolyExpr]) -> PolyForm:
-    """Build sum_i coeffs[i] dx_i."""
-    return PolyForm(variables, 1, {1 << i: c for i, c in enumerate(coeffs)})
-
-
-def differential(p: PolyExpr) -> PolyForm:
-    """The 1-form dp."""
-    return one_form(p.vars, [p.diff(v) for v in p.vars])
-
-
 def wedge(a: _GradedElement, b: _GradedElement):
     """Exterior product with standard shuffle signs.
 
@@ -157,14 +134,6 @@ def wedge(a: _GradedElement, b: _GradedElement):
             else:
                 out[mask] = s
     return type(a)(a.vars, grade, out)
-
-
-def wedge_all(elements: Sequence[_GradedElement]):
-    it = iter(elements)
-    acc = next(it)
-    for e in it:
-        acc = wedge(acc, e)
-    return acc
 
 
 def volume_dual(element: _GradedElement):

@@ -240,14 +240,15 @@ class PolyExpr:
 
     def _align(self, other):
         """Return (a, b) over one variable set; constants adapt to the other
-        side, anything else must match exactly."""
+        side, a constant over no variables always does, and anything else
+        must match exactly."""
         if not isinstance(other, PolyExpr):
             if isinstance(other, (int, Fraction)):
                 return self, PolyExpr.const(self.vars, other)
             return None, None
         if self.vars == other.vars:
             return self, other
-        if other.is_constant():
+        if other.is_constant() and self.vars:
             return self, PolyExpr.const(self.vars, other.constant_value())
         if self.is_constant():
             return PolyExpr.const(other.vars, self.constant_value()), other

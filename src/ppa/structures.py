@@ -8,6 +8,13 @@ Casimirs Q_i and a multiplier through
 
 Nambu structures keep m Casimirs and expose the (n-m)-ary bracket of the same
 determinantal shape.
+
+Both read their brackets off one table, the minors of the Casimir gradients
+keyed by column mask (the coefficients of dQ_1 ^ ... ^ dQ_l), built by
+Laplace expansion one gradient row at a time (:func:`casimir_minors`):
+{x_i, x_j} is the multiplier times the signed minor on the other n - 2
+columns, and a Nambu bracket stacks its argument gradients on the table and
+reads the full minor.
 """
 
 from __future__ import annotations
@@ -20,15 +27,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import ArityError, DomainError
-from .exterior import (
-    PolyMultivector,
-    differential,
-    indices_of,
-    mask_of,
-    pfaffian,
-    shuffle_signature,
-    wedge_all,
-)
+from .exterior import PolyMultivector, mask_of, merge_sign, pfaffian
 from .poly import PolyExpr, _integer_evaluator, _sum_of_products, exact_divisibility
 
 
@@ -57,11 +56,12 @@ class PoissonStructure:
         # candidate checked once (say by the casimirs check) is not checked
         # again by a later predicate (theorem31) on the same structure.
         self._casimir_verdicts: dict[PolyExpr, bool] = {}
-        # (Casimirs, dQ_1 ^ ... ^ dQ_l) when the table was built from them
-        self._casimir_form = None
+        # (Casimirs, their casimir_minors table) when the matrix was built
+        # from them
+        self._casimir_minors = None
 
     @classmethod
-    def _trusted(cls, variables: tuple, matrix, casimir_form=None) -> "PoissonStructure":
+    def _trusted(cls, variables: tuple, matrix, casimir_minors=None) -> "PoissonStructure":
         """Trusted constructor for a table built antisymmetric: ``matrix`` is
         a full n x n list of polynomial-grade ``PolyExpr`` over ``variables``
         with a zero diagonal and p_ji = -p_ij, so none of ``__init__``'s
@@ -71,7 +71,7 @@ class PoissonStructure:
         ps.n = len(variables)
         ps.matrix = [list(row) for row in matrix]
         ps._casimir_verdicts = {}
-        ps._casimir_form = casimir_form
+        ps._casimir_minors = casimir_minors
         return ps
 
     @classmethod
@@ -160,11 +160,9 @@ class NambuStructure:
 
     @cached_property
     def _casimir_minors(self) -> dict:
-        """Column mask -> the nonzero m x m minor of the Casimir gradients on
-        those columns (the constant 1 on no columns when m = 0): the bottom
-        of every cofactor row, computed once per structure."""
-        return _stacked_minors(self, [_gradient(q) for q in self.casimirs],
-                               {0: PolyExpr.const(self.vars, 1)})
+        """The :func:`casimir_minors` table of the Casimirs: the bottom of
+        every cofactor row, computed once per structure."""
+        return casimir_minors(self.vars, self.casimirs)
 
     def __repr__(self):
         return f"<NambuStructure n={self.n} arity={self.arity}>"
@@ -172,12 +170,25 @@ class NambuStructure:
 
 # ---------------- construction ----------------
 
+def casimir_minors(variables, casimirs: Sequence[PolyExpr]) -> dict:
+    """Column mask -> the nonzero l x l minor of the gradients of the l
+    ``casimirs`` (top to bottom) on those columns, which is the coefficient
+    of dQ_1 ^ ... ^ dQ_l on that mask; no Casimirs give {0: 1}.  Dependent
+    Casimirs give an empty table."""
+    minors = {0: PolyExpr.const(variables, 1)}
+    for q in reversed(casimirs):
+        minors = _stack_row(_gradient(q), minors)
+    return minors
+
+
 def jacobian_structure(variables, casimirs: Sequence[PolyExpr],
                        multiplier: PolyExpr | int | Fraction = 1) -> PoissonStructure:
-    """Poisson structure from n-2 Casimirs and a polynomial multiplier."""
+    """Poisson structure from n-2 Casimirs and a polynomial multiplier:
+    p_ij is the multiplier times the Casimir minor on the other n - 2
+    columns, signed by the shuffle ({i, j}, the rest)."""
     variables = tuple(variables)
     n = len(variables)
-    casimirs = [q.with_vars(variables) for q in casimirs]
+    casimirs = tuple(q.with_vars(variables) for q in casimirs)
     if len(casimirs) != n - 2:
         raise ArityError(f"need exactly {n - 2} Casimirs in {n} variables, "
                          f"got {len(casimirs)}")
@@ -187,29 +198,19 @@ def jacobian_structure(variables, casimirs: Sequence[PolyExpr],
     multiplier.require_polynomial_grade("multiplier")
     for q in casimirs:
         q.require_polynomial_grade("Casimir")
-    if casimirs:
-        w = wedge_all([differential(q) for q in casimirs])
-    else:
-        w = None
+    minors = casimir_minors(variables, casimirs)
     full = (1 << n) - 1
     zero = PolyExpr.zero(variables)
     matrix = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            comp = full & ~mask_of((i, j))
-            if w is None:
-                coeff = PolyExpr.const(variables, 1) if n == 2 else None
-            else:
-                coeff = w.coeffs.get(comp)
-            if coeff is None:
-                matrix[i][j] = zero
-            else:
-                sign = shuffle_signature((i, j), indices_of(comp))
+            pair = 1 << i | 1 << j
+            coeff = minors.get(full ^ pair)
+            if coeff is not None:
                 p = multiplier * coeff
-                matrix[i][j] = p if sign > 0 else -p
-            matrix[j][i] = -matrix[i][j]
-    return PoissonStructure._trusted(variables, matrix,
-                                     (tuple(casimirs), w) if casimirs else None)
+                matrix[i][j] = p if merge_sign(pair, full ^ pair) > 0 else -p
+                matrix[j][i] = -matrix[i][j]
+    return PoissonStructure._trusted(variables, matrix, (casimirs, minors))
 
 
 # ---------------- bracket evaluation ----------------
@@ -231,17 +232,15 @@ def bracket_of(ps: PoissonStructure, f: PolyExpr, g: PolyExpr) -> PolyExpr:
 
 
 def nambu_bracket(ns: NambuStructure, args: Sequence[PolyExpr]) -> PolyExpr:
-    """multiplier * (df_1 ^ ... ^ df_r ^ dQ_1 ^ ... ^ dQ_m) / volume."""
+    """multiplier * (df_1 ^ ... ^ df_r ^ dQ_1 ^ ... ^ dQ_m) / volume: the
+    argument gradients stacked on the Casimir minors, read on all columns."""
     if len(args) != ns.arity:
         raise ArityError(f"bracket takes {ns.arity} arguments, got {len(args)}")
     args = [a.with_vars(ns.vars) for a in args]
     for a in args:
         a.require_polynomial_grade("bracket argument")
-    forms = [differential(a) for a in args] + [differential(q) for q in ns.casimirs]
-    top = wedge_all(forms)
-    full = (1 << ns.n) - 1
-    coeff = top.coeffs.get(full, PolyExpr.zero(ns.vars))
-    return ns.multiplier * coeff
+    top = _stacked_minors(ns, [_gradient(a) for a in args])
+    return ns.multiplier * top.get((1 << ns.n) - 1, PolyExpr.zero(ns.vars))
 
 
 def _stack_row(row, minors: dict) -> dict:

@@ -1,5 +1,11 @@
 """Reference implementations that tests compare the library against.
 
+``one_form``, ``differential``, ``wedge_all`` and ``shuffle_signature`` are
+the exterior-algebra chain the library used for minors of gradient rows
+before it read them off one Laplace table; ``nambu_bracket_by_wedges`` and
+``jacobian_structure_by_wedges`` are the bracket and the construction as
+computed from that chain (see the first section).
+
 ``wedge_power`` is the m-th wedge power as a chain of full wedges, and
 ``duality_check_by_wedges`` is theorem31 computed from it and from the
 volume dual of the wedged Casimir differentials, as the library computed
@@ -30,14 +36,106 @@ from ppa.dsl import IntegrateRequest, ModelSpec
 from ppa.duality import DualityReport
 from ppa.errors import (ArityError, DegenerateCasimirError, DomainError,
                         ModelSyntaxError, ParityError, PolynomialGradeError)
-from ppa.exterior import (MAX_DIM, PolyForm, PolyMultivector, differential,
-                          indices_of, shuffle_signature, wedge, wedge_all)
+from ppa.exterior import (MAX_DIM, PolyForm, PolyMultivector, indices_of,
+                          mask_of, wedge)
 from ppa.geometry import ChartComparison
 from ppa.poly import (MAX_EXPONENT, MonomialMap, PolyExpr, _rational_pow,
                       _require_product_size)
 from ppa.runner import CHECKS, FI_MAX, _key, _projection
-from ppa.structures import PoissonStructure, is_casimir
+from ppa.structures import NambuStructure, PoissonStructure, is_casimir
 
+
+# ---------------- the exterior-algebra chain ----------------
+
+def shuffle_signature(first: Sequence[int], second: Sequence[int]) -> int:
+    """Signature of the permutation (first..., second...) of 0..n-1.
+
+    Both parts may come in any order; repeated indices give zero.
+    """
+    seq = list(first) + list(second)
+    seen = set()
+    for s in seq:
+        if s in seen:
+            return 0
+        seen.add(s)
+    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+              if seq[i] > seq[j])
+    return -1 if inv & 1 else 1
+
+
+def one_form(variables, coeffs: Sequence[PolyExpr]) -> PolyForm:
+    """Build sum_i coeffs[i] dx_i."""
+    return PolyForm(variables, 1, {1 << i: c for i, c in enumerate(coeffs)})
+
+
+def differential(p: PolyExpr) -> PolyForm:
+    """The 1-form dp."""
+    return one_form(p.vars, [p.diff(v) for v in p.vars])
+
+
+def wedge_all(elements):
+    it = iter(elements)
+    acc = next(it)
+    for e in it:
+        acc = wedge(acc, e)
+    return acc
+
+
+def nambu_bracket_by_wedges(ns: NambuStructure, args: Sequence[PolyExpr]) -> PolyExpr:
+    """multiplier * (df_1 ^ ... ^ df_r ^ dQ_1 ^ ... ^ dQ_m) / volume."""
+    if len(args) != ns.arity:
+        raise ArityError(f"bracket takes {ns.arity} arguments, got {len(args)}")
+    args = [a.with_vars(ns.vars) for a in args]
+    for a in args:
+        a.require_polynomial_grade("bracket argument")
+    forms = [differential(a) for a in args] + [differential(q) for q in ns.casimirs]
+    top = wedge_all(forms)
+    full = (1 << ns.n) - 1
+    coeff = top.coeffs.get(full, PolyExpr.zero(ns.vars))
+    return ns.multiplier * coeff
+
+
+def jacobian_structure_by_wedges(variables, casimirs: Sequence[PolyExpr],
+                                 multiplier=1) -> PoissonStructure:
+    """Poisson structure from n-2 Casimirs and a polynomial multiplier, its
+    entries read off ``wedge_all`` of the Casimir differentials."""
+    variables = tuple(variables)
+    n = len(variables)
+    casimirs = [q.with_vars(variables) for q in casimirs]
+    if len(casimirs) != n - 2:
+        raise ArityError(f"need exactly {n - 2} Casimirs in {n} variables, "
+                         f"got {len(casimirs)}")
+    if isinstance(multiplier, (int, Fraction)):
+        multiplier = PolyExpr.const(variables, multiplier)
+    multiplier = multiplier.with_vars(variables)
+    multiplier.require_polynomial_grade("multiplier")
+    for q in casimirs:
+        q.require_polynomial_grade("Casimir")
+    if casimirs:
+        w = wedge_all([differential(q) for q in casimirs])
+    else:
+        w = None
+    full = (1 << n) - 1
+    zero = PolyExpr.zero(variables)
+    matrix = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            comp = full & ~mask_of((i, j))
+            if w is None:
+                coeff = PolyExpr.const(variables, 1) if n == 2 else None
+            else:
+                coeff = w.coeffs.get(comp)
+            if coeff is None:
+                matrix[i][j] = zero
+            else:
+                sign = shuffle_signature((i, j), indices_of(comp))
+                p = multiplier * coeff
+                matrix[i][j] = p if sign > 0 else -p
+            matrix[j][i] = -matrix[i][j]
+    return PoissonStructure._trusted(variables, matrix)
+
+
+# ---------------- theorem31 by wedge powers ----------------
 
 def wedge_power(a, m: int):
     if m < 1:

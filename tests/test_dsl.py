@@ -27,6 +27,15 @@ def test_parse_matches_catalog_builder():
                            ("theorem31", None)]
 
 
+def test_a_param_bound_before_vars_takes_the_model_variables():
+    spec = dsl.parse_model(
+        "param k = 2; vars x y; let c = k*2; let d = 2*k; let e = k+2; "
+        "let f = 2+k; let g = k-2; let h = 2-k; structure table { };")
+    for name, value in zip("cdefgh", (4, 4, 4, 4, 0, 0)):
+        p = spec.named_poly(name)
+        assert p.vars == ("x", "y") and p == value, name
+
+
 def test_empty_input_errors_at_origin():
     with pytest.raises(ModelSyntaxError) as e:
         dsl.parse_model("")

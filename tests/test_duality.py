@@ -5,12 +5,11 @@ from itertools import combinations
 
 import pytest
 
-from oracles import wedge_power
+from oracles import differential, wedge_all, wedge_power
 from ppa import catalog, structures
 from ppa.duality import degree_sum_check, duality_check
 from ppa.errors import DomainError, ParityError
-from ppa.exterior import (differential, indices_of, pfaffian, volume_dual,
-                          wedge_all)
+from ppa.exterior import indices_of, pfaffian, volume_dual
 from ppa.poly import PolyExpr
 from ppa.structures import PoissonStructure, jacobian_structure
 

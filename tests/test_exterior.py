@@ -5,10 +5,10 @@ from itertools import combinations
 
 import pytest
 import sympy as sp
-from oracles import wedge_power
+from oracles import differential, one_form, wedge_all, wedge_power
 from ppa.errors import ArityError
-from ppa.exterior import (PolyForm, PolyMultivector, differential, mask_of,
-                          one_form, pfaffian, volume_dual, wedge, wedge_all)
+from ppa.exterior import (PolyForm, PolyMultivector, mask_of, pfaffian, volume_dual,
+                          wedge)
 from ppa.poly import PolyExpr
 
 V3 = ("x1", "x2", "x3")

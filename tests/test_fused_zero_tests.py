@@ -6,7 +6,8 @@ products in one fused kernel, and ``generic_rank`` takes the rank of
 integer matrices by fraction-free elimination.  Each is compared here with
 what it replaces: ``bracket_of``, a ``_sum`` chain of products, the
 recursive ``oracles.pfaffian`` and a ``Fraction`` elimination over the same
-sample points.
+sample points.  ``bdu_relation_sides`` reads its left side as a 4x4
+Pfaffian, compared here with the three products it sums.
 """
 
 import random
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import synthetic
 from ppa import dsl, structures
+from ppa.duality import bdu_relation_sides
 from ppa.errors import PolynomialGradeError
 from ppa.exterior import pfaffian
 from ppa.poly import PolyExpr, exact_divisibility
@@ -195,6 +197,16 @@ def test_six_and_eight_pfaffians_equal_the_recursion(m, data):
         sub = data.draw(st.permutations(range(n)))[:size]
         assert pfaffian(m, sub) == oracles.pfaffian(m, sub)
         assert pfaffian(m, sorted(sub)) == oracles.pfaffian(m, sorted(sub))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(list(combinations(range(6), 2))), polys(6, 2)))
+def test_bdu_left_side_is_the_three_product_sum(entries):
+    ps = table(6, entries)
+    m, zero = ps.matrix, PolyExpr.zero(ps.vars)
+    p, x, y, z = 0, 3, 4, 5
+    lhs, _ = bdu_relation_sides(ps, zero, zero)
+    assert lhs == m[x][y] * m[p][z] + m[y][z] * m[p][x] + m[z][x] * m[p][y]
 
 
 def test_a_laurent_block_raises_polynomial_grade_error():

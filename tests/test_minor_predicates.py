@@ -1,9 +1,13 @@
 """The minor-based predicates against the exterior-algebra chains they replace.
 
-A Nambu bracket with g in slot k is the cofactor contraction
+``casimir_minors`` is compared with the coefficients of ``wedge_all`` of the
+Casimir differentials, and ``jacobian_structure`` with
+``oracles.jacobian_structure_by_wedges``, the construction read off that
+wedge.  A Nambu bracket with g in slot k is the cofactor contraction
 sum_j W_j d_j g, W built from the minors of the other argument and Casimir
-gradients; it is compared with ``nambu_bracket``, the top coefficient of a
-full ``wedge_all``.  theorem31 reads m! Pf(pi_S) against the Casimir minors;
+gradients; it and ``nambu_bracket`` are compared with
+``oracles.nambu_bracket_by_wedges``, the top coefficient of a full
+``wedge_all``.  theorem31 reads m! Pf(pi_S) against the Casimir minors;
 every field of its report is compared with ``oracles.duality_check_by_wedges``,
 which computes the wedge side by ``wedge_power`` chains.
 """
@@ -14,15 +18,15 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import duality_check_by_wedges
+from oracles import (differential, duality_check_by_wedges,
+                     jacobian_structure_by_wedges, nambu_bracket_by_wedges, wedge_all)
 from ppa import catalog, dsl
 from ppa.duality import duality_check
-from ppa.exterior import differential, wedge_all
 from ppa.geometry import transport_bracket
 from ppa.poly import MonomialMap, PolyExpr
 from ppa.runner import _nambu_is_casimir
 from ppa.structures import (NambuStructure, PoissonStructure, _cofactor_row,
-                            _contract, _gradient, _stacked_minors,
+                            _contract, _gradient, _stacked_minors, casimir_minors,
                             check_fundamental_identity, jacobian_structure,
                             nambu_bracket)
 
@@ -59,13 +63,77 @@ def nambu_structures(draw):
     return NambuStructure(v, casimirs, multiplier)
 
 
+# ---------------- the minor table ----------------
+
+@st.composite
+def casimir_tuples(draw):
+    """n = 2..8 variables and l = 0..n Casimirs; half the time the last is
+    a function of the first (a constant when l = 1), so dQ_1 ^ ... ^ dQ_l
+    vanishes and the table is empty."""
+    n = draw(st.integers(2, 8))
+    v = VARS[:n]
+    qs = draw(st.lists(polys(v, 2), min_size=0, max_size=n))
+    if qs and draw(st.booleans()):
+        qs[-1] = qs[0] * qs[0] if len(qs) > 1 else PolyExpr.const(v, 3)
+    return v, qs
+
+
+@SETTINGS
+@given(casimir_tuples())
+def test_casimir_minors_are_the_wedge_coefficients(case):
+    v, qs = case
+    expected = (wedge_all([differential(q) for q in qs]).coeffs if qs
+                else {0: PolyExpr.const(v, 1)})
+    assert casimir_minors(v, qs) == expected
+
+
+@st.composite
+def jacobian_cases(draw):
+    """n = 2..6 variables, n - 2 Casimirs, a constant or polynomial
+    multiplier."""
+    n = draw(st.integers(2, 6))
+    v = VARS[:n]
+    qs = draw(st.lists(polys(v, 3), min_size=n - 2, max_size=n - 2))
+    mult = draw(st.one_of(st.fractions(-2, 2, max_denominator=3),
+                          polys(v, 2, 1)))
+    return v, qs, mult
+
+
+@SETTINGS
+@given(jacobian_cases())
+def test_jacobian_structure_equals_the_wedge_construction(case):
+    ps, ref = jacobian_structure(*case), jacobian_structure_by_wedges(*case)
+    for i in range(ps.n):
+        for j in range(ps.n):
+            assert ps.matrix[i][j] == ref.matrix[i][j], (i, j)
+
+
+def test_catalog_jacobian_entries_keep_the_wedge_term_order():
+    built_jacobian = 0
+    for name in catalog.names():
+        for bindings in [None] + list(catalog.entry(name).alternates):
+            built = catalog.build(name, bindings)
+            spec = dsl.model_spec_from_built(built)
+            if spec.structure_kind != "jacobian":
+                continue
+            built_jacobian += 1
+            mult = spec.multiplier if spec.multiplier is not None else 1
+            ref = jacobian_structure_by_wedges(spec.vars, spec.casimir_polys(), mult)
+            for (ij, p), (_, r) in zip(built.structure.entries_upper(),
+                                       ref.entries_upper()):
+                assert list(p._num.items()) == list(r._num.items()), (name, ij)
+                assert p._den == r._den
+    assert built_jacobian > 0
+
+
 # ---------------- the cofactor bracket ----------------
 
 @SETTINGS
 @given(nambu_structures(), st.data())
 def test_cofactor_contraction_equals_wedge_bracket_in_every_slot(ns, data):
     args = data.draw(st.lists(polys(ns.vars), min_size=ns.arity, max_size=ns.arity))
-    expected = nambu_bracket(ns, args)
+    expected = nambu_bracket_by_wedges(ns, args)
+    assert nambu_bracket(ns, args) == expected
     grads = [_gradient(a) for a in args]
     for k in range(ns.arity):
         row = _cofactor_row(ns, _stacked_minors(ns, grads[:k] + grads[k + 1:]), k)
@@ -78,7 +146,7 @@ def test_nambu_casimir_verdict_matches_wedge_brackets(ns, data):
     central = [q * q + q for q in ns.casimirs]       # functions of the Casimirs
     q = data.draw(st.one_of(polys(ns.vars), st.sampled_from(central))
                   if central else polys(ns.vars))
-    expected = all(nambu_bracket(ns, list(combo) + [q]).is_zero()
+    expected = all(nambu_bracket_by_wedges(ns, list(combo) + [q]).is_zero()
                    for combo in combinations(PolyExpr.gens(ns.vars), ns.arity - 1))
     assert _nambu_is_casimir(ns, q) == expected
 
@@ -88,9 +156,9 @@ def fi_by_wedges(ns, args):
     head, tail = args[:r - 1], args[r - 1:]
     lhs = PolyExpr.zero(ns.vars)
     for pos in range(r):
-        inner = nambu_bracket(ns, head + [tail[pos]])
-        lhs = lhs + nambu_bracket(ns, tail[:pos] + [inner] + tail[pos + 1:])
-    return lhs - nambu_bracket(ns, head + [nambu_bracket(ns, tail)])
+        inner = nambu_bracket_by_wedges(ns, head + [tail[pos]])
+        lhs = lhs + nambu_bracket_by_wedges(ns, tail[:pos] + [inner] + tail[pos + 1:])
+    return lhs - nambu_bracket_by_wedges(ns, head + [nambu_bracket_by_wedges(ns, tail)])
 
 
 @settings(max_examples=25, deadline=None)
@@ -131,7 +199,7 @@ def duality_cases(draw):
     table with genuine Casimirs has those, so its Casimir verdicts are
     entered as verified and the comparison runs on the table as it is.
     ``jacobian`` is ``jacobian_structure`` from n - 2 random Casimirs, which
-    carries its Casimir form; they come back reordered half the time."""
+    keeps their minor table; they come back reordered half the time."""
     kind = draw(st.sampled_from(["proportional", "random", "outside", "jacobian"]))
     if kind == "jacobian":
         n = draw(st.integers(3, 5))
@@ -211,8 +279,8 @@ def test_jacobian_structure_passes_the_checked_constructor():
     qs = [x[0] * x[1] + x[2] ** 2, x[3] * x[4] - x[0], x[2] + x[4] ** 3]
     ps = jacobian_structure(v, qs, x[0] - 2)
     assert checked_copy(ps) == ps
-    assert ps._casimir_form[0] == tuple(qs)
-    assert ps._casimir_form[1] == wedge_all([differential(q) for q in qs])
+    assert ps._casimir_minors[0] == tuple(qs)
+    assert ps._casimir_minors[1] == wedge_all([differential(q) for q in qs]).coeffs
     assert all(ps.matrix[i][i].is_zero() for i in range(5))
 
 
@@ -225,6 +293,6 @@ def test_transported_structure_passes_the_checked_constructor():
     result = transport_bracket(q3, mmap)
     ps = result.structure()
     assert checked_copy(ps) == ps
-    assert ps._casimir_form is None
+    assert ps._casimir_minors is None
     ps.matrix[0][1] = ps.matrix[1][0]       # the structure holds its own rows
     assert result.entries[0][1] == -ps.matrix[0][1]

@@ -62,6 +62,17 @@ def test_constant_adapts_to_either_side():
     assert c * x1 == x1 * 5
 
 
+@pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__"])
+def test_a_constant_over_no_variables_adapts_in_either_order(op):
+    k = PolyExpr.const((), F(2))
+    for other in (PolyExpr.const(("x", "y"), 3), PolyExpr.var("x", ("x", "y"))):
+        assert getattr(k, op)(other).vars == ("x", "y")
+        assert getattr(other, op)(k).vars == ("x", "y")
+    # between constants over variables the left operand's set still wins
+    t = PolyExpr.const(("t",), 1)
+    assert getattr(t, op)(PolyExpr.const(("x", "y"), 3)).vars == ("t",)
+
+
 def test_zero_terms_pruned():
     x1, x2, _ = gens3()
     p = x1 * x2 - x1 * x2
