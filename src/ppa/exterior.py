@@ -30,12 +30,17 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def require_max_dim(n: int) -> None:
+    if n > MAX_DIM:
+        raise DomainError(f"ambient dimension {n} exceeds {MAX_DIM}")
+
+
 def merge_sign(mask_a: int, mask_b: int) -> int:
     """Sign of sorting the concatenation (sorted A, sorted B); 0 on overlap."""
     if mask_a & mask_b:
         return 0
     inversions = 0
-    for b in range(MAX_DIM):
+    for b in range(mask_b.bit_length()):
         if mask_b >> b & 1:
             inversions += bin(mask_a >> (b + 1)).count("1")
     return -1 if inversions & 1 else 1
@@ -50,8 +55,7 @@ class _GradedElement:
                  coeffs: Mapping[int, PolyExpr] | None = None):
         self.vars = tuple(variables)
         self.n = len(self.vars)
-        if self.n > MAX_DIM:
-            raise DomainError(f"ambient dimension {self.n} exceeds {MAX_DIM}")
+        require_max_dim(self.n)
         self.grade = grade
         self.coeffs: dict[int, PolyExpr] = {}
         if coeffs:

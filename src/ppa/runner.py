@@ -180,7 +180,7 @@ def _nambu_is_casimir(ns: NambuStructure, q: PolyExpr) -> bool:
     units = [_gradient(x) for x in PolyExpr.gens(ns.vars)]
     slot = ns.arity - 1
     for combo in combinations(range(ns.n), slot):
-        minors = _stacked_minors(ns, [units[c] for c in combo])
+        minors = _stacked_minors([units[c] for c in combo], ns._casimir_minors)
         if not _contract(_cofactor_row(ns, minors, slot), grad).is_zero():
             return False
     return True

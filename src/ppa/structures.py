@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import ArityError, DomainError
-from .exterior import PolyMultivector, mask_of, merge_sign, pfaffian
+from .exterior import PolyMultivector, mask_of, pfaffian, require_max_dim
 from .poly import PolyExpr, _integer_evaluator, _sum_of_products, exact_divisibility
 
 
@@ -175,17 +175,16 @@ def casimir_minors(variables, casimirs: Sequence[PolyExpr]) -> dict:
     ``casimirs`` (top to bottom) on those columns, which is the coefficient
     of dQ_1 ^ ... ^ dQ_l on that mask; no Casimirs give {0: 1}.  Dependent
     Casimirs give an empty table."""
-    minors = {0: PolyExpr.const(variables, 1)}
-    for q in reversed(casimirs):
-        minors = _stack_row(_gradient(q), minors)
-    return minors
+    return _stacked_minors([_gradient(q) for q in casimirs],
+                           {0: PolyExpr.const(variables, 1)})
 
 
 def jacobian_structure(variables, casimirs: Sequence[PolyExpr],
                        multiplier: PolyExpr | int | Fraction = 1) -> PoissonStructure:
     """Poisson structure from n-2 Casimirs and a polynomial multiplier:
     p_ij is the multiplier times the Casimir minor on the other n - 2
-    columns, signed by the shuffle ({i, j}, the rest)."""
+    columns, signed by the shuffle ({i, j}, the rest), which is
+    (-1)^(i + j - 1).  Refused above ``MAX_DIM`` variables."""
     variables = tuple(variables)
     n = len(variables)
     casimirs = tuple(q.with_vars(variables) for q in casimirs)
@@ -198,17 +197,17 @@ def jacobian_structure(variables, casimirs: Sequence[PolyExpr],
     multiplier.require_polynomial_grade("multiplier")
     for q in casimirs:
         q.require_polynomial_grade("Casimir")
+    require_max_dim(n)
     minors = casimir_minors(variables, casimirs)
     full = (1 << n) - 1
     zero = PolyExpr.zero(variables)
     matrix = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            pair = 1 << i | 1 << j
-            coeff = minors.get(full ^ pair)
+            coeff = minors.get(full ^ (1 << i | 1 << j))
             if coeff is not None:
                 p = multiplier * coeff
-                matrix[i][j] = p if merge_sign(pair, full ^ pair) > 0 else -p
+                matrix[i][j] = p if (i + j) & 1 else -p
                 matrix[j][i] = -matrix[i][j]
     return PoissonStructure._trusted(variables, matrix, (casimirs, minors))
 
@@ -233,13 +232,15 @@ def bracket_of(ps: PoissonStructure, f: PolyExpr, g: PolyExpr) -> PolyExpr:
 
 def nambu_bracket(ns: NambuStructure, args: Sequence[PolyExpr]) -> PolyExpr:
     """multiplier * (df_1 ^ ... ^ df_r ^ dQ_1 ^ ... ^ dQ_m) / volume: the
-    argument gradients stacked on the Casimir minors, read on all columns."""
+    argument gradients stacked on the Casimir minors, read on all columns.
+    Refused above ``MAX_DIM`` variables."""
     if len(args) != ns.arity:
         raise ArityError(f"bracket takes {ns.arity} arguments, got {len(args)}")
     args = [a.with_vars(ns.vars) for a in args]
     for a in args:
         a.require_polynomial_grade("bracket argument")
-    top = _stacked_minors(ns, [_gradient(a) for a in args])
+    require_max_dim(ns.n)
+    top = _stacked_minors([_gradient(a) for a in args], ns._casimir_minors)
     return ns.multiplier * top.get((1 << ns.n) - 1, PolyExpr.zero(ns.vars))
 
 
@@ -266,12 +267,9 @@ def _stack_row(row, minors: dict) -> dict:
     return out
 
 
-def _stacked_minors(ns: NambuStructure, grads, minors=None) -> dict:
+def _stacked_minors(grads, minors: dict) -> dict:
     """The nonzero minors of the rows ``grads`` (top to bottom) put on top
-    of the rows whose minors are ``minors``, by default the Casimir
-    gradients."""
-    if minors is None:
-        minors = ns._casimir_minors
+    of the rows whose minors are ``minors``."""
     for row in reversed(grads):
         minors = _stack_row(row, minors)
     return minors
@@ -513,7 +511,7 @@ def check_fundamental_identity(ns: NambuStructure,
         a.require_polynomial_grade("bracket argument")
     grads = [_gradient(a) for a in f]
     g_head, g_tail = grads[:r - 1], grads[r - 1:]
-    head = _cofactor_row(ns, _stacked_minors(ns, g_head), r - 1)
+    head = _cofactor_row(ns, _stacked_minors(g_head, ns._casimir_minors), r - 1)
     # after[pos]: the minors of the tail gradients after slot pos stacked
     # on the Casimir gradients, shared by the rows of the slots up to pos
     after = [ns._casimir_minors]
@@ -522,7 +520,7 @@ def check_fundamental_identity(ns: NambuStructure,
     after.reverse()
     pairs = []
     for pos, g in enumerate(g_tail):
-        row = _cofactor_row(ns, _stacked_minors(ns, g_tail[:pos], after[pos]), pos)
+        row = _cofactor_row(ns, _stacked_minors(g_tail[:pos], after[pos]), pos)
         # {f_r, ..., {f_1, ..., f_{r-1}, f_i}, ..., f_{2r-1}}
         pairs += zip(row, _gradient(_contract(head, g)))
         if pos == 0:

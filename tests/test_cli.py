@@ -68,6 +68,15 @@ def test_expect_mismatch_fails(tmp_path):
     assert run_cli("check", str(f)) == 1
 
 
+def test_a_ten_variable_jacobian_model_is_refused_with_exit_two(tmp_path):
+    f = tmp_path / "m.ppa"
+    xs = [f"x{i}" for i in range(1, 11)]
+    casimirs = "".join(f"casimir Q{k} = {xs[k]}^2 + {xs[k + 1]}*{xs[k + 2]};\n"
+                       for k in range(8))
+    f.write_text(f"vars {' '.join(xs)};\n{casimirs}structure jacobian;\n")
+    assert run_cli("check", str(f)) == 2
+
+
 def test_informational_checks_never_fail_unpinned(tmp_path):
     f = tmp_path / "m.ppa"
     f.write_text("vars x1 x2 x3; casimir Q = x3; structure jacobian;\n"

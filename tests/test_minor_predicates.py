@@ -23,6 +23,8 @@ from oracles import (differential, duality_check_by_wedges,
 from ppa import catalog, dsl
 from ppa.duality import duality_check
 from ppa.geometry import transport_bracket
+from ppa.errors import DomainError
+from ppa.exterior import MAX_DIM, merge_sign
 from ppa.poly import MonomialMap, PolyExpr
 from ppa.runner import _nambu_is_casimir
 from ppa.structures import (NambuStructure, PoissonStructure, _cofactor_row,
@@ -136,7 +138,8 @@ def test_cofactor_contraction_equals_wedge_bracket_in_every_slot(ns, data):
     assert nambu_bracket(ns, args) == expected
     grads = [_gradient(a) for a in args]
     for k in range(ns.arity):
-        row = _cofactor_row(ns, _stacked_minors(ns, grads[:k] + grads[k + 1:]), k)
+        minors = _stacked_minors(grads[:k] + grads[k + 1:], ns._casimir_minors)
+        row = _cofactor_row(ns, minors, k)
         assert _contract(row, grads[k]) == expected, k
 
 
@@ -265,6 +268,27 @@ def test_theorem31_report_matches_wedge_power_oracle_on_the_catalog(name):
         spec = dsl.parse_model(dsl.render_model(dsl.model_spec_from_built(built)))
         ps, qs = spec.build_structure(), spec.casimir_polys()
         assert outcome(duality_check, ps, qs) == outcome(duality_check_by_wedges, ps, qs)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_jacobian_and_nambu_brackets_refuse_more_than_max_dim(n):
+    v = tuple(f"x{i + 1}" for i in range(n))
+    x = PolyExpr.gens(v)
+    qs = [x[k] ** 2 + x[k + 1] * x[k + 2] for k in range(n - 2)]
+    with pytest.raises(DomainError, match=f"ambient dimension {n} exceeds {MAX_DIM}"):
+        jacobian_structure(v, qs)
+    ns = NambuStructure(v, qs[:1])
+    with pytest.raises(DomainError, match=f"ambient dimension {n} exceeds {MAX_DIM}"):
+        nambu_bracket(ns, x[:n - 1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 10, 12])
+def test_merge_sign_of_a_pair_and_its_complement(n):
+    """The shuffle ({i, j}, rest) has i + j - 1 inversions, at every n."""
+    full = (1 << n) - 1
+    for i, j in combinations(range(n), 2):
+        pair = 1 << i | 1 << j
+        assert merge_sign(pair, full ^ pair) == (-1) ** (i + j - 1), (n, i, j)
 
 
 # ---------------- the trusted constructor ----------------
