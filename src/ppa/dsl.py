@@ -35,8 +35,7 @@ from typing import Optional
 
 from .errors import ArityError, DomainError, ModelSyntaxError
 from .poly import (_LAYOUTS, MAX_EXPONENT, MonomialMap, PolyExpr, _over_limit,
-                   _rational_pow, _reduced, _require_power_bits, _require_product_size,
-                   _sum)
+                   _rational_pow, _reduced, _require_power_bits, _require_work, _sum)
 from .runner import CHECKS, FI_MAX, _key, _literal_text, _projection
 from .structures import NambuStructure, PoissonStructure, jacobian_structure
 
@@ -201,10 +200,6 @@ def _parse_term(stream, env, variables):
     factors = [_parse_unary(stream, env, variables)]
     while stream.accept("*"):
         factors.append(_parse_unary(stream, env, variables))
-    if len(factors) > 1:
-        # the size of the whole product is bounded before anything is
-        # multiplied, as a power's is
-        _require_product_size(factors)
     return reduce(mul, factors)
 
 
@@ -213,8 +208,9 @@ def _fold_monomials(stream, env, variables):
     packed key, numerator and denominator; None when a factor is not (the
     cursor is then left inside the term).  A factor is a rational literal or a name bound
     to one packed term over ``variables``, with optional signs and a
-    nonnegative integer power.  As in a product of ``PolyExpr`` factors, a
-    zero factor ends the exponent tests, and the field top bits are tested
+    nonnegative integer power.  As in a product of ``PolyExpr`` factors,
+    each coefficient product is held to the work budget, a zero factor ends
+    that budget and the exponent tests, and the field top bits are tested
     after each factor, so no exponent past MAX_EXPONENT carries into the
     next field; that error is raised once the term is read."""
     tokens = stream.tokens
@@ -270,6 +266,7 @@ def _fold_monomials(stream, env, variables):
                 _require_power_bits(c, d, n)
             k, c, d = k * n, c ** n, d ** n
         if num and not overflow:
+            _require_work(1, max(abs(num), den).bit_length(), 1, max(abs(c), d).bit_length())
             num *= c
             den *= d
             key += k

@@ -26,7 +26,9 @@ from typing import Callable, Optional
 
 from .errors import DivergenceError, DomainError
 from .poly import PolyExpr, _float_sum_lines, float_evaluator
-from .structures import NambuStructure, PoissonStructure, bracket_of, nambu_bracket
+from .exterior import require_max_dim
+from .structures import (NambuStructure, PoissonStructure, _cofactor_row, _gradient,
+                         _stacked_minors, bracket_of)
 
 
 @dataclass
@@ -63,14 +65,18 @@ def hamiltonian_vector_field(ps: PoissonStructure, h: PolyExpr) -> PolyVectorFie
 
 def nambu_vector_field(ns: NambuStructure,
                        hamiltonians: Sequence[PolyExpr]) -> PolyVectorField:
-    """xdot_i = {H_1, ..., H_{r-1}, x_i}."""
+    """xdot_i = {H_1, ..., H_{r-1}, x_i}, the i-th entry of one cofactor row
+    (see :func:`structures._cofactor_row`): the Hamiltonians' gradients
+    stacked once on the Casimir minors serve every coordinate."""
     if len(hamiltonians) != ns.arity - 1:
         raise DomainError(
             f"need {ns.arity - 1} Hamiltonians for arity {ns.arity}")
-    gens = PolyExpr.gens(ns.vars)
     hams = [h.with_vars(ns.vars) for h in hamiltonians]
-    return PolyVectorField(ns.vars,
-                           [nambu_bracket(ns, hams + [x]) for x in gens])
+    for h in hams:
+        h.require_polynomial_grade("bracket argument")
+    require_max_dim(ns.n)
+    minors = _stacked_minors([_gradient(h) for h in hams], ns._casimir_minors)
+    return PolyVectorField(ns.vars, _cofactor_row(ns, minors, ns.arity - 1))
 
 
 @dataclass

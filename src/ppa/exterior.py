@@ -191,5 +191,5 @@ def _expanded(matrix, order: tuple) -> PolyExpr:
         entry = row[order[pos]]
         if entry._num:
             sub = _expanded(matrix, order[1:pos] + order[pos + 1:])
-            pairs.append((entry if pos % 2 else -entry, sub))
+            pairs.append((entry, sub, 1 if pos % 2 else -1))
     return _sum_of_products(row[order[1]].vars, pairs)

@@ -28,7 +28,7 @@ from typing import Optional
 
 from .errors import DomainError, PolynomialGradeError
 from .poly import (MonomialMap, PolyExpr, _accumulate_tuples, _constant_ratio,
-                   _exp_over, _lattice_image, _reduced, _require_term_pairs, _tuple_num)
+                   _exp_over, _lattice_image, _reduced, _require_work, _tuple_num)
 from .structures import PoissonStructure
 
 
@@ -153,8 +153,9 @@ def chart_compare(ps_a: PoissonStructure, ps_b: PoissonStructure,
     integer exponent vectors (scaled by the least common denominator of the
     eliminator's exponents) whose powers are built once, and each residual
     is one pass over the terms of b and a.  A residual with a fractional
-    exponent raises ``PolynomialGradeError``, and an entry or residual with
-    an exponent past ``MAX_EXPONENT`` raises ``DomainError``.
+    exponent raises ``PolynomialGradeError``; an entry or residual with an
+    exponent past ``MAX_EXPONENT``, and a power of z past the work budget
+    ``MAX_WORK``, raise ``DomainError``.
     """
     extra = [v for v in ps_b.vars if v not in ps_a.vars]
     if len(extra) != 1:
@@ -183,6 +184,7 @@ def chart_compare(ps_a: PoissonStructure, ps_b: PoissonStructure,
     # z = -rest / a over zden; powers[e] holds the terms of z ** e over zden ** e
     zterms = [(tuple(int((e - f) * scale) for e, f in zip(pick(m), pick(am))),
                -c if ac > 0 else c) for m, c in terms.items() if m[zi] == 0]
+    zbits = max((abs(c) for _, c in zterms), default=0).bit_length()
     zero = (0,) * ps_a.n
     powers = [[(zero, 1)]]
     residuals = {}
@@ -193,9 +195,11 @@ def chart_compare(ps_a: PoissonStructure, ps_b: PoissonStructure,
         num = _tuple_num(b_entry)
         top = max((m[zi] for m in num), default=0)
         while len(powers) <= top:
-            _require_term_pairs(len(powers[-1]), len(zterms))
+            last = powers[-1]
+            bits = max((abs(c) for _, c in last), default=0).bit_length()
+            _require_work(len(last), bits, len(zterms), zbits)
             nxt: dict = {}
-            _accumulate_tuples(nxt, powers[-1], zterms)
+            _accumulate_tuples(nxt, last, zterms)
             powers.append(list(nxt.items()))
         c = constant if constant is not None else Fraction(1)
         # (b - c * a) * lift over den, with lift clearing c's and a's denominators

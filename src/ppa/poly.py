@@ -23,7 +23,10 @@ content only when the denominator is not 1 (after Monagan & Pearce, CASC
 ``MAX_EXPONENT``, which leaves each field's top bit free: a product of two
 such values cannot carry between fields, and one test of the top bits of
 its result finds any exponent past the limit.  Exceeding it raises
-``DomainError``.  ``terms`` is the read-only ``Fraction`` view keyed by
+``DomainError``.  Every product, each squaring of a power included, is
+charged against one work budget before it multiplies (``MAX_WORK``); a
+value keeps the bit size of its largest coefficient once that is read.
+``terms`` is the read-only ``Fraction`` view keyed by
 exponent tuples, built on first use.  Every result is exact; term order
 follows the same accumulation as ``Fraction`` arithmetic would, so iteration
 order (and with it float sums over the terms) does not depend on the
@@ -32,9 +35,10 @@ representation.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import reduce
-from math import comb, gcd, lcm, prod
+from math import gcd, lcm, prod
 from operator import add, mul, or_
 from struct import Struct, error as StructError
 from types import MappingProxyType
@@ -82,25 +86,19 @@ FIELD_BITS = 16                 # the width of a struct "h" field
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 
-# The most terms a power or a product may be predicted to have: ``p ** n``
-# and ``a * b`` refuse with ``DomainError`` before they multiply anything
-# when their predicted size is larger.  A limit, so that hostile input stays
-# bounded work.
-MAX_TERMS = 10 ** 6
+# The most work one product of two values or two coefficients may do, in
+# units of one term pair of coefficients of at most _BLOCK_BITS bits (see
+# :func:`_require_work`), so that hostile input stays bounded work: half a
+# second to a second at the limit.  The largest product of the catalog
+# checks, the synthetic n = 3..8 checks and the benchmark workloads costs
+# 30770 units (170 x 181 terms of at most 31 bits, n = 8), a margin of 32.
+MAX_WORK = 10 ** 6
+_BLOCK_BITS = 512
 
-# The most term pairs one product may multiply: ``_product`` (behind ``*``
-# and the squarings of ``**``) and ``_sum_of_products``, for each of its
-# pairs, refuse with ``DomainError`` before they multiply more.  MAX_TERMS
-# bounds sizes, this bounds work: about half a second at the limit.  The
-# largest product of the catalog checks, the synthetic n = 3..8 checks and
-# the benchmark workloads multiplies 30770 pairs (170 x 181 terms, n = 8).
-MAX_TERM_PAIRS = 10 ** 6
-
-# The most bits a rational power may be predicted to have: ``_rational_pow``
-# and the integer powers of ``__pow__`` and of the DSL's monomial terms
-# refuse with ``DomainError`` before they compute a larger one (about 0.2 s
-# of big-integer work at the limit).  A limit, so that hostile input stays
-# bounded work.
+# The most bits a power of one rational may be predicted to have:
+# ``_rational_pow`` and the integer powers of one-term values (``__pow__``
+# and the DSL's monomial terms) refuse with ``DomainError`` before they
+# compute a larger one (about 0.2 s of big-integer work at the limit).
 MAX_POWER_BITS = 1 << 20
 
 
@@ -146,7 +144,7 @@ def _tuple_num(p) -> dict:
 class PolyExpr:
     """Immutable sparse polynomial with rational coefficients and exponents."""
 
-    __slots__ = ("vars", "_num", "_den", "_grade", "_terms")
+    __slots__ = ("vars", "_num", "_den", "_grade", "_terms", "_bits")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Fraction] | None = None):
         variables = tuple(variables)
@@ -286,8 +284,6 @@ class PolyExpr:
         a, b = self._align(other)
         if a is None:
             return NotImplemented
-        if len(a._num) * len(b._num) > MAX_TERMS:
-            _require_product_size((a, b))
         return _product(a, b)
 
     __rmul__ = __mul__
@@ -310,29 +306,14 @@ class PolyExpr:
             top = max((e for m in _tuple_num(self) for e in m), default=0)
             if n * top > MAX_EXPONENT:
                 raise _over_limit(f"exponent {n * top} of the power")
-        if n > 1 and self._num:
-            # by Gauss's lemma the power's denominator is den ** n, and its
-            # numerators at the largest and the smallest monomial (in lex
-            # order, a monomial order that packed keys and exponent tuples
-            # both follow) are those of self to the n
-            num = self._num
-            _require_power_bits(max(num[max(num)], num[min(num)], key=abs), self._den, n)
-        if self._grade and len(self._num) == 1:
-            # a packed key times n adds each field n times, and (c/d)^n
-            # stays reduced
+        if len(self._num) == 1:
             (m, c), = self._num.items()
-            return _new(self.vars, {m * n: c ** n}, self._den ** n, True)
-        t = len(self._num)
-        if n > 1 and t > 1:
-            # at most one term per multiset of n terms, and for
-            # polynomial-grade values one per monomial of degree <= n * d
-            size = comb(t + n - 1, n)
+            if n > 1:
+                _require_power_bits(c, self._den, n)
             if self._grade:
-                v = len(self.vars)
-                size = min(size, comb(v + n * self.total_degree(), v))
-            if size > MAX_TERMS:
-                raise DomainError(f"power {n} of a {t}-term polynomial may have "
-                                  f"more than MAX_TERMS = {MAX_TERMS} terms")
+                # a packed key times n adds each field n times, and (c/d)^n
+                # stays reduced
+                return _new(self.vars, {m * n: c ** n}, self._den ** n, True)
         out = PolyExpr.const(self.vars, 1)
         base = self
         while n:
@@ -554,6 +535,7 @@ _set_num = PolyExpr._num.__set__
 _set_den = PolyExpr._den.__set__
 _set_grade = PolyExpr._grade.__set__
 _set_terms = PolyExpr._terms.__set__
+_set_bits = PolyExpr._bits.__set__
 
 
 def _fill(p, variables, num, den, grade):
@@ -567,6 +549,7 @@ def _fill(p, variables, num, den, grade):
     _set_den(p, den)
     _set_grade(p, grade)
     _set_terms(p, None)
+    _set_bits(p, 0)
 
 
 def _new(variables, num, den, grade) -> PolyExpr:
@@ -694,17 +677,16 @@ def _accumulate_tuples(out: dict, left, right) -> None:
 
 
 def _product(a: PolyExpr, b: PolyExpr) -> PolyExpr:
-    """a * b over one variable set, with no term budget (``__pow__`` has
-    bounded its whole result before it multiplies) but the term-pair one."""
-    _require_term_pairs(len(a._num), len(b._num))
+    """a * b over one variable set, held to the work budget."""
+    if not (a._num and b._num):     # zero is packed: skip unpacking it
+        return PolyExpr.zero(a.vars)
+    _require_work(len(a._num), _coeff_bits(a), len(b._num), _coeff_bits(b))
     out: dict = {}
     if a._grade and b._grade:
-        _accumulate(out, a._num.items(), list(b._num.items()))
+        _accumulate(out, a._num.items(), b._num.items())
         if out and reduce(or_, out) & _LAYOUTS[len(a.vars)][1]:
             raise _over_limit("an exponent of the product")
         return _reduced(a.vars, out, a._den * b._den, True)
-    if not (a._num and b._num):     # zero is packed: skip unpacking it
-        return PolyExpr.zero(a.vars)
     get = out.get
     right = list(_tuple_num(b).items())
     for m1, c1 in _tuple_num(a).items():
@@ -719,63 +701,72 @@ def _product(a: PolyExpr, b: PolyExpr) -> PolyExpr:
 
 
 def _sum_of_products(variables, pairs) -> PolyExpr:
-    """sum a*b over ``pairs`` of polynomial-grade values over ``variables``,
-    accumulated into one packed dict over one common denominator (after
-    Monagan & Pearce, CASC 2007).  Each product is held to the term budget
-    of ``__mul__``, the ``MAX_EXPONENT`` test runs once on the sum, and the
-    result is reduced, so it is canonical.  Its term order is not that of a
-    ``_sum`` chain of products: use it where the result is only zero-tested
-    or rendered (``render`` sorts its terms)."""
+    """sum s*a*b over ``pairs`` (a, b) or (a, b, s), with a and b
+    polynomial-grade values over ``variables`` and the sign s +1 (when left
+    out) or -1, accumulated into one packed dict over one common
+    denominator (after Monagan & Pearce, CASC 2007).  Each product is held
+    to the work budget; its sign and denominator factor scale its shorter
+    factor, with the keys, values and term order of negating either.  The
+    ``MAX_EXPONENT`` test runs once on the sum, and the result is reduced,
+    so it is canonical.  Its term order is not that of a ``_sum`` chain of
+    products: use it where the result is only zero-tested or rendered
+    (``render`` sorts its terms)."""
     # the longer factor of each pair runs in the inner loop
-    pairs = [(a, b) if len(a._num) <= len(b._num) else (b, a)
-             for a, b in pairs if a._num and b._num]
-    den = lcm(*(a._den * b._den for a, b in pairs))
+    live, den = [], 1
+    for a, b, *s in pairs:
+        if a._num and b._num:
+            if len(a._num) > len(b._num):
+                a, b = b, a
+            live.append((a, b, s))
+            den = lcm(den, a._den * b._den)
     out: dict = {}
-    for a, b in pairs:
-        if len(a._num) * len(b._num) > MAX_TERMS:
-            _require_product_size((a, b))
-        _require_term_pairs(len(a._num), len(b._num))
+    for a, b, s in live:
         f = den // (a._den * b._den)
-        _accumulate(out, a._num.items(), list(b._num.items()) if f == 1
-                    else [(m, c * f) for m, c in b._num.items()])
+        _require_work(len(a._num), _coeff_bits(a) + f.bit_length() - 1,
+                      len(b._num), _coeff_bits(b))
+        if s and s[0] < 0:
+            f = -f
+        _accumulate(out, a._num.items() if f == 1
+                    else [(m, c * f) for m, c in a._num.items()], b._num.items())
     if out and reduce(or_, out) & _LAYOUTS[len(variables)][1]:
         raise _over_limit("an exponent of the product")
     return _reduced(tuple(variables), out, den, True)
 
 
-def _require_term_pairs(ta: int, tb: int) -> None:
-    """Refuse with ``DomainError`` a product of polynomials with ``ta`` and
-    ``tb`` terms that would multiply more than MAX_TERM_PAIRS term pairs."""
-    if ta * tb > MAX_TERM_PAIRS:
-        raise DomainError(f"a product of polynomials with {ta} x {tb} terms "
-                          f"multiplies more than MAX_TERM_PAIRS = {MAX_TERM_PAIRS} "
-                          f"term pairs")
+def _coeff_bits(p: PolyExpr) -> int:
+    """The bit length of the larger of p's largest |numerator| and its
+    denominator, for nonzero ``p``, computed on first use."""
+    bits = p._bits
+    if not bits:
+        num = p._num.values()
+        bits = max(max(num), -min(num), p._den).bit_length()
+        _set_bits(p, bits)
+    return bits
 
 
-def _require_product_size(factors) -> None:
-    """Refuse with ``DomainError`` when the product of ``factors`` may have
-    more than MAX_TERMS terms.  It has at most one term per choice of a term
-    from each factor and, when every factor is polynomial-grade, at most one
-    per monomial whose degree lies between the sums of the factors' lowest
-    and highest term degrees; those degrees are computed only when the
-    first bound is over."""
-    size = prod(len(f._num) for f in factors)
-    if size > MAX_TERMS and all(f._grade for f in factors):
-        lo = hi = 0
-        for f in factors:
-            degrees = [sum(m) for m in _tuple_num(f)]
-            lo, hi = lo + min(degrees), hi + max(degrees)
-        v = max(len(f.vars) for f in factors)
-        size = min(size, comb(v + hi, v) - comb(v + lo - 1, v))
-    if size > MAX_TERMS:
-        counts = " x ".join(str(len(f._num)) for f in factors)
-        raise DomainError(f"a product of polynomials with {counts} terms may "
-                          f"have more than MAX_TERMS = {MAX_TERMS} terms")
+def _require_work(ta: int, bits_a: int, tb: int, bits_b: int) -> None:
+    """Refuse with ``DomainError`` a product of ``ta`` x ``tb`` terms whose
+    largest numerator or denominator has ``bits_a`` and ``bits_b`` bits when
+    it costs ta * tb * ceil(bits_a / _BLOCK_BITS) * ceil(bits_b / _BLOCK_BITS)
+    units, more than MAX_WORK.  ``*``, ``**``, ``_sum_of_products``, the
+    DSL's monomial terms and the powers of z in ``chart_compare`` call it."""
+    work = ta * tb * -(-bits_a // _BLOCK_BITS) * -(-bits_b // _BLOCK_BITS)
+    if work > MAX_WORK:
+        raise DomainError(f"a product of polynomials with {ta} x {tb} terms and "
+                          f"coefficients of {bits_a} and {bits_b} bits costs {work} "
+                          f"units, more than MAX_WORK = {MAX_WORK}")
 
 
 def _frac_str(x) -> str:
+    """x as ``a`` or ``a/b``; ``DomainError`` when a part has more digits than
+    Python prints (``sys.get_int_max_str_digits``), as a product may."""
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        bits = max(abs(x.numerator), x.denominator).bit_length()
+        raise DomainError(f"a rational of {bits} bits has more than "
+                          f"{sys.get_int_max_str_digits()} digits to print") from None
 
 
 # ---------------- shared exact evaluation ----------------
@@ -960,7 +951,7 @@ def _rational_pow(base: Fraction, e) -> Fraction:
     else:
         e = Fraction(e)
         if base <= 0:
-            raise DomainError(f"cannot take rational power {e} of {base}")
+            raise DomainError(f"cannot take rational power {e} of {_frac_str(base)}")
     num, den = base.numerator, base.denominator
     _require_power_bits(num, den, e)
     if isinstance(e, int):
@@ -972,7 +963,7 @@ def _rational_pow(base: Fraction, e) -> Fraction:
             return v
         if r >= v.bit_length():
             # 1 < v < 2 ** r, so the root lies strictly between 1 and 2
-            raise DomainError(f"{v} has no exact integer {r}-th root")
+            raise DomainError(f"{_frac_str(v)} has no exact integer {r}-th root")
         x = 1 << ((v.bit_length() + r - 1) // r + 1)
         while True:
             y = ((r - 1) * x + v // x ** (r - 1)) // r
@@ -981,7 +972,7 @@ def _rational_pow(base: Fraction, e) -> Fraction:
             x = y
         if x ** r == v:
             return x
-        raise DomainError(f"{v} has no exact integer {r}-th root")
+        raise DomainError(f"{_frac_str(v)} has no exact integer {r}-th root")
 
     r = e.denominator
     rooted = Fraction(iroot(num, r), iroot(den, r))

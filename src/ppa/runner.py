@@ -22,7 +22,7 @@ from typing import Callable, Optional
 from .duality import bdu_relation_sides, degree_sum_check, duality_check
 from .errors import ParityError, PpaError
 from .geometry import check_projective_extendability
-from .poly import PolyExpr
+from .poly import PolyExpr, _frac_str
 from .structures import (
     NambuStructure,
     PoissonStructure,
@@ -286,7 +286,7 @@ def _key(cname, carg):
 def _literal_text(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    return str(v)
+    return _frac_str(v)
 
 
 def _projection(cname, literal) -> Optional[Callable]:

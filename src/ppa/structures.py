@@ -254,11 +254,11 @@ def _stack_row(row, minors: dict) -> dict:
     for c, e in enumerate(row):
         if e.is_zero():
             continue
-        bit, below, neg = 1 << c, (1 << c) - 1, -e
+        bit, below = 1 << c, (1 << c) - 1
         for mask, d in minors.items():
             if not mask & bit:
                 odd = bin(mask & below).count("1") & 1
-                terms.setdefault(mask | bit, []).append((neg if odd else e, d))
+                terms.setdefault(mask | bit, []).append((e, d, -1 if odd else 1))
     out = {}
     for mask, pairs in terms.items():
         d = _sum_of_products(row[0].vars, pairs)
@@ -526,6 +526,6 @@ def check_fundamental_identity(ns: NambuStructure,
         if pos == 0:
             tail_bracket = _contract(row, g)
     # minus {f_1, ..., f_{r-1}, {f_r, ..., f_{2r-1}}}
-    pairs += zip(head, (-d for d in _gradient(tail_bracket)))
+    pairs += ((w, d, -1) for w, d in zip(head, _gradient(tail_bracket)))
     residual = _sum_of_products(ns.vars, pairs)
     return FundamentalIdentityReport(residual.is_zero(), residual)

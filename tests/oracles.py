@@ -39,8 +39,7 @@ from ppa.errors import (ArityError, DegenerateCasimirError, DomainError,
 from ppa.exterior import (MAX_DIM, PolyForm, PolyMultivector, indices_of,
                           mask_of, wedge)
 from ppa.geometry import ChartComparison
-from ppa.poly import (MAX_EXPONENT, MonomialMap, PolyExpr, _rational_pow,
-                      _require_product_size)
+from ppa.poly import MAX_EXPONENT, MonomialMap, PolyExpr, _rational_pow
 from ppa.runner import CHECKS, FI_MAX, _key, _projection
 from ppa.structures import NambuStructure, PoissonStructure, is_casimir
 
@@ -345,10 +344,6 @@ def _parse_term(stream, env, variables):
     factors = [_parse_unary(stream, env, variables)]
     while stream.accept("*"):
         factors.append(_parse_unary(stream, env, variables))
-    if len(factors) > 1:
-        # the size of the whole product is bounded before anything is
-        # multiplied, as a power's is
-        _require_product_size(factors)
     return reduce(mul, factors)
 
 

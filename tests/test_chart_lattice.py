@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from ppa.errors import DomainError, PolynomialGradeError, PpaError
 from ppa.geometry import chart_compare
-from ppa.poly import MAX_EXPONENT, MAX_TERM_PAIRS, PolyExpr
+from ppa.poly import MAX_EXPONENT, MAX_WORK, PolyExpr
 from ppa.structures import PoissonStructure
 
 NAMES = ("x1", "x2", "x3", "x4")
@@ -227,5 +227,6 @@ def test_powers_of_z_hold_the_term_pair_budget():
     ps_b = PoissonStructure.from_table(vb, {(0, 1): z * z})
     with pytest.raises(DomainError) as info:
         chart_compare(ps_a, ps_b, z + rest)
-    assert str(info.value) == ("a product of polynomials with 1024 x 1024 terms multiplies "
-                               f"more than MAX_TERM_PAIRS = {MAX_TERM_PAIRS} term pairs")
+    assert str(info.value) == ("a product of polynomials with 1024 x 1024 terms and "
+                               "coefficients of 1 and 1 bits costs 1048576 units, more "
+                               f"than MAX_WORK = {MAX_WORK}")

@@ -11,10 +11,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ppa import catalog, runner
+from ppa import catalog, dsl, runner
 from ppa.cli import main
+
+
+# a numeric literal at the DSL's 4000-character cap
+SEVENS = "7" * 4000
+
+
+def _squarings(k):
+    """``let`` lines squaring SEVENS k times."""
+    return [f"let a0 = {SEVENS};"] + [f"let a{i + 1} = a{i}*a{i};" for i in range(k)]
 
 
 def run_cli(*argv):
@@ -218,8 +227,9 @@ def test_integrate_window_limits_exit_two(tmp_path, capsys, window, message):
     ("x1^70000", "error: power 70000 exceeds MAX_EXPONENT = 32767"),
     ("(x1+x2+x3)^40000", "error: power 40000 exceeds MAX_EXPONENT"),
     ("(x1^2+x2)^20000", "error: exponent 40000 of the power exceeds MAX_EXPONENT"),
-    ("(x1+x2+x3)^2000", "error: power 2000 of a 3-term polynomial may have more "
-                        "than MAX_TERMS"),
+    ("(x1+x2+x3)^2000", "error: a product of polynomials with 2145 x 2145 terms and "
+                        "coefficients of 96 and 96 bits costs 4601025 units, more than "
+                        "MAX_WORK = 1000000"),
     ("x1^(1/40000)", "error: exponent 1/40000: numerator and denominator")])
 def test_hostile_literals_exit_two(tmp_path, capsys, casimir, message):
     f = tmp_path / "m.ppa"
@@ -231,8 +241,8 @@ def test_hostile_literals_exit_two(tmp_path, capsys, casimir, message):
 
 
 def test_product_chain_exits_two(tmp_path, capsys):
-    # the 96th power written as a chain of eight products: each product of
-    # the chain is bounded, and so is the whole chain before it multiplies
+    # the 96th power written as a chain of eight products: its first
+    # product is over the work budget
     f = tmp_path / "m.ppa"
     f.write_text("vars x1 x2 x3 x4 x5 x6;\n"
                  "let a = (x1+x2+x3+x4+x5+x6)^12;\n"
@@ -241,7 +251,7 @@ def test_product_chain_exits_two(tmp_path, capsys):
     assert run_cli("check", str(f)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: a product of polynomials with 6188 x 6188")
-    assert "MAX_TERMS = 1000000" in err and "Traceback" not in err
+    assert "MAX_WORK = 1000000" in err and "Traceback" not in err
 
 
 def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
@@ -357,6 +367,117 @@ def test_transport_fuzz_exit_codes(map_text, emit_it):
             assert code in (0, 1) and not err
 
 
+# small values twice as often as each hostile one
+LITERALS = 2 * ["0", "1", "2", "3", "7/2"] + ["1/0", "7" * 400, SEVENS, SEVENS + "7"]
+EXPONENTS = 2 * ["0", "1", "2", "3"] + ["(1/2)", "(-1)", "2000", "32767", "40000"]
+CHECK_NAMES = ["jacobi", "casimirs", "theorem31", "plucker", "rank", "fi(3)", "degree_sum"]
+
+
+@st.composite
+def check_models(draw):
+    """Models over x1 x2 x3 from a small grammar: literals from one digit
+    to one past the 4000-character cap, variables, earlier lets, signs,
+    ``*``, ``+``, ``-``, ``^`` and parentheses; an optional chain of up to
+    14 squarings of a literal, up to two lets, a Casimir, a Jacobian
+    structure and one check."""
+    names = ["x1", "x2", "x3"]
+
+    def atom(depth):
+        kind = draw(st.integers(0, 2 if depth else 1))
+        if kind == 0:
+            return draw(st.sampled_from(LITERALS))
+        if kind == 1:
+            return draw(st.sampled_from(names))
+        return "(" + expr(depth - 1) + ")"
+
+    def factor(depth):
+        text = draw(st.sampled_from(["", "", "-"])) + atom(depth)
+        if draw(st.integers(0, 3)) == 0:
+            text += "^" + draw(st.sampled_from(EXPONENTS))
+        return text
+
+    def expr(depth):
+        terms = ["*".join(factor(depth) for _ in range(draw(st.integers(1, 3))))
+                 for _ in range(draw(st.integers(1, 3)))]
+        return terms[0] + "".join(draw(st.sampled_from([" + ", " - "])) + t
+                                  for t in terms[1:])
+
+    lines = ["vars x1 x2 x3;"]
+    k = draw(st.integers(0, 14))
+    if k:
+        lines.append(f"let c0 = {draw(st.sampled_from(LITERALS))};")
+        lines += [f"let c{i + 1} = c{i}*c{i};" for i in range(k)]
+        names.append(f"c{k}")
+    for i in range(draw(st.integers(0, 2))):
+        lines.append(f"let a{i} = {expr(2)};")
+        names.append(f"a{i}")
+    lines += [f"casimir P = {expr(2)};", "structure jacobian;",
+              f"check {draw(st.sampled_from(CHECK_NAMES))};"]
+    return "\n".join(lines) + "\n"
+
+
+EMISSIONS = [dsl.render_model(dsl.model_spec_from_built(catalog.build(name)))
+             for name in catalog.names()]
+SNIPPETS = ["^", "*", "(", ")", ";", "-", "=", ",", "{", "}", "let", "x9", "/0",
+            "^(1/2)", "^2000", "^32767", SEVENS]
+
+
+@st.composite
+def mutated_emissions(draw):
+    """A catalog emission with one to three edits: a span of up to 10
+    characters deleted, a snippet inserted, or a span of up to 20
+    characters repeated."""
+    text = draw(st.sampled_from(EMISSIONS))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            text = text[:i] + text[i + draw(st.integers(1, 10)):]
+        elif kind == 1:
+            text = text[:i] + draw(st.sampled_from(SNIPPETS)) + text[i:]
+        else:
+            j = draw(st.integers(i, min(len(text), i + 20)))
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+def _hostile(*lines):
+    return "\n".join(("vars x1 x2 x3;",) + lines
+                     + ("structure jacobian;", "check jacobi;")) + "\n"
+
+
+@settings(max_examples=80, deadline=timedelta(seconds=10))
+@given(st.one_of(check_models(), mutated_emissions()))
+@example(_hostile(f"casimir P = (x1 + {'7' * 400}*x2 + x3)^40;"))
+@example(_hostile(f"casimir P = (x1 + {SEVENS}*x2 + x3)^40;"))
+@example(_hostile(*_squarings(10)))
+@example(_hostile(*_squarings(14)))
+# numbers of 8000 and 4400 digits in the text of an error: Python refuses
+# to print an int past 4300 digits, which was an internal error
+@example(_hostile(f"casimir P = {SEVENS}^2*x1^(1/2);"))
+@example(_hostile(f"casimir P = ({'7' * 400}*({SEVENS}))^(1/2);"))
+def test_check_fuzz_exit_codes(model_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "m.ppa"
+        model.write_text(model_text)
+        code, _, err = run_cli_captured("check", str(model))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err and "internal error" not in err
+
+
+def test_a_witness_too_long_to_print_fails_the_check(tmp_path):
+    # the residual has a coefficient of 8000 digits: the check fails with
+    # that reason, as it does when it cannot be decided within the limits
+    f = tmp_path / "m.ppa"
+    f.write_text(f"vars x1 x2 x3;\nlet c = {SEVENS}^2;\n"
+                 "structure table { {x1,x2} = c*x1*x3; {x2,x3} = x2^2; };\n"
+                 "check jacobi;\n")
+    code, out, err = run_cli_captured("check", str(f))
+    assert (code, err) == (1, "")
+    assert out.startswith("jacobi: fail  a rational of 26576 bits has more than 4300 "
+                          "digits to print\n")
+
+
 def test_transport_nonpolynomial_report(tmp_path, capsys):
     model = emit(tmp_path, "markov")
     mapfile = tmp_path / "m.map"
@@ -388,11 +509,11 @@ def test_bdu_relation_skipped_without_table(tmp_path, capsys):
 
 @pytest.mark.parametrize("lines,message", [
     (["let a = (x1+x2+x3+x4+x5+x6)^12;", "let b = a*a;"],
-     "error: a product of polynomials with 6188 x 6188 terms multiplies more "
-     "than MAX_TERM_PAIRS = 1000000 term pairs\n"),
+     "error: a product of polynomials with 6188 x 6188 terms and coefficients of 23 "
+     "and 23 bits costs 38291344 units, more than MAX_WORK = 1000000\n"),
     (["casimir P = (x1+x2+x3+x4+x5+x6)^24;"],
-     "error: a product of polynomials with 1287 x 1287 terms multiplies more "
-     "than MAX_TERM_PAIRS = 1000000 term pairs\n"),
+     "error: a product of polynomials with 1287 x 1287 terms and coefficients of 14 "
+     "and 14 bits costs 1656369 units, more than MAX_WORK = 1000000\n"),
     (["casimir P = x2^30000*x2^30000*x2^30000;"],
      "error: an exponent of the product exceeds MAX_EXPONENT = 32767\n"),
     (["casimir P = x1*x2^32767*x2;"],
@@ -401,21 +522,35 @@ def test_bdu_relation_skipped_without_table(tmp_path, capsys):
      "error: the power 32767 of a 1329-bit rational would have more than "
      "MAX_POWER_BITS = 1048576 bits\n"),
     ([f"casimir P = ({'7' * 100}*x1 + x2)^32767;"],
-     "error: the power 32767 of a 332-bit rational would have more than "
-     "MAX_POWER_BITS = 1048576 bits\n"),
+     "error: a product of polynomials with 64 x 65 terms and coefficients of 20906 "
+     "and 21238 bits costs 7163520 units, more than MAX_WORK = 1000000\n"),
     ([f"casimir P = (1/{'7' * 100}*x1)^32767;"],
      "error: the power 32767 of a 332-bit rational would have more than "
      "MAX_POWER_BITS = 1048576 bits\n"),
     (["casimir P = (x1 + 10460353203*x2)^32767;"],
-     "error: the power 32767 of a 34-bit rational would have more than "
-     "MAX_POWER_BITS = 1048576 bits\n"),
+     "error: a product of polynomials with 128 x 129 terms and coefficients of 4228 "
+     "and 4261 bits costs 1337472 units, more than MAX_WORK = 1000000\n"),
+    ([f"casimir P = (x1 + {'7' * 400}*x2 + x3)^40;"],
+     "error: a product of polynomials with 153 x 153 terms and coefficients of 21255 "
+     "and 21255 bits costs 41293476 units, more than MAX_WORK = 1000000\n"),
+    ([f"casimir P = (x1 + {SEVENS}*x2 + x3)^40;"],
+     "error: a product of polynomials with 15 x 15 terms and coefficients of 53150 "
+     "and 53150 bits costs 2433600 units, more than MAX_WORK = 1000000\n"),
+    (_squarings(10),
+     "error: a product of polynomials with 1 x 1 terms and coefficients of 850391 "
+     "and 850391 bits costs 2758921 units, more than MAX_WORK = 1000000\n"),
+    (_squarings(14),
+     "error: a product of polynomials with 1 x 1 terms and coefficients of 850391 "
+     "and 850391 bits costs 2758921 units, more than MAX_WORK = 1000000\n"),
 ])
 def test_product_work_and_carries_exit_two(tmp_path, lines, message):
     # each used to take about 21 s (the first two) or would carry an
     # exponent into the next variable's field if tested once per term; the
     # integer powers of large coefficients took seconds (19 s for the 400
-    # sevens, 58 s for 3^21 on the trailing term) and are refused by their
-    # predicted size
+    # sevens, 58 s for 3^21 on the trailing term); the power of a 400-digit
+    # middle coefficient took 3.7 s and that of a 4000-digit one more than
+    # two minutes, and squaring a 4000-digit constant 12 times took 49 s.
+    # Each is refused by its predicted bits or by the work budget
     f = tmp_path / "m.ppa"
     f.write_text("\n".join(["vars x1 x2 x3 x4 x5 x6;"] + lines
                            + ["structure jacobian;", "check casimirs;"]) + "\n")

@@ -13,6 +13,7 @@ from ppa.dynamics import (MAX_STEPS, PolyVectorField, constants_of_motion_check,
                           nambu_vector_field, write_trajectory_csv)
 from ppa.errors import DivergenceError, DomainError
 from ppa.poly import PolyExpr
+from ppa.structures import NambuStructure, nambu_bracket
 
 # Euler-top drift at step 1e-3 sits at the roundoff floor; the frozen value
 # is the regression number for this integrator on this platform.
@@ -96,6 +97,22 @@ def test_nambu_field_proportional_to_poisson_flow():
         restricted = fd.components[i].subs_var("x6", one).with_vars(dn.vars)
         assert restricted == fn.components[i]
     assert fn.components[4].is_zero()
+
+
+def test_nambu_field_components_are_the_brackets_with_their_term_order():
+    # one cofactor row gives every {H_1, ..., H_{r-1}, x_i}, term for term
+    cases = [(m.structure, m.hamiltonians)
+             for m in (catalog.build(name, b) for name in catalog.names()
+                       for b in [None] + list(catalog.entry(name).alternates))
+             if isinstance(m.structure, NambuStructure)]
+    assert len(cases) == 6
+    x1, x2, x3 = PolyExpr.gens(("x1", "x2", "x3"))
+    cases.append((NambuStructure(x1.vars, [], x1 + x2 * 2), [x1 * x3 + x2 ** 2, x3 - x1]))
+    for ns, hams in cases:
+        field = nambu_vector_field(ns, hams)
+        for x, c in zip(PolyExpr.gens(ns.vars), field.components):
+            assert list(c.terms.items()) == \
+                list(nambu_bracket(ns, list(hams) + [x]).terms.items())
 
 
 def test_fairlie_flow_matches_its_nambu_presentation():

@@ -8,10 +8,13 @@ import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
 from ppa import poly
+from ppa.dsl import parse_polynomial
 from ppa.errors import (DomainError, PolynomialGradeError, SingularMapError,
                         VariableSetError)
+from ppa.geometry import chart_compare
 from ppa.poly import (MAX_EXPONENT, MonomialMap, PolyExpr, exact_divisibility,
                       float_evaluator, substitute)
+from ppa.structures import PoissonStructure
 
 V3 = ("x1", "x2", "x3")
 
@@ -716,74 +719,78 @@ def test_exponent_limit_in_powers():
 
 
 def test_term_limit_in_powers(monkeypatch):
-    # about 2.9e9 terms: refused before anything is multiplied
+    # about 2.9e9 terms: refused at the squaring of the 8th power, 1287 x
+    # 1287 terms, the first product over the work budget
     y = PolyExpr.gens([f"y{i}" for i in range(6)])
-    with pytest.raises(DomainError, match="MAX_TERMS = 1000000"):
+    with pytest.raises(DomainError, match="MAX_WORK = 1000000"):
         sum(y[1:], y[0]) ** 200
     x1, x2, x3 = gens3()
-    monkeypatch.setattr(poly, "MAX_TERMS", 10)
+    # 3 x 3 term pairs for the square, then 3 x 6 for the cube
+    monkeypatch.setattr(poly, "MAX_WORK", 18)
     assert (x1 + x2 + x3) ** 3 == (x1 + x2 + x3) * (x1 + x2 + x3) ** 2
     with pytest.raises(DomainError):
-        (x1 + x2 + x3) ** 4       # C(6, 4) = 15 multisets of terms
-    # in one variable the degree bound is the tighter one: 13 monomials of
-    # degree at most 12, against C(6, 3) = 20 multisets
+        (x1 + x2 + x3) ** 4       # squares the 6-term square: 36 units
+    # 4 x 4 for the square, then 4 x 7 for the cube
     x, = PolyExpr.gens(("x",))
     q = x + x ** 2 + x ** 3 + x ** 4
-    monkeypatch.setattr(poly, "MAX_TERMS", 13)
+    monkeypatch.setattr(poly, "MAX_WORK", 28)
     assert (q ** 3).term_count == 10
-    monkeypatch.setattr(poly, "MAX_TERMS", 12)
+    monkeypatch.setattr(poly, "MAX_WORK", 27)
     with pytest.raises(DomainError):
         q ** 3
 
 
 def test_term_limit_in_products(monkeypatch):
-    # 6188 x 6188 terms of degree 12 and 42: the product has every monomial
-    # of degree 54 in six variables, about 5.0e6 of them, so it is refused
-    # before anything is multiplied
+    # 6188 x 6188 terms of degree 12 and 42: refused before anything is
+    # multiplied
     y = PolyExpr.gens([f"y{i}" for i in range(6)])
     a = sum(y[1:], y[0]) ** 12
-    with pytest.raises(DomainError, match="6188 x 6188 terms may have more than "
-                                          "MAX_TERMS = 1000000"):
+    with pytest.raises(DomainError, match="6188 x 6188 terms and coefficients of 23 and "
+                                          "23 bits costs 38291344 units, more than "
+                                          "MAX_WORK = 1000000"):
         a * (a * y[0] ** 30)
-    with pytest.raises(DomainError, match="MAX_TERMS"):
+    with pytest.raises(DomainError, match="MAX_WORK"):
         poly._sum_of_products(a.vars, [(y[0], y[1]), (a, a * y[0] ** 30)])
     x1, x2, x3 = gens3()
     s = x1 + x2 + x3
-    monkeypatch.setattr(poly, "MAX_TERMS", 10)
-    # 3 x 6 term pairs, but only the 10 monomials of degree 3
+    monkeypatch.setattr(poly, "MAX_WORK", 18)
+    # 3 x 6 term pairs of small coefficients, 18 units
     assert (s * s ** 2).term_count == 10
     assert poly._sum_of_products(V3, [(s, s ** 2)]) == s ** 3
     with pytest.raises(DomainError):
-        s * (s + 1) ** 2          # 20 - 1 monomials of degree 1 to 3
+        s * (s + 1) ** 2          # 3 x 10
     with pytest.raises(DomainError):
         poly._sum_of_products(V3, [(s, (s + 1) ** 2)])
-    # a power bounds its whole result, so its own products are not refused:
-    # 10 multisets of 3 terms, while p * p^2 could have 406 monomials
+    # a power costs what its own products cost: 3 x 3, then 3 x 6
     p = x1 ** 9 + x2 ** 9 + x3 ** 9
-    assert (p ** 3).term_count == 10
+    assert (p ** 3).term_count == 10 and p * p ** 2 == p ** 3
+    monkeypatch.setattr(poly, "MAX_WORK", 17)
+    with pytest.raises(DomainError):
+        p ** 3
     with pytest.raises(DomainError):
         p * p ** 2
-    # a Laurent factor has only the term-pair bound
+    # a Laurent factor has the same budget
     z = PolyExpr(V3, {(F(1, 2), 0, 0): 1, (0, F(1, 2), 0): 1, (0, 0, -1): 1})
     with pytest.raises(DomainError):
         z * (s * s)
 
 
 def test_term_pair_limit(monkeypatch):
-    # (y0+...+y5)^24 has 593,775 terms, within MAX_TERMS, but its squaring
-    # of the 16th power takes 1287^2 pairs: refused before it multiplies
+    # (y0+...+y5)^24: the squaring of its 16th power takes 1287 x 1287 term
+    # pairs, refused before it multiplies
     y = PolyExpr.gens([f"y{i}" for i in range(6)])
     s = sum(y[1:], y[0])
-    with pytest.raises(DomainError, match="1287 x 1287 terms multiplies more than "
-                                          "MAX_TERM_PAIRS = 1000000 term pairs"):
+    with pytest.raises(DomainError, match="1287 x 1287 terms and coefficients of 14 and "
+                                          "14 bits costs 1656369 units, more than "
+                                          "MAX_WORK = 1000000"):
         s ** 24                   # the squaring of the 16th power
     x1, x2, x3 = gens3()
     t = x1 + x2 + x3
-    monkeypatch.setattr(poly, "MAX_TERM_PAIRS", 9)
+    monkeypatch.setattr(poly, "MAX_WORK", 9)
     assert (t * t).term_count == 6
     with pytest.raises(DomainError, match="3 x 6 terms"):
         t * t ** 2
-    with pytest.raises(DomainError, match="MAX_TERM_PAIRS = 9"):
+    with pytest.raises(DomainError, match="MAX_WORK = 9"):
         t ** 4                    # squares the 6-term square
     assert poly._sum_of_products(V3, [(t, t), (x1, t ** 2)]) == t * t + x1 * t ** 2
     with pytest.raises(DomainError, match="3 x 6 terms"):
@@ -794,22 +801,48 @@ def test_term_pair_limit(monkeypatch):
         z * t
 
 
+def test_every_product_site_holds_the_work_budget(monkeypatch):
+    # a term pair costs one unit per 512-bit block of each coefficient, so
+    # 2^512 counts twice; the costs of each site are in its comment
+    x1, x2, _ = gens3()
+    small, big = x1 + x2, x1 + x2 * 2 ** 512
+    va = ("x", "y")
+    ps_a = PoissonStructure.from_table(va, {(0, 1): PolyExpr.var("y", va)})
+    x, y, z = PolyExpr.gens(va + ("z",))
+    ps_b = PoissonStructure.from_table(x.vars, {(0, 1): z * z})
+    sites = [
+        lambda: small * big,                                        # 8
+        lambda: big ** 2,                                           # 16
+        lambda: poly._sum_of_products(V3, [(small, small), (small, big)]),  # 4, 8
+        lambda: parse_polynomial("2^512*2^512*2^512*x1", V3),       # 2, 4, 6
+        lambda: chart_compare(ps_a, ps_b, z - x - y - 1),           # 3, 9
+    ]
+    for site in sites:
+        site()
+    monkeypatch.setattr(poly, "MAX_WORK", 4)
+    for site in sites:
+        with pytest.raises(DomainError, match="units, more than MAX_WORK = 4$"):
+            site()
+
+
 def test_integer_power_bits_limit():
-    # a b-bit coefficient or denominator has at least (b - 1) * n bits in
-    # the n-th power: 2^32 to the MAX_EXPONENT is 32 * 32767 bits, within
-    # MAX_POWER_BITS, and 2^33 is refused before anything is computed; the
-    # coefficients of the lexicographically largest and smallest terms are
-    # exact powers in the result
+    # a b-bit coefficient or denominator of one term has at least
+    # (b - 1) * n bits in the n-th power: 2^32 to the MAX_EXPONENT is
+    # 32 * 32767 bits, within MAX_POWER_BITS, and 2^33 is refused before
+    # anything is computed
     x1, x2, x3 = gens3()
     assert (x1 * 2 ** 32) ** MAX_EXPONENT == \
         PolyExpr(V3, {(MAX_EXPONENT, 0, 0): 2 ** (32 * MAX_EXPONENT)})
     for p in (x1 * 2 ** 33, PolyExpr.const(V3, F(1, 2 ** 33)),
-              x1 * 3 ** 21 + x2,                  # the leading coefficient
-              x1 + x2 * 3 ** 21,                  # the trailing coefficient
               PolyExpr(V3, {(F(1, 2), 0, 0): 2 ** 33})):
         with pytest.raises(DomainError, match=f"the power {MAX_EXPONENT} of a 34-bit "
                                               f"rational would have more than "
                                               f"MAX_POWER_BITS = {poly.MAX_POWER_BITS}"):
+            p ** MAX_EXPONENT
+    # a power of several terms is held to the work budget at each product,
+    # which sees the large leading or trailing coefficient grow
+    for p in (x1 * 3 ** 21 + x2, x1 + x2 * 3 ** 21):
+        with pytest.raises(DomainError, match="MAX_WORK = 1000000"):
             p ** MAX_EXPONENT
     assert ((x1 * 3 + x2) / 2) ** 2 == (x1 * x1 * 9 + x1 * x2 * 6 + x2 * x2) / 4
 
