@@ -3,7 +3,7 @@ bracket structures: construction from Casimirs, identity checking, catalog
 models, monomial-map transport, and conserved-quantity-monitored flows."""
 
 from .poly import MonomialMap, PolyExpr, exact_divisibility, substitute
-from .exterior import PolyForm, PolyMultivector, pfaffian, volume_dual, wedge
+from .exterior import pfaffian
 from .structures import (
     NambuStructure,
     PoissonStructure,

@@ -7,11 +7,11 @@ dual of dQ_1 ^ ... ^ dQ_l.  Coefficientwise, on each 2m-subset S,
 m! * Pf(pi_S) is that constant times the l x l minor of the Casimir
 gradients on the complementary columns, up to the shuffle sign.  The check
 computes exactly that: the principal 2m x 2m Pfaffians of the bracket matrix
-against the volume dual of the table of Casimir minors
-(``structures.casimir_minors``), which a Jacobian structure keeps from its
-construction.  The constant reported as ``lam`` carries the m!; ``lam_coord``
-= lam / m! is the coordinate-level constant relating the Pfaffians to the
-minors.
+against the table of Casimir minors (``structures.casimir_minors``, which a
+Jacobian structure keeps from its construction), each moved to the
+complement of its column mask with the shuffle sign.  The constant reported
+as ``lam`` carries the m!; ``lam_coord`` = lam / m! is the coordinate-level
+constant relating the Pfaffians to the minors.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import DegenerateCasimirError, DomainError, ParityError, VariableSetError
-from .exterior import PolyForm, PolyMultivector, indices_of, mask_of, pfaffian, volume_dual
+from .exterior import indices_of, mask_of, merge_sign, pfaffian
 from .poly import PolyExpr, _constant_ratio
 from .structures import PoissonStructure, casimir_minors, is_casimir
 
@@ -35,22 +35,18 @@ class DualityReport:
     lam: Optional[Fraction]          # None encodes a non-constant ratio
     lam_coord: Optional[Fraction]    # lam / m!
     m: int
-    residual: PolyMultivector
-    # (bracket matrix, dual side, masks) that ``detail`` is computed from
+    residual: dict    # subset -> nonzero m! * Pf; empty when proportional
+    # (bracket matrix, dual side by mask, masks) that ``detail`` is read from
     _sources: tuple = field(repr=False, compare=False)
-
-    @property
-    def lambda_text(self) -> str:
-        return "non-constant" if self.lam is None else str(self.lam)
 
     @cached_property
     def detail(self) -> dict:
         """subset -> (Pfaffian of the bracket block, dual coefficient) over the
         union of both supports, computed on first read."""
         matrix, dual_side, masks = self._sources
-        zero = PolyExpr.zero(dual_side.vars)
+        zero = PolyExpr.zero(matrix[0][0].vars)
         return {indices_of(mask): (pfaffian(matrix, indices_of(mask)),
-                                   dual_side.coeffs.get(mask, zero))
+                                   dual_side.get(mask, zero))
                 for mask in masks}
 
 
@@ -73,7 +69,8 @@ def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> Duality
     side must be one and the same rational multiple of its dual coefficient,
     and every Pfaffian off it must vanish.  A non-constant or mismatched
     ratio anywhere fails the check, and only then is the whole wedge power
-    formed, as the residual.
+    formed, as the residual: subset -> m! * Pf on every subset where that is
+    nonzero.
     """
     casimirs = [q.with_vars(ps.vars) for q in casimirs]
     if not casimirs:
@@ -87,9 +84,12 @@ def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> Duality
     m = (n - l) // 2
     if m < 1:
         raise ParityError("rank-0 comparison is vacuous")
-    dual_side = volume_dual(PolyForm(ps.vars, l, _casimir_minors(ps, casimirs)))
-
-    if dual_side.is_zero():
+    # the volume dual of dQ_1 ^ ... ^ dQ_l: each minor moves to the
+    # complement of its mask, signed by the shuffle (mask, complement)
+    full = (1 << n) - 1
+    dual_side = {full ^ mask: d if merge_sign(mask, full ^ mask) > 0 else -d
+                 for mask, d in _casimir_minors(ps, casimirs).items()}
+    if not dual_side:
         raise DegenerateCasimirError(
             "dQ_1 ^ ... ^ dQ_l vanishes identically; Casimirs are dependent")
 
@@ -98,7 +98,7 @@ def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> Duality
     matrix = ps.matrix
     proportional = True
     lam_coord: Optional[Fraction] = None
-    for mask, d in dual_side.coeffs.items():
+    for mask, d in dual_side.items():
         cand = _constant_ratio(pfaffian(matrix, indices_of(mask)), d)
         if cand is None or (lam_coord is not None and lam_coord != cand):
             proportional = False
@@ -107,20 +107,19 @@ def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> Duality
     # Pfaffians outside the dual support must vanish
     if proportional and any(not pfaffian(matrix, sub).is_zero()
                             for sub in combinations(range(n), 2 * m)
-                            if mask_of(sub) not in dual_side.coeffs):
+                            if mask_of(sub) not in dual_side):
         proportional = False
 
     fact = math.factorial(m)
     if proportional:
         # the dual side is nonzero, so lam is set, and the wedge power is
         # exactly lam times the dual side
-        residual = PolyMultivector(ps.vars, 2 * m)
-        masks = sorted(dual_side.coeffs)
+        residual = {}
+        masks = sorted(dual_side)
     else:
-        residual = PolyMultivector(ps.vars, 2 * m, {
-            mask_of(sub): pfaffian(matrix, sub) * fact
-            for sub in combinations(range(n), 2 * m)})
-        masks = sorted(set(residual.coeffs) | set(dual_side.coeffs))
+        residual = {sub: pf * fact for sub in combinations(range(n), 2 * m)
+                    if not (pf := pfaffian(matrix, sub)).is_zero()}
+        masks = sorted(set(map(mask_of, residual)) | set(dual_side))
     return DualityReport(
         holds=proportional and lam_coord != 0,
         lam=lam_coord * fact if proportional else None,

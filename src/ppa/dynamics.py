@@ -25,10 +25,10 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import DivergenceError, DomainError
-from .poly import PolyExpr, _float_sum_lines, float_evaluator
+from .poly import PolyExpr, _float_sum_lines, _sum, float_evaluator
 from .exterior import require_max_dim
 from .structures import (NambuStructure, PoissonStructure, _cofactor_row, _gradient,
-                         _stacked_minors, bracket_of)
+                         _stacked_minors)
 
 
 @dataclass
@@ -58,9 +58,19 @@ class PolyVectorField:
 
 
 def hamiltonian_vector_field(ps: PoissonStructure, h: PolyExpr) -> PolyVectorField:
-    """xdot_i = {x_i, H}."""
-    gens = PolyExpr.gens(ps.vars)
-    return PolyVectorField(ps.vars, [bracket_of(ps, x, h) for x in gens])
+    """xdot_k = {x_k, H} = sum_j p_kj dH/dx_j, given H's gradient once.
+
+    Each component is one ordered sum over j of the upper entry times dH/dx_j,
+    negated below the diagonal: the terms, their order and so the float sums
+    of :func:`integrate` are those of summing sum_{i<j} p_ij (dx_k/dx_i
+    dH/dx_j - dx_k/dx_j dH/dx_i) one entry at a time."""
+    h = h.with_vars(ps.vars)
+    h.require_polynomial_grade("bracket argument")
+    grad, m = _gradient(h), ps.matrix
+    return PolyVectorField(ps.vars, [
+        _sum(ps.vars, [(m[j][k] * grad[j], -1) if j < k else (m[k][j] * grad[j], 1)
+                       for j in range(ps.n) if j != k])
+        for k in range(ps.n)])
 
 
 def nambu_vector_field(ns: NambuStructure,
@@ -118,19 +128,13 @@ class DecouplingReport:
     conserved_difference: PolyExpr  # u+^2 - v+^2 - (x3^2-x2^2)(x4^2-a^2 x1^2)
 
 
-def _nahm_residuals(g2: Fraction, a_poly: PolyExpr, vars6) -> list[PolyExpr]:
+def _nahm_residuals(g2: Fraction, a_poly: PolyExpr, vars5) -> list[PolyExpr]:
     """Residuals RHS - LHS of the six Nahm equations under the quadratic
-    change of variables u,v,w = (pair products) +- a * (complementary pair)."""
-    x1, x2, x3, x4, a = PolyExpr.gens(vars6)
-    del a  # the multiplier enters through a_poly
-    field = [x2 * x3 * x4, x1 * x3 * x4, x1 * x2 * x4, x1 * x2 * x3 * g2]
-
-    def ddt(f):
-        total = PolyExpr.zero(vars6)
-        for v, comp in zip(vars6[:4], field):
-            total = total + f.diff(v) * comp
-        return total
-
+    change of variables u,v,w = (pair products) +- a * (complementary pair),
+    differentiated along the Fairlie field with a constant multiplier a."""
+    x1, x2, x3, x4, _ = PolyExpr.gens(vars5)
+    field = PolyVectorField(vars5, fairlie_field(g2).components + [PolyExpr.zero(vars5)])
+    ddt = field.apply_to
     out = []
     for sign in (1, -1):
         u = x3 * x4 + a_poly * x1 * x2 * sign

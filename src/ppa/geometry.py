@@ -238,10 +238,3 @@ def _cleared(variables, acc: dict, den: int, scale: int) -> PolyExpr:
         acc = {tuple(map(sub, m, low)): c for m, c in acc.items()}
     return _reduced(variables, acc, den, False)
 
-
-def mukai_pairing_check(ps: PoissonStructure, surface: PolyExpr,
-                        i: int = 0, j: int = 1, k: int = 2) -> bool:
-    """Bookkeeping identity tying one bracket entry to the residue 2-form:
-    p_ij * dP/dx_k must reproduce -(dP/dx_k)^2."""
-    d = surface.with_vars(ps.vars).diff(ps.vars[k])
-    return ps.matrix[i][j] * d == -(d * d)

@@ -219,7 +219,7 @@ class PolyExpr:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
-            raise DomainError(f"not a constant: {self}")
+            raise DomainError(f"not a constant: has the term {self._first_term(any)}")
         return Fraction(next(iter(self._num.values())), self._den)
 
     def is_polynomial_grade(self) -> bool:
@@ -227,9 +227,16 @@ class PolyExpr:
 
     def require_polynomial_grade(self, what="operand"):
         if not self._grade:
+            mono = self._first_term(lambda m: not _is_grade((m,)))
             raise PolynomialGradeError(
-                f"{what} has fractional or negative exponents: {self}")
+                f"{what} has fractional or negative exponents: {mono}")
         return self
+
+    def _first_term(self, test) -> str:
+        """The first monomial whose exponent tuple passes ``test``, rendered
+        with coefficient 1: an error names it instead of the whole value."""
+        mono = next(m for m in _tuple_num(self) if test(m))
+        return _new(self.vars, {mono: 1}, 1, False).render()
 
     def is_monomial(self) -> bool:
         return len(self._num) == 1
@@ -401,12 +408,6 @@ class PolyExpr:
         if len(point) != len(self.vars):
             raise VariableSetError("point dimension does not match variables")
         pt = [_coeff(x) for x in point]
-        if not self._grade:
-            return self._eval_exact_laurent(pt)
-        den, (total,) = _integer_evaluator([self])(pt)
-        return Fraction(total, den)
-
-    def _eval_exact_laurent(self, pt) -> Fraction:
         total = Fraction(0)
         for m, c in self.terms.items():
             v = c
@@ -769,7 +770,7 @@ def _frac_str(x) -> str:
                           f"{sys.get_int_max_str_digits()} digits to print") from None
 
 
-# ---------------- shared exact evaluation ----------------
+# ---------------- exact evaluation at sample points ----------------
 
 def _integer_evaluator(polys: Sequence[PolyExpr]):
     """Exact evaluation of polynomial-grade ``polys`` over one variable set

@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import ArityError, DomainError
-from .exterior import PolyMultivector, mask_of, pfaffian, require_max_dim
+from .exterior import mask_of, pfaffian, require_max_dim
 from .poly import PolyExpr, _integer_evaluator, _sum_of_products, exact_divisibility
 
 
@@ -125,12 +125,10 @@ class PoissonStructure:
             for j in range(i + 1, self.n):
                 yield (i, j), self.matrix[i][j]
 
-    def as_bivector(self) -> PolyMultivector:
-        coeffs = {}
-        for (i, j), p in self.entries_upper():
-            if not p.is_zero():
-                coeffs[mask_of((i, j))] = p
-        return PolyMultivector(self.vars, 2, coeffs)
+    def as_bivector(self) -> dict:
+        """The bivector sum_{i<j} p_ij d/dx_i ^ d/dx_j as {mask of (i, j): p_ij}
+        over the nonzero upper entries."""
+        return {mask_of(ij): p for ij, p in self.entries_upper() if not p.is_zero()}
 
     def __eq__(self, other):
         return (isinstance(other, PoissonStructure) and self.vars == other.vars
@@ -215,19 +213,14 @@ def jacobian_structure(variables, casimirs: Sequence[PolyExpr],
 # ---------------- bracket evaluation ----------------
 
 def bracket_of(ps: PoissonStructure, f: PolyExpr, g: PolyExpr) -> PolyExpr:
-    """{f, g} = sum_{i<j} p_ij (df/dx_i dg/dx_j - df/dx_j dg/dx_i)."""
+    """{f, g} = sum_k {f, x_k} dg/dx_k, the Hamiltonian rows of f contracted
+    with the gradient of g as one fused sum."""
     f = f.with_vars(ps.vars)
     g = g.with_vars(ps.vars)
     f.require_polynomial_grade("bracket argument")
     g.require_polynomial_grade("bracket argument")
-    df = [f.diff(v) for v in ps.vars]
-    dg = [g.diff(v) for v in ps.vars]
-    total = PolyExpr.zero(ps.vars)
-    for (i, j), p in ps.entries_upper():
-        if p.is_zero():
-            continue
-        total = total + p * (df[i] * dg[j] - df[j] * dg[i])
-    return total
+    df = _gradient(f)
+    return _contract([_hamiltonian_row(ps, df, k) for k in range(ps.n)], _gradient(g))
 
 
 def nambu_bracket(ns: NambuStructure, args: Sequence[PolyExpr]) -> PolyExpr:

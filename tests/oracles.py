@@ -1,10 +1,13 @@
 """Reference implementations that tests compare the library against.
 
-``one_form``, ``differential``, ``wedge_all`` and ``shuffle_signature`` are
-the exterior-algebra chain the library used for minors of gradient rows
-before it read them off one Laplace table; ``nambu_bracket_by_wedges`` and
+``PolyForm``, ``PolyMultivector``, ``wedge``, ``one_form``,
+``differential``, ``wedge_all`` and ``shuffle_signature`` are the
+exterior-algebra chain the library used for minors of gradient rows before
+it read them off one Laplace table, and for graded coefficients before it
+kept them as dicts keyed by mask; ``nambu_bracket_by_wedges`` and
 ``jacobian_structure_by_wedges`` are the bracket and the construction as
-computed from that chain (see the first section).
+computed from that chain (see the first section).  ``bracket_by_entries``
+is the Poisson bracket as a chain of sums over the upper entries.
 
 ``wedge_power`` is the m-th wedge power as a chain of full wedges, and
 ``duality_check_by_wedges`` is theorem31 computed from it and from the
@@ -30,14 +33,13 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import mul
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from ppa.dsl import IntegrateRequest, ModelSpec
 from ppa.duality import DualityReport
 from ppa.errors import (ArityError, DegenerateCasimirError, DomainError,
                         ModelSyntaxError, ParityError, PolynomialGradeError)
-from ppa.exterior import (MAX_DIM, PolyForm, PolyMultivector, indices_of,
-                          mask_of, wedge)
+from ppa.exterior import MAX_DIM, indices_of, mask_of, merge_sign, require_max_dim
 from ppa.geometry import ChartComparison
 from ppa.poly import MAX_EXPONENT, MonomialMap, PolyExpr, _rational_pow
 from ppa.runner import CHECKS, FI_MAX, _key, _projection
@@ -45,6 +47,101 @@ from ppa.structures import NambuStructure, PoissonStructure, is_casimir
 
 
 # ---------------- the exterior-algebra chain ----------------
+
+class _GradedElement:
+    """Coefficients keyed by index-subset bitmask, common to forms and
+    multivectors."""
+
+    kind = "element"
+
+    def __init__(self, variables: Sequence[str], grade: int,
+                 coeffs: Optional[Mapping[int, PolyExpr]] = None):
+        self.vars = tuple(variables)
+        self.n = len(self.vars)
+        require_max_dim(self.n)
+        self.grade = grade
+        self.coeffs: dict[int, PolyExpr] = {}
+        if coeffs:
+            for mask, p in coeffs.items():
+                if p.is_zero():
+                    continue
+                if bin(mask).count("1") != grade:
+                    raise ArityError(f"mask {mask:b} is not a {grade}-subset")
+                self.coeffs[mask] = p
+
+    def __eq__(self, other):
+        return (type(self) is type(other) and self.vars == other.vars
+                and self.grade == other.grade and self.coeffs == other.coeffs)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coefficient(self, indices: Sequence[int]) -> PolyExpr:
+        """Coefficient on a sorted index subset."""
+        return self.coeffs.get(mask_of(indices), PolyExpr.zero(self.vars))
+
+    def __add__(self, other):
+        if type(other) is not type(self) or other.grade != self.grade:
+            raise ArityError("can only add equal-kind, equal-grade elements")
+        out = dict(self.coeffs)
+        for mask, p in other.coeffs.items():
+            s = out.get(mask, PolyExpr.zero(self.vars)) + p
+            if s.is_zero():
+                out.pop(mask, None)
+            else:
+                out[mask] = s
+        return type(self)(self.vars, self.grade, out)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def scaled(self, c):
+        return type(self)(self.vars, self.grade,
+                          {m: p * c for m, p in self.coeffs.items()})
+
+    def __repr__(self):
+        basis = "dx" if self.kind == "form" else "d/dx"
+        body = " + ".join(
+            f"({p}) {basis}{'^'.join(str(i + 1) for i in indices_of(m))}"
+            for m, p in sorted(self.coeffs.items())) or "0"
+        return f"<{self.kind} grade {self.grade}: {body}>"
+
+
+class PolyForm(_GradedElement):
+    kind = "form"
+
+
+class PolyMultivector(_GradedElement):
+    kind = "multivector"
+
+
+def wedge(a: _GradedElement, b: _GradedElement):
+    """Exterior product with standard shuffle signs.
+
+    Grade overflow past the ambient dimension is a legitimate zero, not an
+    error.
+    """
+    if type(a) is not type(b):
+        raise ArityError("cannot wedge a form with a multivector")
+    if a.vars != b.vars:
+        raise ArityError("wedge operands live over different variables")
+    grade = a.grade + b.grade
+    out: dict[int, PolyExpr] = {}
+    for ma, pa in a.coeffs.items():
+        for mb, pb in b.coeffs.items():
+            sign = merge_sign(ma, mb)
+            if sign == 0:
+                continue
+            mask = ma | mb
+            term = pa * pb if sign > 0 else pa * pb * -1
+            s = out.get(mask)
+            s = term if s is None else s + term
+            if s.is_zero():
+                out.pop(mask, None)
+            else:
+                out[mask] = s
+    return type(a)(a.vars, grade, out)
+
 
 def shuffle_signature(first: Sequence[int], second: Sequence[int]) -> int:
     """Signature of the permutation (first..., second...) of 0..n-1.
@@ -60,6 +157,28 @@ def shuffle_signature(first: Sequence[int], second: Sequence[int]) -> int:
     inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
               if seq[i] > seq[j])
     return -1 if inv & 1 else 1
+
+
+def bivector(ps: PoissonStructure) -> PolyMultivector:
+    """The bracket's bivector from the library's mask dict."""
+    return PolyMultivector(ps.vars, 2, ps.as_bivector())
+
+
+def bracket_by_entries(ps: PoissonStructure, f: PolyExpr, g: PolyExpr) -> PolyExpr:
+    """{f, g} = sum_{i<j} p_ij (df/dx_i dg/dx_j - df/dx_j dg/dx_i), one
+    entry at a time."""
+    f = f.with_vars(ps.vars)
+    g = g.with_vars(ps.vars)
+    f.require_polynomial_grade("bracket argument")
+    g.require_polynomial_grade("bracket argument")
+    df = [f.diff(v) for v in ps.vars]
+    dg = [g.diff(v) for v in ps.vars]
+    total = PolyExpr.zero(ps.vars)
+    for (i, j), p in ps.entries_upper():
+        if p.is_zero():
+            continue
+        total = total + p * (df[i] * dg[j] - df[j] * dg[i])
+    return total
 
 
 def one_form(variables, coeffs: Sequence[PolyExpr]) -> PolyForm:
@@ -171,7 +290,7 @@ def duality_check_by_wedges(ps, casimirs) -> DualityReport:
         raise ParityError(f"n - l = {n - l} is odd")
     m = (n - l) // 2
 
-    wedge_side = wedge_power(ps.as_bivector(), m) if m >= 1 else None
+    wedge_side = wedge_power(bivector(ps), m) if m >= 1 else None
     if wedge_side is None:
         raise ParityError("rank-0 comparison is vacuous")
     dual_side = volume_dual(wedge_all([differential(q) for q in casimirs]))
@@ -203,8 +322,8 @@ def duality_check_by_wedges(ps, casimirs) -> DualityReport:
         lam=lam if proportional else None,
         lam_coord=lam / fact if proportional else None,
         m=m,
-        residual=residual,
-        _sources=(ps.matrix, dual_side,
+        residual={indices_of(mask): p for mask, p in residual.coeffs.items()},
+        _sources=(ps.matrix, dual_side.coeffs,
                   sorted(set(wedge_side.coeffs) | set(dual_side.coeffs))),
     )
 

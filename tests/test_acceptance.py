@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import wedge_power
+from oracles import bivector, wedge_power
 from ppa import catalog, dsl
 from ppa.cli import main as cli_main
 from ppa.duality import degree_sum_check, duality_check
@@ -274,7 +274,7 @@ def test_wedge_pfaffian_cross_oracle():
         ps = m.structure
         if not isinstance(ps, PoissonStructure) or ps.n > 6:
             continue
-        pi = ps.as_bivector()
+        pi = bivector(ps)
         for mp in range(1, ps.n // 2 + 1):
             wp = wedge_power(pi, mp)
             fact = 1

@@ -230,7 +230,13 @@ def test_integrate_window_limits_exit_two(tmp_path, capsys, window, message):
     ("(x1+x2+x3)^2000", "error: a product of polynomials with 2145 x 2145 terms and "
                         "coefficients of 96 and 96 bits costs 4601025 units, more than "
                         "MAX_WORK = 1000000"),
-    ("x1^(1/40000)", "error: exponent 1/40000: numerator and denominator")])
+    ("x1^(1/40000)", "error: exponent 1/40000: numerator and denominator"),
+    # a grade error names its first offending term, never the whole value,
+    # which may be long or hold a coefficient too long to print
+    (f"{SEVENS}^2*x1^(1/2)",
+     "error: Casimir has fractional or negative exponents: x1^(1/2)\n"),
+    ("(x1+x2+x3)^6*x1^(1/2)",
+     "error: Casimir has fractional or negative exponents: x1^(13/2)\n")])
 def test_hostile_literals_exit_two(tmp_path, capsys, casimir, message):
     f = tmp_path / "m.ppa"
     f.write_text(f"vars x1 x2 x3; casimir P = {casimir}; structure jacobian;\n"
@@ -238,6 +244,7 @@ def test_hostile_literals_exit_two(tmp_path, capsys, casimir, message):
     assert run_cli("check", str(f)) == 2
     err = capsys.readouterr().err
     assert err.startswith(message) and "Traceback" not in err
+    assert len(err.encode()) < 200
 
 
 def test_product_chain_exits_two(tmp_path, capsys):

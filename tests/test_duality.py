@@ -1,15 +1,16 @@
 """Wedge-power duality and degree-sum checks."""
 
+import math
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
-from oracles import differential, wedge_all, wedge_power
+from oracles import bivector, differential, volume_dual, wedge_all, wedge_power
 from ppa import catalog, structures
 from ppa.duality import degree_sum_check, duality_check
 from ppa.errors import DomainError, ParityError
-from ppa.exterior import indices_of, pfaffian, volume_dual
+from ppa.exterior import indices_of, mask_of, pfaffian
 from ppa.poly import PolyExpr
 from ppa.structures import PoissonStructure, jacobian_structure
 
@@ -20,7 +21,7 @@ def test_q3_constant_one():
     m = catalog.build("q3", {"k": 2})
     rep = duality_check(m.structure, m.casimir_polys())
     assert rep.holds and rep.lam == 1 and rep.lam_coord == 1 and rep.m == 1
-    assert rep.residual.is_zero()
+    assert rep.residual == {}
 
 
 def test_jacobian_multiplier_is_recovered():
@@ -70,7 +71,7 @@ def test_detail_ties_pfaffian_to_minor():
     ps, qs = m.structure, m.casimir_polys()
     rep = duality_check(ps, qs)
     # the detail covers the union of both supports, one entry per mask
-    wedge = wedge_power(ps.as_bivector(), rep.m)
+    wedge = wedge_power(bivector(ps), rep.m)
     dual = volume_dual(wedge_all([differential(q) for q in qs]))
     support = {indices_of(mask) for mask in set(wedge.coeffs) | set(dual.coeffs)}
     assert support and set(rep.detail) == support
@@ -80,13 +81,33 @@ def test_detail_ties_pfaffian_to_minor():
         assert pf * 2 == minor * rep.lam
 
 
+def test_failed_residual_is_keyed_by_subset_like_detail():
+    x1, x2, x3 = PolyExpr.gens(V3)
+    ps = jacobian_structure(V3, [x3], x1)         # {x1,x2} = x1: a non-constant ratio
+    rep = duality_check(ps, [x3])
+    assert not rep.holds and rep.lam is None
+    assert rep.residual == {(0, 1): x1}
+    assert set(rep.residual) <= set(rep.detail)
+    for sub, value in rep.residual.items():
+        assert value == rep.detail[sub][0] * math.factorial(rep.m)
+
+
+def test_bivector_is_the_mask_dict_of_the_upper_entries():
+    ps = catalog.build("q3", {"k": 2}).structure
+    pi = ps.as_bivector()
+    assert pi == {mask_of((i, j)): ps.matrix[i][j]
+                  for i, j in combinations(range(ps.n), 2)
+                  if not ps.matrix[i][j].is_zero()}
+    assert pi and bivector(ps).coeffs == pi
+
+
 def test_wedge_coefficient_equals_factorial_times_pfaffian_catalog_wide():
     for name in ("q3", "markov", "sklyanin", "quadrics61", "q5", "dell",
                  "askey_wilson", "euler_top"):
         ps = catalog.build(name).structure
         if not isinstance(ps, PoissonStructure):
             continue
-        pi = ps.as_bivector()
+        pi = bivector(ps)
         n = ps.n
         for m_power in range(1, n // 2 + 1):
             wp = wedge_power(pi, m_power)

@@ -54,7 +54,6 @@ def test_non_constant_ratio_reported():
     rep = duality_check(ps, [x3])
     assert not rep.holds
     assert rep.lam is None and rep.lam_coord is None
-    assert rep.lambda_text == "non-constant"
 
 
 def test_fi_check_on_binary_bracket_model():

@@ -1,14 +1,15 @@
-"""Exterior algebra: wedge, duality signs, Pfaffians."""
+"""Exterior algebra: the reference wedge and duality signs of ``oracles``,
+and the library's Pfaffians."""
 
 import random
 from itertools import combinations
 
 import pytest
 import sympy as sp
-from oracles import differential, one_form, wedge_all, wedge_power
+from oracles import (PolyForm, PolyMultivector, differential, one_form, volume_dual,
+                     wedge, wedge_all, wedge_power)
 from ppa.errors import ArityError
-from ppa.exterior import (PolyForm, PolyMultivector, mask_of, pfaffian, volume_dual,
-                          wedge)
+from ppa.exterior import mask_of, pfaffian
 from ppa.poly import PolyExpr
 
 V3 = ("x1", "x2", "x3")

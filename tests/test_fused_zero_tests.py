@@ -1,10 +1,11 @@
 """The fused zero tests and the integer sampled rank against their definitions.
 
 ``is_casimir`` and ``is_quasi_casimir`` test the Hamiltonian rows
-{Q, x_k} = sum_i p_ik dQ/dx_i, ``_jacobiator`` and ``pfaffian`` sum their
-products in one fused kernel, and ``generic_rank`` takes the rank of
-integer matrices by fraction-free elimination.  Each is compared here with
-what it replaces: ``bracket_of``, a ``_sum`` chain of products, the
+{Q, x_k} = sum_i p_ik dQ/dx_i, ``bracket_of`` contracts those rows with a
+gradient, ``_jacobiator`` and ``pfaffian`` sum their products in one fused
+kernel, and ``generic_rank`` takes the rank of integer matrices by
+fraction-free elimination.  Each is compared here with what it replaces:
+``oracles.bracket_by_entries``, a ``_sum`` chain of products, the
 recursive ``oracles.pfaffian`` and a ``Fraction`` elimination over the same
 sample points.  ``bdu_relation_sides`` reads its left side as a 4x4
 Pfaffian, compared here with the three products it sums.
@@ -21,6 +22,7 @@ import oracles
 import synthetic
 from ppa import dsl, structures
 from ppa.duality import bdu_relation_sides
+from ppa.dynamics import hamiltonian_vector_field
 from ppa.errors import PolynomialGradeError
 from ppa.exterior import pfaffian
 from ppa.poly import PolyExpr, exact_divisibility
@@ -93,11 +95,12 @@ tables = st.one_of(random_tables(), zero_tables(), rank4_tables(),
 # ---------------- Casimir and quasi-Casimir rows ----------------
 
 def casimir_by_definition(ps, q):
-    return all(bracket_of(ps, q, x).is_zero() for x in PolyExpr.gens(ps.vars))
+    return all(oracles.bracket_by_entries(ps, q, x).is_zero()
+               for x in PolyExpr.gens(ps.vars))
 
 
 def quasi_by_definition(ps, q):
-    return all(exact_divisibility(bracket_of(ps, q, x), q)[0]
+    return all(exact_divisibility(oracles.bracket_by_entries(ps, q, x), q)[0]
                for x in PolyExpr.gens(ps.vars))
 
 
@@ -125,10 +128,31 @@ def test_hamiltonian_rows_are_the_brackets(case):
     ps, q = case
     grad = [q.diff(v) for v in ps.vars]
     for k, x in enumerate(PolyExpr.gens(ps.vars)):
-        assert structures._hamiltonian_row(ps, grad, k) == bracket_of(ps, q, x)
+        assert structures._hamiltonian_row(ps, grad, k) == \
+            oracles.bracket_by_entries(ps, q, x)
     assert is_casimir(ps, q) == casimir_by_definition(ps, q)
     if not q.is_zero():
         assert is_quasi_casimir(ps, q) == quasi_by_definition(ps, q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(structures_and_candidates(), st.data())
+def test_bracket_is_the_entry_chain(case, data):
+    ps, f = case
+    g = data.draw(polys(ps.n))
+    assert bracket_of(ps, f, g) == oracles.bracket_by_entries(ps, f, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(structures_and_candidates())
+def test_hamiltonian_field_keeps_the_term_order_of_the_entry_chain(case):
+    # the RK4 float sums run over the terms in order, so the components must
+    # match the chain term for term, not only as values
+    ps, h = case
+    field = hamiltonian_vector_field(ps, h)
+    for x, comp in zip(PolyExpr.gens(ps.vars), field.components):
+        ref = oracles.bracket_by_entries(ps, x, h)
+        assert list(comp.terms.items()) == list(ref.terms.items())
 
 
 @pytest.mark.parametrize("a,b", list(permutations(range(4), 2)))

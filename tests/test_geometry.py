@@ -6,8 +6,7 @@ import pytest
 
 from ppa import catalog
 from ppa.errors import DomainError
-from ppa.geometry import (chart_compare, check_projective_extendability,
-                          mukai_pairing_check, transport_bracket)
+from ppa.geometry import chart_compare, check_projective_extendability, transport_bracket
 from ppa.poly import MonomialMap, PolyExpr, exact_divisibility, substitute
 from ppa.structures import PoissonStructure, check_jacobi, is_casimir
 
@@ -135,15 +134,6 @@ def test_quartic_brackets_fail_on_degree():
     assert v.max_degree == 4 and not v.degree_ok
     assert not v.extendable_necessary_conditions
 
-
-def test_mukai_pairing_bookkeeping():
-    m = catalog.build("fermat_k3")
-    assert mukai_pairing_check(m.structure, m.casimirs[0][1])
-    assert not mukai_pairing_check(catalog.build("markov").structure,
-                                   catalog.build("markov").casimirs[0][1])
-
-
-# ---------------- chart comparison ----------------
 
 def test_split_charts_agree_up_to_global_constant():
     aff = catalog.build("singular_k3_affine")

@@ -1,10 +1,13 @@
 """Guards on the package layout: the README lists exactly the checks of the
-check table, and the catalog sits above the DSL and the runner."""
+check table, the catalog sits above the DSL and the runner, and every method
+the benchmark tracer wraps exists."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
+from ppa.poly import MonomialMap, PolyExpr
 from ppa.runner import CHECKS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,3 +59,27 @@ def test_module_imports_are_acyclic():
 
     for mod in graph:
         visit(mod, [])
+
+
+def _tracer_tables():
+    """The method tables of ``bench/tracer.py``, read as literals: the file is
+    parsed, never imported."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    return {node.targets[0].id: ast.literal_eval(node.value)
+            for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("POLY_METHODS", "MAP_METHODS", "SPAN_METHODS")}
+
+
+def test_every_method_the_tracer_wraps_exists():
+    # the tracer reads each name from the class __dict__: a deleted method
+    # would raise KeyError in the traced benchmark run
+    tables = _tracer_tables()
+    assert set(tables) == {"POLY_METHODS", "MAP_METHODS", "SPAN_METHODS"}
+    wrapped = [(PolyExpr, attr) for attr in tables["POLY_METHODS"]]
+    wrapped += [(MonomialMap, attr) for attr in tables["MAP_METHODS"]]
+    wrapped += [(getattr(importlib.import_module(f"ppa.{layer}"), cls), attr)
+                for layer, cls, attr in tables["SPAN_METHODS"]]
+    missing = [f"{cls.__name__}.{attr}" for cls, attr in wrapped
+               if attr not in cls.__dict__]
+    assert not missing
