@@ -7,11 +7,11 @@ dual of dQ_1 ^ ... ^ dQ_l.  Coefficientwise, on each 2m-subset S,
 m! * Pf(pi_S) is that constant times the l x l minor of the Casimir
 gradients on the complementary columns, up to the shuffle sign.  The check
 computes exactly that: the principal 2m x 2m Pfaffians of the bracket matrix
-against the table of Casimir minors (``structures.casimir_minors``, which a
-Jacobian structure keeps from its construction), each moved to the
-complement of its column mask with the shuffle sign.  The constant reported
-as ``lam`` carries the m!; ``lam_coord`` = lam / m! is the coordinate-level
-constant relating the Pfaffians to the minors.
+against the table of Casimir minors (``structures.casimir_minors``, kept on
+the structure), each moved to the complement of its column mask with the
+shuffle sign.  The constant reported as ``lam`` carries the m!;
+``lam_coord`` = lam / m! is the coordinate-level constant relating the
+Pfaffians to the minors.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .errors import DegenerateCasimirError, DomainError, ParityError, VariableSetError
 from .exterior import indices_of, mask_of, merge_sign, pfaffian
 from .poly import PolyExpr, _constant_ratio
-from .structures import PoissonStructure, casimir_minors, is_casimir
+from .structures import PoissonStructure, _minor_table, is_casimir
 
 
 @dataclass
@@ -48,15 +48,6 @@ class DualityReport:
         return {indices_of(mask): (pfaffian(matrix, indices_of(mask)),
                                    dual_side.get(mask, zero))
                 for mask in masks}
-
-
-def _casimir_minors(ps: PoissonStructure, casimirs: list) -> dict:
-    """The minor table of the Casimirs, taken from the structure when it was
-    built from them."""
-    built = ps._casimir_minors
-    if built is not None and built[0] == tuple(casimirs):
-        return built[1]
-    return casimir_minors(ps.vars, casimirs)
 
 
 def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> DualityReport:
@@ -88,7 +79,7 @@ def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> Duality
     # complement of its mask, signed by the shuffle (mask, complement)
     full = (1 << n) - 1
     dual_side = {full ^ mask: d if merge_sign(mask, full ^ mask) > 0 else -d
-                 for mask, d in _casimir_minors(ps, casimirs).items()}
+                 for mask, d in _minor_table(ps, tuple(casimirs)).items()}
     if not dual_side:
         raise DegenerateCasimirError(
             "dQ_1 ^ ... ^ dQ_l vanishes identically; Casimirs are dependent")

@@ -22,11 +22,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .errors import ArityError, DomainError
+from .errors import ArityError, DomainError, PpaError
 from .exterior import mask_of, pfaffian, require_max_dim
 from .poly import PolyExpr, _integer_evaluator, _sum_of_products, exact_divisibility
 
@@ -52,12 +52,13 @@ class PoissonStructure:
             for j in range(i + 1, n):
                 if self.matrix[i][j] != -self.matrix[j][i]:
                     raise DomainError(f"bracket matrix not antisymmetric at ({i},{j})")
-        # Casimir candidate -> verdict: the matrix never changes, so a
-        # candidate checked once (say by the casimirs check) is not checked
-        # again by a later predicate (theorem31) on the same structure.
-        self._casimir_verdicts: dict[PolyExpr, bool] = {}
-        # (Casimirs, their casimir_minors table) when the matrix was built
-        # from them
+        # Casimir candidate -> verdict, and Casimir tuple -> certificate: the
+        # matrix never changes, so a candidate checked once (say by the
+        # casimirs check) is not checked again by a later predicate
+        # (theorem31) on the same structure.
+        self._casimir_verdicts: dict[PolyExpr | tuple, bool] = {}
+        # (Casimirs, their casimir_minors table): the ones the matrix was
+        # built from, else the last table :func:`_minor_table` computed
         self._casimir_minors = None
 
     @classmethod
@@ -175,6 +176,15 @@ def casimir_minors(variables, casimirs: Sequence[PolyExpr]) -> dict:
     Casimirs give an empty table."""
     return _stacked_minors([_gradient(q) for q in casimirs],
                            {0: PolyExpr.const(variables, 1)})
+
+
+def _minor_table(ps: PoissonStructure, casimirs: tuple) -> dict:
+    """The :func:`casimir_minors` table of ``casimirs`` (over the structure's
+    variables), kept on the structure so a later reader of the same tuple
+    does not build it again."""
+    if ps._casimir_minors is None or ps._casimir_minors[0] != casimirs:
+        ps._casimir_minors = (casimirs, casimir_minors(ps.vars, casimirs))
+    return ps._casimir_minors[1]
 
 
 def jacobian_structure(variables, casimirs: Sequence[PolyExpr],
@@ -332,29 +342,36 @@ def jacobiator(ps: PoissonStructure, i: int, j: int, k: int) -> PolyExpr:
                        _gradient(m[i][j]))
 
 
-def check_jacobi(ps: PoissonStructure) -> JacobiReport:
-    """Exact symbolic Jacobi check.
+def jacobi_witnesses(ps: PoissonStructure):
+    """The nonzero jacobiators as (i, j, k, residual), lazily, in coordinate
+    triple order.
 
     When rank <= 2 holds with pivot p_ab, the bivector is X ^ Y over Q(x)
     and [pi, pi] = X' ^ Y' ^ W with X'_a = Y'_b = 1, X'_b = Y'_a = 0; its
     (a, b, k) component is p_ab (W_k - W_a X'_k - W_b Y'_k), so the n - 2
     jacobiators on the triples {a, b, k} vanish iff [pi, pi] = 0 (Vaisman,
     *Lectures on the Geometry of Poisson Manifolds*, 1994).  That decides
-    a pass.  Anything else runs every coordinate triple, which is the one
-    path that collects witnesses; there the gradient of every bracket entry
-    is taken once."""
+    a pass, which yields nothing.  Anything else walks every coordinate
+    triple, taking the gradient of each bracket entry once, when a triple
+    first needs it, so a caller that stops at the first witness pays only
+    for the triples up to it."""
     low_rank, pivot = ps._rank2
     if low_rank and (pivot is None or all(
             jacobiator(ps, *sorted(pivot + (k,))).is_zero()
             for k in range(ps.n) if k not in pivot)):
-        return JacobiReport(holds=True, witnesses=[])
+        return
     m = ps.matrix
-    grads = [[_gradient(p) for p in row] for row in m]
-    witnesses = []
+    grad = cache(lambda i, j: _gradient(m[i][j]))
     for i, j, k in combinations(range(ps.n), 3):
-        r = _jacobiator(m, i, j, k, grads[j][k], grads[k][i], grads[i][j])
+        r = _jacobiator(m, i, j, k, grad(j, k), grad(k, i), grad(i, j))
         if not r.is_zero():
-            witnesses.append((i, j, k, r))
+            yield i, j, k, r
+
+
+def check_jacobi(ps: PoissonStructure) -> JacobiReport:
+    """Exact symbolic Jacobi check with every witness (the runner's check
+    tries :func:`casimir_certificate`, then takes only the first)."""
+    witnesses = list(jacobi_witnesses(ps))
     return JacobiReport(holds=not witnesses, witnesses=witnesses)
 
 
@@ -368,6 +385,26 @@ def is_casimir(ps: PoissonStructure, q: PolyExpr) -> bool:
         grad = _gradient(q)
         verdict = all(_hamiltonian_row(ps, grad, k).is_zero() for k in range(ps.n))
         ps._casimir_verdicts[q] = verdict
+    return verdict
+
+
+def casimir_certificate(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> bool:
+    """True when l >= n - 2 ``casimirs`` all pass :func:`is_casimir` and
+    their minor table is nonempty (dQ_1 ^ ... ^ dQ_l != 0).  Then rank <=
+    n - l <= 2 and pi = h J over Q(x), J the Jacobian bracket of n - 2 of
+    them, so [hJ, hJ] = h^2 [J, J] + 2h J ^ J#(dh) = 0 (Vaisman 1994;
+    Grabowski-Marmo-Perelomov, Mod. Phys. Lett. A 8 (1993) 1719).  A premise
+    raising ``PpaError`` counts as false.  Decided once per Casimir tuple."""
+    key = tuple(casimirs)
+    verdict = ps._casimir_verdicts.get(key)
+    if verdict is None:
+        try:
+            qs = tuple(q.with_vars(ps.vars) for q in key)
+            verdict = (len(qs) >= ps.n - 2 and all(is_casimir(ps, q) for q in qs)
+                       and bool(_minor_table(ps, qs)))
+        except PpaError:
+            verdict = False
+        ps._casimir_verdicts[key] = verdict
     return verdict
 
 
@@ -420,7 +457,8 @@ def generic_rank(ps: PoissonStructure, samples: int = 8, seed: int = 0) -> int:
     rank, since no later sample can then raise it, so the result is the one
     every sample would give: n - n % 2 always (an antisymmetric matrix has
     even rank), and 2 when the structure already holds a true rank-2 verdict
-    (``jacobi`` and ``plucker`` compute it; this function never does).
+    (``jacobi`` and ``plucker`` compute it; this function never does).  The
+    runner's ``rank`` check reads an exact 2 or 0 off a casimir_certificate.
 
     Each entry is unpacked once per call, and at each point the entries
     share one table of powers per variable.  Their common denominator is

@@ -9,7 +9,14 @@ quadric's support before its coefficients.  At that seed the largest
 bracket entry has 43, 90 and 310 terms at n = 6, 7 and 8; other seeds give
 other structures of the same shape.
 
-Run ``python tests/synthetic.py N`` to print the model for N variables.
+``perturbed_model_text(n)`` is the same structure written as an explicit
+bracket table with ``x1*x2`` added to {x1,x2}, the Casimirs still declared:
+it is not Poisson and the declared Casimirs are not central.  At seed 1 its
+first failing jacobiator is on (x1,x2,x3) for n = 6, 7 and 8.  Building it
+needs ``ppa`` importable.
+
+Run ``python tests/synthetic.py N`` to print the model for N variables, and
+``python tests/synthetic.py N --perturbed`` for the perturbed one.
 """
 
 from __future__ import annotations
@@ -38,5 +45,19 @@ def model_text(n: int, seed: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
+def perturbed_model_text(n: int, seed: int = 1) -> str:
+    from ppa import dsl
+    from ppa.poly import PolyExpr
+
+    spec = dsl.parse_model(model_text(n, seed))
+    table = {ij: p for ij, p in spec.build_structure().entries_upper()
+             if not p.is_zero()}
+    x1, x2 = PolyExpr.gens(spec.vars)[:2]
+    table[0, 1] = table.get((0, 1), PolyExpr.zero(spec.vars)) + x1 * x2
+    spec.structure_kind, spec.table, spec.multiplier = "table", table, None
+    return dsl.render_model(spec)
+
+
 if __name__ == "__main__":
-    sys.stdout.write(model_text(int(sys.argv[1])))
+    text = perturbed_model_text if sys.argv[2:] == ["--perturbed"] else model_text
+    sys.stdout.write(text(int(sys.argv[1])))
