@@ -424,7 +424,8 @@ class ModelSpec:
 
     def build_structure(self):
         if self.structure_kind == "table":
-            return PoissonStructure.from_table(self.vars, self.table)
+            return PoissonStructure.from_table(self.vars, self.table,
+                                               self.casimir_polys())
         if self.structure_kind == "jacobian":
             mult = self.multiplier if self.multiplier is not None \
                 else PolyExpr.const(self.vars, 1)

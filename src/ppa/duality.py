@@ -150,14 +150,12 @@ class DegreeSumReport:
 
 
 def degree_sum_check(casimirs: Sequence[PolyExpr], n: int,
-                     weights: Sequence[int] | None = None,
-                     require_homogeneous: bool = False) -> DegreeSumReport:
+                     weights: Sequence[int] | None = None) -> DegreeSumReport:
     """Sum of (weighted) top degrees of the Casimirs against the weight sum.
 
     With unit weights the comparison target is the dimension n.  Top degree
     is used so that non-homogeneous degenerations (Markov-type Casimirs,
-    quartic z^2 - F families) are measured by their leading part; pass
-    ``require_homogeneous=True`` to insist on exact homogeneity instead.
+    quartic z^2 - F families) are measured by their leading part.
     """
     if weights is None:
         weights = [1] * n
@@ -168,8 +166,6 @@ def degree_sum_check(casimirs: Sequence[PolyExpr], n: int,
     for q in casimirs:
         if q.is_zero():
             raise DomainError("zero Casimir has no degree")
-        if require_homogeneous and not q.is_weighted_homogeneous(weights):
-            raise DomainError(f"not weighted-homogeneous: {q}")
         degrees.append(q.weighted_degree(weights))
     total = sum(degrees)
     wsum = sum(weights)

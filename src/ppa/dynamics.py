@@ -225,7 +225,7 @@ class _States(Sequence):
         self._rows = report.rows
         self._width = report.width
         self._dim = report.dim
-        self._len = len(report.rows) // report.width if report.recorded else 0
+        self._len = len(report.rows) // report.width
 
     def __len__(self) -> int:
         return self._len
@@ -244,18 +244,16 @@ class _States(Sequence):
 @dataclass
 class TrajectoryReport:
     """One RK4 run.  ``rows`` holds, flat, one row per step from t = 0:
-    t, the ``dim`` coordinates and the monitor values when the states were
-    recorded, t alone otherwise.  ``times`` and ``states`` are read-only
-    views of it."""
+    t, the ``dim`` coordinates and the monitor values.  ``times`` and
+    ``states`` are read-only views of it."""
     rows: array
     dim: int
     drift: dict          # invariant name -> max relative deviation
     monitor_names: list
-    recorded: bool = True
 
     @property
     def width(self) -> int:
-        return 1 + self.dim + len(self.monitor_names) if self.recorded else 1
+        return 1 + self.dim + len(self.monitor_names)
 
     @property
     def times(self) -> memoryview:
@@ -296,8 +294,7 @@ def _tuple(names) -> str:
     return "(" + "".join(f"{x}, " for x in names) + ")"
 
 
-def _rk4_kernel(field: PolyVectorField, monitors: Sequence[PolyExpr],
-                record_states: bool) -> Callable:
+def _rk4_kernel(field: PolyVectorField, monitors: Sequence[PolyExpr]) -> Callable:
     """Generate ``run(x0, ..., x{n-1}, steps, step, record) -> drifts``,
     the whole RK4 run of :func:`integrate`.
 
@@ -311,7 +308,7 @@ def _rk4_kernel(field: PolyVectorField, monitors: Sequence[PolyExpr],
     value is bit-identical to it.  A non-finite state, tested before the
     monitors see it, or an ``OverflowError`` raises ``DivergenceError``
     with the last valid t.  ``record`` takes each row as a tuple: t, the
-    state and the monitor values, or t alone without ``record_states``."""
+    state and the monitor values."""
     n = len(field.vars)
     xs = [f"x{i}" for i in range(n)]
     ms = [f"m{j}" for j in range(len(monitors))]
@@ -335,7 +332,7 @@ def _rk4_kernel(field: PolyVectorField, monitors: Sequence[PolyExpr],
     def ks(k):
         return _tuple(f"k{k}_{i}" for i in range(n))
 
-    row = _tuple(["t", *xs, *ms] if record_states else ["t"])
+    row = _tuple(["t", *xs, *ms])
     finite = " and ".join(f"isfinite({x})" for x in xs) or "True"
     params = "".join(f"{x}, " for x in xs)
     lines += [f"def run({params}steps, step, record, f=f, g=g, isfinite=isfinite):",
@@ -382,8 +379,7 @@ def _compile_kernel(source: str):
 
 def integrate(field: PolyVectorField, x0: Sequence[float], step: float,
               t_end: float,
-              monitored: Sequence[tuple[str, PolyExpr]] = (),
-              record_states: bool = True) -> TrajectoryReport:
+              monitored: Sequence[tuple[str, PolyExpr]] = ()) -> TrajectoryReport:
     """Classical fixed-step RK4 with invariant-drift tracking.
 
     Drift of F is max over steps of |F(x(t)) - F(x0)| / max(1, |F(x0)|).
@@ -400,7 +396,7 @@ def integrate(field: PolyVectorField, x0: Sequence[float], step: float,
     names = [name for name, _ in monitored]
     polys = [p.with_vars(field.vars) for _, p in monitored]
     try:
-        run = _rk4_kernel(field, polys, record_states)
+        run = _rk4_kernel(field, polys)
     except OverflowError:
         raise _diverged(0.0) from None
     rows = array("d")
@@ -409,8 +405,7 @@ def integrate(field: PolyVectorField, x0: Sequence[float], step: float,
     for name, d in zip(names, run(*map(float, x0), steps, step, rows.extend)):
         if d > drift[name]:
             drift[name] = d
-    return TrajectoryReport(rows=rows, dim=n, drift=drift,
-                            monitor_names=names, recorded=record_states)
+    return TrajectoryReport(rows=rows, dim=n, drift=drift, monitor_names=names)
 
 
 # Rows formatted per ``%`` by write_trajectory_csv: fewer, longer writes;
@@ -423,10 +418,10 @@ def write_trajectory_csv(report: TrajectoryReport, field_vars, monitored,
     """CSV with header t,x1,...,xn,<invariant names>; 17 significant digits.
 
     The values are the report's stored rows; ``monitored`` must name the
-    report's monitors in order, and the report must hold its states
-    (``record_states``), or DomainError is raised.  The file is written to a
-    temporary file in the target directory and renamed over ``path`` only
-    when complete, so a failure leaves any earlier file intact.
+    report's monitors in order, or DomainError is raised.  The file is
+    written to a temporary file in the target directory and renamed over
+    ``path`` only when complete, so a failure leaves any earlier file
+    intact.
     """
     names = [name for name, _ in monitored]
     if names != report.monitor_names:
@@ -434,8 +429,6 @@ def write_trajectory_csv(report: TrajectoryReport, field_vars, monitored,
                           f"{report.monitor_names}")
     if len(field_vars) != report.dim:
         raise DomainError("variables do not match the report's dimension")
-    if not report.recorded:
-        raise DomainError("the report holds no states (record_states=False)")
     width = report.width
     row = ",".join(["%.17g"] * width) + "\n"
     chunk = CSV_CHUNK_ROWS * width

@@ -904,23 +904,35 @@ def _constant_ratio(p: PolyExpr, d: PolyExpr):
 
 # ---------------- monomial maps ----------------
 
-def _mat_inverse(rows):
-    """Exact inverse of a square Fraction matrix (Gauss-Jordan)."""
-    n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+def _bareiss(m, width=None) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968) of
+    the integer rows ``m``, in place, pivoting in their first ``width``
+    columns (all of them by default).  Returns (rank, d), d the last pivot.
+    Every entry is then a minor of the input, so dividing by the previous
+    pivot is exact; a swap negates the row it moves up, so d is the
+    determinant of a square matrix of full rank.  The pivot rows end with d
+    in their own pivot column and 0 in the others: [A | I] ends as
+    [d I | d A^-1] for a nonsingular A."""
+    if width is None:
+        width = len(m[0]) if m else 0
+    rank, prev = 0, 1
+    for col in range(width):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
-            raise SingularMapError("exponent matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        d = aug[col][col]
-        aug[col] = [x / d for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            continue
+        if piv != rank:
+            m[rank], m[piv] = [-a for a in m[piv]], m[rank]
+        top = m[rank]
+        p = top[col]
+        for r, row in enumerate(m):
+            if r != rank:
+                f = row[col]
+                m[r] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
+        rank += 1
+        if rank == len(m):
+            break
+    return rank, prev
 
 
 def _integer_lattice(rows) -> tuple:
@@ -1005,9 +1017,20 @@ class MonomialMap:
         self.scales = tuple(_coeff(s) for s in (scales or [1] * n))
         if any(s == 0 for s in self.scales):
             raise SingularMapError("zero scale factor")
-        self._forward_lattice = _integer_lattice(self.matrix)
-        # raises when singular
-        self._inverse_lattice = _integer_lattice(_mat_inverse(self.matrix))
+        self._forward_lattice = den, rows = _integer_lattice(self.matrix)
+        # [N | I] -> [d I | d N^-1], with matrix = N / den and d = det N
+        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+        rank, self._det = _bareiss(aug, n)
+        if rank < n:
+            raise SingularMapError("exponent matrix is singular")
+        # matrix^-1 = den * N^-1 in lowest terms: the least common
+        # denominator of den * (d N^-1) / d is |d| / g, g the gcd of d and
+        # the numerators
+        adj = [[den * a for a in row[n:]] for row in aug]
+        g = gcd(self._det, *(a for row in adj for a in row))
+        g = g if self._det > 0 else -g
+        self._inverse_lattice = (self._det // g,
+                                 tuple(tuple(a // g for a in row) for row in adj))
         self._dscales = None
         self._jacobian = None
 
@@ -1064,33 +1087,13 @@ class MonomialMap:
         first use."""
         if self._jacobian is None:
             n = len(self.old_vars)
-            det = _det_fraction(self.matrix)
+            det = Fraction(self._det, self._forward_lattice[0] ** n)
             for s in self.scales:
                 det *= s
             exps = tuple(_exp(sum(self.matrix[a][i] for a in range(n)) - 1)
                          for i in range(n))
             self._jacobian = PolyExpr(self.old_vars, {exps: det})
         return self._jacobian
-
-
-def _det_fraction(rows):
-    n = len(rows)
-    m = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
 
 
 def substitute(p: PolyExpr, mmap: MonomialMap) -> PolyExpr:

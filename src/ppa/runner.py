@@ -5,12 +5,12 @@ and ``expect`` statements and by ``run_checks`` to run them.
 
 Checks run in declaration order.  Value-style predicates (plucker, rank,
 degree_sum) report as ``info`` unless an expect clause pins them; pinned
-checks pass or fail on the comparison.  On a Poisson structure ``jacobi``,
-``plucker``, ``rank`` and ``fi`` first read ``casimir_certificate`` of the
-declared Casimirs, which proves rank <= 2 and Jacobi; ``jacobi`` stops at
-its first witness.  Reports are a pure function of the model text and the
-seed: the millis field is kept at zero so emitted JSON is byte-identical
-across runs.
+checks pass or fail on the comparison.  The structure carries the declared
+Casimirs, so ``jacobi``, ``plucker`` and ``rank`` are the library predicates,
+which read the structure's certificate first; binary ``fi`` reads it too, and
+``jacobi`` stops at its first witness.  Reports are a pure function of the
+model text and the seed: the millis field is kept at zero so emitted JSON is
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Optional
 
 from .duality import bdu_relation_sides, degree_sum_check, duality_check
@@ -29,12 +28,7 @@ from .poly import PolyExpr, _frac_str
 from .structures import (
     NambuStructure,
     PoissonStructure,
-    _cofactor_row,
-    _contract,
-    _gradient,
-    _stacked_minors,
     bracket_of,
-    casimir_certificate,
     check_fundamental_identity,
     generic_rank,
     is_casimir,
@@ -113,8 +107,7 @@ _BDU_TABLE = (lambda spec, s: any(not p.is_zero() for _, p in s.entries_upper())
 # rebound predicate (the benchmark tracer wraps them) is the one that runs.
 
 def _run_jacobi(spec, structure, arg, seed):
-    witness = None if casimir_certificate(structure, spec.casimir_polys()) \
-        else next(jacobi_witnesses(structure), None)
+    witness = next(jacobi_witnesses(structure), None)
     if witness is None:
         return "pass", None, None, True
     i, j, k, resid = witness
@@ -123,9 +116,7 @@ def _run_jacobi(spec, structure, arg, seed):
 
 
 def _run_casimirs(spec, structure, arg, seed):
-    central = is_casimir if isinstance(structure, PoissonStructure) \
-        else _nambu_is_casimir
-    bad = [qname for qname, q in spec.casimirs if not central(structure, q)]
+    bad = [qname for qname, q in spec.casimirs if not is_casimir(structure, q)]
     if bad:
         return "fail", None, "not central: " + ", ".join(bad), False
     return "pass", None, None, True
@@ -152,19 +143,15 @@ def _run_theorem31(spec, structure, arg, seed):
 
 
 def _run_plucker(spec, structure, arg, seed):
-    rep = None if casimir_certificate(structure, spec.casimir_polys()) \
-        else plucker_rank2_test(structure)
-    if rep is None or rep.rank_le_2:
+    rep = plucker_rank2_test(structure)
+    if rep.rank_le_2:
         return "info", None, "plucker = true", True
     w = ",".join(spec.vars[i] for i in rep.witness)
     return "info", None, f"plucker = false ({w})", False
 
 
 def _run_rank(spec, structure, arg, seed):
-    if casimir_certificate(structure, spec.casimir_polys()):
-        r = 2 if structure.as_bivector() else 0
-    else:
-        r = generic_rank(structure, samples=8, seed=seed)
+    r = generic_rank(structure, samples=8, seed=seed)
     return "info", None, f"rank = {r}", r
 
 
@@ -180,21 +167,6 @@ def _run_extendability(spec, structure, arg, seed):
                           f"{spec.vars[k]}): {resid.render()}", False)
 
 
-def _nambu_is_casimir(ns: NambuStructure, q: PolyExpr) -> bool:
-    """True iff {x_c1, ..., x_c(r-1), q} = 0 for every coordinate tuple,
-    each bracket a cofactor contraction with the one gradient of q."""
-    q = q.with_vars(ns.vars)
-    q.require_polynomial_grade("bracket argument")
-    grad = _gradient(q)
-    units = [_gradient(x) for x in PolyExpr.gens(ns.vars)]
-    slot = ns.arity - 1
-    for combo in combinations(range(ns.n), slot):
-        minors = _stacked_minors([units[c] for c in combo], ns._casimir_minors)
-        if not _contract(_cofactor_row(ns, minors, slot), grad).is_zero():
-            return False
-    return True
-
-
 def _run_fi(spec, structure, count, seed):
     """Fundamental-identity smoke check on the coordinate tuple plus
     ``count`` deterministic pseudo-random low-degree argument tuples."""
@@ -203,7 +175,7 @@ def _run_fi(spec, structure, count, seed):
 
         def identity_residual(args):
             return check_fundamental_identity(structure, args).residual
-    elif casimir_certificate(structure, spec.casimir_polys()):
+    elif structure.certified:
         return "pass", None, None, True     # binary fi is Jacobi's identity
     else:
         arity = 2

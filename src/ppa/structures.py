@@ -7,7 +7,9 @@ Casimirs Q_i and a multiplier through
     {f, g} = multiplier * (df ^ dg ^ dQ_1 ^ ... ^ dQ_{n-2}) / (dx_1 ^ ... ^ dx_n).
 
 Nambu structures keep m Casimirs and expose the (n-m)-ary bracket of the same
-determinantal shape.
+determinantal shape.  A Poisson structure carries the Casimirs declared for
+it, and :attr:`PoissonStructure.certified` decides once what they prove;
+every predicate that can use the proof reads it first.
 
 Both read their brackets off one table, the minors of the Casimir gradients
 keyed by column mask (the coefficients of dQ_1 ^ ... ^ dQ_l), built by
@@ -28,11 +30,13 @@ from typing import Optional, Sequence
 
 from .errors import ArityError, DomainError, PpaError
 from .exterior import mask_of, pfaffian, require_max_dim
-from .poly import PolyExpr, _integer_evaluator, _sum_of_products, exact_divisibility
+from .poly import (PolyExpr, _bareiss, _integer_evaluator, _sum_of_products,
+                   exact_divisibility)
 
 
 class PoissonStructure:
-    """Antisymmetric bracket matrix over a fixed variable tuple."""
+    """Antisymmetric bracket matrix over a fixed variable tuple, with the
+    Casimirs declared for it (``casimirs``, kept as given)."""
 
     def __init__(self, variables: Sequence[str], matrix):
         self.vars = tuple(variables)
@@ -52,17 +56,14 @@ class PoissonStructure:
             for j in range(i + 1, n):
                 if self.matrix[i][j] != -self.matrix[j][i]:
                     raise DomainError(f"bracket matrix not antisymmetric at ({i},{j})")
-        # Casimir candidate -> verdict, and Casimir tuple -> certificate: the
-        # matrix never changes, so a candidate checked once (say by the
-        # casimirs check) is not checked again by a later predicate
-        # (theorem31) on the same structure.
-        self._casimir_verdicts: dict[PolyExpr | tuple, bool] = {}
-        # (Casimirs, their casimir_minors table): the ones the matrix was
-        # built from, else the last table :func:`_minor_table` computed
-        self._casimir_minors = None
+        self.casimirs = ()
+        # Casimir candidate -> verdict: the matrix never changes, so a
+        # candidate checked once (say by the casimirs check) is not checked
+        # again by a later predicate (theorem31) on the same structure.
+        self._casimir_verdicts: dict[PolyExpr, bool] = {}
 
     @classmethod
-    def _trusted(cls, variables: tuple, matrix, casimir_minors=None) -> "PoissonStructure":
+    def _trusted(cls, variables: tuple, matrix, casimirs=()) -> "PoissonStructure":
         """Trusted constructor for a table built antisymmetric: ``matrix`` is
         a full n x n list of polynomial-grade ``PolyExpr`` over ``variables``
         with a zero diagonal and p_ji = -p_ij, so none of ``__init__``'s
@@ -71,17 +72,18 @@ class PoissonStructure:
         ps.vars = variables
         ps.n = len(variables)
         ps.matrix = [list(row) for row in matrix]
+        ps.casimirs = tuple(casimirs)
         ps._casimir_verdicts = {}
-        ps._casimir_minors = casimir_minors
         return ps
 
     @classmethod
-    def from_table(cls, variables, entries: dict) -> "PoissonStructure":
+    def from_table(cls, variables, entries: dict, casimirs=()) -> "PoissonStructure":
         """Build from {(i, j): PolyExpr} with 0-based i < j; rest is zero.
         The table is antisymmetric by construction, so of ``__init__``'s
         checks only the diagonal, grade and variable-set ones run, in its
         order; an index outside the variables is refused, and the rest of
-        the matrix is one shared zero."""
+        the matrix is one shared zero.  ``casimirs`` are kept as given, for
+        :attr:`certified` to verify."""
         variables = tuple(variables)
         n = len(variables)
         zero = PolyExpr.zero(variables)
@@ -102,7 +104,31 @@ class PoissonStructure:
                 if p.vars != variables:
                     row[j] = p = p.with_vars(variables)
                     matrix[j][i] = -p
-        return cls._trusted(variables, matrix)
+        return cls._trusted(variables, matrix, casimirs)
+
+    @cached_property
+    def _casimir_minors(self) -> dict:
+        """The :func:`casimir_minors` table of the structure's Casimirs,
+        computed once; a Jacobian structure holds the one it was built
+        from."""
+        return casimir_minors(self.vars, [q.with_vars(self.vars) for q in self.casimirs])
+
+    @cached_property
+    def certified(self) -> bool:
+        """True when l >= n - 2 of the structure's Casimirs all pass
+        :func:`is_casimir` and their minor table is nonempty (dQ_1 ^ ... ^
+        dQ_l != 0).  Then rank <= n - l <= 2 and pi = h J over Q(x), J the
+        Jacobian bracket of n - 2 of them, so [hJ, hJ] = h^2 [J, J] +
+        2h J ^ J#(dh) = 0 (Vaisman 1994; Grabowski-Marmo-Perelomov, Mod.
+        Phys. Lett. A 8 (1993) 1719).  A premise raising ``PpaError``
+        counts as false.  ``jacobi_witnesses``, ``plucker_rank2_test`` and
+        ``generic_rank`` read it first."""
+        try:
+            return (len(self.casimirs) >= self.n - 2
+                    and all(is_casimir(self, q) for q in self.casimirs)
+                    and bool(self._casimir_minors))
+        except PpaError:
+            return False
 
     @cached_property
     def _rank2(self) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -180,11 +206,10 @@ def casimir_minors(variables, casimirs: Sequence[PolyExpr]) -> dict:
 
 def _minor_table(ps: PoissonStructure, casimirs: tuple) -> dict:
     """The :func:`casimir_minors` table of ``casimirs`` (over the structure's
-    variables), kept on the structure so a later reader of the same tuple
-    does not build it again."""
-    if ps._casimir_minors is None or ps._casimir_minors[0] != casimirs:
-        ps._casimir_minors = (casimirs, casimir_minors(ps.vars, casimirs))
-    return ps._casimir_minors[1]
+    variables): the structure's own when they are its Casimirs."""
+    if casimirs == ps.casimirs:
+        return ps._casimir_minors
+    return casimir_minors(ps.vars, casimirs)
 
 
 def jacobian_structure(variables, casimirs: Sequence[PolyExpr],
@@ -217,7 +242,9 @@ def jacobian_structure(variables, casimirs: Sequence[PolyExpr],
                 p = multiplier * coeff
                 matrix[i][j] = p if (i + j) & 1 else -p
                 matrix[j][i] = -matrix[i][j]
-    return PoissonStructure._trusted(variables, matrix, (casimirs, minors))
+    ps = PoissonStructure._trusted(variables, matrix, casimirs)
+    ps._casimir_minors = minors
+    return ps
 
 
 # ---------------- bracket evaluation ----------------
@@ -354,7 +381,10 @@ def jacobi_witnesses(ps: PoissonStructure):
     a pass, which yields nothing.  Anything else walks every coordinate
     triple, taking the gradient of each bracket entry once, when a triple
     first needs it, so a caller that stops at the first witness pays only
-    for the triples up to it."""
+    for the triples up to it.  A :attr:`~PoissonStructure.certified`
+    structure yields nothing before any of that runs."""
+    if ps.certified:
+        return
     low_rank, pivot = ps._rank2
     if low_rank and (pivot is None or all(
             jacobiator(ps, *sorted(pivot + (k,))).is_zero()
@@ -370,41 +400,28 @@ def jacobi_witnesses(ps: PoissonStructure):
 
 def check_jacobi(ps: PoissonStructure) -> JacobiReport:
     """Exact symbolic Jacobi check with every witness (the runner's check
-    tries :func:`casimir_certificate`, then takes only the first)."""
+    takes only the first)."""
     witnesses = list(jacobi_witnesses(ps))
     return JacobiReport(holds=not witnesses, witnesses=witnesses)
 
 
-def is_casimir(ps: PoissonStructure, q: PolyExpr) -> bool:
-    """True iff {q, x_k} = 0 for every coordinate, tested on the Hamiltonian
-    rows of q, which share one gradient."""
-    q = q.with_vars(ps.vars)
+def is_casimir(s: PoissonStructure | NambuStructure, q: PolyExpr) -> bool:
+    """True iff q is central.  On a Poisson structure {q, x_k} = 0 for every
+    coordinate, tested on the Hamiltonian rows of q, which share one
+    gradient; the verdict is kept on the structure.  On a Nambu structure
+    every bracket {x_c1, ..., x_c(r-1), q} is the multiplier times an
+    (m+1)-minor of (dq, dQ_1, ..., dQ_m), so q is central iff the
+    multiplier is zero or one Laplace step of dq on the Casimir minors
+    leaves no minor."""
+    q = q.with_vars(s.vars)
     q.require_polynomial_grade("Casimir candidate")
-    verdict = ps._casimir_verdicts.get(q)
+    if isinstance(s, NambuStructure):
+        return s.multiplier.is_zero() or not _stack_row(_gradient(q), s._casimir_minors)
+    verdict = s._casimir_verdicts.get(q)
     if verdict is None:
         grad = _gradient(q)
-        verdict = all(_hamiltonian_row(ps, grad, k).is_zero() for k in range(ps.n))
-        ps._casimir_verdicts[q] = verdict
-    return verdict
-
-
-def casimir_certificate(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> bool:
-    """True when l >= n - 2 ``casimirs`` all pass :func:`is_casimir` and
-    their minor table is nonempty (dQ_1 ^ ... ^ dQ_l != 0).  Then rank <=
-    n - l <= 2 and pi = h J over Q(x), J the Jacobian bracket of n - 2 of
-    them, so [hJ, hJ] = h^2 [J, J] + 2h J ^ J#(dh) = 0 (Vaisman 1994;
-    Grabowski-Marmo-Perelomov, Mod. Phys. Lett. A 8 (1993) 1719).  A premise
-    raising ``PpaError`` counts as false.  Decided once per Casimir tuple."""
-    key = tuple(casimirs)
-    verdict = ps._casimir_verdicts.get(key)
-    if verdict is None:
-        try:
-            qs = tuple(q.with_vars(ps.vars) for q in key)
-            verdict = (len(qs) >= ps.n - 2 and all(is_casimir(ps, q) for q in qs)
-                       and bool(_minor_table(ps, qs)))
-        except PpaError:
-            verdict = False
-        ps._casimir_verdicts[key] = verdict
+        verdict = all(_hamiltonian_row(s, grad, k).is_zero() for k in range(s.n))
+        s._casimir_verdicts[q] = verdict
     return verdict
 
 
@@ -426,10 +443,11 @@ class PluckerReport:
 
 
 def plucker_rank2_test(ps: PoissonStructure) -> PluckerReport:
-    """All 4x4 Pfaffians vanish iff the bivector is decomposable.  The
-    structure's pivot test decides a pass; a failure runs every 4-subset in
-    order, so the witness is the first subset whose Pfaffian is nonzero."""
-    if ps._rank2[0]:
+    """All 4x4 Pfaffians vanish iff the bivector is decomposable.  A
+    :attr:`~PoissonStructure.certified` structure, or the structure's pivot
+    test, decides a pass; a failure runs every 4-subset in order, so the
+    witness is the first subset whose Pfaffian is nonzero."""
+    if ps.certified or ps._rank2[0]:
         return PluckerReport(True)
     for sub in combinations(range(ps.n), 4):
         if not pfaffian(ps.matrix, sub).is_zero():
@@ -453,22 +471,21 @@ def generic_rank(ps: PoissonStructure, samples: int = 8, seed: int = 0) -> int:
     all 8 default samples with probability at most (D/14)^8; for D >= 14
     that bound says nothing.
 
-    Sampling stops once the best rank reaches a proven bound on the generic
-    rank, since no later sample can then raise it, so the result is the one
-    every sample would give: n - n % 2 always (an antisymmetric matrix has
-    even rank), and 2 when the structure already holds a true rank-2 verdict
-    (``jacobi`` and ``plucker`` compute it; this function never does).  The
-    runner's ``rank`` check reads an exact 2 or 0 off a casimir_certificate.
+    A :attr:`~PoissonStructure.certified` structure has rank exactly 2, or
+    0 when every entry is zero, and is not sampled.  Otherwise sampling
+    stops once the best rank reaches n - n % 2 (an antisymmetric matrix has
+    even rank), since no later sample can then raise it, so the result is
+    the one every sample would give.
 
     Each entry is unpacked once per call, and at each point the entries
     share one table of powers per variable.  Their common denominator is
     cleared, which leaves the rank unchanged, and the rank of the integer
-    matrix is taken by fraction-free elimination."""
+    matrix is taken by fraction-free elimination (``poly._bareiss``)."""
     if samples < 1:
         raise DomainError("need at least one sample")
+    if ps.certified:
+        return 2 if any(not p.is_zero() for _, p in ps.entries_upper()) else 0
     n = ps.n
-    verdict = ps.__dict__.get("_rank2")          # the cached verdict, if any
-    bound = 2 if verdict is not None and verdict[0] else n - n % 2
     upper = [(ij, p) for ij, p in ps.entries_upper() if not p.is_zero()]
     # the values share one denominator, so their numerators make an integer
     # matrix of the same rank
@@ -480,33 +497,10 @@ def generic_rank(ps: PoissonStructure, samples: int = 8, seed: int = 0) -> int:
         rows = [[0] * n for _ in range(n)]
         for ((i, j), _), v in zip(upper, values(point)[1]):
             rows[i][j], rows[j][i] = v, -v
-        best = max(best, _integer_rank(rows))
-        if best >= bound:
+        best = max(best, _bareiss(rows)[0])
+        if best >= n - n % 2:
             break
     return best
-
-
-def _integer_rank(m) -> int:
-    """Rank of an integer matrix by fraction-free elimination (Bareiss,
-    Math. Comp. 1968), overwriting ``m``.  After k pivots each entry below
-    them is a (k+1)-minor of the input, so dividing by the previous pivot is
-    exact."""
-    rank, prev = 0, 1
-    for col in range(len(m[0]) if m else 0):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        top = m[rank]
-        p = top[col]
-        for r in range(rank + 1, len(m)):
-            f = m[r][col]
-            m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], top)]
-        prev = p
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
 
 
 # ---------------- fundamental identity ----------------

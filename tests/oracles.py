@@ -6,8 +6,10 @@ exterior-algebra chain the library used for minors of gradient rows before
 it read them off one Laplace table, and for graded coefficients before it
 kept them as dicts keyed by mask; ``nambu_bracket_by_wedges`` and
 ``jacobian_structure_by_wedges`` are the bracket and the construction as
-computed from that chain (see the first section).  ``bracket_by_entries``
-is the Poisson bracket as a chain of sums over the upper entries.
+computed from that chain (see the first section).
+``nambu_is_casimir_by_cofactors`` is the Nambu Casimir test as one cofactor
+contraction per coordinate tuple.  ``bracket_by_entries`` is the Poisson
+bracket as a chain of sums over the upper entries.
 
 ``wedge_power`` is the m-th wedge power as a chain of full wedges, and
 ``duality_check_by_wedges`` is theorem31 computed from it and from the
@@ -43,7 +45,8 @@ from ppa.exterior import MAX_DIM, indices_of, mask_of, merge_sign, require_max_d
 from ppa.geometry import ChartComparison
 from ppa.poly import MAX_EXPONENT, MonomialMap, PolyExpr, _rational_pow
 from ppa.runner import CHECKS, FI_MAX, _key, _projection
-from ppa.structures import NambuStructure, PoissonStructure, is_casimir
+from ppa.structures import (NambuStructure, PoissonStructure, _cofactor_row, _contract,
+                            _gradient, _stacked_minors, is_casimir)
 
 
 # ---------------- the exterior-algebra chain ----------------
@@ -211,6 +214,23 @@ def nambu_bracket_by_wedges(ns: NambuStructure, args: Sequence[PolyExpr]) -> Pol
     full = (1 << ns.n) - 1
     coeff = top.coeffs.get(full, PolyExpr.zero(ns.vars))
     return ns.multiplier * coeff
+
+
+def nambu_is_casimir_by_cofactors(ns: NambuStructure, q: PolyExpr) -> bool:
+    """True iff {x_c1, ..., x_c(r-1), q} = 0 for every coordinate tuple,
+    each bracket a cofactor contraction with the one gradient of q: the
+    Nambu Casimir test as the runner computed it before it became one
+    Laplace step of dq on the Casimir minors."""
+    q = q.with_vars(ns.vars)
+    q.require_polynomial_grade("bracket argument")
+    grad = _gradient(q)
+    units = [_gradient(x) for x in PolyExpr.gens(ns.vars)]
+    slot = ns.arity - 1
+    for combo in combinations(range(ns.n), slot):
+        minors = _stacked_minors([units[c] for c in combo], ns._casimir_minors)
+        if not _contract(_cofactor_row(ns, minors, slot), grad).is_zero():
+            return False
+    return True
 
 
 def jacobian_structure_by_wedges(variables, casimirs: Sequence[PolyExpr],

@@ -12,11 +12,16 @@ other structures of the same shape.
 ``perturbed_model_text(n)`` is the same structure written as an explicit
 bracket table with ``x1*x2`` added to {x1,x2}, the Casimirs still declared:
 it is not Poisson and the declared Casimirs are not central.  At seed 1 its
-first failing jacobiator is on (x1,x2,x3) for n = 6, 7 and 8.  Building it
-needs ``ppa`` importable.
+first failing jacobiator is on (x1,x2,x3) for n = 6, 7 and 8.
 
-Run ``python tests/synthetic.py N`` to print the model for N variables, and
-``python tests/synthetic.py N --perturbed`` for the perturbed one.
+``table_model_text(n)`` is the synthetic bracket as an explicit table with
+no Casimirs declared, checked for ``jacobi, plucker, rank``: nothing
+certifies it, so the pivot reduction decides it.  Building either needs
+``ppa`` importable.
+
+Run ``python tests/synthetic.py N`` to print the model for N variables,
+``python tests/synthetic.py N --perturbed`` for the perturbed one and
+``python tests/synthetic.py N --table`` for the table without Casimirs.
 """
 
 from __future__ import annotations
@@ -45,19 +50,36 @@ def model_text(n: int, seed: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _table_spec(n: int, seed: int):
+    """``model_text(n, seed)`` parsed, with its bracket written as a table."""
+    from ppa import dsl
+
+    spec = dsl.parse_model(model_text(n, seed))
+    spec.table = {ij: p for ij, p in spec.build_structure().entries_upper()
+                  if not p.is_zero()}
+    spec.structure_kind, spec.multiplier = "table", None
+    return spec
+
+
 def perturbed_model_text(n: int, seed: int = 1) -> str:
     from ppa import dsl
     from ppa.poly import PolyExpr
 
-    spec = dsl.parse_model(model_text(n, seed))
-    table = {ij: p for ij, p in spec.build_structure().entries_upper()
-             if not p.is_zero()}
+    spec = _table_spec(n, seed)
     x1, x2 = PolyExpr.gens(spec.vars)[:2]
-    table[0, 1] = table.get((0, 1), PolyExpr.zero(spec.vars)) + x1 * x2
-    spec.structure_kind, spec.table, spec.multiplier = "table", table, None
+    spec.table[0, 1] = spec.table.get((0, 1), PolyExpr.zero(spec.vars)) + x1 * x2
+    return dsl.render_model(spec)
+
+
+def table_model_text(n: int, seed: int = 1) -> str:
+    from ppa import dsl
+
+    spec = _table_spec(n, seed)
+    spec.casimirs = []
+    spec.checks = [("jacobi", None), ("plucker", None), ("rank", None)]
     return dsl.render_model(spec)
 
 
 if __name__ == "__main__":
-    text = perturbed_model_text if sys.argv[2:] == ["--perturbed"] else model_text
-    sys.stdout.write(text(int(sys.argv[1])))
+    texts = {"--perturbed": perturbed_model_text, "--table": table_model_text}
+    sys.stdout.write(texts.get(" ".join(sys.argv[2:]), model_text)(int(sys.argv[1])))

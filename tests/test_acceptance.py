@@ -214,14 +214,12 @@ def test_numerics_euler_top_bounds():
     m = catalog.build("euler_top")
     f = hamiltonian_vector_field(m.structure, m.hamiltonians[0])
     mon = [("Q1", m.casimirs[0][1]), ("H", m.hamiltonians[0])]
-    rep = integrate(f, (1.0, 0.5, 0.25), 1e-3, 10.0, mon, record_states=False)
+    rep = integrate(f, (1.0, 0.5, 0.25), 1e-3, 10.0, mon)
     assert max(rep.drift.values()) <= 1e-8
     # convergence-order clause checked where truncation dominates the
     # roundoff floor (drift at 1e-3 is ~1e-14, below any h^4 signal)
-    d1 = integrate(f, (1.0, 0.5, 0.25), 0.05, 10.0, mon[:1],
-                   record_states=False).drift["Q1"]
-    d2 = integrate(f, (1.0, 0.5, 0.25), 0.025, 10.0, mon[:1],
-                   record_states=False).drift["Q1"]
+    d1 = integrate(f, (1.0, 0.5, 0.25), 0.05, 10.0, mon[:1]).drift["Q1"]
+    d2 = integrate(f, (1.0, 0.5, 0.25), 0.025, 10.0, mon[:1]).drift["Q1"]
     assert d1 / d2 >= 8.0
     _ok("numerics: Euler-top drift <= 1e-8 at step 1e-3 over [0,10]; "
         f"halving improves {d1 / d2:.1f}x (>= 8x)")
@@ -231,8 +229,7 @@ def test_numerics_dell_conservation_window():
     m = catalog.build("dell")
     f = hamiltonian_vector_field(m.structure, m.hamiltonians[0])
     monitors = list(m.casimirs) + [("x6", PolyExpr.var("x6", m.vars))]
-    rep = integrate(f, m.integrate.x0, 1e-3, 0.15, monitors,
-                    record_states=False)
+    rep = integrate(f, m.integrate.x0, 1e-3, 0.15, monitors)
     assert max(rep.drift.values()) <= 1e-8
     _ok("numerics: dell invariants drift <= 1e-8 at step 1e-3 on the "
         "pre-escape horizon [0, 0.15]")
@@ -247,8 +244,7 @@ def test_numerics_dell_full_horizon_as_stated():
     m = catalog.build("dell")
     f = hamiltonian_vector_field(m.structure, m.hamiltonians[0])
     monitors = list(m.casimirs) + [("x6", PolyExpr.var("x6", m.vars))]
-    rep = integrate(f, m.integrate.x0, 1e-3, 10.0, monitors,
-                    record_states=False)
+    rep = integrate(f, m.integrate.x0, 1e-3, 10.0, monitors)
     assert max(rep.drift.values()) <= 1e-8
 
 

@@ -1,12 +1,14 @@
 """The Casimir certificate against the predicates it stands in for.
 
-``casimir_certificate`` holds when l >= n - 2 declared Casimirs pass
-``is_casimir`` and their minor table is nonempty; the runner then reports
-``jacobi`` and binary ``fi`` as passing, ``plucker = true`` and the exact
-``rank`` without running the pivot, the jacobiators or the sampling.  Here
-every certified structure must satisfy the full library predicates, and
-every uncertified one must give the report the runner gives with the
-certificate switched off.
+``PoissonStructure.certified`` holds when l >= n - 2 of the structure's
+Casimirs pass ``is_casimir`` and their minor table is nonempty; then
+``jacobi_witnesses`` yields nothing, ``plucker_rank2_test`` passes,
+``generic_rank`` is the exact 2 or 0 and the runner's binary ``fi`` passes,
+without the pivot, the jacobiators or the sampling.  Here every certified
+structure must satisfy the full enumeration, every uncertified one must
+give the report the runner gives with the certificate switched off, and
+the library must give the verdicts and witnesses that ``run_checks``
+reports.
 """
 
 import pytest
@@ -16,8 +18,8 @@ import synthetic
 from ppa import catalog, dsl, poly, runner, structures
 from ppa.cli import main
 from ppa.poly import PolyExpr
-from ppa.structures import (PoissonStructure, casimir_certificate, check_jacobi,
-                            generic_rank, jacobi_witnesses, plucker_rank2_test)
+from ppa.structures import (PoissonStructure, check_jacobi, generic_rank,
+                            jacobi_witnesses, plucker_rank2_test)
 
 VARS = tuple(f"x{i + 1}" for i in range(6))
 
@@ -27,11 +29,12 @@ def jacobian_spec(n, seed):
 
 
 def scaled_table(ps, h, extra=None):
-    """The table h * p_ij of ``ps``, plus ``extra`` at {x1,x2}."""
+    """The table h * p_ij of ``ps``, plus ``extra`` at {x1,x2}, with the
+    Casimirs of ``ps``."""
     entries = {ij: h * p for ij, p in ps.entries_upper()}
     if extra is not None:
         entries[0, 1] = entries[0, 1] + extra
-    return PoissonStructure.from_table(ps.vars, entries)
+    return PoissonStructure.from_table(ps.vars, entries, ps.casimirs)
 
 
 def small_poly(n):
@@ -43,7 +46,7 @@ def small_poly(n):
 def uncertified_json(spec, monkeypatch, seed=0):
     """The report with the certificate switched off: today's path alone."""
     with monkeypatch.context() as m:
-        m.setattr(runner, "casimir_certificate", lambda ps, qs: False)
+        m.setattr(PoissonStructure, "certified", False)
         return runner.run_checks(spec, seed).to_json()
 
 
@@ -62,9 +65,8 @@ def test_multiples_of_a_jacobian_bracket_are_certified(case):
     seed, h = case
     spec = jacobian_spec(len(h.vars), seed)
     ps = scaled_table(spec.build_structure(), h)
-    qs = spec.casimir_polys()
-    fires = casimir_certificate(ps, qs)
-    assert fires == bool(structures.casimir_minors(ps.vars, qs))
+    fires = ps.certified
+    assert fires == bool(structures.casimir_minors(ps.vars, spec.casimir_polys()))
     if fires:
         assert_enumeration_agrees(ps)
 
@@ -80,7 +82,7 @@ def test_a_perturbed_multiple_is_certified_only_when_poisson(case):
     x1, x2 = PolyExpr.gens(h.vars)[:2]
     spec = jacobian_spec(len(h.vars), seed)
     ps = scaled_table(spec.build_structure(), h, eps * x1 * x2)
-    if casimir_certificate(ps, spec.casimir_polys()):
+    if ps.certified:
         assert_enumeration_agrees(ps)
 
 
@@ -88,7 +90,7 @@ def test_a_perturbed_multiple_is_certified_only_when_poisson(case):
 def test_the_perturbed_model_is_refused_with_the_report_of_the_full_path(n, monkeypatch):
     spec = dsl.parse_model(synthetic.perturbed_model_text(n))
     ps = spec.build_structure()
-    assert not casimir_certificate(ps, spec.casimir_polys())
+    assert ps.casimirs == tuple(spec.casimir_polys()) and not ps.certified
     report = runner.run_checks(spec)
     assert report.to_json() == uncertified_json(spec, monkeypatch)
     i, j, k, resid = check_jacobi(ps).witnesses[0]
@@ -108,6 +110,7 @@ def test_the_cli_exit_codes_of_the_synthetic_models(tmp_path, capsys):
 
 def test_the_first_witness_takes_only_its_own_gradients(monkeypatch):
     ps = dsl.parse_model(synthetic.perturbed_model_text(6)).build_structure()
+    assert not ps.certified                 # decided before the count starts
     assert not ps._rank2[0]                  # no pivot jacobiators
     calls = []
     real = structures._gradient
@@ -125,17 +128,18 @@ def test_dependent_casimirs_do_not_certify(monkeypatch):
             "structure table { {x1,x2} = 1; {x3,x4} = 1; };\n"
             "check jacobi, casimirs, plucker, rank, fi(2);\n")
     spec = dsl.parse_model(text)
-    assert not casimir_certificate(spec.build_structure(), spec.casimir_polys())
+    assert not spec.build_structure().certified
     report = runner.run_checks(spec)
     assert [r.witness for r in report.results[2:4]] == [
         "plucker = false (x1,x2,x3,x4)", "rank = 4"]
     assert report.to_json() == uncertified_json(spec, monkeypatch)
     # x3 and x3^2 are central on the 3 x 3 block of x1, x2, x4 and dependent
-    ps = PoissonStructure.from_table(VARS[:4], {(0, 1): PolyExpr.var("x4", VARS[:4]),
-                                               (0, 3): PolyExpr.var("x1", VARS[:4])})
     x3 = PolyExpr.var("x3", VARS[:4])
-    assert all(structures.is_casimir(ps, q) for q in (x3, x3 ** 2))
-    assert not casimir_certificate(ps, [x3, x3 ** 2])
+    ps = PoissonStructure.from_table(VARS[:4], {(0, 1): PolyExpr.var("x4", VARS[:4]),
+                                               (0, 3): PolyExpr.var("x1", VARS[:4])},
+                                     [x3, x3 ** 2])
+    assert all(structures.is_casimir(ps, q) for q in ps.casimirs)
+    assert not ps.certified
 
 
 def test_fewer_than_n_minus_2_casimirs_do_not_certify(monkeypatch):
@@ -145,7 +149,7 @@ def test_fewer_than_n_minus_2_casimirs_do_not_certify(monkeypatch):
         ps = spec.build_structure()
         assert len(spec.casimirs) == ps.n - 4
         assert all(structures.is_casimir(ps, q) for q in spec.casimir_polys())
-        assert not casimir_certificate(ps, spec.casimir_polys())
+        assert not ps.certified
         assert runner.run_checks(spec).to_json() == uncertified_json(spec, monkeypatch)
 
 
@@ -154,7 +158,7 @@ def test_multiplier_zero_is_certified_with_rank_zero(monkeypatch):
     spec = dsl.parse_model(text.replace(synthetic.CHECKS, synthetic.CHECKS + ", fi(3)"))
     ps = spec.build_structure()
     assert ps.as_bivector() == {}
-    assert casimir_certificate(ps, spec.casimir_polys())
+    assert ps.certified
     report = runner.run_checks(spec)
     got = {r.name: (r.status, r.witness) for r in report.results}
     assert got["jacobi"] == ("pass", None) and got["fi(3)"] == ("pass", None)
@@ -168,7 +172,7 @@ def test_a_non_polynomial_casimir_falls_back(monkeypatch):
             "structure table { {x1,x2} = x1; };\n"
             "check jacobi, casimirs, plucker, rank, fi(1);\n")
     spec = dsl.parse_model(text)
-    assert not casimir_certificate(spec.build_structure(), spec.casimir_polys())
+    assert not spec.build_structure().certified
     report = runner.run_checks(spec)
     assert report.results[0].status == "pass"
     assert "fractional or negative exponents" in report.results[1].witness
@@ -183,8 +187,9 @@ def test_a_premise_past_the_work_budget_falls_back(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(poly, "MAX_WORK", 400)
         ps = spec.build_structure()
-        assert not casimir_certificate(ps, spec.casimir_polys())
-        assert ps._casimir_verdicts[tuple(spec.casimir_polys())] is False
+        assert not ps.certified
+        assert "certified" in ps.__dict__            # decided once, kept
+        assert all(isinstance(q, PolyExpr) for q in ps._casimir_verdicts)
         assert runner.run_checks(spec).to_json() == uncertified_json(spec, monkeypatch)
         assert "MAX_WORK" in runner.run_checks(spec).results[1].witness
     assert runner.run_checks(spec).to_json() == expected
@@ -203,7 +208,7 @@ def test_every_catalog_certificate_agrees_with_the_enumeration():
         ps = built.structure
         if not isinstance(ps, PoissonStructure):
             continue
-        if casimir_certificate(ps, built.casimir_polys()):
+        if ps.certified:
             assert_enumeration_agrees(ps)
             fired.append(name)
     # every Poisson binding with n - 2 Casimirs: all but q5 and bdu_casimirs
@@ -245,7 +250,48 @@ def test_a_jacobian_structure_reuses_its_construction_minors(monkeypatch):
     pfaffians = []
     monkeypatch.setattr(structures, "pfaffian",
                         lambda *args: pfaffians.append(args))
-    assert casimir_certificate(ps, spec.casimir_polys())
-    assert casimir_certificate(ps, spec.casimir_polys())
+    assert ps.certified and ps.certified
     assert calls == [] and pfaffians == []
-    assert ps._casimir_verdicts[tuple(spec.casimir_polys())] is True
+    assert list(ps._casimir_verdicts) == list(ps.casimirs)
+    assert all(ps._casimir_verdicts.values())
+
+
+def library_results(spec, seed):
+    """(status, witness) of jacobi, plucker and rank as the library predicates
+    give them on a structure of their own, in the runner's words."""
+    ps = spec.build_structure()
+    jacobi = check_jacobi(ps)
+    if jacobi.holds:
+        out = [("pass", None)]
+    else:
+        i, j, k, resid = jacobi.witnesses[0]
+        out = [("fail", f"jacobiator({spec.vars[i]},{spec.vars[j]},{spec.vars[k]}) = "
+                        f"{resid.render()}")]
+    plucker = plucker_rank2_test(ps)
+    out.append(("info", "plucker = true" if plucker.rank_le_2 else
+                "plucker = false (" + ",".join(spec.vars[i] for i in plucker.witness) + ")"))
+    out.append(("info", f"rank = {generic_rank(ps, 8, seed)}"))
+    return out
+
+
+def poisson_specs():
+    for name, binding in catalog_bindings():
+        built = catalog.build(name, binding)
+        if isinstance(built.structure, PoissonStructure):
+            yield dsl.parse_model(dsl.render_model(dsl.model_spec_from_built(built)))
+    for n in (4, 5, 6):
+        yield dsl.parse_model(synthetic.model_text(n))
+        yield dsl.parse_model(synthetic.perturbed_model_text(n))
+        yield dsl.parse_model(synthetic.table_model_text(n))    # the pivot decides
+
+
+@pytest.mark.parametrize("seed", [0, 777])
+def test_the_library_gives_the_verdicts_the_runner_reports(seed):
+    specs = list(poisson_specs())
+    assert len(specs) == 33 + 9             # 33 Poisson catalog bindings
+    for spec in specs:
+        spec.checks, spec.expects = [("jacobi", None), ("plucker", None),
+                                     ("rank", None)], {}
+        report = runner.run_checks(spec, seed)
+        assert [(r.status, r.witness) for r in report.results] == \
+            library_results(spec, seed), spec.name

@@ -141,16 +141,6 @@ def test_degree_sum_weighted_quartic_family():
     assert rep.equals_dimension
 
 
-def test_degree_sum_homogeneity_toggle():
-    m = catalog.build("askey_wilson")
-    with pytest.raises(DomainError):
-        degree_sum_check(m.casimir_polys(), 3, weights=(1, 1, 2),
-                         require_homogeneous=True)
-    q5 = catalog.build("q5", {"k": 2})
-    rep = degree_sum_check(q5.casimir_polys(), 5, require_homogeneous=True)
-    assert rep.equals_dimension
-
-
 def test_degree_sum_euler_not_equal():
     m = catalog.build("euler_top")
     rep = degree_sum_check(m.casimir_polys(), 3)

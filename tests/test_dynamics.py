@@ -195,7 +195,7 @@ def test_euler_drift_regression():
     m = euler_model()
     f = hamiltonian_vector_field(m.structure, m.hamiltonians[0])
     rep = integrate(f, (1.0, 0.5, 0.25), 1e-3, 10.0,
-                    [("Q1", m.casimirs[0][1])], record_states=False)
+                    [("Q1", m.casimirs[0][1])])
     assert rep.drift["Q1"] <= 1e-8
     assert rep.drift["Q1"] == EULER_DRIFT_REGRESSION
 
@@ -205,10 +205,8 @@ def test_step_halving_fourth_order():
     f = hamiltonian_vector_field(m.structure, m.hamiltonians[0])
     mon = [("Q1", m.casimirs[0][1])]
     # truncation-dominated regime; at 1e-3 the drift sits on the roundoff floor
-    d_coarse = integrate(f, (1.0, 0.5, 0.25), 0.05, 10.0, mon,
-                         record_states=False).drift["Q1"]
-    d_fine = integrate(f, (1.0, 0.5, 0.25), 0.025, 10.0, mon,
-                       record_states=False).drift["Q1"]
+    d_coarse = integrate(f, (1.0, 0.5, 0.25), 0.05, 10.0, mon).drift["Q1"]
+    d_fine = integrate(f, (1.0, 0.5, 0.25), 0.025, 10.0, mon).drift["Q1"]
     assert d_coarse / d_fine >= 8.0
 
 
@@ -216,8 +214,7 @@ def test_dell_window_conserves_quadrics():
     m = catalog.build("dell")
     f = hamiltonian_vector_field(m.structure, m.hamiltonians[0])
     monitors = list(m.casimirs) + [("x6", PolyExpr.var("x6", m.vars))]
-    rep = integrate(f, m.integrate.x0, 1e-3, 0.15, monitors,
-                    record_states=False)
+    rep = integrate(f, m.integrate.x0, 1e-3, 0.15, monitors)
     assert max(rep.drift.values()) <= 1e-8
 
 
@@ -225,7 +222,7 @@ def test_dell_long_horizon_diverges():
     m = catalog.build("dell")
     f = hamiltonian_vector_field(m.structure, m.hamiltonians[0])
     with pytest.raises(DivergenceError) as e:
-        integrate(f, m.integrate.x0, 1e-3, 10.0, [], record_states=False)
+        integrate(f, m.integrate.x0, 1e-3, 10.0, [])
     assert 0.1 < e.value.last_valid_time < 1.0
 
 
@@ -349,22 +346,6 @@ def test_report_views_are_read_only():
         rep.states[0] = (0.0, 0.0, 0.0)
     with pytest.raises(IndexError):
         rep.states[5]
-    bare = integrate(f, (1.0, 0.5, 0.25), 0.25, 1.0, [("Q1", m.casimirs[0][1])],
-                     record_states=False)
-    assert list(bare.times) == list(rep.times) and len(bare.states) == 0
-    assert bare.drift == rep.drift
-
-
-def test_csv_needs_the_recorded_states(tmp_path):
-    m = euler_model()
-    f = hamiltonian_vector_field(m.structure, m.hamiltonians[0])
-    mon = [("Q1", m.casimirs[0][1])]
-    rep = integrate(f, (1.0, 0.5, 0.25), 0.1, 1.0, mon, record_states=False)
-    assert len(rep.times) == 11
-    path = tmp_path / "traj.csv"
-    with pytest.raises(DomainError, match="record_states"):
-        write_trajectory_csv(rep, m.vars, mon, path)
-    assert not path.exists()
 
 
 def test_csv_monitors_must_be_the_reports(tmp_path):

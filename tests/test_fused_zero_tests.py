@@ -25,7 +25,7 @@ from ppa.duality import bdu_relation_sides
 from ppa.dynamics import hamiltonian_vector_field
 from ppa.errors import PolynomialGradeError
 from ppa.exterior import pfaffian
-from ppa.poly import PolyExpr, exact_divisibility
+from ppa.poly import PolyExpr, _bareiss, exact_divisibility
 from ppa.structures import (SAMPLE_GRID, PoissonStructure, bracket_of,
                             generic_rank, is_casimir, is_quasi_casimir)
 
@@ -293,7 +293,13 @@ def reference_rank(ps, samples, seed):
 def test_generic_rank_equals_fraction_elimination(ps, samples, seed, verdict_first):
     if verdict_first:
         ps._rank2           # as jacobi or plucker would leave it
-    assert generic_rank(ps, samples, seed) == reference_rank(ps, samples, seed)
+    got, sampled = generic_rank(ps, samples, seed), reference_rank(ps, samples, seed)
+    if ps.certified:
+        # the exact rank, 2 or 0, which no sample point exceeds
+        assert got == (2 if any(not p.is_zero() for _, p in ps.entries_upper())
+                       else 0) >= sampled
+    else:
+        assert got == sampled
 
 
 @settings(max_examples=100, deadline=None)
@@ -306,8 +312,7 @@ def test_integer_rank_equals_fraction_rank(rows, cols, inner, rnd):
          for _ in range(inner)]
     m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] if b
          else [0] * cols for row in a]
-    assert structures._integer_rank([r[:] for r in m]) == \
-        fraction_rank([[F(x) for x in r] for r in m])
+    assert _bareiss([r[:] for r in m])[0] == fraction_rank([[F(x) for x in r] for r in m])
 
 
 def test_rank_four_is_not_cut_at_two():
@@ -325,15 +330,19 @@ def test_rank_four_is_not_cut_at_two():
 
 def test_rank_stops_at_a_proven_bound(monkeypatch):
     calls = []
-    real = structures._integer_rank
-    monkeypatch.setattr(structures, "_integer_rank",
-                        lambda m: calls.append(m) or real(m))
+    monkeypatch.setattr(structures, "_bareiss",
+                        lambda m: calls.append(m) or _bareiss(m))
     ps = jacobian(6, 1)
-    assert generic_rank(ps) == 2 and len(calls) == 8
-    assert "_rank2" not in ps.__dict__          # rank never computes the verdict
-    assert ps._rank2[0]
+    assert ps.certified
+    assert generic_rank(ps) == 2 and calls == []     # exact, never sampled
+    # the same bracket without its Casimirs samples all 8 points, whether
+    # or not the rank-2 verdict is held: its bound is n - n % 2 = 6
+    bare = table(6, dict(ps.entries_upper()))
+    assert not bare.certified
+    assert generic_rank(bare) == 2 and len(calls) == 8
+    assert bare._rank2[0]
     calls.clear()
-    assert generic_rank(ps) == 2 and len(calls) == 1
+    assert generic_rank(bare) == 2 and len(calls) == 8
     # a constant table of full rank stops at n - n % 2 = 4 in five variables
     calls.clear()
     const = table(5, {(0, 1): PolyExpr.const(VARS[:5], 1),

@@ -7,7 +7,10 @@ wedge.  A Nambu bracket with g in slot k is the cofactor contraction
 sum_j W_j d_j g, W built from the minors of the other argument and Casimir
 gradients; it and ``nambu_bracket`` are compared with
 ``oracles.nambu_bracket_by_wedges``, the top coefficient of a full
-``wedge_all``.  theorem31 reads m! Pf(pi_S) against the Casimir minors;
+``wedge_all``.  ``is_casimir`` on a Nambu structure, one Laplace step of dq
+on the Casimir minors, is compared with those brackets and with
+``oracles.nambu_is_casimir_by_cofactors``, one cofactor contraction per
+coordinate tuple.  theorem31 reads m! Pf(pi_S) against the Casimir minors;
 every field of its report is compared with ``oracles.duality_check_by_wedges``,
 which computes the wedge side by ``wedge_power`` chains.
 """
@@ -19,18 +22,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import (differential, duality_check_by_wedges,
-                     jacobian_structure_by_wedges, nambu_bracket_by_wedges, wedge_all)
+                     jacobian_structure_by_wedges, nambu_bracket_by_wedges,
+                     nambu_is_casimir_by_cofactors, wedge_all)
 from ppa import catalog, dsl
 from ppa.duality import duality_check
 from ppa.geometry import transport_bracket
 from ppa.errors import DomainError
 from ppa.exterior import MAX_DIM, merge_sign
 from ppa.poly import MonomialMap, PolyExpr
-from ppa.runner import _nambu_is_casimir
 from ppa.structures import (NambuStructure, PoissonStructure, _cofactor_row,
                             _contract, _gradient, _stacked_minors, casimir_minors,
-                            check_fundamental_identity, jacobian_structure,
-                            nambu_bracket)
+                            check_fundamental_identity, is_casimir,
+                            jacobian_structure, nambu_bracket)
 
 VARS = tuple(f"x{i + 1}" for i in range(8))
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -151,7 +154,55 @@ def test_nambu_casimir_verdict_matches_wedge_brackets(ns, data):
                   if central else polys(ns.vars))
     expected = all(nambu_bracket_by_wedges(ns, list(combo) + [q]).is_zero()
                    for combo in combinations(PolyExpr.gens(ns.vars), ns.arity - 1))
-    assert _nambu_is_casimir(ns, q) == expected
+    assert is_casimir(ns, q) == expected
+    assert nambu_is_casimir_by_cofactors(ns, q) == expected
+
+
+@st.composite
+def nambu_casimir_cases(draw):
+    """(structure, candidate, central by construction): n = 3..6, m = 0..n-2
+    Casimirs, the multiplier 0, a nonzero constant or a non-constant
+    polynomial.  Half the time the last Casimir is a function of the first
+    (a constant when m = 1), so their minor table is empty.  The candidate
+    is a function of the Casimirs, a constant, or a random polynomial."""
+    n = draw(st.integers(3, 6))
+    v = VARS[:n]
+    m = draw(st.integers(0, n - 2))
+    qs = draw(st.lists(polys(v, 2), min_size=m, max_size=m))
+    if qs and draw(st.booleans()):
+        qs[-1] = qs[0] * qs[0] if m > 1 else PolyExpr.const(v, 3)
+    mult = draw(st.one_of(st.just(0), st.fractions(-2, 2, max_denominator=3).filter(bool),
+                          polys(v, 2, 1)))
+    central = [PolyExpr.const(v, 2)] + [q * q - q for q in qs]
+    if m > 1:
+        central.append(qs[0] * qs[1] + qs[-1])
+    if draw(st.booleans()):
+        return NambuStructure(v, qs, mult), draw(st.sampled_from(central)), True
+    return NambuStructure(v, qs, mult), draw(polys(v)), False
+
+
+@settings(max_examples=150, deadline=None)
+@given(nambu_casimir_cases())
+def test_nambu_is_casimir_equals_the_cofactor_reference(case):
+    ns, q, central = case
+    verdict = is_casimir(ns, q)
+    assert verdict == nambu_is_casimir_by_cofactors(ns, q)
+    if central or not ns._casimir_minors or ns.multiplier.is_zero():
+        assert verdict
+
+
+def test_nambu_is_casimir_on_the_catalog():
+    for name in ("fairlie", "dell_nambu"):
+        for bindings in [None] + list(catalog.entry(name).alternates):
+            built = catalog.build(name, bindings)
+            ns = built.structure
+            qs = built.casimir_polys()
+            candidates = (qs + [q * q + 1 for q in qs] + list(PolyExpr.gens(ns.vars))
+                          + list(built.hamiltonians))
+            verdicts = [is_casimir(ns, q) for q in candidates]
+            assert verdicts == [nambu_is_casimir_by_cofactors(ns, q) for q in candidates]
+            assert all(verdicts[:2 * len(qs)]), (name, bindings)
+            assert not all(verdicts), (name, bindings)
 
 
 def fi_by_wedges(ns, args):
@@ -303,8 +354,8 @@ def test_jacobian_structure_passes_the_checked_constructor():
     qs = [x[0] * x[1] + x[2] ** 2, x[3] * x[4] - x[0], x[2] + x[4] ** 3]
     ps = jacobian_structure(v, qs, x[0] - 2)
     assert checked_copy(ps) == ps
-    assert ps._casimir_minors[0] == tuple(qs)
-    assert ps._casimir_minors[1] == wedge_all([differential(q) for q in qs]).coeffs
+    assert ps.casimirs == tuple(qs)
+    assert ps._casimir_minors == wedge_all([differential(q) for q in qs]).coeffs
     assert all(ps.matrix[i][i].is_zero() for i in range(5))
 
 
@@ -317,6 +368,6 @@ def test_transported_structure_passes_the_checked_constructor():
     result = transport_bracket(q3, mmap)
     ps = result.structure()
     assert checked_copy(ps) == ps
-    assert ps._casimir_minors is None
+    assert ps.casimirs == ()
     ps.matrix[0][1] = ps.matrix[1][0]       # the structure holds its own rows
     assert result.entries[0][1] == -ps.matrix[0][1]

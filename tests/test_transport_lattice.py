@@ -7,6 +7,10 @@ dy_a/dx_j dy_b/dx_i) p_ij, and the substitution with ``Fraction``
 exponent vectors.  Both sides must agree on every entry, on the
 polynomial-grade verdict and on which inputs raise ``DomainError``.
 
+The inverse exponent matrix and the Jacobian determinant, which the map
+takes from one fraction-free elimination, are checked against sympy's
+``Matrix.inv()`` and ``det()``, and so is the reference inverse.
+
 Near ``MAX_EXPONENT`` the chain can raise on an intermediate product whose
 exponents the result never reaches, while the transport judges the limit
 on its entries only.  There the transport is checked against the closed
@@ -17,22 +21,30 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from ppa.errors import DomainError, SingularMapError
 from ppa.geometry import TransportResult, transport_bracket
 from ppa.poly import (MAX_EXPONENT, MAX_POWER_BITS, MonomialMap, PolyExpr, _exp,
-                      _is_grade, _mat_inverse, _rational_pow, substitute)
+                      _is_grade, _rational_pow, substitute)
 from ppa.structures import PoissonStructure
 
 
 # ---------------- reference formulas ----------------
 
+def sympy_inverse(rows):
+    """Exact inverse of a square rational matrix, by sympy."""
+    inv = sympy.Matrix([[sympy.Rational(F(e).numerator, F(e).denominator) for e in row]
+                        for row in rows]).inv()
+    return [[F(int(e.p), int(e.q)) for e in inv.row(i)] for i in range(inv.rows)]
+
+
 def reference_substitute(p, mmap):
     if p.vars != mmap.old_vars:
         p = p.with_vars(mmap.old_vars)
     n = len(mmap.old_vars)
-    inv = _mat_inverse(mmap.matrix)
+    inv = sympy_inverse(mmap.matrix)
     dscales = []
     for i in range(n):
         s = F(1)
@@ -90,7 +102,7 @@ def limit_free_transport(ps, mmap):
     n, rows, scales = ps.n, mmap.matrix, mmap.scales
     if n < 2:
         return {}
-    inv = _mat_inverse(rows)
+    inv = sympy_inverse(rows)
     d = [F(1)] * n
     for i in range(n):
         for a in range(n):
@@ -222,6 +234,39 @@ def cases(draw):
 
 
 # ---------------- tests ----------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.sampled_from(EXPONENTS), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.lists(SCALES, min_size=n, max_size=n), st.booleans())))
+def test_inverse_lattice_and_jacobian_match_sympy(case):
+    rows, scales, dependent = case
+    n = len(rows)
+    if dependent and n > 1:
+        rows[-1] = [2 * e for e in rows[0]]          # singular
+    m = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row]
+                      for row in rows])
+    det = m.det()
+    try:
+        mmap = MonomialMap(names("x", n), names("y", n), rows, scales)
+    except SingularMapError as e:
+        assert det == 0 and str(e) == "exponent matrix is singular"
+        return
+    assert det != 0
+    den, num = mmap._inverse_lattice
+    inv = m.inv()
+    assert [[sympy.Rational(a, den) for a in row] for row in num] == \
+        [list(inv.row(i)) for i in range(n)]
+    # den is the least common denominator of the inverse's entries
+    assert den == sympy.ilcm(1, *(e.q for e in inv))
+    (exps, coef), = mmap.jacobian_det_monomial().terms.items()
+    want = det
+    for s in scales:
+        want *= sympy.Rational(s.numerator, s.denominator)
+    assert sympy.Rational(coef.numerator, coef.denominator) == want
+    assert exps == tuple(_exp(sum(row[i] for row in rows) - 1) for i in range(n))
+
 
 @settings(max_examples=250, deadline=None)
 @given(cases())
