@@ -36,18 +36,18 @@ class DualityReport:
     lam_coord: Optional[Fraction]    # lam / m!
     m: int
     residual: dict    # subset -> nonzero m! * Pf; empty when proportional
-    # (bracket matrix, dual side by mask, masks) that ``detail`` is read from
-    _sources: tuple = field(repr=False, compare=False)
+    # mask -> nonzero principal 2m-Pfaffian, and mask -> dual coefficient
+    pfaffians: dict = field(repr=False, compare=False)
+    dual: dict = field(repr=False, compare=False)
 
     @cached_property
     def detail(self) -> dict:
         """subset -> (Pfaffian of the bracket block, dual coefficient) over the
-        union of both supports, computed on first read."""
-        matrix, dual_side, masks = self._sources
-        zero = PolyExpr.zero(matrix[0][0].vars)
-        return {indices_of(mask): (pfaffian(matrix, indices_of(mask)),
-                                   dual_side.get(mask, zero))
-                for mask in masks}
+        union of both supports, assembled on first read."""
+        zero = PolyExpr.zero(next(iter(self.dual.values())).vars)
+        return {indices_of(mask): (self.pfaffians.get(mask, zero),
+                                   self.dual.get(mask, zero))
+                for mask in sorted(self.pfaffians.keys() | self.dual.keys())}
 
 
 def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> DualityReport:
@@ -56,12 +56,12 @@ def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> Duality
     dQ_1 ^ ... ^ dQ_l, and extract the constant factor.
 
     The Casimirs are verified first; the comparison refuses functions that
-    are not actually central.  Every Pfaffian on the support of the dual
-    side must be one and the same rational multiple of its dual coefficient,
-    and every Pfaffian off it must vanish.  A non-constant or mismatched
-    ratio anywhere fails the check, and only then is the whole wedge power
-    formed, as the residual: subset -> m! * Pf on every subset where that is
-    nonzero.
+    are not actually central.  Each principal Pfaffian is computed once,
+    into a mask table of the nonzero ones.  Every Pfaffian on the support of
+    the dual side must be one and the same rational multiple of its dual
+    coefficient, and every Pfaffian off it must vanish.  A non-constant or
+    mismatched ratio anywhere fails the check, with the whole wedge power as
+    the residual: subset -> m! * Pf on every subset where that is nonzero.
     """
     casimirs = [q.with_vars(ps.vars) for q in casimirs]
     if not casimirs:
@@ -83,41 +83,27 @@ def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> Duality
     if not dual_side:
         raise DegenerateCasimirError(
             "dQ_1 ^ ... ^ dQ_l vanishes identically; Casimirs are dependent")
+    pfaffians = {mask_of(sub): pf for sub in combinations(range(n), 2 * m)
+                 if not (pf := pfaffian(ps.matrix, sub)).is_zero()}
 
     # One constant for every mask: each Pfaffian on the dual support must be
     # the same multiple of its (nonzero) dual coefficient.
-    matrix = ps.matrix
-    proportional = True
-    lam_coord: Optional[Fraction] = None
-    for mask, d in dual_side.items():
-        cand = _constant_ratio(pfaffian(matrix, indices_of(mask)), d)
-        if cand is None or (lam_coord is not None and lam_coord != cand):
-            proportional = False
-            break
-        lam_coord = cand
-    # Pfaffians outside the dual support must vanish
-    if proportional and any(not pfaffian(matrix, sub).is_zero()
-                            for sub in combinations(range(n), 2 * m)
-                            if mask_of(sub) not in dual_side):
-        proportional = False
-
+    zero = PolyExpr.zero(ps.vars)
+    ratios = {_constant_ratio(pfaffians.get(mask, zero), d)
+              for mask, d in dual_side.items()}
+    proportional = (len(ratios) == 1 and None not in ratios
+                    and pfaffians.keys() <= dual_side.keys())
+    lam_coord = ratios.pop() if proportional else None
     fact = math.factorial(m)
-    if proportional:
-        # the dual side is nonzero, so lam is set, and the wedge power is
-        # exactly lam times the dual side
-        residual = {}
-        masks = sorted(dual_side)
-    else:
-        residual = {sub: pf * fact for sub in combinations(range(n), 2 * m)
-                    if not (pf := pfaffian(matrix, sub)).is_zero()}
-        masks = sorted(set(map(mask_of, residual)) | set(dual_side))
     return DualityReport(
         holds=proportional and lam_coord != 0,
         lam=lam_coord * fact if proportional else None,
-        lam_coord=lam_coord if proportional else None,
+        lam_coord=lam_coord,
         m=m,
-        residual=residual,
-        _sources=(matrix, dual_side, masks),
+        residual=({} if proportional else
+                  {indices_of(mask): pf * fact for mask, pf in pfaffians.items()}),
+        pfaffians=pfaffians,
+        dual=dual_side,
     )
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import DivergenceError, DomainError
-from .poly import PolyExpr, _float_sum_lines, _sum, float_evaluator
+from .poly import PolyExpr, _float_sum_lines, _sum, exact_divisibility, float_evaluator
 from .exterior import require_max_dim
 from .structures import (NambuStructure, PoissonStructure, _cofactor_row, _gradient,
                          _stacked_minors)
@@ -124,7 +124,7 @@ class DecouplingReport:
     nahm_match: bool
     plus_residual: PolyExpr    # u-equation residual at the literal a = g2
     minus_residual: PolyExpr
-    residuals_at_solution: list  # six PolyExpr (Laurent-free), all zero iff match
+    residuals_at_solution: list  # six PolyExpr at the rational root, else in a
     conserved_difference: PolyExpr  # u+^2 - v+^2 - (x3^2-x2^2)(x4^2-a^2 x1^2)
 
 
@@ -151,44 +151,33 @@ def decoupling_check(g2: Fraction) -> DecouplingReport:
     decoupled three-variable quadratic tops, and record what the literal
     substitution a = g2 leaves over.
 
-    The six matching conditions reduce to a**2 = g2 exactly; when g2 is a
-    rational square the whole computation stays exact, otherwise the solved
-    coefficient is reported as a float and the residuals are evaluated at
-    that floating value.
+    The six matching conditions reduce to a**2 = g2 exactly, so the match
+    holds iff every symbolic residual is divisible by a**2 - g2, an exact
+    test for every g2.  When g2 is a rational square the residuals at the
+    solution are exact; otherwise the solved coefficient is reported as a
+    float and the residuals are the symbolic ones in a.
     """
     g2 = Fraction(g2)
     if g2 <= 0:
         raise DomainError("g2 must be positive")
     vars5 = FAIRLIE_VARS + ("a",)
-    gens = PolyExpr.gens(vars5)
-    a_sym = gens[4]
+    x1, x2, x3, x4, a = PolyExpr.gens(vars5)
 
     # literal substitution a = g2
     lit = _nahm_residuals(g2, PolyExpr.const(vars5, g2), vars5)
     plus_residual = lit[0]
     minus_residual = lit[3]
 
-    root = _rational_sqrt(g2)
-    if root is not None:
-        sol = _nahm_residuals(g2, PolyExpr.const(vars5, root), vars5)
-        nahm_match = all(r.is_zero() for r in sol)
-        solved = root
-        solved_float = float(root)
+    sym = _nahm_residuals(g2, a, vars5)
+    nahm_match = all(exact_divisibility(r, a * a - g2)[0] for r in sym)
+    solved = _rational_sqrt(g2)
+    if solved is not None:
+        sol = _nahm_residuals(g2, PolyExpr.const(vars5, solved), vars5)
+        solved_float = float(solved)
     else:
-        # inspect the symbolic residuals: they must all be multiples of
-        # (a^2 - g2); then check the floating root numerically
-        sym = _nahm_residuals(g2, a_sym, vars5)
-        solved = None
-        solved_float = math.sqrt(float(g2))
-        tol = 1e-12
-        nahm_match = True
-        for r in sym:
-            val = r.eval_float([1.1, 0.7, 1.3, 0.9, solved_float])
-            if abs(val) > tol:
-                nahm_match = False
         sol = sym
+        solved_float = math.sqrt(float(g2))
 
-    x1, x2, x3, x4, a = PolyExpr.gens(vars5)
     aval = PolyExpr.const(vars5, solved) if solved is not None else a
     u = x3 * x4 + aval * x1 * x2
     v = x2 * x4 + aval * x1 * x3

@@ -5,10 +5,12 @@ and ``expect`` statements and by ``run_checks`` to run them.
 
 Checks run in declaration order.  Value-style predicates (plucker, rank,
 degree_sum) report as ``info`` unless an expect clause pins them; pinned
-checks pass or fail on the comparison.  The structure carries the declared
-Casimirs, so ``jacobi``, ``plucker`` and ``rank`` are the library predicates,
-which read the structure's certificate first; binary ``fi`` reads it too, and
-``jacobi`` stops at its first witness.  Reports are a pure function of the
+checks pass or fail on the comparison.  Every verdict is one library
+decision: the structure carries the declared Casimirs, so ``jacobi``,
+``plucker`` and ``rank`` are the library predicates, which read the
+structure's certificate first, and ``jacobi`` stops at its first witness.  A
+binary ``fi`` is Jacobi's identity and reports what ``jacobi`` reports; only
+an n-ary ``fi`` draws argument tuples.  Reports are a pure function of the
 model text and the seed: the millis field is kept at zero so emitted JSON is
 byte-identical across runs.
 """
@@ -26,9 +28,7 @@ from .errors import ParityError, PpaError
 from .geometry import check_projective_extendability
 from .poly import PolyExpr, _frac_str
 from .structures import (
-    NambuStructure,
     PoissonStructure,
-    bracket_of,
     check_fundamental_identity,
     generic_rank,
     is_casimir,
@@ -37,8 +37,9 @@ from .structures import (
     plucker_rank2_test,
 )
 
-# Largest N accepted in ``fi(N)``: each tuple is one full evaluation of the
-# identity, so N bounds the work of the check.
+# Largest N accepted in ``fi(N)``: on an n-ary bracket each tuple is one full
+# evaluation of the identity, so N bounds the work of the check.  A binary
+# ``fi`` draws no tuples.
 FI_MAX = 100
 
 
@@ -151,7 +152,7 @@ def _run_plucker(spec, structure, arg, seed):
 
 
 def _run_rank(spec, structure, arg, seed):
-    r = generic_rank(structure, samples=8, seed=seed)
+    r = generic_rank(structure, seed)
     return "info", None, f"rank = {r}", r
 
 
@@ -168,25 +169,14 @@ def _run_extendability(spec, structure, arg, seed):
 
 
 def _run_fi(spec, structure, count, seed):
-    """Fundamental-identity smoke check on the coordinate tuple plus
-    ``count`` deterministic pseudo-random low-degree argument tuples."""
-    if isinstance(structure, NambuStructure):
-        arity = structure.arity
-
-        def identity_residual(args):
-            return check_fundamental_identity(structure, args).residual
-    elif structure.certified:
-        return "pass", None, None, True     # binary fi is Jacobi's identity
-    else:
-        arity = 2
-
-        def identity_residual(args):
-            f1, f2, f3 = args
-            lhs = (bracket_of(structure, bracket_of(structure, f1, f2), f3)
-                   + bracket_of(structure, f2, bracket_of(structure, f1, f3)))
-            rhs = bracket_of(structure, f1, bracket_of(structure, f2, f3))
-            return lhs - rhs
-
+    """The fundamental identity.  A binary bracket's is Jacobi's identity, a
+    biderivation identity that holds for all polynomials once it holds on
+    the coordinates, so ``jacobi`` decides it exactly.  An n-ary bracket's
+    is checked on the coordinate tuple plus ``count`` deterministic
+    pseudo-random low-degree argument tuples."""
+    if isinstance(structure, PoissonStructure):
+        return _run_jacobi(spec, structure, count, seed)
+    arity = structure.arity
     gens = PolyExpr.gens(spec.vars)
     n = len(gens)
     tuples = [[gens[i % n] for i in range(2 * arity - 1)]]
@@ -204,7 +194,7 @@ def _run_fi(spec, structure, count, seed):
             args.append(p)
         tuples.append(args)
     for args in tuples:
-        resid = identity_residual(args)
+        resid = check_fundamental_identity(structure, args).residual
         if not resid.is_zero():
             return "fail", None, f"residual {resid.render()}", False
     return "pass", None, None, True

@@ -456,10 +456,11 @@ def plucker_rank2_test(ps: PoissonStructure) -> PluckerReport:
 
 
 SAMPLE_GRID = [Fraction(i, 3) for i in range(-7, 8) if i != 0]
+SAMPLES = 8
 
 
-def generic_rank(ps: PoissonStructure, samples: int = 8, seed: int = 0) -> int:
-    """Largest exact rank of the bracket matrix over ``samples`` points drawn
+def generic_rank(ps: PoissonStructure, seed: int = 0) -> int:
+    """Largest exact rank of the bracket matrix over SAMPLES points drawn
     from SAMPLE_GRID^n by ``random.Random(seed)``.
 
     A point's rank never exceeds the generic rank (the rank over Q(x)), so
@@ -468,7 +469,7 @@ def generic_rank(ps: PoissonStructure, samples: int = 8, seed: int = 0) -> int:
     Pfaffian has degree D <= (r/2) d for generic rank r and entry degree at
     most d, so by Schwartz-Zippel (Schwartz 1980; Zippel 1979) one uniform
     point of the 14-value grid is a zero with probability at most D/14 and
-    all 8 default samples with probability at most (D/14)^8; for D >= 14
+    all 8 samples with probability at most (D/14)^8; for D >= 14
     that bound says nothing.
 
     A :attr:`~PoissonStructure.certified` structure has rank exactly 2, or
@@ -481,8 +482,6 @@ def generic_rank(ps: PoissonStructure, samples: int = 8, seed: int = 0) -> int:
     share one table of powers per variable.  Their common denominator is
     cleared, which leaves the rank unchanged, and the rank of the integer
     matrix is taken by fraction-free elimination (``poly._bareiss``)."""
-    if samples < 1:
-        raise DomainError("need at least one sample")
     if ps.certified:
         return 2 if any(not p.is_zero() for _, p in ps.entries_upper()) else 0
     n = ps.n
@@ -492,7 +491,7 @@ def generic_rank(ps: PoissonStructure, samples: int = 8, seed: int = 0) -> int:
     values = _integer_evaluator([p for _, p in upper])
     rng = random.Random(seed)
     best = 0
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         point = [rng.choice(SAMPLE_GRID) for _ in range(n)]
         rows = [[0] * n for _ in range(n)]
         for ((i, j), _), v in zip(upper, values(point)[1]):

@@ -343,8 +343,9 @@ def duality_check_by_wedges(ps, casimirs) -> DualityReport:
         lam_coord=lam / fact if proportional else None,
         m=m,
         residual={indices_of(mask): p for mask, p in residual.coeffs.items()},
-        _sources=(ps.matrix, dual_side.coeffs,
-                  sorted(set(wedge_side.coeffs) | set(dual_side.coeffs))),
+        # the wedge power's coefficients are m! times the Pfaffians
+        pfaffians={mask: p / fact for mask, p in wedge_side.coeffs.items()},
+        dual=dual_side.coeffs,
     )
 
 

@@ -45,7 +45,7 @@ def test_expected_outcomes(name, binding):
         if "plucker" in exp:
             assert plucker_rank2_test(ps).rank_le_2 == exp["plucker"]
         if "rank" in exp:
-            assert generic_rank(ps, 8, 0) == exp["rank"]
+            assert generic_rank(ps, 0) == exp["rank"]
         if "degree_sum" in exp:
             rep = degree_sum_check(m.casimir_polys(), len(m.vars), m.weights)
             assert rep.sum_of_degrees == exp["degree_sum"]

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from oracles import bivector, differential, volume_dual, wedge_all, wedge_power
-from ppa import catalog, structures
+from ppa import catalog, duality, structures
 from ppa.duality import degree_sum_check, duality_check
 from ppa.errors import DomainError, ParityError
 from ppa.exterior import indices_of, mask_of, pfaffian
@@ -90,6 +90,22 @@ def test_failed_residual_is_keyed_by_subset_like_detail():
     assert set(rep.residual) <= set(rep.detail)
     for sub, value in rep.residual.items():
         assert value == rep.detail[sub][0] * math.factorial(rep.m)
+
+
+def test_each_principal_pfaffian_is_computed_once(monkeypatch):
+    # h * pi keeps the Casimirs of pi and scales m! Pf by h^m: a fail path
+    m = catalog.build("q5", {"k": 2})
+    ps, qs = m.structure, m.casimir_polys()
+    h = PolyExpr.var("x1", ps.vars)
+    scaled = PoissonStructure.from_table(ps.vars, {ij: p * h for ij, p in ps.entries_upper()})
+    calls = []
+    monkeypatch.setattr(duality, "pfaffian",
+                        lambda matrix, sub: calls.append(tuple(sub)) or pfaffian(matrix, sub))
+    for structure, holds in ((ps, True), (scaled, False)):
+        calls.clear()
+        rep = duality_check(structure, qs)
+        assert rep.holds is holds and bool(rep.residual) is not holds and rep.detail
+        assert sorted(calls) == list(combinations(range(ps.n), 2 * rep.m))
 
 
 def test_bivector_is_the_mask_dict_of_the_upper_entries():

@@ -165,6 +165,13 @@ def test_decoupling_irrational_root_floating():
     assert rep.nahm_match
 
 
+@pytest.mark.parametrize("g2", [F(1000001), F(123456789), F(10**12 + 1)])
+def test_decoupling_matches_exactly_for_large_irrational_roots(g2):
+    rep = decoupling_check(g2)
+    assert rep.solved_coefficient is None and rep.nahm_match
+    assert rep.solved_float == pytest.approx(math.sqrt(float(g2)))
+
+
 def test_decoupling_guards():
     with pytest.raises(DomainError):
         decoupling_check(F(-1))

@@ -59,7 +59,7 @@ def test_plucker_equivalent_to_low_rank_catalog_wide():
         if not isinstance(m.structure, PoissonStructure):
             continue
         decomposable = plucker_rank2_test(m.structure).rank_le_2
-        low_rank = generic_rank(m.structure, 8, 0) <= 2
+        low_rank = generic_rank(m.structure, 0) <= 2
         assert decomposable == low_rank, name
 
 
