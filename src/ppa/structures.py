@@ -122,7 +122,10 @@ class PoissonStructure:
         2h J ^ J#(dh) = 0 (Vaisman 1994; Grabowski-Marmo-Perelomov, Mod.
         Phys. Lett. A 8 (1993) 1719).  A premise raising ``PpaError``
         counts as false.  ``jacobi_witnesses``, ``plucker_rank2_test`` and
-        ``generic_rank`` read it first."""
+        ``generic_rank`` read it first.  A Jacobian structure's construction
+        proves its Casimirs (see :func:`jacobian_structure`), so for it only
+        the minor table is looked at; declared Casimirs of a table are
+        computed."""
         try:
             return (len(self.casimirs) >= self.n - 2
                     and all(is_casimir(self, q) for q in self.casimirs)
@@ -217,7 +220,13 @@ def jacobian_structure(variables, casimirs: Sequence[PolyExpr],
     """Poisson structure from n-2 Casimirs and a polynomial multiplier:
     p_ij is the multiplier times the Casimir minor on the other n - 2
     columns, signed by the shuffle ({i, j}, the rest), which is
-    (-1)^(i + j - 1).  Refused above ``MAX_DIM`` variables."""
+    (-1)^(i + j - 1).  Refused above ``MAX_DIM`` variables.
+
+    The construction proves its own Casimirs central: {Q_i, x_k} is the
+    multiplier times det(dQ_i, e_k, dQ_1, ..., dQ_{n-2}), which has a
+    repeated row.  The structure carries them with :func:`is_casimir`'s
+    verdict already ``True``, so :attr:`~PoissonStructure.certified` reduces
+    to the minor table, held from the build, being nonempty."""
     variables = tuple(variables)
     n = len(variables)
     casimirs = tuple(q.with_vars(variables) for q in casimirs)
@@ -244,6 +253,8 @@ def jacobian_structure(variables, casimirs: Sequence[PolyExpr],
                 matrix[j][i] = -matrix[i][j]
     ps = PoissonStructure._trusted(variables, matrix, casimirs)
     ps._casimir_minors = minors
+    # central by the docstring's repeated row; keyed as is_casimir looks up
+    ps._casimir_verdicts = dict.fromkeys(casimirs, True)
     return ps
 
 
@@ -412,7 +423,11 @@ def is_casimir(s: PoissonStructure | NambuStructure, q: PolyExpr) -> bool:
     every bracket {x_c1, ..., x_c(r-1), q} is the multiplier times an
     (m+1)-minor of (dq, dQ_1, ..., dQ_m), so q is central iff the
     multiplier is zero or one Laplace step of dq on the Casimir minors
-    leaves no minor."""
+    leaves no minor.
+
+    The construction Casimirs of a :func:`jacobian_structure` are proved
+    central by the construction, which keeps their verdicts; any other
+    candidate, on any structure, takes the Hamiltonian rows."""
     q = q.with_vars(s.vars)
     q.require_polynomial_grade("Casimir candidate")
     if isinstance(s, NambuStructure):
@@ -426,11 +441,15 @@ def is_casimir(s: PoissonStructure | NambuStructure, q: PolyExpr) -> bool:
 
 
 def is_quasi_casimir(ps: PoissonStructure, q: PolyExpr) -> bool:
-    """True iff {q, x_k} is divisible by q for every coordinate."""
+    """True iff {q, x_k} is divisible by q for every coordinate.  A q that
+    :func:`is_casimir` has found central passes without a bracket, since
+    0 is divisible by any nonzero q."""
     q = q.with_vars(ps.vars)
     if q.is_zero():
         raise DomainError("quasi-Casimir candidate must be nonzero")
     q.require_polynomial_grade("quasi-Casimir candidate")
+    if ps._casimir_verdicts.get(q):
+        return True
     grad = _gradient(q)
     return all(exact_divisibility(_hamiltonian_row(ps, grad, k), q)[0]
                for k in range(ps.n))

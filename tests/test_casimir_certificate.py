@@ -248,11 +248,13 @@ def test_a_jacobian_structure_reuses_its_construction_minors(monkeypatch):
     spec = jacobian_spec(6, 1)
     ps = spec.build_structure()
     calls = count_minor_tables(monkeypatch)
-    pfaffians = []
+    pfaffians, rows = [], []
     monkeypatch.setattr(structures, "pfaffian",
                         lambda *args: pfaffians.append(args))
+    monkeypatch.setattr(structures, "_hamiltonian_row",
+                        lambda *args: rows.append(args))
     assert ps.certified and ps.certified
-    assert calls == [] and pfaffians == []
+    assert calls == [] and pfaffians == [] and rows == []
     assert list(ps._casimir_verdicts) == list(ps.casimirs)
     assert all(ps._casimir_verdicts.values())
 
