@@ -36,7 +36,8 @@ def _build_argparser():
     p_check = sub.add_parser("check", help="run the checks requested by a model file")
     p_check.add_argument("file")
     p_check.add_argument("--json", metavar="OUT", help="write a JSON report")
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=int, default=0,
+                         help="seed of the argument tuples of an n-ary fi(N)")
 
     p_int = sub.add_parser("integrate", help="integrate the model flow, write CSV")
     p_int.add_argument("file")

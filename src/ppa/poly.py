@@ -38,6 +38,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 from operator import add, mul, or_
 from struct import Struct, error as StructError
@@ -770,48 +771,6 @@ def _frac_str(x) -> str:
                           f"{sys.get_int_max_str_digits()} digits to print") from None
 
 
-# ---------------- exact evaluation at sample points ----------------
-
-def _integer_evaluator(polys: Sequence[PolyExpr]):
-    """Exact evaluation of polynomial-grade ``polys`` over one variable set
-    at rational points: ``f(point)`` returns ``(den, nums)``, the values
-    over one positive common denominator.  Each polynomial is unpacked
-    once, here, over the lcm of their denominators, and at each point one
-    table of powers per variable serves all of them: with x_i = p_i/q_i and
-    E_i the top exponent of x_i, a term c * x^e is
-    c * prod p_i^e_i * q_i^(E_i - e_i) over prod q_i^E_i."""
-    common = lcm(*(p._den for p in polys))
-    nums = [[(m, c * (common // p._den)) for m, c in _tuple_num(p).items()]
-            for p in polys]
-    tops = [max(col) for col in zip(*(m for num in nums for m, _ in num))]
-
-    def f(point):
-        den = common
-        tables = []
-        for x, top in zip(point, tops):
-            p, q = x.numerator, x.denominator
-            pw = [1] * (top + 1)
-            for e in range(1, top + 1):
-                pw[e] = pw[e - 1] * p
-            if q != 1:
-                qw = q
-                for e in range(top - 1, -1, -1):
-                    pw[e] *= qw
-                    qw *= q
-                den *= q ** top
-            tables.append(pw)
-        out = []
-        for num in nums:
-            total = 0
-            for m, c in num:
-                for pw, e in zip(tables, m):
-                    c *= pw[e]
-                total += c
-            out.append(total)
-        return den, out
-    return f
-
-
 # ---------------- compiled float evaluation ----------------
 
 def float_evaluator(polys: Sequence[PolyExpr], variables: Sequence[str]):
@@ -860,29 +819,39 @@ def _float_sum_lines(p: PolyExpr, xs: Sequence[str], acc: str) -> list[str]:
 # ---------------- divisibility ----------------
 
 def exact_divisibility(p: PolyExpr, q: PolyExpr):
-    """Single-divisor exact division test under the graded-lex order.
-
-    Returns ``(divisible, quotient)`` with ``quotient`` None when not
-    divisible.  If p = q*r for a polynomial r the leading-term reduction
-    always fires, so a stuck reduction proves indivisibility.
-    """
+    """``(True, p / q)`` when q divides p over Q[x], else ``(False, None)``.
+    By Gauss's lemma the primitive parts of the numerators then divide over
+    Z: the remainder's leading term (its keys on a max-heap, in the lex order
+    of packed keys) is cancelled until a monomial or coefficient that q's
+    leading one does not divide, or an exponent past MAX_EXPONENT (which an
+    exact quotient's steps never reach), proves indivisibility."""
     p.require_polynomial_grade("dividend")
     q.require_polynomial_grade("divisor")
     if q.is_zero():
         raise DomainError("division by the zero polynomial")
     q = q.with_vars(p.vars) if q.vars != p.vars else q
-    qm, qc = q.leading()
-    rem = p
-    quot = PolyExpr.zero(p.vars)
-    while not rem.is_zero():
-        rm, rc = rem.leading()
-        diff = tuple(a - b for a, b in zip(rm, qm))
-        if any((not isinstance(e, int)) or e < 0 for e in diff):
+    cp, cq = gcd(*p._num.values()), gcd(*q._num.values())
+    rem = {m: c // cp for m, c in p._num.items()}
+    lead = max(q._num)
+    lc, rest = q._num[lead] // cq, [(m, c // cq) for m, c in q._num.items() if m != lead]
+    guard, heap, quot = _LAYOUTS[len(p.vars)][1], [-m for m in rem], {}
+    heapify(heap)
+    while heap:
+        m = -heappop(heap)
+        k, r = divmod(rem.pop(m, 0), lc)
+        if not (k or r):
+            continue                # cancelled, or pushed again
+        e = (m | guard) - lead      # a field that borrows clears its top bit
+        if r or m & guard or e & guard != guard:
             return False, None
-        t = PolyExpr(p.vars, {diff: rc / qc})
-        quot = quot + t
-        rem = rem - t * q
-    return True, quot
+        e ^= guard
+        quot[e] = k
+        for m2, c2 in rest:
+            heappush(heap, -(e + m2))
+            rem[e + m2] = rem.get(e + m2, 0) - k * c2
+    f = Fraction(cp * q._den, cq * p._den)
+    return True, _reduced(p.vars, {e: k * f.numerator for e, k in quot.items()},
+                          f.denominator, True)
 
 
 def _constant_ratio(p: PolyExpr, d: PolyExpr):

@@ -10,9 +10,9 @@ decision: the structure carries the declared Casimirs, so ``jacobi``,
 ``plucker`` and ``rank`` are the library predicates, which read the
 structure's certificate first, and ``jacobi`` stops at its first witness.  A
 binary ``fi`` is Jacobi's identity and reports what ``jacobi`` reports; only
-an n-ary ``fi`` draws argument tuples.  Reports are a pure function of the
-model text and the seed: the millis field is kept at zero so emitted JSON is
-byte-identical across runs.
+an n-ary ``fi`` draws argument tuples, and no other check reads the seed.
+Reports are a pure function of the model text and the seed: the millis field
+is kept at zero so emitted JSON is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def _run_plucker(spec, structure, arg, seed):
 
 
 def _run_rank(spec, structure, arg, seed):
-    r = generic_rank(structure, seed)
+    r = generic_rank(structure)
     return "info", None, f"rank = {r}", r
 
 

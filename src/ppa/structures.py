@@ -21,7 +21,6 @@ reads the full minor.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -30,8 +29,7 @@ from typing import Optional, Sequence
 
 from .errors import ArityError, DomainError, PpaError
 from .exterior import mask_of, pfaffian, require_max_dim
-from .poly import (PolyExpr, _bareiss, _integer_evaluator, _sum_of_products,
-                   exact_divisibility)
+from .poly import PolyExpr, _sum_of_products, exact_divisibility
 
 
 class PoissonStructure:
@@ -122,7 +120,8 @@ class PoissonStructure:
         2h J ^ J#(dh) = 0 (Vaisman 1994; Grabowski-Marmo-Perelomov, Mod.
         Phys. Lett. A 8 (1993) 1719).  A premise raising ``PpaError``
         counts as false.  ``jacobi_witnesses``, ``plucker_rank2_test`` and
-        ``generic_rank`` read it first.  A Jacobian structure's construction
+        ``generic_rank`` read it first: then its rank is 2 (0 for the zero
+        bracket), with no Pfaffian.  A Jacobian structure's construction
         proves its Casimirs (see :func:`jacobian_structure`), so for it only
         the minor table is looked at; declared Casimirs of a table are
         computed."""
@@ -135,17 +134,14 @@ class PoissonStructure:
 
     @cached_property
     def _rank2(self) -> tuple[bool, Optional[tuple[int, int]]]:
-        """(rank <= 2, pivot): the pivot is the nonzero upper entry p_ab
-        with the fewest terms, ties going to the smallest (a, b), or None
-        for the zero matrix.  Over Q(x) the Schur complement of the pivot
-        block gives rank = 2 + rank S with S_kl = Pf(a,b,k,l) / p_ab, so
-        rank <= 2 iff those C(n-2, 2) Pfaffians vanish.  Computed once per
-        structure, since the matrix never changes."""
-        nonzero = [(p.term_count, ij) for ij, p in self.entries_upper()
-                   if not p.is_zero()]
-        if not nonzero:
+        """(rank <= 2, pivot): the pivot is :func:`_pivot`'s entry p_ab, or
+        None for the zero matrix.  Over Q(x) the Schur complement of the
+        pivot block gives rank = 2 + rank S with S_kl = Pf(a,b,k,l) / p_ab,
+        so rank <= 2 iff those C(n-2, 2) Pfaffians vanish.  Computed once
+        per structure, since the matrix never changes."""
+        pivot = _pivot(self.matrix, range(self.n))
+        if pivot is None:
             return True, None
-        pivot = min(nonzero)[1]
         rest = [k for k in range(self.n) if k not in pivot]
         return (all(pfaffian(self.matrix, pivot + kl).is_zero()
                     for kl in combinations(rest, 2)), pivot)
@@ -474,51 +470,45 @@ def plucker_rank2_test(ps: PoissonStructure) -> PluckerReport:
     return PluckerReport(True)
 
 
-SAMPLE_GRID = [Fraction(i, 3) for i in range(-7, 8) if i != 0]
-SAMPLES = 8
+def _pivot(matrix, indices) -> Optional[tuple[int, int]]:
+    """The pivot rule of ``_rank2`` and :func:`generic_rank`: the nonzero
+    entry (a, b), a < b, on ``indices`` with the fewest terms, ties going to
+    the smallest pair; None when all are zero."""
+    return min(((matrix[a][b].term_count, (a, b))
+                for a, b in combinations(indices, 2) if not matrix[a][b].is_zero()),
+               default=(0, None))[1]
 
 
-def generic_rank(ps: PoissonStructure, seed: int = 0) -> int:
-    """Largest exact rank of the bracket matrix over SAMPLES points drawn
-    from SAMPLE_GRID^n by ``random.Random(seed)``.
+def generic_rank(ps: PoissonStructure) -> int:
+    """The rank of the bracket matrix over Q(x), exactly.
 
-    A point's rank never exceeds the generic rank (the rank over Q(x)), so
-    the result is a lower bound on it.  It falls short only if every sample
-    is a zero of the Pfaffian of each principal block of full rank: such a
-    Pfaffian has degree D <= (r/2) d for generic rank r and entry degree at
-    most d, so by Schwartz-Zippel (Schwartz 1980; Zippel 1979) one uniform
-    point of the 14-value grid is a zero with probability at most D/14 and
-    all 8 samples with probability at most (D/14)^8; for D >= 14
-    that bound says nothing.
+    A :attr:`~PoissonStructure.certified` structure, or one whose
+    ``_rank2`` verdict holds, has rank 2 (0 for the zero matrix) and
+    computes no Pfaffian here.  Otherwise, with P the pivot pairs taken so
+    far (in order), M_kl = Pf(P, k, l) on the other indices is Pf(P) times
+    the Schur complement of the P block, so rank = |P| + rank M.  Each step
+    takes :func:`_pivot`'s (c, d) in M and forms
 
-    A :attr:`~PoissonStructure.certified` structure has rank exactly 2, or
-    0 when every entry is zero, and is not sampled.  Otherwise sampling
-    stops once the best rank reaches n - n % 2 (an antisymmetric matrix has
-    even rank), since no later sample can then raise it, so the result is
-    the one every sample would give.
+        Pf(P, c, d, k, l) = (M_cd M_kl - M_ck M_dl + M_cl M_dk) / Pf(P),
 
-    Each entry is unpacked once per call, and at each point the entries
-    share one table of powers per variable.  Their common denominator is
-    cleared, which leaves the rank unchanged, and the rank of the integer
-    matrix is taken by fraction-free elimination (``poly._bareiss``)."""
-    if ps.certified:
+    the 4x4 Pfaffians of M divided exactly over Q[x] by the previous pivot
+    (Knuth, "Overlapping Pfaffians", Electron. J. Combin. 3(2), 1996),
+    until M is zero.  The first step is ``_rank2``'s pivot test.  No
+    fraction of polynomials and no sample point enters, and every Pfaffian
+    product is held to ``MAX_WORK``."""
+    if ps.certified or ps._rank2[0]:
         return 2 if any(not p.is_zero() for _, p in ps.entries_upper()) else 0
-    n = ps.n
-    upper = [(ij, p) for ij, p in ps.entries_upper() if not p.is_zero()]
-    # the values share one denominator, so their numerators make an integer
-    # matrix of the same rank
-    values = _integer_evaluator([p for _, p in upper])
-    rng = random.Random(seed)
-    best = 0
-    for _ in range(SAMPLES):
-        point = [rng.choice(SAMPLE_GRID) for _ in range(n)]
-        rows = [[0] * n for _ in range(n)]
-        for ((i, j), _), v in zip(upper, values(point)[1]):
-            rows[i][j], rows[j][i] = v, -v
-        best = max(best, _bareiss(rows)[0])
-        if best >= n - n % 2:
-            break
-    return best
+    n, m, indices, rank, pivot = ps.n, ps.matrix, range(ps.n), 0, ps._rank2[1]
+    prev, zero = PolyExpr.const(ps.vars, 1), PolyExpr.zero(ps.vars)
+    while pivot is not None:
+        indices = [k for k in indices if k not in pivot]
+        nxt = [[zero] * n for _ in range(n)]
+        for k, l in combinations(indices, 2):
+            q = exact_divisibility(pfaffian(m, pivot + (k, l)), prev)[1]
+            nxt[k][l], nxt[l][k] = q, -q
+        prev, m, rank = m[pivot[0]][pivot[1]], nxt, rank + 2
+        pivot = _pivot(m, indices)
+    return rank
 
 
 # ---------------- fundamental identity ----------------

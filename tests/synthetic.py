@@ -19,9 +19,16 @@ no Casimirs declared, checked for ``jacobi, plucker, rank``: nothing
 certifies it, so the pivot reduction decides it.  Building either needs
 ``ppa`` importable.
 
+``degree14_model_text(n)`` is the table {x1,x2} = 1, {x3,x4} = (3x5 + 1)
+(3x5 - 1) ... (3x5 + 7)(3x5 - 7) in n >= 5 variables, checked for
+``jacobi, plucker, rank``: Poisson of rank 4, with a Pfaffian of degree 14
+that vanishes at every x5 in {+-1/3, +-2/3, ..., +-7/3}, so a rank read off
+points of that grid would say 2.
+
 Run ``python tests/synthetic.py N`` to print the model for N variables,
-``python tests/synthetic.py N --perturbed`` for the perturbed one and
-``python tests/synthetic.py N --table`` for the table without Casimirs.
+``python tests/synthetic.py N --perturbed`` for the perturbed one,
+``python tests/synthetic.py N --table`` for the table without Casimirs and
+``python tests/synthetic.py N --degree14`` for the degree-14 table.
 """
 
 from __future__ import annotations
@@ -80,6 +87,14 @@ def table_model_text(n: int, seed: int = 1) -> str:
     return dsl.render_model(spec)
 
 
+def degree14_model_text(n: int = 5) -> str:
+    factors = " * ".join(f"(3*x5 {s} {i})" for i in range(1, 8) for s in "+-")
+    return "\n".join(["vars " + " ".join(f"x{i + 1}" for i in range(n)) + ";",
+                      f"structure table {{ {{x1,x2}} = 1; {{x3,x4}} = {factors}; }};",
+                      "check jacobi, plucker, rank;"]) + "\n"
+
+
 if __name__ == "__main__":
-    texts = {"--perturbed": perturbed_model_text, "--table": table_model_text}
+    texts = {"--perturbed": perturbed_model_text, "--table": table_model_text,
+             "--degree14": degree14_model_text}
     sys.stdout.write(texts.get(" ".join(sys.argv[2:]), model_text)(int(sys.argv[1])))

@@ -259,7 +259,7 @@ def test_a_jacobian_structure_reuses_its_construction_minors(monkeypatch):
     assert all(ps._casimir_verdicts.values())
 
 
-def library_results(spec, seed):
+def library_results(spec):
     """(status, witness) of jacobi, plucker and rank as the library predicates
     give them on a structure of their own, in the runner's words."""
     ps = spec.build_structure()
@@ -273,7 +273,7 @@ def library_results(spec, seed):
     plucker = plucker_rank2_test(ps)
     out.append(("info", "plucker = true" if plucker.rank_le_2 else
                 "plucker = false (" + ",".join(spec.vars[i] for i in plucker.witness) + ")"))
-    out.append(("info", f"rank = {generic_rank(ps, seed)}"))
+    out.append(("info", f"rank = {generic_rank(ps)}"))
     return out
 
 
@@ -297,7 +297,7 @@ def test_the_library_gives_the_verdicts_the_runner_reports(seed):
                                      ("rank", None)], {}
         report = runner.run_checks(spec, seed)
         assert [(r.status, r.witness) for r in report.results] == \
-            library_results(spec, seed), spec.name
+            library_results(spec), spec.name
 
 
 def test_binary_fi_fails_where_jacobi_fails():

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import synthetic
 from ppa import catalog, dsl, runner
 from ppa.cli import main
 
@@ -91,6 +92,17 @@ def test_informational_checks_never_fail_unpinned(tmp_path):
     f.write_text("vars x1 x2 x3; casimir Q = x3; structure jacobian;\n"
                  "check plucker, rank, degree_sum;\n")
     assert run_cli("check", str(f)) == 0
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "7"])
+def test_the_degree_14_model_reports_rank_four_at_every_seed(tmp_path, capsys, seed):
+    f = tmp_path / "degree14.ppa"
+    f.write_text(synthetic.degree14_model_text())
+    assert run_cli("check", str(f), "--seed", seed) == 0
+    assert capsys.readouterr().out == ("jacobi: pass\n"
+                                       "plucker: info  plucker = false (x1,x2,x3,x4)\n"
+                                       "rank: info  rank = 4\n"
+                                       "overall: pass\n")
 
 
 def test_json_report_schema_and_determinism(tmp_path):

@@ -1,33 +1,36 @@
-"""The fused zero tests and the integer sampled rank against their definitions.
+"""The fused zero tests and the exact rank against their definitions.
 
 ``is_casimir`` and ``is_quasi_casimir`` test the Hamiltonian rows
 {Q, x_k} = sum_i p_ik dQ/dx_i, ``bracket_of`` contracts those rows with a
 gradient, ``_jacobiator`` and ``pfaffian`` sum their products in one fused
-kernel, and ``generic_rank`` takes the rank of integer matrices by
-fraction-free elimination.  Each is compared here with what it replaces:
-``oracles.bracket_by_entries``, a ``_sum`` chain of products, the
-recursive ``oracles.pfaffian`` and a ``Fraction`` elimination over the same
-sample points.  ``bdu_relation_sides`` reads its left side as a 4x4
-Pfaffian, compared here with the three products it sums.
+kernel, and ``generic_rank`` eliminates by Pfaffians over Q[x].  Each is
+compared here with what it replaces or defines it: ``oracles.bracket_by_entries``,
+a ``_sum`` chain of products, the recursive ``oracles.pfaffian``, sympy's
+rank over Q(x) and a ``Fraction`` elimination at rational points.
+``bdu_relation_sides`` reads its left side as a 4x4 Pfaffian, compared here
+with the three products it sums.  ``poly._bareiss`` is compared with the
+``Fraction`` elimination on integer matrices.
 """
 
-import random
 from fractions import Fraction as F
 from itertools import combinations, permutations
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 import oracles
 import synthetic
-from ppa import dsl, structures
+from ppa import dsl, runner, structures
 from ppa.duality import bdu_relation_sides
 from ppa.dynamics import hamiltonian_vector_field
 from ppa.errors import PolynomialGradeError
 from ppa.exterior import pfaffian
 from ppa.poly import PolyExpr, _bareiss, exact_divisibility
-from ppa.structures import (SAMPLE_GRID, SAMPLES, PoissonStructure, bracket_of,
-                            generic_rank, is_casimir, is_quasi_casimir)
+from ppa.structures import (PoissonStructure, bracket_of, generic_rank, is_casimir,
+                            is_quasi_casimir, jacobi_witnesses, plucker_rank2_test)
 
 VARS = tuple(f"x{i + 1}" for i in range(8))
 
@@ -44,32 +47,32 @@ def polys(n, max_terms=3):
 
 
 @st.composite
-def random_tables(draw):
+def random_tables(draw, max_n=7):
     """Rational entries, odd and even n, many of them zero."""
-    n = draw(st.integers(2, 7))
+    n = draw(st.integers(2, max_n))
     return table(n, {ij: draw(polys(n, 2)) for ij in combinations(range(n), 2)
                      if draw(st.booleans())})
 
 
 @st.composite
-def zero_tables(draw):
-    return table(draw(st.integers(2, 7)), {})
+def zero_tables(draw, max_n=7):
+    return table(draw(st.integers(2, max_n)), {})
 
 
 @st.composite
-def rank4_tables(draw):
+def rank4_tables(draw, max_n=6, max_terms=2):
     """X ^ Y + Z ^ W: rank 4 unless the planes meet."""
-    n = draw(st.integers(4, 6))
-    x, y, z, w = (draw(st.lists(polys(n, 2), min_size=n, max_size=n))
+    n = draw(st.integers(4, max_n))
+    x, y, z, w = (draw(st.lists(polys(n, max_terms), min_size=n, max_size=n))
                   for _ in range(4))
     return table(n, {(i, j): x[i] * y[j] - x[j] * y[i] + z[i] * w[j] - z[j] * w[i]
                      for i, j in combinations(range(n), 2)})
 
 
 @st.composite
-def log_canonical_tables(draw):
+def log_canonical_tables(draw, max_n=6):
     """{x_i, x_j} = c_ij x_i x_j: every monomial is a quasi-Casimir."""
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, max_n))
     gens = PolyExpr.gens(VARS[:n])
     return table(n, {(i, j): gens[i] * gens[j] * draw(st.fractions(-2, 2, max_denominator=3))
                      for i, j in combinations(range(n), 2)})
@@ -80,9 +83,9 @@ def jacobian(n, seed):
 
 
 @st.composite
-def jacobian_structures(draw):
+def jacobian_structures(draw, max_n=6):
     """Rank 2 and Poisson, with known Casimirs (odd n included)."""
-    n = draw(st.integers(3, 6))
+    n = draw(st.integers(3, max_n))
     seed = draw(st.integers(0, 10 ** 6))
     spec = dsl.parse_model(synthetic.model_text(n, seed))
     return spec.build_structure(), spec.casimir_polys()
@@ -250,7 +253,7 @@ def test_a_laurent_block_raises_polynomial_grade_error():
     assert pfaffian(m, (0, 3, 1, 2)) == oracles.pfaffian(m, (0, 3, 1, 2))
 
 
-# ---------------- the sampled rank ----------------
+# ---------------- the exact rank ----------------
 
 def fraction_rank(rows):
     m = [row[:] for row in rows]
@@ -277,29 +280,137 @@ def value(p, point):
     return total
 
 
-def reference_rank(ps, samples, seed):
-    """The largest rank over every sample point, with no early exit."""
-    rng = random.Random(seed)
-    best = 0
-    for _ in range(samples):
-        point = [rng.choice(SAMPLE_GRID) for _ in range(ps.n)]
-        best = max(best, fraction_rank([[value(p, point) for p in row]
-                                        for row in ps.matrix]))
-    return best
+def sympy_rank(ps):
+    """The rank over Q(x_1, ..., x_n), as sympy's ``DomainMatrix`` takes it."""
+    xs = sp.symbols(ps.vars)
+    rows = [[sp.Add(*(sp.Rational(c.numerator, c.denominator)
+                      * sp.Mul(*(x ** e for x, e in zip(xs, m)))
+                      for m, c in p.terms.items()))
+             for p in row] for row in ps.matrix]
+    return (DomainMatrix.from_list_sympy(ps.n, ps.n, rows)
+            .convert_to(QQ.frac_field(*xs)).rank())
 
 
-@settings(max_examples=80, deadline=None)
-@given(tables, st.integers(0, 10 ** 6), st.booleans())
-def test_generic_rank_equals_fraction_elimination(ps, seed, verdict_first):
+# sympy's rank over Q(x) takes tens of milliseconds at n = 4 and minutes at
+# n = 5, so the comparison stays at n <= 4, and X ^ Y + Z ^ W takes monomial
+# factors: with two-term ones some entries take sympy ten seconds and more
+small_tables = st.one_of(random_tables(4), zero_tables(4), rank4_tables(4, 1),
+                         log_canonical_tables(4),
+                         jacobian_structures(4).map(lambda t: t[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tables, st.booleans())
+def test_generic_rank_equals_the_rank_over_rational_functions(ps, verdict_first):
     if verdict_first:
         ps._rank2           # as jacobi or plucker would leave it
-    got, sampled = generic_rank(ps, seed), reference_rank(ps, SAMPLES, seed)
-    if ps.certified:
-        # the exact rank, 2 or 0, which no sample point exceeds
-        assert got == (2 if any(not p.is_zero() for _, p in ps.entries_upper())
-                       else 0) >= sampled
-    else:
-        assert got == sampled
+    assert generic_rank(ps) == sympy_rank(ps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables, st.data())
+def test_generic_rank_bounds_the_rank_at_rational_points(ps, data):
+    grid = [F(i, 3) for i in range(-7, 8)]
+    rank = generic_rank(ps)
+    assert rank % 2 == 0 and rank <= ps.n
+    for _ in range(3):
+        point = data.draw(st.lists(st.sampled_from(grid), min_size=ps.n,
+                                   max_size=ps.n))
+        assert rank >= fraction_rank([[value(p, point) for p in row]
+                                      for row in ps.matrix])
+
+
+@st.composite
+def block_sums(draw):
+    """(structure, 2k): sum_i h_i u_i ^ v_i over k = 2 or 3 blocks in n = 6..8
+    variables, with h_i nonzero polynomials, u_i = e_2i and v_i = e_2i+1 plus
+    polynomial multiples of the coordinates after 2i + 1, in shuffled
+    coordinates.  The u_i and v_i are unitriangular on their first 2k
+    coordinates, so independent over Q(x): the rank is exactly 2k, and the
+    Pfaffians are polynomials of several terms."""
+    n = draw(st.integers(6, 8))
+    k = draw(st.integers(2, 3))
+    order = draw(st.permutations(range(n)))
+    zero = PolyExpr.zero(VARS[:n])
+    one = PolyExpr.const(VARS[:n], 1)
+    tail = st.one_of(st.just(zero), polys(n, 1))
+    bivector = [[zero] * n for _ in range(n)]
+    for i in range(k):
+        h = draw(polys(n, 2).filter(lambda p: not p.is_zero()))
+        u, v = ([zero] * (2 * i) + head + [draw(tail) for _ in range(n - 2 * i - 2)]
+                for head in ([one, zero], [zero, one]))
+        for a, b in combinations(range(n), 2):
+            bivector[a][b] = bivector[a][b] + h * (u[a] * v[b] - u[b] * v[a])
+    entries = {}
+    for a, b in combinations(range(n), 2):
+        i, j = order[a], order[b]
+        entries[min(i, j), max(i, j)] = bivector[a][b] if i < j else -bivector[a][b]
+    return table(n, entries), 2 * k
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_sums(), st.booleans())
+def test_block_sums_have_rank_four_and_six(case, verdict_first):
+    ps, rank = case
+    if verdict_first:
+        ps._rank2
+    assert generic_rank(ps) == rank
+    assert not plucker_rank2_test(ps).rank_le_2
+
+
+def test_a_full_rank_table_at_max_dim():
+    # x_(2i-1) x_(2i) added to each {x_(2i-1), x_(2i)} of the synthetic n = 8
+    # table: three steps divide Pfaffians of hundreds of terms by pivots
+    # that are not constant; a point of rank 8 shows the rank is 8
+    entries = dict(dsl.parse_model(synthetic.table_model_text(8)).build_structure()
+                   .entries_upper())
+    x = PolyExpr.gens(VARS)
+    for i in range(0, 8, 2):
+        entries[i, i + 1] = entries[i, i + 1] + x[i] * x[i + 1]
+    ps = table(8, entries)
+    point = [F(i, 3) for i in range(1, 9)]
+    assert fraction_rank([[value(p, point) for p in row] for row in ps.matrix]) == 8
+    assert generic_rank(ps) == 8
+
+
+def test_rank_after_jacobi_computes_no_pfaffian(monkeypatch):
+    calls = []
+    monkeypatch.setattr(structures, "pfaffian",
+                        lambda m, sub: calls.append(sub) or pfaffian(m, sub))
+    text = synthetic.table_model_text(6)
+    ps = dsl.parse_model(text).build_structure()
+    assert not ps.certified
+    assert next(jacobi_witnesses(ps), None) is None
+    assert len(calls) == 6                  # the pivot test: C(4, 2) Pfaffians
+    assert generic_rank(ps) == 2 and len(calls) == 6
+    # through the runner, jacobi's pivot test is all that computes
+    calls.clear()
+    report = runner.run_checks(dsl.parse_model(text))
+    assert [r.witness for r in report.results[1:]] == ["plucker = true", "rank = 2"]
+    assert len(calls) == 6
+    # and a certified structure computes none
+    calls.clear()
+    assert generic_rank(jacobian(6, 1)) == 2 and calls == []
+
+
+def test_the_degree_14_model_has_rank_four():
+    ps = dsl.parse_model(synthetic.degree14_model_text()).build_structure()
+    assert generic_rank(ps) == 4 and ps._rank2 == (False, (0, 1))
+    # each x5 in the grid is a root of the Pfaffian
+    grid = [F(i, 3) for i in range(-7, 8) if i]
+    assert all(fraction_rank([[value(p, (1, 1, 1, 1, x)) for p in row]
+                              for row in ps.matrix]) == 2 for x in grid)
+
+
+def test_a_rank_past_the_work_budget_fails_with_its_message():
+    # the pivot is {x1,x2} = 1, and Pf(x1,x2,x3,x4) multiplies two entries
+    # of 1287 terms each
+    spec = dsl.parse_model("vars x1 x2 x3 x4 x5 x6;\n"
+                           "let s = (x1 + x2 + x3 + x4 + x5 + x6)^8;\n"
+                           "structure table { {x1,x2} = 1; {x1,x3} = s; "
+                           "{x2,x4} = s + 1; };\ncheck rank;\n")
+    result, = runner.run_checks(spec).results
+    assert result.status == "fail" and "MAX_WORK" in result.witness
 
 
 @settings(max_examples=100, deadline=None)
@@ -313,38 +424,3 @@ def test_integer_rank_equals_fraction_rank(rows, cols, inner, rnd):
     m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] if b
          else [0] * cols for row in a]
     assert _bareiss([r[:] for r in m])[0] == fraction_rank([[F(x) for x in r] for r in m])
-
-
-def test_rank_four_is_not_cut_at_two():
-    # Pf(x1,x2,x3,x4) = x1 - v, with v the first sampled value of x1: rank
-    # 2 at the first point and 4 at the later ones, whether or not the
-    # rank-2 verdict (false here) is already held
-    v = random.Random(0).choice(SAMPLE_GRID)
-    x1 = PolyExpr.var("x1", VARS[:4])
-    ps = table(4, {(0, 1): PolyExpr.const(VARS[:4], 1), (2, 3): x1 - v})
-    assert reference_rank(ps, 1, 0) == 2 and reference_rank(ps, 8, 0) == 4
-    assert generic_rank(ps) == 4
-    assert ps._rank2[0] is False
-    assert generic_rank(ps) == 4
-
-
-def test_rank_stops_at_a_proven_bound(monkeypatch):
-    calls = []
-    monkeypatch.setattr(structures, "_bareiss",
-                        lambda m: calls.append(m) or _bareiss(m))
-    ps = jacobian(6, 1)
-    assert ps.certified
-    assert generic_rank(ps) == 2 and calls == []     # exact, never sampled
-    # the same bracket without its Casimirs samples all 8 points, whether
-    # or not the rank-2 verdict is held: its bound is n - n % 2 = 6
-    bare = table(6, dict(ps.entries_upper()))
-    assert not bare.certified
-    assert generic_rank(bare) == 2 and len(calls) == 8
-    assert bare._rank2[0]
-    calls.clear()
-    assert generic_rank(bare) == 2 and len(calls) == 8
-    # a constant table of full rank stops at n - n % 2 = 4 in five variables
-    calls.clear()
-    const = table(5, {(0, 1): PolyExpr.const(VARS[:5], 1),
-                      (2, 3): PolyExpr.const(VARS[:5], 1)})
-    assert generic_rank(const) == 4 and len(calls) == 1

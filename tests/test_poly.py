@@ -393,6 +393,33 @@ def test_diff_and_power_match_sympy(p, k):
     assert_canonical(pk)
 
 
+@settings(max_examples=80, deadline=None)
+@given(polys(INT_EXPS), polys(INT_EXPS), polys(INT_EXPS), st.booleans())
+def test_divisibility_matches_sympy(p, q, r, exact):
+    # a single divisor is a Groebner basis of its ideal, so the remainder
+    # of sympy's division is zero iff q divides
+    if q.is_zero():
+        return
+    a = p * q if exact else p * q + r
+    ok, quot = exact_divisibility(a, q)
+    assert ok == (sp.expand(sp.rem(to_sympy(a), to_sympy(q), *SX)) == 0)
+    if ok:
+        assert quot * q == a
+        assert_canonical(quot)
+    else:
+        assert quot is None
+
+
+def test_division_near_max_exponent():
+    # lex order takes x1 as the divisor's leading term: an exact quotient
+    # stays within the dividend's exponents, and an inexact one whose next
+    # step would need x2^60000 is refused, not raised
+    x1, x2, _ = gens3()
+    assert exact_divisibility(x1 ** 2 - x2 ** 32000, x1 - x2 ** 16000) == \
+        (True, x1 + x2 ** 16000)
+    assert exact_divisibility(x1 ** 2, x1 - x2 ** 30000) == (False, None)
+
+
 @settings(max_examples=40, deadline=None)
 @given(polys(INT_EXPS), st.lists(st.fractions(min_value=-4, max_value=4,
                                               max_denominator=5),
