@@ -5,8 +5,11 @@ fourth-order Runge-Kutta with a fixed step, so drift numbers are
 reproducible regression values rather than artifacts of adaptivity.
 
 Each :func:`integrate` call runs one generated function
-(:func:`_rk4_kernel`) whose float operations are those of the list form over
-``PolyExpr.eval_float``, in the same order, so trajectories, drifts and CSV
+(:func:`_rk4_kernel`) whose loop body is one block of straight-line float
+code: the field's statements once per stage and the monitors' once, with no
+call.  Its float operations are those of the list form over
+``PolyExpr.eval_float``, in the same order, less those that cannot change a
+bit (see :func:`poly._float_sum_lines`), so trajectories, drifts and CSV
 bytes are bit-identical to it.  Arithmetic overflow during integration is
 reported as a divergence, like a non-finite state; ``ppa integrate`` exits 1
 on either.  The report stores the rows that :func:`write_trajectory_csv`
@@ -52,8 +55,8 @@ class PolyVectorField:
 
     def compiled(self) -> Callable[[Sequence[float]], list[float]]:
         """Float evaluation of every component in one call (see
-        :func:`float_evaluator`).  :func:`integrate` generates its own field
-        function from the same statements."""
+        :func:`float_evaluator`).  :func:`integrate` inlines the same
+        statements in its run."""
         return float_evaluator(self.components, self.vars)
 
 
@@ -285,73 +288,71 @@ def _tuple(names) -> str:
 
 def _rk4_kernel(field: PolyVectorField, monitors: Sequence[PolyExpr]) -> Callable:
     """Generate ``run(x0, ..., x{n-1}, steps, step, record) -> drifts``,
-    the whole RK4 run of :func:`integrate`.
+    the whole RK4 run of :func:`integrate`, as straight-line code.
 
-    The field ``f`` and the monitors ``g`` are generated functions of the n
-    coordinates (through :func:`_float_sum_lines`); ``g`` is ``eval_float``
-    instead, with its domain checks, when a monitor is not
-    polynomial-grade.  ``f`` is called four times per step and ``g`` once;
-    the stage points, the update and the drift maxima are inline code, each
-    stage and update the expression of the list form
-    ``x[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])``, so every
-    value is bit-identical to it.  A non-finite state, tested before the
-    monitors see it, or an ``OverflowError`` raises ``DivergenceError``
-    with the last valid t.  ``record`` takes each row as a tuple: t, the
-    state and the monitor values."""
+    The loop body holds the field's statements (from
+    :func:`_float_sum_lines`) once per stage and the monitors' once, with
+    no call: stage k sets ``k{k}_i``, stages 2 to 4 at the points
+    ``y_i = x_i + scale * k{k-1}_i``, and the update is the expression of
+    the list form ``x[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] +
+    k4[i])``, so every value is bit-identical to it.  A monitor that is not
+    polynomial-grade is its ``eval_float``, with its domain checks, called
+    in its place.  A non-finite state, tested before the monitors see it,
+    or an ``OverflowError`` raises ``DivergenceError`` with the last valid
+    t.  ``record`` takes each row as a tuple: t, the state and the monitor
+    values."""
     n = len(field.vars)
     xs = [f"x{i}" for i in range(n)]
+    ys = [f"y{i}" for i in range(n)]
     ms = [f"m{j}" for j in range(len(monitors))]
-    args = ", ".join(xs)
     namespace = {"isfinite": math.isfinite, "diverged": _diverged}
-    lines = [f"def f({args}):"]
-    for i, c in enumerate(field.components):
-        lines += ["    " + line for line in _float_sum_lines(c, xs, f"a{i}")]
-    lines.append(f"    return {_tuple(f'a{i}' for i in range(n))}")
-    if all(p.is_polynomial_grade() for p in monitors):
-        lines.append(f"def g({args}):")
-        for m, p in zip(ms, monitors):
-            lines += ["    " + line for line in _float_sum_lines(p, xs, m)]
-        lines.append(f"    return {_tuple(ms)}")
-    else:
-        namespace["g"] = lambda *x: [p.eval_float(x) for p in monitors]
+    monitor_lines = []
+    for j, p in enumerate(monitors):
+        if p.is_polynomial_grade():
+            monitor_lines += _float_sum_lines(p, xs, ms[j])
+        else:
+            namespace[f"g{j}"] = p.eval_float
+            monitor_lines.append(f"{ms[j]} = g{j}({_tuple(xs)})")
 
-    def stage(k, scale):
-        return ", ".join(f"{x} + {scale} * k{k}_{i}" for i, x in enumerate(xs))
+    def stage(k, at):
+        return [line for i, c in enumerate(field.components)
+                for line in _float_sum_lines(c, at, f"k{k}_{i}")]
 
-    def ks(k):
-        return _tuple(f"k{k}_{i}" for i in range(n))
+    def point(k, scale):
+        return [f"{y} = {x} + {scale} * k{k}_{i}" for i, (x, y) in enumerate(zip(xs, ys))]
+
+    def indent(block, depth):
+        return [" " * depth + line for line in block]
 
     row = _tuple(["t", *xs, *ms])
     finite = " and ".join(f"isfinite({x})" for x in xs) or "True"
     params = "".join(f"{x}, " for x in xs)
-    lines += [f"def run({params}steps, step, record, f=f, g=g, isfinite=isfinite):",
-              "    half = step / 2.0",
-              "    sixth = step / 6.0",
-              "    t = 0.0",
-              "    try:",
-              f"        {_tuple(ms)} = g({args})"]
+    lines = [f"def run({params}steps, step, record, isfinite=isfinite):",
+             "    half = step / 2.0",
+             "    sixth = step / 6.0",
+             "    t = 0.0",
+             "    try:",
+             *indent(monitor_lines, 8)]
     for j, m in enumerate(ms):
         lines += [f"        b{j} = {m}", f"        s{j} = max(1.0, abs(b{j}))",
                   f"        d{j} = 0.0"]
+    body = [*stage(1, xs), *point(1, "half"), *stage(2, ys),
+            *point(2, "half"), *stage(3, ys), *point(3, "step"), *stage(4, ys)]
+    body += [f"{x} = {x} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+             for i, x in enumerate(xs)]
+    body += [f"if not ({finite}):",
+             "    raise diverged(t)",
+             *monitor_lines,
+             "t = (s + 1) * step",
+             f"record({row})"]
+    for j, m in enumerate(ms):
+        body += [f"d = abs({m} - b{j}) / s{j}",
+                 f"if d > d{j}:",
+                 f"    d{j} = d"]
     lines += [f"        record({row})",
               "        for s in range(steps):",
-              f"            {ks(1)} = f({args})",
-              f"            {ks(2)} = f({stage(1, 'half')})",
-              f"            {ks(3)} = f({stage(2, 'half')})",
-              f"            {ks(4)} = f({stage(3, 'step')})"]
-    lines += [f"            {x} = {x} + sixth * "
-              f"(k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
-              for i, x in enumerate(xs)]
-    lines += [f"            if not ({finite}):",
-              "                raise diverged(t)",
-              f"            {_tuple(ms)} = g({args})",
-              "            t = (s + 1) * step",
-              f"            record({row})"]
-    for j, m in enumerate(ms):
-        lines += [f"            d = abs({m} - b{j}) / s{j}",
-                  f"            if d > d{j}:",
-                  f"                d{j} = d"]
-    lines += ["    except OverflowError:",
+              *indent(body, 12),
+              "    except OverflowError:",
               "        raise diverged(t) from None",
               f"    return {_tuple(f'd{j}' for j in range(len(ms)))}"]
     exec(_compile_kernel("\n".join(lines)), namespace)
@@ -360,9 +361,11 @@ def _rk4_kernel(field: PolyVectorField, monitors: Sequence[PolyExpr]) -> Callabl
 
 @lru_cache(maxsize=8)
 def _compile_kernel(source: str):
-    """Compiling a run costs more than generating it (about 0.8 ms of
-    dell's 1 ms), and calls on one field and monitor list generate the same
-    source: they share one code object."""
+    """Compiling a run costs more than generating it (about 80% of a first
+    1-step ``integrate``, which took 1-2 ms on dell and 23-38 ms on a
+    412-term 6-variable Nambu field, whose statements the run holds four
+    times, on a shared 2-CPU host), and calls on one field and monitor
+    list generate the same source: they share one code object."""
     return compile(source, "<rk4_kernel>", "exec")
 
 

@@ -775,8 +775,9 @@ def _frac_str(x) -> str:
 
 def float_evaluator(polys: Sequence[PolyExpr], variables: Sequence[str]):
     """Compile ``f(x) -> [p.eval_float(x) for p in polys]`` for
-    polynomial-grade ``polys``, with ``x`` in ``variables`` order; each value
-    is bit-identical to ``eval_float`` (see :func:`_float_sum_lines`)."""
+    polynomial-grade ``polys``, with ``x`` a point of floats in ``variables``
+    order; each value is bit-identical to ``eval_float`` (see
+    :func:`_float_sum_lines`)."""
     variables = tuple(variables)
     xs = [f"x{i}" for i in range(len(variables))]
     lines = ["def f(x):"]
@@ -794,26 +795,43 @@ def float_evaluator(polys: Sequence[PolyExpr], variables: Sequence[str]):
 def _float_sum_lines(p: PolyExpr, xs: Sequence[str], acc: str) -> list[str]:
     """Straight-line statements that set the float ``acc`` to
     ``p.eval_float`` at the floats named ``xs`` (in ``p.vars`` order), for
-    polynomial-grade ``p``: ``acc`` set to ``0.0``, then one ``+=``
-    statement per term, in term order, of the form ``C * xi ** e * ...``.
+    polynomial-grade ``p``: one statement per term, in term order, the first
+    ``acc = 0.0 + ...`` and the rest ``acc += ...``, each term of the form
+    ``C * xi ** e * ...`` (``acc = 0.0`` when ``p`` is zero).
 
     ``C`` is the ``repr`` of the float coefficient, which reads back
     exactly, the variables follow their order and zero exponents are left
     out.  Those are the float operations ``eval_float`` performs, in the
     same order, so the value is bit-identical to it and a power that
-    overflows raises ``OverflowError`` as it does there.  ``**`` stays even
-    for ``e = 1``; Horner's rule or repeated products would round
+    overflows raises ``OverflowError`` as it does there.  Operations that
+    cannot change a bit are left out:
+
+    - ``xi ** 1`` is written ``xi``: it is ``xi`` for every float.
+    - A coefficient of 1 or -1 before a variable goes into the sum's ``+``
+      or ``-``: ``1.0 * v`` is ``v`` and ``a + -1.0 * v`` is ``a - v``,
+      signed zeros included.  (Of two NaN operands CPython's float add
+      keeps either NaN, depending on whether the instruction has been
+      specialized, so NaN bits are not ``eval_float``'s to fix.)
+    - The first term keeps its ``0.0 +`` or ``0.0 -``, which turns a
+      ``-0.0`` into ``+0.0`` as ``eval_float``'s sum does.
+
+    Powers ``e >= 2`` keep ``**``; repeated products would round
     differently.  One flat statement per term keeps the parser's nesting
     limit out of reach at any term count.  A coefficient too large for a
     float raises ``OverflowError`` here, where ``eval_float`` would raise it
     on every call.  Every generated float evaluation goes through here.
     """
     p.require_polynomial_grade("float-evaluated polynomial")
-    lines = [f"{acc} = 0.0"]
+    lines = []
     for m, c in p.terms.items():
-        factors = [repr(float(c))] + [f"{x} ** {e}" for x, e in zip(xs, m) if e]
-        lines.append(f"{acc} += {' * '.join(factors)}")
-    return lines
+        powers = [x if e == 1 else f"{x} ** {e}" for x, e in zip(xs, m) if e]
+        if powers and c in (1, -1):
+            op, factors = "+" if c == 1 else "-", powers
+        else:
+            op, factors = "+", [repr(float(c))] + powers
+        product = " * ".join(factors)
+        lines.append(f"{acc} {op}= {product}" if lines else f"{acc} = 0.0 {op} {product}")
+    return lines or [f"{acc} = 0.0"]
 
 
 # ---------------- divisibility ----------------

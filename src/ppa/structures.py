@@ -138,13 +138,25 @@ class PoissonStructure:
         None for the zero matrix.  Over Q(x) the Schur complement of the
         pivot block gives rank = 2 + rank S with S_kl = Pf(a,b,k,l) / p_ab,
         so rank <= 2 iff those C(n-2, 2) Pfaffians vanish.  Computed once
-        per structure, since the matrix never changes."""
+        per structure, since the matrix never changes; the Pfaffians it
+        computes, up to the first nonzero one, stay in
+        ``_pivot_pfaffians``."""
         pivot = _pivot(self.matrix, range(self.n))
         if pivot is None:
             return True, None
         rest = [k for k in range(self.n) if k not in pivot]
-        return (all(pfaffian(self.matrix, pivot + kl).is_zero()
-                    for kl in combinations(rest, 2)), pivot)
+        known = self._pivot_pfaffians
+        for kl in combinations(rest, 2):
+            known[kl] = pfaffian(self.matrix, pivot + kl)
+            if not known[kl].is_zero():
+                return False, pivot
+        return True, pivot
+
+    @cached_property
+    def _pivot_pfaffians(self) -> dict:
+        """Pf(pivot + (k, l)) by (k, l), as far as ``_rank2`` computed
+        them: :func:`generic_rank`'s first step reads them."""
+        return {}
 
     def entries_upper(self):
         for i in range(self.n):
@@ -493,20 +505,25 @@ def generic_rank(ps: PoissonStructure) -> int:
 
     the 4x4 Pfaffians of M divided exactly over Q[x] by the previous pivot
     (Knuth, "Overlapping Pfaffians", Electron. J. Combin. 3(2), 1996),
-    until M is zero.  The first step is ``_rank2``'s pivot test.  No
-    fraction of polynomials and no sample point enters, and every Pfaffian
-    product is held to ``MAX_WORK``."""
+    until M is zero.  The first step is ``_rank2``'s pivot test, and
+    reads the Pfaffians it computed.  No fraction of polynomials and no
+    sample point enters, and every Pfaffian product is held to
+    ``MAX_WORK``."""
     if ps.certified or ps._rank2[0]:
         return 2 if any(not p.is_zero() for _, p in ps.entries_upper()) else 0
     n, m, indices, rank, pivot = ps.n, ps.matrix, range(ps.n), 0, ps._rank2[1]
     prev, zero = PolyExpr.const(ps.vars, 1), PolyExpr.zero(ps.vars)
+    known = ps._pivot_pfaffians
     while pivot is not None:
         indices = [k for k in indices if k not in pivot]
         nxt = [[zero] * n for _ in range(n)]
         for k, l in combinations(indices, 2):
-            q = exact_divisibility(pfaffian(m, pivot + (k, l)), prev)[1]
+            pf = known.get((k, l))
+            if pf is None:
+                pf = pfaffian(m, pivot + (k, l))
+            q = exact_divisibility(pf, prev)[1]
             nxt[k][l], nxt[l][k] = q, -q
-        prev, m, rank = m[pivot[0]][pivot[1]], nxt, rank + 2
+        prev, m, rank, known = m[pivot[0]][pivot[1]], nxt, rank + 2, {}
         pivot = _pivot(m, indices)
     return rank
 

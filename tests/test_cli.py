@@ -484,6 +484,90 @@ def test_check_fuzz_exit_codes(model_text):
         assert "Traceback" not in err and "internal error" not in err
 
 
+# x2 grows by 10^153 per unit time from 1.3e154, and x1' = x2^2: x2^2 is
+# finite at the state and overflows at the first stage point past it
+STAGE_OVERFLOW = ("vars x1 x2 x3;\nstructure table { {x1,x2} = 1; };\n"
+                  f"hamiltonian (1/3)*x2^3 - {10 ** 153}*x1;\n"
+                  "integrate from (0.0, 1.3e154, 0.0) step 1.0 until 5.0 monitor x3;\n")
+FRACTIONAL_MONITOR = ("vars x1 x2 x3;\ncasimir R = x1^(1/2) + x3^2;\n"
+                      "structure table { {x1,x2} = x3; };\nhamiltonian x2^2;\n"
+                      "integrate from (1.0, 0.5, 0.25) step 0.01 until 1 monitor R x3;\n")
+PAST_MAX_STEPS = ("vars x1 x2 x3;\ncasimir Q = x3;\nstructure jacobian;\n"
+                  "hamiltonian x1^2;\n"
+                  "integrate from (1.0, 0.5, 0.25) step 1e-9 until 1 monitor Q;\n")
+
+
+@pytest.mark.parametrize("model_text,code", [
+    (STAGE_OVERFLOW, 1), (FRACTIONAL_MONITOR, 0), (PAST_MAX_STEPS, 2)])
+def test_integrate_exit_codes(tmp_path, model_text, code):
+    model = tmp_path / "m.ppa"
+    model.write_text(model_text)
+    got, _, err = run_cli_captured("integrate", str(model), "--out",
+                                   str(tmp_path / "t.csv"))
+    assert got == code and "Traceback" not in err
+
+
+# polynomial terms, each six times as likely as each fractional, huge,
+# unparsable or unknown one
+INTEGRATE_TERMS = 6 * ["x1", "x2", "-x3", "3", "x1*x2", "-x2*x3", "x1^2", "(1/3)*x2^3",
+                       "7/2*x3^2", "-x1*x3^2"] + ["x1^(1/2)", "x2^2000", f"{SEVENS}*x1",
+                                                  "1/0", "x9"]
+INTEGRATE_POINTS = 3 * ["0", "-0.0", "1.0", "-0.5", "2", "0.25"] + ["1e150", "-1.3e154",
+                                                                  "5e-324"]
+# (step, until): at most 1000 steps, or a window that is refused
+INTEGRATE_WINDOWS = 3 * [("0.01", "1"), ("0.1", "10"), ("1", "100"), ("0.001", "1")] + [
+    ("1e300", "1e300"), ("0.3", "1"), ("0.1", "0.04"), ("0", "1"), ("0.1", "-1"),
+    ("1e-9", "1"), ("0.5", "1e9"), ("1e-300", "1")]
+
+
+@st.composite
+def integrate_models(draw):
+    """Models over x1 x2 x3 with an integrate statement: a Jacobian, table
+    or ternary Nambu structure with the Casimirs it takes (now and then one
+    too many), the Hamiltonians it takes (now and then one too many or too
+    few), each up to three terms from INTEGRATE_TERMS; a start point of
+    three coordinates (now and then four); a window from INTEGRATE_WINDOWS;
+    up to three monitors, now and then an unknown one."""
+    def poly():
+        return " + ".join(draw(st.lists(st.sampled_from(INTEGRATE_TERMS),
+                                        min_size=1, max_size=3)))
+
+    def rarely():
+        return draw(st.sampled_from([False] * 9 + [True]))
+
+    kind = draw(st.sampled_from(["jacobian", "table", "nambu"]))
+    casimir = (kind == "jacobian") != rarely() if kind != "table" else draw(st.booleans())
+    lines = ["vars x1 x2 x3;"] + ([f"casimir Q = {poly()};"] if casimir else [])
+    if kind == "table":
+        lines.append(f"structure table {{ {{x1,x2}} = {poly()}; {{x2,x3}} = {poly()}; }};")
+    else:
+        lines.append("structure jacobian;" if kind == "jacobian" else "structure nambu 3;")
+    count = (2 if kind == "nambu" else 1) + (draw(st.sampled_from([-1, 1])) if rarely() else 0)
+    lines.append("hamiltonian " + ", ".join(poly() for _ in range(count)) + ";")
+    point = [draw(st.sampled_from(INTEGRATE_POINTS)) for _ in range(4 if rarely() else 3)]
+    step, until = draw(st.sampled_from(INTEGRATE_WINDOWS))
+    names = ["x1", "x3"] + (["Q"] if casimir else []) + (["H"] if rarely() else [])
+    monitors = draw(st.lists(st.sampled_from(names), max_size=3))
+    lines.append(f"integrate from ({', '.join(point)}) step {step} until {until}"
+                 + (" monitor " + " ".join(monitors) if monitors else "") + ";")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=timedelta(seconds=10))
+@given(integrate_models())
+@example(STAGE_OVERFLOW)
+@example(FRACTIONAL_MONITOR)
+@example(PAST_MAX_STEPS)
+def test_integrate_fuzz_exit_codes(model_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "m.ppa"
+        model.write_text(model_text)
+        code, _, err = run_cli_captured("integrate", str(model), "--out",
+                                        str(Path(tmp) / "t.csv"))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err and "internal error" not in err
+
+
 def test_a_witness_too_long_to_print_fails_the_check(tmp_path):
     # the residual has a coefficient of 8000 digits: the check fails with
     # that reason, as it does when it cannot be decided within the limits

@@ -393,6 +393,21 @@ def test_rank_after_jacobi_computes_no_pfaffian(monkeypatch):
     assert generic_rank(jacobian(6, 1)) == 2 and calls == []
 
 
+def test_rank_reads_the_pfaffians_the_rank_2_test_computed(monkeypatch):
+    calls = []
+    monkeypatch.setattr(structures, "pfaffian",
+                        lambda m, sub: calls.append((m is ps.matrix, sub)) or pfaffian(m, sub))
+    # python tests/synthetic.py 8 --perturbed: rank 4, and the first pivot
+    # Pfaffian, Pf(x1,x7,x2,x3), is nonzero
+    ps = dsl.parse_model(synthetic.perturbed_model_text(8)).build_structure()
+    assert not ps.certified and ps._rank2 == (False, (0, 6))
+    assert calls == [(True, (0, 6, 1, 2))]
+    assert generic_rank(ps) == 4
+    # the first step's other C(6, 2) - 1 Pfaffians, then the second's C(4, 2)
+    assert len(calls) == 1 + 14 + 6 and len(set(calls)) == len(calls)
+    assert sum(on_matrix for on_matrix, _ in calls) == 15
+
+
 def test_the_degree_14_model_has_rank_four():
     ps = dsl.parse_model(synthetic.degree14_model_text()).build_structure()
     assert generic_rank(ps) == 4 and ps._rank2 == (False, (0, 1))

@@ -1,5 +1,6 @@
 """Polynomial kernel: exact arithmetic, calculus, division, substitution."""
 
+import math
 import struct
 from fractions import Fraction as F
 
@@ -517,16 +518,25 @@ def mostly(common, rare):
     return st.integers(0, 9).flatmap(lambda i: rare if i == 0 else common)
 
 
-# Ordinary rationals, and now and then one that is subnormal or zero as a
-# float (10^-330 .. 10^-300) or large enough to overflow a product or the
+# Ordinary rationals, 1 and -1 (which the compiled form drops or folds into
+# the sum), and now and then one that is subnormal or zero as a float
+# (10^-330 .. 10^-300) or large enough to overflow a product or the
 # conversion itself (10^300 .. 10^330).
 FLOAT_COEFFS = mostly(
-    st.fractions(min_value=-1000, max_value=1000, max_denominator=1000).filter(bool),
+    st.one_of(st.sampled_from([F(1), F(-1)]),
+              st.fractions(min_value=-1000, max_value=1000,
+                           max_denominator=1000).filter(bool)),
     st.builds(lambda n, k: F(n) * F(10) ** k, st.integers(-9, 9).filter(bool),
               st.one_of(st.integers(-330, -300), st.integers(300, 330))))
+# a quiet NaN with a payload: an operation on two NaNs keeps the bits of one
+PAYLOAD_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0001))[0]
+# Signed zeros and infinities, NaNs of either sign, subnormals, and values
+# whose square (1e200, -1e155) or sixth power (1e100) overflows.
 FLOAT_POINT_VALUES = mostly(
     st.floats(-10, 10),
-    st.sampled_from([0.0, -0.0, -1.0, 1e100, -1e100, 3e-120]))
+    st.sampled_from([0.0, -0.0, -1.0, 1e100, -1e100, 3e-120, 1e200, -1e155,
+                     5e-324, -2.5e-310, math.inf, -math.inf, math.nan, -math.nan,
+                     PAYLOAD_NAN]))
 
 
 def float_case(n):
@@ -537,21 +547,45 @@ def float_case(n):
                      st.lists(FLOAT_POINT_VALUES, min_size=n, max_size=n))
 
 
-def float_outcome(evaluate):
+def float_outcome(evaluate, point=()):
     """Each value's IEEE bytes (so -0.0, inf and nan count), or the type of
-    the arithmetic exception raised instead."""
+    the arithmetic exception raised instead.  At a ``point`` holding a NaN,
+    any NaN value reads ``"nan"``: of two NaN operands with different bits,
+    CPython's float add keeps the first or the second depending on whether
+    the instruction has been specialized, so ``eval_float``'s own NaN bits
+    change after its first calls.  Every NaN the arithmetic makes itself
+    has the same bits, so elsewhere they are compared."""
+    nan_bits = not any(map(math.isnan, point))
     try:
-        return [struct.pack("d", v) for v in evaluate()]
+        return [struct.pack("d", v) if nan_bits or v == v else "nan"
+                for v in evaluate()]
     except ArithmeticError as e:
         return type(e)
 
 
+def _float_example(terms, point):
+    """A case of one polynomial in len(point) variables, ``terms`` as
+    {exponents: coefficient}."""
+    variables = tuple(f"x{i + 1}" for i in range(len(point)))
+    return (variables, [PolyExpr(variables, terms)], point)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 8).flatmap(float_case))
+# -x1*x2 at x1 = 0.0 is -0.0, which the first sum turns into +0.0
+@example(_float_example({(1, 1): F(-1)}, [0.0, 1.0]))
+@example(_float_example({(1, 1): F(-1), (0, 2): F(1)}, [-0.0, 2.5]))
+# a NaN sum meets a NaN term of another sign or payload
+@example(_float_example({(1, 0): F(1), (0, 1): F(-1)}, [math.nan, -math.nan]))
+@example(_float_example({(1, 0): F(1), (1, 1): F(-1)}, [PAYLOAD_NAN, math.inf]))
+@example(_float_example({(1, 0): F(-1), (0, 1): F(1)}, [math.inf, -math.inf]))
+# x1 ** 2 overflows after an exponent-1 factor, in a term and in a first term
+@example(_float_example({(0, 1): F(1), (2, 1): F(-1)}, [1e200, 2.0]))
+@example(_float_example({(2, 1): F(1)}, [-1e155, math.nan]))
 def test_float_evaluator_bitwise_matches_eval_float(case):
     variables, ps, point = case
-    want = float_outcome(lambda: [p.eval_float(point) for p in ps])
-    got = float_outcome(lambda: float_evaluator(ps, variables)(point))
+    want = float_outcome(lambda: [p.eval_float(point) for p in ps], point)
+    got = float_outcome(lambda: float_evaluator(ps, variables)(point), point)
     assert got == want
 
 

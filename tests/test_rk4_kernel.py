@@ -159,3 +159,23 @@ def test_eval_float_monitors_match_list_form():
     outcome = assert_same_run(field, [1.0, 0.5], 0.01, 50, [root, x1 * x2])
     assert outcome[0] != "diverged"
 
+
+
+def test_a_negated_product_at_zero_sums_to_positive_zero():
+    v = ("x1", "x2", "x3")
+    x1, x2, x3 = PolyExpr.gens(v)
+    zero = PolyExpr.zero(v)
+    # -x1*x3 is -0.0 at x1 = 0.0; its sum is +0.0, which moves x2 from -0.0
+    # to +0.0 (a -0.0 would leave it at -0.0)
+    field = PolyVectorField(v, [zero, -x1 * x3, zero])
+    times, states, _ = assert_same_run(field, [0.0, -0.0, 1.0], 0.1, 3, [-x1 * x3])
+    assert bits(states[0][1]) == bits(-0.0) and bits(states[1][1]) == bits(0.0)
+
+
+def test_overflow_inside_a_stage_reports_the_same_last_valid_time():
+    v = ("x1", "x2")
+    x1, x2 = PolyExpr.gens(v)
+    # x2 = 10^153 t; x2 ** 2 overflows once x2 passes 1.34e154: the stage
+    # point x2 + step/2 * 10^153 does so at t = 13, where x2 itself does not
+    field = PolyVectorField(v, [x2 ** 2 * F(1, 10 ** 10), PolyExpr.const(v, 10 ** 153)])
+    assert assert_same_run(field, [0.0, 0.0], 1.0, 30, [x1]) == ("diverged", 13.0)
