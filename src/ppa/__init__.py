@@ -7,7 +7,6 @@ from .exterior import pfaffian
 from .structures import (
     NambuStructure,
     PoissonStructure,
-    bracket_of,
     check_fundamental_identity,
     check_jacobi,
     generic_rank,

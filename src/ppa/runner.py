@@ -26,7 +26,7 @@ from typing import Callable, Optional
 from .duality import bdu_relation_sides, degree_sum_check, duality_check
 from .errors import ParityError, PpaError
 from .geometry import check_projective_extendability
-from .poly import PolyExpr, _frac_str
+from .poly import FIELD_BITS, PolyExpr, _frac_str, _new, _over_common_den
 from .structures import (
     PoissonStructure,
     check_fundamental_identity,
@@ -172,32 +172,48 @@ def _run_fi(spec, structure, count, seed):
     """The fundamental identity.  A binary bracket's is Jacobi's identity, a
     biderivation identity that holds for all polynomials once it holds on
     the coordinates, so ``jacobi`` decides it exactly.  An n-ary bracket's
-    is checked on the coordinate tuple plus ``count`` deterministic
-    pseudo-random low-degree argument tuples."""
+    is checked, as one Lie derivative per tuple (see
+    :func:`~ppa.structures.check_fundamental_identity`), on the tuples of
+    :func:`_fi_tuples`."""
     if isinstance(structure, PoissonStructure):
         return _run_jacobi(spec, structure, count, seed)
-    arity = structure.arity
-    gens = PolyExpr.gens(spec.vars)
-    n = len(gens)
-    tuples = [[gens[i % n] for i in range(2 * arity - 1)]]
-    rng = random.Random(1000003 * seed + 17)
-    coeffs = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
-    for _ in range(count):
-        args = []
-        for _ in range(2 * arity - 1):
-            p = PolyExpr.zero(spec.vars)
-            for _ in range(2):
-                mono = [0] * n
-                for _ in range(rng.randint(1, 2)):
-                    mono[rng.randrange(n)] += 1
-                p = p + PolyExpr(spec.vars, {tuple(mono): rng.choice(coeffs)})
-            args.append(p)
-        tuples.append(args)
-    for args in tuples:
+    for args in _fi_tuples(spec.vars, structure.arity, count, seed):
         resid = check_fundamental_identity(structure, args).residual
         if not resid.is_zero():
             return "fail", None, f"residual {resid.render()}", False
     return "pass", None, None, True
+
+
+def _fi_tuples(variables, arity: int, count: int, seed: int) -> list:
+    """The coordinate tuple plus ``count`` deterministic pseudo-random
+    tuples of 2 * arity - 1 arguments, each the sum of two monomials of
+    degree 1 or 2 with coefficients from {1, -1, 2, 1/2}.  An argument is
+    built as one packed dict, a sum that cancels dropping its key, so its
+    value and term order are those of adding the two monomials as
+    ``PolyExpr`` values."""
+    variables = tuple(variables)
+    gens = PolyExpr.gens(variables)
+    n = len(gens)
+    tuples = [[gens[i % n] for i in range(2 * arity - 1)]]
+    rng = random.Random(1000003 * seed + 17)
+    units = [1 << FIELD_BITS * (n - 1 - i) for i in range(n)]
+    coeffs = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
+    for _ in range(count):
+        args = []
+        for _ in range(2 * arity - 1):
+            terms = {}
+            for _ in range(2):
+                key = 0
+                for _ in range(rng.randint(1, 2)):
+                    key += units[rng.randrange(n)]
+                c = terms.get(key, 0) + rng.choice(coeffs)
+                if c:
+                    terms[key] = c
+                else:
+                    del terms[key]
+            args.append(_new(variables, *_over_common_den(terms), True))
+        tuples.append(args)
+    return tuples
 
 
 def _run_degree_sum(spec, structure, arg, seed):

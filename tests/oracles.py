@@ -11,6 +11,14 @@ computed from that chain (see the first section).
 contraction per coordinate tuple.  ``bracket_by_entries`` is the Poisson
 bracket as a chain of sums over the upper entries.
 
+``bracket_of`` is the Poisson bracket as Hamiltonian rows contracted with a
+gradient, as the package exported it until no command reached it.
+``fundamental_identity_by_cofactor_rows`` is the n-ary fundamental identity
+as cofactor contractions, one row per tail slot, as the library computed it
+before it read the residual off one Lie derivative; ``fi_tuples_by_sums``
+is ``fi``'s argument tuples as a chain of ``PolyExpr`` additions (see the last
+section).
+
 ``wedge_power`` is the m-th wedge power as a chain of full wedges, and
 ``duality_check_by_wedges`` is theorem31 computed from it and from the
 volume dual of the wedged Casimir differentials, as the library computed
@@ -24,11 +32,12 @@ pass and folded monomial terms (see its section).
 on an integer exponent lattice (see its section).
 
 ``pfaffian`` is the principal Pfaffian as a recursive chain of products
-and sums, as it was before it became one fused sum per expansion (see the
-section at the end).
+and sums, as it was before it became one fused sum per expansion (see its
+section).
 """
 
 import math
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,10 +52,10 @@ from ppa.errors import (ArityError, DegenerateCasimirError, DomainError,
                         ModelSyntaxError, ParityError, PolynomialGradeError)
 from ppa.exterior import MAX_DIM, indices_of, mask_of, merge_sign, require_max_dim
 from ppa.geometry import ChartComparison
-from ppa.poly import MAX_EXPONENT, MonomialMap, PolyExpr, _rational_pow
+from ppa.poly import MAX_EXPONENT, MonomialMap, PolyExpr, _rational_pow, _sum_of_products
 from ppa.runner import CHECKS, FI_MAX, _key, _projection
-from ppa.structures import (NambuStructure, PoissonStructure, _cofactor_row, _contract,
-                            _gradient, _stacked_minors, is_casimir)
+from ppa.structures import (NambuStructure, PoissonStructure, _cofactor_row, _gradient,
+                            _hamiltonian_row, _stack_row, _stacked_minors, is_casimir)
 
 
 # ---------------- the exterior-algebra chain ----------------
@@ -228,7 +237,7 @@ def nambu_is_casimir_by_cofactors(ns: NambuStructure, q: PolyExpr) -> bool:
     slot = ns.arity - 1
     for combo in combinations(range(ns.n), slot):
         minors = _stacked_minors([units[c] for c in combo], ns._casimir_minors)
-        if not _contract(_cofactor_row(ns, minors, slot), grad).is_zero():
+        if not contract(_cofactor_row(ns, minors, slot), grad).is_zero():
             return False
     return True
 
@@ -925,3 +934,73 @@ def pfaffian(matrix, subset: Sequence[int]) -> PolyExpr:
         return total
 
     return rec(subset)
+
+
+# ---------------- retired bracket paths ----------------
+
+def contract(row, grad) -> PolyExpr:
+    """sum_j row_j grad_j as one fused sum (zero-tested or differentiated)."""
+    return _sum_of_products(grad[0].vars, zip(row, grad))
+
+
+def bracket_of(ps: PoissonStructure, f: PolyExpr, g: PolyExpr) -> PolyExpr:
+    """{f, g} = sum_k {f, x_k} dg/dx_k, the Hamiltonian rows of f contracted
+    with the gradient of g as one fused sum."""
+    f = f.with_vars(ps.vars)
+    g = g.with_vars(ps.vars)
+    f.require_polynomial_grade("bracket argument")
+    g.require_polynomial_grade("bracket argument")
+    df = _gradient(f)
+    return contract([_hamiltonian_row(ps, df, k) for k in range(ps.n)], _gradient(g))
+
+
+def fundamental_identity_by_cofactor_rows(ns: NambuStructure,
+                                          args: Sequence[PolyExpr]) -> PolyExpr:
+    """The residual of ``check_fundamental_identity``, each bracket a
+    cofactor contraction sum_j W_j d_j g in the slot of g: the head's row
+    serves the r inner brackets and the right side, one row per tail slot
+    (from suffix tables of the tail minors) serves the outer brackets, and
+    the residual is one fused sum of products.  It reads the structure's
+    Casimir minors as given, so it holds for any table put there."""
+    r = ns.arity
+    grads = [_gradient(a.with_vars(ns.vars)) for a in args]
+    g_head, g_tail = grads[:r - 1], grads[r - 1:]
+    head = _cofactor_row(ns, _stacked_minors(g_head, ns._casimir_minors), r - 1)
+    # after[pos]: the minors of the tail gradients after slot pos stacked
+    # on the Casimir gradients, shared by the rows of the slots up to pos
+    after = [ns._casimir_minors]
+    for g in reversed(g_tail[1:]):
+        after.append(_stack_row(g, after[-1]))
+    after.reverse()
+    pairs = []
+    for pos, g in enumerate(g_tail):
+        row = _cofactor_row(ns, _stacked_minors(g_tail[:pos], after[pos]), pos)
+        # {f_r, ..., {f_1, ..., f_{r-1}, f_i}, ..., f_{2r-1}}
+        pairs += zip(row, _gradient(contract(head, g)))
+        if pos == 0:
+            tail_bracket = contract(row, g)
+    # minus {f_1, ..., f_{r-1}, {f_r, ..., f_{2r-1}}}
+    pairs += ((w, d, -1) for w, d in zip(head, _gradient(tail_bracket)))
+    return _sum_of_products(ns.vars, pairs)
+
+
+def fi_tuples_by_sums(variables, arity: int, count: int, seed: int) -> list:
+    """``runner._fi_tuples``: the coordinate tuple, then ``count`` seeded
+    tuples, each argument a chain of two ``PolyExpr`` additions."""
+    gens = PolyExpr.gens(variables)
+    n = len(gens)
+    tuples = [[gens[i % n] for i in range(2 * arity - 1)]]
+    rng = random.Random(1000003 * seed + 17)
+    coeffs = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
+    for _ in range(count):
+        args = []
+        for _ in range(2 * arity - 1):
+            p = PolyExpr.zero(variables)
+            for _ in range(2):
+                mono = [0] * n
+                for _ in range(rng.randint(1, 2)):
+                    mono[rng.randrange(n)] += 1
+                p = p + PolyExpr(variables, {tuple(mono): rng.choice(coeffs)})
+            args.append(p)
+        tuples.append(args)
+    return tuples

@@ -1,9 +1,9 @@
 """The fused zero tests and the exact rank against their definitions.
 
 ``is_casimir`` and ``is_quasi_casimir`` test the Hamiltonian rows
-{Q, x_k} = sum_i p_ik dQ/dx_i, ``bracket_of`` contracts those rows with a
-gradient, ``_jacobiator`` and ``pfaffian`` sum their products in one fused
-kernel, and ``generic_rank`` eliminates by Pfaffians over Q[x].  Each is
+{Q, x_k} = sum_i p_ik dQ/dx_i, ``oracles.bracket_of`` contracts those rows
+with a gradient, ``_jacobiator`` and ``pfaffian`` sum their products in one
+fused kernel, and ``generic_rank`` eliminates by Pfaffians over Q[x].  Each is
 compared here with what it replaces or defines it: ``oracles.bracket_by_entries``,
 a ``_sum`` chain of products, the recursive ``oracles.pfaffian``, sympy's
 rank over Q(x) and a ``Fraction`` elimination at rational points.
@@ -29,8 +29,8 @@ from ppa.dynamics import hamiltonian_vector_field
 from ppa.errors import PolynomialGradeError
 from ppa.exterior import pfaffian
 from ppa.poly import PolyExpr, _bareiss, exact_divisibility
-from ppa.structures import (PoissonStructure, bracket_of, generic_rank, is_casimir,
-                            is_quasi_casimir, jacobi_witnesses, plucker_rank2_test)
+from ppa.structures import (PoissonStructure, generic_rank, is_casimir, is_quasi_casimir,
+                            jacobi_witnesses, plucker_rank2_test)
 
 VARS = tuple(f"x{i + 1}" for i in range(8))
 
@@ -143,7 +143,7 @@ def test_hamiltonian_rows_are_the_brackets(case):
 def test_bracket_is_the_entry_chain(case, data):
     ps, f = case
     g = data.draw(polys(ps.n))
-    assert bracket_of(ps, f, g) == oracles.bracket_by_entries(ps, f, g)
+    assert oracles.bracket_of(ps, f, g) == oracles.bracket_by_entries(ps, f, g)
 
 
 @settings(max_examples=80, deadline=None)

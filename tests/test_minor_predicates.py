@@ -12,26 +12,32 @@ on the Casimir minors, is compared with those brackets and with
 ``oracles.nambu_is_casimir_by_cofactors``, one cofactor contraction per
 coordinate tuple.  theorem31 reads m! Pf(pi_S) against the Casimir minors;
 every field of its report is compared with ``oracles.duality_check_by_wedges``,
-which computes the wedge side by ``wedge_power`` chains.
+which computes the wedge side by ``wedge_power`` chains.  The fundamental
+identity, one Lie derivative per tuple, is compared with the wedge brackets
+and, on structures whose Casimir minors are replaced by an arbitrary table
+(so that the residual is in general not zero), with
+``oracles.fundamental_identity_by_cofactor_rows``; ``fi``'s argument tuples
+are compared with ``oracles.fi_tuples_by_sums``.
 """
 
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
-from oracles import (differential, duality_check_by_wedges,
+from oracles import (contract, differential, duality_check_by_wedges,
+                     fi_tuples_by_sums, fundamental_identity_by_cofactor_rows,
                      jacobian_structure_by_wedges, nambu_bracket_by_wedges,
                      nambu_is_casimir_by_cofactors, wedge_all)
-from ppa import catalog, dsl
+from ppa import catalog, dsl, runner
 from ppa.duality import duality_check
 from ppa.geometry import transport_bracket
 from ppa.errors import DomainError
-from ppa.exterior import MAX_DIM, merge_sign
+from ppa.exterior import MAX_DIM, mask_of, merge_sign
 from ppa.poly import MonomialMap, PolyExpr
 from ppa.structures import (NambuStructure, PoissonStructure, _cofactor_row,
-                            _contract, _gradient, _stacked_minors, casimir_minors,
+                            _gradient, _stacked_minors, casimir_minors,
                             check_fundamental_identity, is_casimir,
                             jacobian_structure, nambu_bracket)
 
@@ -143,7 +149,7 @@ def test_cofactor_contraction_equals_wedge_bracket_in_every_slot(ns, data):
     for k in range(ns.arity):
         minors = _stacked_minors(grads[:k] + grads[k + 1:], ns._casimir_minors)
         row = _cofactor_row(ns, minors, k)
-        assert _contract(row, grads[k]) == expected, k
+        assert contract(row, grads[k]) == expected, k
 
 
 @SETTINGS
@@ -237,6 +243,75 @@ def test_fundamental_identity_on_the_nambu_catalog_entries():
                     for i in range(2 * ns.arity - 1)]
             assert check_fundamental_identity(ns, args).holds
             assert fi_by_wedges(ns, args).is_zero()
+
+
+@st.composite
+def injected_tables(draw):
+    """(structure, arguments): n = 3..6 and arity r = 2..4, an arbitrary
+    table of (n - r)-minors put in place of the Casimir minors, and 2r - 1
+    cubic arguments.  The bracket's r-vector is then in general not
+    Nambu-Poisson, so the residual is in general not zero."""
+    n = draw(st.integers(3, 6))
+    r = draw(st.integers(2, min(4, n)))
+    v = VARS[:n]
+    masks = [mask_of(c) for c in combinations(range(n), n - r)]
+    minors = st.one_of(polys(v, 2), st.fractions(-3, 3, max_denominator=2).filter(bool)
+                       .map(lambda c: PolyExpr.const(v, c)))
+    mult = draw(st.one_of(st.fractions(-2, 2, max_denominator=3).filter(bool),
+                          polys(v, 2, 1)))
+    ns = NambuStructure(v, PolyExpr.gens(v)[:n - r], mult)
+    ns._casimir_minors = draw(st.dictionaries(st.sampled_from(masks), minors,
+                                              max_size=len(masks)))
+    args = draw(st.lists(polys(v, 2, 3), min_size=2 * r - 1, max_size=2 * r - 1))
+    return ns, args
+
+
+# no shrink phase: a failing draw is reported as drawn, in seconds, where
+# shrinking through the cofactor-row reference took minutes
+@settings(max_examples=80, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(injected_tables())
+def test_fundamental_identity_residual_on_an_arbitrary_table(case):
+    ns, args = case
+    rep = check_fundamental_identity(ns, args)
+    assert rep.residual == fundamental_identity_by_cofactor_rows(ns, args)
+    assert rep.holds == rep.residual.is_zero()
+
+
+def test_fundamental_identity_fails_off_the_nambu_poisson_brackets():
+    """The minor table x2 dx1 + dx3 with w ^ dw = -dx1 ^ dx2 ^ dx3 != 0,
+    and a 3-vector from an arbitrary 1-minor table in four variables: both
+    residuals are nonzero and match the cofactor-row formula."""
+    v = VARS[:3]
+    x1, x2, x3 = PolyExpr.gens(v)
+    ns = NambuStructure(v, [x1])
+    ns._casimir_minors = {0b001: x2, 0b100: PolyExpr.const(v, 1)}
+    args = [x1 * x3, x2 + x3 * x3, x1 * x2]
+    rep = check_fundamental_identity(ns, args)
+    assert not rep.holds
+    assert rep.residual == fundamental_identity_by_cofactor_rows(ns, args)
+    v = VARS[:4]
+    x1, x2, x3, x4 = PolyExpr.gens(v)
+    ns = NambuStructure(v, [x1], x4 + 2)
+    ns._casimir_minors = {0b0001: x2 * x3, 0b0100: x1 - x4, 0b1000: x3}
+    args = [x1 * x2, x3 * x4, x1 + x2 * x4, x3 * x3, x2 * x4]
+    rep = check_fundamental_identity(ns, args)
+    assert not rep.holds
+    assert rep.residual == fundamental_identity_by_cofactor_rows(ns, args)
+
+
+@pytest.mark.parametrize("arity", range(2, 9))
+def test_fi_tuples_are_the_addition_chain(arity):
+    """``_run_fi``'s one-pass tuples against the chain of ``PolyExpr``
+    additions they replace: the same values, term order and grade."""
+    for n in sorted({arity, MAX_DIM}):
+        for seed in range(51):
+            got = runner._fi_tuples(VARS[:n], arity, 4, seed)
+            want = fi_tuples_by_sums(VARS[:n], arity, 4, seed)
+            assert len(got) == len(want) == 5
+            for args, ref in zip(got, want):
+                assert [(p.vars, p._den, p._grade, list(p._num.items())) for p in args] \
+                    == [(p.vars, p._den, p._grade, list(p._num.items())) for p in ref]
 
 
 # ---------------- theorem31 ----------------

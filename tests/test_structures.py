@@ -8,10 +8,11 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from oracles import bracket_of
 from ppa import catalog
 from ppa.errors import ArityError, DomainError
 from ppa.poly import PolyExpr
-from ppa.structures import (NambuStructure, PoissonStructure, bracket_of,
+from ppa.structures import (NambuStructure, PoissonStructure,
                             check_fundamental_identity, check_jacobi,
                             generic_rank, is_casimir, is_quasi_casimir,
                             jacobian_structure, nambu_bracket,
