@@ -8,19 +8,23 @@ canonical term order, so emit -> parse -> emit is byte-stable.
 
 The scanner is one pass of one regular expression that skips whitespace and
 comments; a token is a plain ``(kind, text, offset)`` tuple, and a line and
-column are computed from the offset only when an error is raised.  A term
-whose factors are all monomial (a rational literal or a name bound to one
-packed term, each with optional signs and a nonnegative integer power) is
-folded as it is read into one packed key over one numerator and one
-denominator; any other term multiplies ``PolyExpr`` factors.  An expression
-adds all its terms in one pass over one common denominator
-(``poly._sum``).  Values, term order and errors are those of building and
-adding one ``PolyExpr`` per factor, left to right.
+column are computed from the offset only when an error is raised.  A whole
+monomial term is one token: rational literals and names, each with an
+optional ``^INT``, joined by ``*`` (spaces and line breaks may stand around
+the operators).  An expression folds each such term straight from its text
+into one packed key, numerator and denominator, and adds the folded terms
+into one packed dict over one common denominator, in ``poly._sum``'s order.
+A term with a factor that is not monomial, one that any check would refuse,
+or one that goes on past its token (``2*(x1 + 1)``, ``2*x1^(1/2)``) is cut
+into the tokens it is made of and read a factor at a time, one ``PolyExpr``
+per factor; so is a term token anywhere else in the grammar.  Values, term
+order and errors are those of building and adding one ``PolyExpr`` per
+factor, left to right.
 
 Hostile input stays bounded: a numeric literal is at most
 ``MAX_LITERAL_CHARS`` characters, parentheses nest at most ``MAX_NESTING``
 deep, and a power's exponent, as a reduced fraction, has numerator and
-denominator at most ``poly.MAX_EXPONENT``.
+denominator at most ``poly.MAX_EXPONENT``.  The scan is linear in the text.
 """
 
 from __future__ import annotations
@@ -29,33 +33,53 @@ import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import isqrt, lcm
 from operator import mul
 from typing import Optional
 
+from . import poly
 from .errors import ArityError, DomainError, ModelSyntaxError
-from .poly import (_LAYOUTS, MAX_EXPONENT, MonomialMap, PolyExpr, _over_limit,
-                   _rational_pow, _reduced, _require_power_bits, _require_work, _sum)
+from .poly import (_BLOCK_BITS, _LAYOUTS, MAX_EXPONENT, MAX_POWER_BITS, MonomialMap,
+                   PolyExpr, _rational_pow, _reduced, _sum)
 from .runner import CHECKS, FI_MAX, _key, _literal_text, _projection
 from .structures import NambuStructure, PoissonStructure, jacobian_structure
+
+# The pieces of a monomial term.  Each ends where a scan without terms would
+# end its token: a name before no name character, a literal before no digit
+# and before nothing that would make it a float, an exponent before no '/'
+# either.  So a term token is cut into exactly those tokens, and no
+# quantifier can give back characters, which keeps the scan linear.
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_NUMBER = r"\d+(?:/\d+)?"
+_FLOAT_TAIL = r"\.|[eE][+-]?\d"
+_ATOM = (rf"(?:{_NAME}(?![A-Za-z_0-9])"
+         rf"|\d+(?!\d|{_FLOAT_TAIL})(?:/\d+(?!\d))?)")
+_POWER = rf"[ \t\r\n]*\^[ \t\r\n]*\d+(?![\d/]|{_FLOAT_TAIL})"
+_TERM = rf"{_ATOM}(?:{_POWER})?(?:[ \t\r\n]*\*[ \t\r\n]*{_ATOM}(?:{_POWER})?)*"
 
 # Whitespace and comments are skipped in front of every token.  Each
 # position ends in exactly one group: a token, the end of the text, or an
 # unexpected character, which takes the rest of the text with it (so it is
-# the last token) and is refused by ``tokenize``.  The token groups start
-# with distinct characters, except that a float is tried before an integer.
-_TOKEN_RE = re.compile(r"""
-    (?:[ \t\r\n]+|\#[^\n]*)*
-    (?:(?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-      |(?P<punct>[;,{}()=^*+\-])
+# the last token) and is refused by ``tokenize``.  A term is tried first,
+# where a '*' or a '^' follows the first name or number (it may then end
+# there, when no factor or power follows), and a float before an integer.
+_TOKEN_RE = re.compile(rf"""
+    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    (?:(?P<term>(?=[A-Za-z_0-9/]+[ \t\r\n]*[*^]){_TERM})
+      |(?P<ident>{_NAME})
+      |(?P<punct>[;,{{}}()=^*+\-])
       |(?P<float>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
-      |(?P<number>\d+(?:/\d+)?)
+      |(?P<number>{_NUMBER})
       |(?P<eof>\Z)
       |(?P<bad>.)(?s:.*))
 """, re.VERBOSE)
+_PIECE_RE = re.compile(rf"[ \t\r\n]*(?:(?P<ident>{_NAME})|(?P<number>{_NUMBER})|(?P<punct>[*^]))")
 
 # Python refuses int strings past 4300 digits; below that, parsing stays fast.
 MAX_LITERAL_CHARS = 4000
+# a term token holds a literal past MAX_LITERAL_CHARS only where it holds
+# a run this long of digits and slashes
+_LONG_RUN = re.compile(rf"(?<![\d/])[\d/]{{{MAX_LITERAL_CHARS + 1}}}")
 # Each level of parentheses takes five parser frames, far below Python's
 # recursion limit at this depth.
 MAX_NESTING = 50
@@ -67,75 +91,95 @@ def _position(text: str, offset: int) -> tuple[int, int]:
 
 
 def tokenize(text: str) -> list[tuple]:
-    """``(kind, text, offset)`` tuples, kind one of float, number, ident,
-    punct and eof; the list ends in one eof token."""
+    """``(kind, text, offset)`` tuples, kind one of term, float, number,
+    ident, punct and eof; the list ends in one eof token."""
     tokens = [(k := m.lastgroup, m[k], m.start(k)) for m in _TOKEN_RE.finditer(text)]
     if len(tokens) > 1 and tokens[-2][0] == "eof":
         tokens.pop()        # the end after trailing whitespace matches twice
     if len(text) > MAX_LITERAL_CHARS:
-        for kind, chunk, offset in tokens:
-            if kind in ("number", "float") and len(chunk) > MAX_LITERAL_CHARS:
-                raise ModelSyntaxError(
-                    f"numeric literal longer than {MAX_LITERAL_CHARS} characters",
-                    *_position(text, offset), chunk)
+        for t in tokens:
+            long_term = t[0] == "term" and _LONG_RUN.search(t[1])
+            for kind, chunk, offset in _pieces(t) if long_term else (t,):
+                if kind in ("number", "float") and len(chunk) > MAX_LITERAL_CHARS:
+                    raise ModelSyntaxError(
+                        f"numeric literal longer than {MAX_LITERAL_CHARS} characters",
+                        *_position(text, offset), chunk)
     if len(tokens) > 1 and tokens[-2][0] == "bad":
         raise ModelSyntaxError("unexpected character",
                                *_position(text, tokens[-2][2]), tokens[-2][1])
     return tokens
 
 
+def _pieces(term: tuple) -> list[tuple]:
+    """The name, number and punct tokens that the term token ``term`` is
+    made of."""
+    _, text, base = term
+    return [(k := m.lastgroup, m[k], base + m.start(k)) for m in _PIECE_RE.finditer(text)]
+
+
 class _Stream:
-    """The tokens of ``text`` and a cursor over them.  ``accept`` and
-    ``expect`` compare texts only: every text they are asked for is punctuation
-    or a name, which no number and no eof token can spell."""
+    """The tokens of ``text`` as a stack, the next token last, over the eof
+    token, which is never popped.  A method that does not find what it asks
+    for in a term token on top cuts the term into its pieces and looks
+    again, so only ``parse_poly_expr`` sees whole terms.  ``accept`` and
+    ``expect`` compare texts only: every text they are asked for is
+    punctuation or a name, which no number, no term and no eof token can
+    spell."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokenize(text)
-        self.i = 0
+        self.toks = tokenize(text)[::-1]
         self.depth = 0          # open parentheses in the current expression
+        self.folds = {}         # variables -> {factor text: _factor entry}
+
+    def cut(self) -> tuple:
+        """The first piece of the term token on top, now on top itself."""
+        toks = self.toks
+        toks += reversed(_pieces(toks.pop()))
+        return toks[-1]
 
     def peek(self) -> tuple:
-        return self.tokens[self.i]
+        t = self.toks[-1]
+        return self.cut() if t[0] == "term" else t
 
     def next(self) -> tuple:
-        t = self.tokens[self.i]
+        t = self.peek()
         if t[0] != "eof":
-            self.i += 1
+            self.toks.pop()
         return t
 
     def accept(self, text: str) -> Optional[tuple]:
-        t = self.tokens[self.i]
-        if t[1] == text:
-            self.i += 1
-            return t
+        t = self.toks[-1]
+        if t[1] == text or t[0] == "term" and self.cut()[1] == text:
+            return self.toks.pop()
         return None
 
     def expect(self, text: str) -> tuple:
-        t = self.tokens[self.i]
-        if t[1] == text:
-            self.i += 1
-            return t
+        t = self.toks[-1]
+        if t[1] == text or t[0] == "term" and self.cut()[1] == text:
+            return self.toks.pop()
+        t = self.toks[-1]
         raise self.error_at(t, f"expected {text!r}", t[1])
 
     def expect_kind(self, kind: str) -> tuple:
-        t = self.tokens[self.i]
-        if t[0] != kind:
-            raise self.error_at(t, f"expected {kind}", t[1])
-        return self.next()
+        t = self.toks[-1]
+        if t[0] == kind or t[0] == "term" and self.cut()[0] == kind:
+            return self.toks.pop()
+        t = self.toks[-1]
+        raise self.error_at(t, f"expected {kind}", t[1])
 
     def error_at(self, t: tuple, msg: str, token=None) -> ModelSyntaxError:
         return ModelSyntaxError(msg, *_position(self.text, t[2]), token)
 
     def error(self, msg: str):
-        t = self.tokens[self.i]
+        t = self.peek()
         raise self.error_at(t, msg, t[1])
 
     def number(self, integer: bool = False) -> Fraction:
         """The next token as an exact rational (an integer if asked)."""
         t = self.expect_kind("number")
         try:
-            v = Fraction(t[1])
+            v = _rational(t[1])
         except ZeroDivisionError:
             raise self.error_at(t, "zero denominator", t[1]) from None
         except ValueError:      # PYTHONINTMAXSTRDIGITS set below MAX_LITERAL_CHARS
@@ -154,29 +198,59 @@ class _Stream:
 # ---------------- polynomial expressions ----------------
 
 def parse_poly_expr(stream: _Stream, env: dict, variables) -> PolyExpr:
-    """expr := term (('+'|'-') term)*, added in one pass.  Only a step
-    that adds a Laurent/Puiseux term, or a term over another variable set,
-    can raise; such a step is taken as soon as its term is read, as it was
-    when the terms were added one at a time."""
-    items = [(_parse_term(stream, env, variables), 1)]
-    tokens = stream.tokens
+    """expr := term (('+'|'-') term)*, added in one pass.  While every term
+    is packed and over ``variables``, its terms go in order, sign included,
+    into one list of (key, numerator, denominator), a folded term as one
+    entry, and ``_packed_sum`` adds them.  A Laurent/Puiseux term, or one
+    over another variable set, turns the sum into ``PolyExpr`` values: then
+    only a step that adds such a term, or a term to a first term over
+    another variable set, can raise, and it is taken as soon as its term
+    is read, as it was when the terms were added one at a time."""
+    toks = stream.toks
+    folds = stream.folds.get(variables)
+    if folds is None:
+        folds = stream.folds[variables] = {}
+    limits = _LAYOUTS[len(variables)][1], _BLOCK_BITS * isqrt(poly.MAX_WORK)
+    packed = []
+    items = None            # the (value, sign) terms once one is not packed
+    sign = 1
+    one = True              # the term read is the first
     while True:
-        op = tokens[stream.i][1]
+        folded = _fold_term(toks, env, variables, folds, limits)
+        if folded is not None and items is None:
+            packed.append(folded if sign > 0 else (folded[0], -folded[1], folded[2]))
+        else:
+            value = (_parse_term(stream, env, variables) if folded is None
+                     else _monomial(variables, folded))
+            if items is None and value._grade and value.vars == variables:
+                den = value._den
+                packed += [(m, c if sign > 0 else -c, den) for m, c in value._num.items()]
+            else:
+                if items is None:
+                    items = [] if one else [(_packed_sum(variables, packed), 1)]
+                items.append((value, sign))
+                if len(items) > 1 and (not value._grade or value.vars != variables
+                                       or items[0][0].vars != variables):
+                    items = [(_added(variables, items), 1)]
+        op = toks[-1][1]
         if op == "+":
             sign = 1
         elif op == "-":
             sign = -1
-        else:
+        elif items is not None:
             return _added(variables, items)
-        stream.i += 1
-        p = _parse_term(stream, env, variables)
-        items.append((p, sign))
-        if not p._grade or p.vars != variables or items[0][0].vars != variables:
-            items = [(_added(variables, items), 1)]
+        elif not one:
+            return _packed_sum(variables, packed)
+        elif folded is None:
+            return value        # the one term, read as a PolyExpr
+        else:
+            return _monomial(variables, packed[0])
+        toks.pop()
+        one = False
 
 
 def _added(variables, items) -> PolyExpr:
-    """The sum of the (term, sign) ``items``, the first sign +1: one
+    """The sum of the (PolyExpr, sign) ``items``, the first sign +1: one
     ``poly._sum`` over ``variables``, or, when a term is over another
     variable set, one ``+`` or ``-`` at a time, so constants adapt to the
     other side as those operators adapt them."""
@@ -190,110 +264,139 @@ def _added(variables, items) -> PolyExpr:
     return acc
 
 
+def _monomial(variables, folded) -> PolyExpr:
+    key, num, den = folded
+    return _reduced(variables, {key: num}, den, True) if num else PolyExpr.zero(variables)
+
+
+def _packed_sum(variables, packed) -> PolyExpr:
+    """The sum of the (key, numerator, denominator) terms ``packed``, as
+    ``poly._sum`` adds the values they come from: over the least common
+    denominator of the nonzero ones, each added in order to one dict, a sum
+    that cancels removing its key; then reduced."""
+    den = 1
+    for _, c, d in packed:
+        if d != den and c:
+            den = lcm(den, d)
+    terms = {}
+    get = terms.get
+    for m, c, d in packed:
+        if c:
+            t = get(m, 0) + (c if d == den else c * (den // d))
+            if t:
+                terms[m] = t
+            else:
+                del terms[m]
+    return _reduced(variables, terms, den, True)
+
+
+_FOLDABLE = frozenset(("term", "ident", "number"))
+_DIGITS = frozenset("0123456789")
+
+
+def _fold_term(toks, env, variables, folds, limits):
+    """The term on top of the stack ``toks`` as (key, numerator,
+    denominator), its unary signs and its token popped, when it is one
+    term, name or number token that ends the term and every factor folds;
+    else None, with nothing popped.  A factor folds when ``_factor`` (its
+    entry held in ``folds``) takes it, and the product is refused where
+    ``PolyExpr`` arithmetic would refuse it: an exponent past MAX_EXPONENT,
+    tested after each factor so that no field carries into the next, or
+    operands that may cost more than MAX_WORK.  ``limits`` is the fields'
+    guard bits and the most bits such an operand may have.  As in a product
+    of ``PolyExpr`` factors, a zero factor ends the tests of the products
+    after it."""
+    t = toks[-1]
+    j = -1
+    neg = False
+    while t[1] == "-" or t[1] == "+":
+        neg ^= t[1] == "-"
+        j -= 1
+        t = toks[j]
+    if t[0] not in _FOLDABLE or toks[j - 1][1] in ("*", "^"):
+        return None
+    guard, free = limits
+    key, num, den = 0, 1, 1
+    for factor in t[1].split("*"):
+        e = folds.get(factor)
+        if e is None or e[0] is not None and env.get(e[0]) is not e[1]:
+            e = folds[factor] = _factor(factor, env, variables)
+        k = e[2]
+        if k is None:
+            return None
+        if num:
+            c = e[3]
+            if not c:
+                # a product with zero is not charged; those before it are
+                # no bigger than the product so far
+                if num.bit_length() > free or den.bit_length() > free:
+                    return None
+                num = 0
+                continue
+            num *= c
+            den *= e[4]
+            key += k
+            if key & guard:
+                return None
+    # every factor and every partial product is at most as big as the
+    # whole product, so this one test bounds each product's work
+    if num.bit_length() > free or den.bit_length() > free:
+        return None
+    del toks[j:]
+    return key, -num if neg else num, den
+
+
+def _factor(text, env, variables):
+    """(name, value, key, numerator, denominator) of the factor ``text``, a
+    literal or a name bound to a one-term packed value over ``variables``,
+    with an optional nonnegative integer power; key None when the factor is
+    another value or would be refused (a bad literal, an unknown name, a
+    power that ``PolyExpr.__pow__`` refuses).  A literal's name and value
+    are None; a name's entry holds while the name is bound to its value."""
+    atom, _, power = text.partition("^")
+    atom = atom.strip()
+    name = p = None
+    if atom[0] in _DIGITS:
+        try:
+            v = _rational(atom)
+        except (ValueError, ZeroDivisionError):
+            return None, None, None, 0, 1
+        k, c, d = 0, v.numerator, v.denominator
+    else:
+        name, p = atom, env.get(atom)
+        if p is None or not p._grade or p.vars != variables or len(p._num) > 1:
+            return name, p, None, 0, 1
+        (k, c), = p._num.items() or ((0, 0),)
+        d = p._den
+    if power:
+        try:
+            n = int(power)
+        except ValueError:      # PYTHONINTMAXSTRDIGITS set below MAX_LITERAL_CHARS
+            return name, p, None, 0, 1
+        # the exponent, the top exponent and the coefficient size of the
+        # power, as PolyExpr.__pow__ bounds them
+        nv = len(variables)
+        if n > MAX_EXPONENT or n > 1 and (
+                k and n * max(_LAYOUTS[nv][0].unpack(k.to_bytes(2 * nv, "big"))) > MAX_EXPONENT
+                or (max(c.bit_length(), d.bit_length()) - 1) * n > MAX_POWER_BITS):
+            return name, p, None, 0, 1
+        k, c, d = k * n, c ** n, d ** n
+    return name, p, k, c, d
+
+
+def _rational(text) -> Fraction:
+    """The number token ``text``, INT or INT/INT, as a Fraction: ValueError
+    when Python refuses a part as too long, ZeroDivisionError for INT/0."""
+    a, _, b = text.partition("/")
+    return Fraction(int(a), int(b or 1))
+
+
 def _parse_term(stream, env, variables):
-    """term := factor ('*' factor)*"""
-    start = stream.i
-    folded = _fold_monomials(stream, env, variables)
-    if folded is not None:
-        return folded
-    stream.i = start
+    """term := factor ('*' factor)*, one ``PolyExpr`` per factor."""
     factors = [_parse_unary(stream, env, variables)]
     while stream.accept("*"):
         factors.append(_parse_unary(stream, env, variables))
     return reduce(mul, factors)
-
-
-def _fold_monomials(stream, env, variables):
-    """The term at the cursor when every factor is monomial, read into one
-    packed key, numerator and denominator; None when a factor is not (the
-    cursor is then left inside the term).  A factor is a rational literal or a name bound
-    to one packed term over ``variables``, with optional signs and a
-    nonnegative integer power.  As in a product of ``PolyExpr`` factors,
-    each coefficient product is held to the work budget, a zero factor ends
-    that budget and the exponent tests, and the field top bits are tested
-    after each factor, so no exponent past MAX_EXPONENT carries into the
-    next field; that error is raised once the term is read."""
-    tokens = stream.tokens
-    i = stream.i
-    key, num, den = 0, 1, 1
-    guard = _LAYOUTS[len(variables)][1]
-    overflow = False
-    while True:
-        kind, text, _ = tokens[i]
-        while text == "-" or text == "+":
-            if text == "-":
-                num = -num
-            i += 1
-            kind, text, _ = tokens[i]
-        if kind == "number":
-            stream.i = i
-            k = 0
-            c, d = _literal(stream, text)
-        elif kind == "ident":
-            p = env.get(text)
-            if p is None:
-                raise stream.error_at(tokens[i], "unknown identifier", text)
-            if len(p._num) != 1 or not p._grade or p.vars != variables:
-                return None
-            (k, c), = p._num.items()
-            d = p._den
-        elif text == "(":
-            return None
-        else:
-            stream.i = i
-            stream.error("expected a polynomial atom")
-        i += 1
-        if tokens[i][1] == "^":
-            i += 1
-            stream.i = i
-            if tokens[i][0] == "number":        # a bare INT or INT/INT
-                n, e = _literal(stream, tokens[i][1])
-                i += 1
-            else:
-                n, e = _parse_exponent(stream).as_integer_ratio()
-                i = stream.i
-            if e != 1 or n < 0:
-                return None
-            # the checks and the value of PolyExpr.__pow__ on one term
-            if n > MAX_EXPONENT:
-                raise _over_limit(f"power {n}")
-            if n > 1 and k:
-                top = max(_LAYOUTS[len(variables)][0].unpack(
-                    k.to_bytes(2 * len(variables), "big")))
-                if n * top > MAX_EXPONENT:
-                    raise _over_limit(f"exponent {n * top} of the power")
-            if n > 1:
-                _require_power_bits(c, d, n)
-            k, c, d = k * n, c ** n, d ** n
-        if num and not overflow:
-            _require_work(1, max(abs(num), den).bit_length(), 1, max(abs(c), d).bit_length())
-            num *= c
-            den *= d
-            key += k
-            overflow = bool(num and key & guard)
-        if tokens[i][1] != "*":
-            break
-        i += 1
-    stream.i = i
-    if overflow:
-        raise _over_limit("an exponent of the product")
-    if not num:
-        return PolyExpr.zero(variables)
-    return _reduced(variables, {key: num}, den, True)
-
-
-def _literal(stream, text):
-    """(numerator, denominator) of the number token ``text`` at the cursor,
-    reduced; a refused literal raises ``_Stream.number``'s error."""
-    a, _, b = text.partition("/")
-    try:
-        a, b = int(a), int(b or 1)
-    except ValueError:
-        stream.number()
-    if not b:
-        stream.number()
-    g = gcd(a, b)
-    return a // g, b // g
 
 
 def _parse_unary(stream, env, variables):

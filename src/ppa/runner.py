@@ -21,6 +21,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
 from .duality import bdu_relation_sides, degree_sum_check, duality_check
@@ -61,6 +62,15 @@ class CheckResult:
         return obj
 
 
+def _json_scalar(v) -> str:
+    """``json.dumps(v)`` for a string, an int or any other scalar."""
+    if type(v) is str:
+        return encode_basestring_ascii(v)
+    if type(v) is int:
+        return int.__repr__(v)
+    return json.dumps(v)
+
+
 @dataclass
 class CheckReport:
     model: str
@@ -72,9 +82,16 @@ class CheckReport:
         return any(r.status == "fail" for r in self.results)
 
     def to_json(self) -> str:
-        obj = {"model": self.model, "seed": self.seed,
-               "checks": [r.as_json_obj() for r in self.results]}
-        return json.dumps(obj, indent=2) + "\n"
+        """``json.dumps(obj, indent=2) + "\\n"`` of the report's fixed schema,
+        written directly: ``indent`` would send ``json.dumps`` through its
+        pure-Python encoder."""
+        checks = ",\n".join(
+            "    {\n" + ",\n".join(f'      "{k}": {_json_scalar(v)}'
+                                   for k, v in r.as_json_obj().items()) + "\n    }"
+            for r in self.results)
+        checks = f"[\n{checks}\n  ]" if checks else "[]"
+        return (f'{{\n  "model": {_json_scalar(self.model)},\n'
+                f'  "seed": {_json_scalar(self.seed)},\n  "checks": {checks}\n}}\n')
 
     def format_text(self) -> str:
         lines = []

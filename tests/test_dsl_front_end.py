@@ -8,6 +8,7 @@ order over the same denominator, or the same exception: type, message,
 line, column and token.
 """
 
+import time
 from fractions import Fraction as F
 from functools import reduce
 
@@ -32,6 +33,13 @@ OVER = ["32768", "40000"]
 LITERALS = ["0", "1", "2", "10", "3/4", "6/4", "0/5", "4", "9/4", "12345678901234567890"]
 INTEGRAL = ["-1", "-2", "(-3)", "(-4/2)"]
 FRACTIONAL = INTEGRAL + ["(1/2)", "(-1/2)", "(3/2)", "(2/4)"]
+# literals of exactly MAX_LITERAL_CHARS characters and one more, and a float
+L7 = "7" * dsl.MAX_LITERAL_CHARS
+LONG = [L7, L7 + "7", "1/" + L7[2:], "1/" + L7[1:], "2.5"]
+# what may stand around '*' and '^' inside a term: spaces, line breaks,
+# CRLF, and comments
+TIMES = ["*", "*", " * ", " *", "* ", "\t*\r\n", " # c\r\n* ", "\n*\n"]
+CARET = ["^", "^", "^", " ^ ", "^ ", " ^", "\r\n^\t", " # c\n^"]
 
 
 def canonical(value):
@@ -76,7 +84,8 @@ def expressions(draw, names, depth=0):
         if k:
             parts.append(draw(st.sampled_from([" + ", " - ", "+", "-"])))
         factors = [draw(factors_of(names, depth)) for _ in range(draw(st.integers(1, 4)))]
-        parts.append(draw(st.sampled_from(["*", " * "])).join(factors))
+        parts.append(factors[0] + "".join(draw(st.sampled_from(TIMES)) + f
+                                          for f in factors[1:]))
     return "".join(parts)
 
 
@@ -88,7 +97,7 @@ def factors_of(draw, names, depth, parens=True):
     kind = draw(st.sampled_from(["literal", "var", "var", "var", "name", "paren"]))
     big = []
     if kind == "literal":
-        atom = draw(st.sampled_from(LITERALS))
+        atom = draw(st.sampled_from(LONG if draw(st.integers(0, 19)) == 0 else LITERALS))
         big = BIG if atom in ("0", "1", "2") else []
     elif kind == "var" and variables:
         atom = draw(st.sampled_from(variables))
@@ -102,6 +111,9 @@ def factors_of(draw, names, depth, parens=True):
     r = draw(st.integers(0, 99))
     if r < 50:
         return signs + atom
+    caret = draw(st.sampled_from(CARET))
+    if r < 53:                      # a power of a power: x^2^3
+        return f"{signs}{atom}{caret}{draw(st.sampled_from(['0', '2', '3']))}^2"
     if r < 80 or (r < 97 and not big and kind != "literal"):
         power = draw(st.sampled_from(["0", "1", "2", "3", "(2)", "(4/2)", "-0"]))
     elif r < 92:
@@ -112,17 +124,24 @@ def factors_of(draw, names, depth, parens=True):
         power = draw(st.sampled_from(FRACTIONAL))
     else:
         power = draw(st.sampled_from(OVER))
-    return f"{signs}{atom}^{power}"
+    return f"{signs}{atom}{caret}{power}"
 
 
 @st.composite
 def models(draw):
     variables = [f"x{i + 1}" for i in range(draw(st.integers(1, 4)))]
+    if draw(st.integers(0, 4)) == 0:
+        # a variable named like a keyword of the grammar
+        variables[-1] = draw(st.sampled_from(["lambda", "step", "monitor", "vars"]))
     early = draw(st.sampled_from([[], ["param k = -2/3;"], ["let c = 2*3;"],
                                   ["param k = 3;", "let c = k^2 - 1/2;"]]))
     names = [n for n in ("k", "c") if any(s.startswith(f"param {n} ") or
                                           s.startswith(f"let {n} ") for s in early)]
     lines = list(early) + ["vars " + " ".join(variables) + ";"]
+    if draw(st.booleans()):
+        # a name bound to a sum: a term that uses it is not monomial
+        lines.append(f"let s = 2*{variables[0]} + 1;")
+        names.append("s")
     if draw(st.booleans()):
         lines.append(f"param q = {draw(st.sampled_from(['5', '-1/7', '0']))};")
         names.append("q")
@@ -170,7 +189,8 @@ def map_files(draw):
     return variables, "\n".join(lines) + "\n"
 
 
-ALPHABET = list(" \n;,{}()=^*+-/#.$@012349xkaCy_") + ["x1", "^30000", "/0", "(("]
+ALPHABET = list(" \n\r\t;,{}()=^*+-/#.$@012349xkaCy_") + [
+    "x1", "^30000", "/0", "((", " * ", " ^ ", "\r\n", "lambda", "2.5"]
 
 
 @st.composite
@@ -218,6 +238,21 @@ def test_expressions_match(text):
     "0*x1^30000*x1^30000", "x1^30000*x1^30000*0", "-x1^30000*0^2*x1^30000",
     "x1^30000*x1^30000*x1^30000*bogus", "(x1^2)^20000", "(3*x1^2*x2)^16384",
     "x1 + x2 - x1 + x1 - x2", "1/2*x1 + 1/3 - 1/2*x1 + 5/6*x1",
+    # the token shapes of a monomial term and where one stops
+    "3 * x1 ^ 2", "x1 # c\r\n* x2", "x1\r\n*\r\nx2 ^\t3 - 2", "x1^2^3", "2*x1^2^3",
+    "2*x1^(1/2)", "2*x1^-1*x2", "x1^-2*x2^3", "2*x1^4/2*x2", "3*-x1", "2.5*x1",
+    "x1*2.5", "2*3e5*x1", "2*3e*x1", "2x1*x2", "x1*x2 x3*x1", "1/2/3*x1", "x1*(x2)*x3",
+    "2*p*x1", "x1*p^2", "z*x1^30000*x1^30000", "x1*k^2*x2", "-x1*x2*-3", "- -x1*x2",
+    # a sum whose first term is a value read whole, alone or not
+    "p", "(p)", "-p", "p*1", "(x1 - x1) - p", "(x1 - x1) + p", "z - p", "p - p + x1",
+    "(x2 - x2) - x1*x2 + x1", "(p) + 0", "0 - (p)", "(x1^(1/2)) - x1^(1/2)",
+    pytest.param(L7 + "*x1", id="L*x1"), pytest.param("x1*7" + L7, id="x1*7L"),
+    pytest.param("x1^2*1/" + L7[2:], id="x1^2*1/L[2:]"),
+    pytest.param("x1*1/" + L7[1:], id="x1*1/L[1:]"),
+    # two 518000-bit factors whose product passes MAX_WORK: the products
+    # are charged once every factor is read, so the unknown name wins
+    pytest.param(f"{L7}^39*{L7}^39*bogus", id="L^39*L^39*bogus"),
+    pytest.param(f"{L7}^39*{L7}^39", id="L^39*L^39"),
 ])
 def test_edge_expressions_match(text):
     same_expression(text)
@@ -262,6 +297,22 @@ def test_mutated_map_files_match(text):
     "- x2^(1/2)*x1^30000*x1^30000 + x2^(1/2);",
     "param k = 2; let c = k*3; vars x1; casimir P = c + x1 - c*x1 + k;"
     " structure jacobian;",
+    # a variable named like a keyword, and keywords next to terms
+    "vars x1 lambda; structure jacobian lambda lambda*x1;",
+    "vars x1 lambda; structure jacobian lambda*x1;",
+    "vars x1 x2; structure nambu 2*x1;", "vars x1 x2*x3;", "x1*x2 = 3;",
+    "vars x1 x2; weights 1 2*3;", "vars x1 x2; check fi(2*3);",
+    "vars x1 x2; structure table { {x1*x2, x1} = x1; };",
+    "vars x1 x2; structure jacobian; integrate from (1*2, 3) step 1 until 2;",
+    "vars x1 step; casimir P = step*x1; structure jacobian;"
+    " integrate from (1, 2) step 1 until 2 monitor step*x1;",
+    # a name bound to a sum inside a term, and a re-bound parameter
+    "vars x1 x2; let s = x1 + 1; casimir P = 2*s*x2 - x1*s^2; structure jacobian;",
+    "vars x1 x2; param k = 2; let a = k*x1; param k = 3; casimir P = k*x1 - a;"
+    " structure jacobian;",
+    "param k = 2; let a = k*3; vars x1 x2; casimir P = a*x1 + k^2*x2; structure jacobian;",
+    # spacing, comments and CRLF between the factors of every term
+    "vars x1 x2;\r\ncasimir P = 3 * x1 ^ 2 # c\r\n* x2 - x2 ^ 3;\r\n# c\r\nstructure jacobian;\r\n",
 ])
 def test_edge_texts_match(text):
     same("parse_model", text, "m")
@@ -275,6 +326,19 @@ def test_folded_product_raises_on_a_carry(product):
         dsl.parse_polynomial(product, ("x1", "x2"))
     assert str(e.value) == f"an exponent of the product exceeds MAX_EXPONENT = {MAX_EXPONENT}"
     same("parse_polynomial", product, ("x1", "x2"))
+
+
+@pytest.mark.parametrize("head, unit", [("x1", "*x1"), ("x1", "*x1^"), ("", "*x1^")])
+def test_scan_is_linear_in_the_text(head, unit):
+    # a 200 kB term, and a 200 kB run of fragments that start a term and
+    # break it off, each scan in one pass: a term pattern that backtracked
+    # over what it had read would take minutes here
+    text = head + unit * (200_000 // len(unit))
+    start = time.perf_counter()
+    tokens = dsl.tokenize(text)
+    assert time.perf_counter() - start < 1.0
+    assert tokens[-1][0] == "eof"
+    same("parse_polynomial", text, ("x1", "x2"))
 
 
 @st.composite

@@ -6,10 +6,15 @@ through ``render_model`` and ``parse_model`` as ``ppa check`` would see it.
 It was recorded with the Fraction-coefficient polynomial kernel, before the
 integer-numerator one: a change to any verdict, constant, witness or rendered
 residual moves it.  Reports are exact, so the digest does not depend on the
-platform.
+platform.  ``CheckReport.to_json`` writes its schema directly; its bytes are
+those of ``json.dumps(obj, indent=2)`` for any text in a name or witness.
 """
 
 import hashlib
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppa import catalog, dsl, runner
 from ppa.dynamics import hamiltonian_vector_field, integrate, write_trajectory_csv
@@ -87,3 +92,35 @@ def test_catalog_integrate_csv_byte_identical(tmp_path):
             write_trajectory_csv(report, spec.vars, monitors, path)
             found.append(hashlib.sha256(path.read_bytes()).hexdigest())
         assert found == digests, name
+
+
+def _dumped(report):
+    obj = {"model": report.model, "seed": report.seed,
+           "checks": [r.as_json_obj() for r in report.results]}
+    return json.dumps(obj, indent=2) + "\n"
+
+
+TRICKY = ["", "q5", "mé", 'a "quoted" name', "back\\slash", "two\nlines",
+          "tab\there", "☃ \U0001F600", "\ud800", "\x00\x1f\x7f"]
+
+
+@pytest.mark.parametrize("text", TRICKY)
+def test_report_json_is_json_dumps(text):
+    # the report is written straight from its schema; json.dumps with
+    # indent=2 is the reference, byte for byte
+    empty = runner.CheckReport(text, 7)
+    assert empty.to_json() == _dumped(empty)
+    report = runner.CheckReport(text, -1, [
+        runner.CheckResult("jacobi", "pass"),
+        runner.CheckResult("rank", "info", witness=text),
+        runner.CheckResult("theorem31", "fail", lam=text, witness="w", millis=12)])
+    assert report.to_json() == _dumped(report)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(), st.integers(), st.lists(st.tuples(
+    st.text(), st.sampled_from(["pass", "fail", "skipped", "info"]),
+    st.none() | st.text(), st.none() | st.text(), st.integers(0, 10 ** 6)), max_size=4))
+def test_report_json_is_json_dumps_on_any_text(model, seed, results):
+    report = runner.CheckReport(model, seed, [runner.CheckResult(*r) for r in results])
+    assert report.to_json() == _dumped(report)
