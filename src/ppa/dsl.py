@@ -39,7 +39,7 @@ from typing import Optional
 
 from . import poly
 from .errors import ArityError, DomainError, ModelSyntaxError
-from .poly import (_BLOCK_BITS, _LAYOUTS, MAX_EXPONENT, MAX_POWER_BITS, MonomialMap,
+from .poly import (_BLOCK_BITS, _LAYOUTS, FIELD_BITS, MAX_EXPONENT, MAX_POWER_BITS, MonomialMap,
                    PolyExpr, _rational_pow, _reduced, _sum)
 from .runner import CHECKS, FI_MAX, _key, _literal_text, _projection
 from .structures import NambuStructure, PoissonStructure, jacobian_structure
@@ -77,9 +77,6 @@ _PIECE_RE = re.compile(rf"[ \t\r\n]*(?:(?P<ident>{_NAME})|(?P<number>{_NUMBER})|
 
 # Python refuses int strings past 4300 digits; below that, parsing stays fast.
 MAX_LITERAL_CHARS = 4000
-# a term token holds a literal past MAX_LITERAL_CHARS only where it holds
-# a run this long of digits and slashes
-_LONG_RUN = re.compile(rf"(?<![\d/])[\d/]{{{MAX_LITERAL_CHARS + 1}}}")
 # Each level of parentheses takes five parser frames, far below Python's
 # recursion limit at this depth.
 MAX_NESTING = 50
@@ -98,7 +95,7 @@ def tokenize(text: str) -> list[tuple]:
         tokens.pop()        # the end after trailing whitespace matches twice
     if len(text) > MAX_LITERAL_CHARS:
         for t in tokens:
-            long_term = t[0] == "term" and _LONG_RUN.search(t[1])
+            long_term = t[0] == "term" and len(t[1]) > MAX_LITERAL_CHARS
             for kind, chunk, offset in _pieces(t) if long_term else (t,):
                 if kind in ("number", "float") and len(chunk) > MAX_LITERAL_CHARS:
                     raise ModelSyntaxError(
@@ -130,7 +127,6 @@ class _Stream:
         self.text = text
         self.toks = tokenize(text)[::-1]
         self.depth = 0          # open parentheses in the current expression
-        self.folds = {}         # variables -> {factor text: _factor entry}
 
     def cut(self) -> tuple:
         """The first piece of the term token on top, now on top itself."""
@@ -207,16 +203,13 @@ def parse_poly_expr(stream: _Stream, env: dict, variables) -> PolyExpr:
     another variable set, can raise, and it is taken as soon as its term
     is read, as it was when the terms were added one at a time."""
     toks = stream.toks
-    folds = stream.folds.get(variables)
-    if folds is None:
-        folds = stream.folds[variables] = {}
     limits = _LAYOUTS[len(variables)][1], _BLOCK_BITS * isqrt(poly.MAX_WORK)
     packed = []
     items = None            # the (value, sign) terms once one is not packed
     sign = 1
     one = True              # the term read is the first
     while True:
-        folded = _fold_term(toks, env, variables, folds, limits)
+        folded = _fold_term(toks, env, variables, limits)
         if folded is not None and items is None:
             packed.append(folded if sign > 0 else (folded[0], -folded[1], folded[2]))
         else:
@@ -294,18 +287,18 @@ _FOLDABLE = frozenset(("term", "ident", "number"))
 _DIGITS = frozenset("0123456789")
 
 
-def _fold_term(toks, env, variables, folds, limits):
+def _fold_term(toks, env, variables, limits):
     """The term on top of the stack ``toks`` as (key, numerator,
     denominator), its unary signs and its token popped, when it is one
     term, name or number token that ends the term and every factor folds;
-    else None, with nothing popped.  A factor folds when ``_factor`` (its
-    entry held in ``folds``) takes it, and the product is refused where
-    ``PolyExpr`` arithmetic would refuse it: an exponent past MAX_EXPONENT,
-    tested after each factor so that no field carries into the next, or
-    operands that may cost more than MAX_WORK.  ``limits`` is the fields'
-    guard bits and the most bits such an operand may have.  As in a product
-    of ``PolyExpr`` factors, a zero factor ends the tests of the products
-    after it."""
+    else None, with nothing popped.  A factor folds when ``_factor`` takes
+    it, and the product is refused where ``PolyExpr`` arithmetic may refuse
+    it: an exponent past MAX_EXPONENT, or operands that may cost more than
+    MAX_WORK, tested after each product, so that no field carries into the
+    next and no product is taken past the first that may be refused.
+    ``limits`` is the fields' guard bits and the most bits such an operand
+    may have.  As in a product of ``PolyExpr`` factors, a zero factor ends
+    the tests of the products after it."""
     t = toks[-1]
     j = -1
     neg = False
@@ -318,70 +311,56 @@ def _fold_term(toks, env, variables, folds, limits):
     guard, free = limits
     key, num, den = 0, 1, 1
     for factor in t[1].split("*"):
-        e = folds.get(factor)
-        if e is None or e[0] is not None and env.get(e[0]) is not e[1]:
-            e = folds[factor] = _factor(factor, env, variables)
-        k = e[2]
+        k, c, d = _factor(factor, env, variables, guard)
         if k is None:
             return None
         if num:
-            c = e[3]
-            if not c:
-                # a product with zero is not charged; those before it are
-                # no bigger than the product so far
-                if num.bit_length() > free or den.bit_length() > free:
-                    return None
-                num = 0
-                continue
             num *= c
-            den *= e[4]
+            den *= d
             key += k
-            if key & guard:
+            # the operands of this product are no bigger than the product
+            # itself, unless it is zero, which is not charged
+            if key & guard or num.bit_length() > free or den.bit_length() > free:
                 return None
-    # every factor and every partial product is at most as big as the
-    # whole product, so this one test bounds each product's work
-    if num.bit_length() > free or den.bit_length() > free:
-        return None
     del toks[j:]
     return key, -num if neg else num, den
 
 
-def _factor(text, env, variables):
-    """(name, value, key, numerator, denominator) of the factor ``text``, a
-    literal or a name bound to a one-term packed value over ``variables``,
-    with an optional nonnegative integer power; key None when the factor is
-    another value or would be refused (a bad literal, an unknown name, a
-    power that ``PolyExpr.__pow__`` refuses).  A literal's name and value
-    are None; a name's entry holds while the name is bound to its value."""
+def _factor(text, env, variables, guard):
+    """(key, numerator, denominator) of the factor ``text``, a literal or a
+    name bound to a one-term packed value over ``variables``, with an
+    optional nonnegative integer power; key None when the factor is another
+    value or would be refused (a bad literal, an unknown name, a power that
+    ``PolyExpr.__pow__`` refuses)."""
     atom, _, power = text.partition("^")
     atom = atom.strip()
-    name = p = None
     if atom[0] in _DIGITS:
         try:
-            v = _rational(atom)
+            v = _rational(atom) if "/" in atom else int(atom)
         except (ValueError, ZeroDivisionError):
-            return None, None, None, 0, 1
+            return None, 0, 1
         k, c, d = 0, v.numerator, v.denominator
     else:
-        name, p = atom, env.get(atom)
+        p = env.get(atom)
         if p is None or not p._grade or p.vars != variables or len(p._num) > 1:
-            return name, p, None, 0, 1
+            return None, 0, 1
         (k, c), = p._num.items() or ((0, 0),)
         d = p._den
     if power:
         try:
             n = int(power)
         except ValueError:      # PYTHONINTMAXSTRDIGITS set below MAX_LITERAL_CHARS
-            return name, p, None, 0, 1
+            return None, 0, 1
         # the exponent, the top exponent and the coefficient size of the
-        # power, as PolyExpr.__pow__ bounds them
-        nv = len(variables)
+        # power, as PolyExpr.__pow__ bounds them; a field of the key passes
+        # MAX_EXPONENT // n just when adding MAX_EXPONENT - MAX_EXPONENT // n
+        # sets its top bit
         if n > MAX_EXPONENT or n > 1 and (
-                k and n * max(_LAYOUTS[nv][0].unpack(k.to_bytes(2 * nv, "big"))) > MAX_EXPONENT
+                (k + (MAX_EXPONENT - MAX_EXPONENT // n) * (guard >> FIELD_BITS - 1)) & guard
                 or (max(c.bit_length(), d.bit_length()) - 1) * n > MAX_POWER_BITS):
-            return name, p, None, 0, 1
+            return None, 0, 1
         k, c, d = k * n, c ** n, d ** n
-    return name, p, k, c, d
+    return k, c, d
 
 
 def _rational(text) -> Fraction:

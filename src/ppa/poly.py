@@ -750,8 +750,8 @@ def _require_work(ta: int, bits_a: int, tb: int, bits_b: int) -> None:
     """Refuse with ``DomainError`` a product of ``ta`` x ``tb`` terms whose
     largest numerator or denominator has ``bits_a`` and ``bits_b`` bits when
     it costs ta * tb * ceil(bits_a / _BLOCK_BITS) * ceil(bits_b / _BLOCK_BITS)
-    units, more than MAX_WORK.  ``*``, ``**``, ``_sum_of_products``, the
-    DSL's monomial terms and the powers of z in ``chart_compare`` call it."""
+    units, more than MAX_WORK.  ``*``, ``**``, ``_sum_of_products`` and the
+    powers of z in ``chart_compare`` call it."""
     work = ta * tb * -(-bits_a // _BLOCK_BITS) * -(-bits_b // _BLOCK_BITS)
     if work > MAX_WORK:
         raise DomainError(f"a product of polynomials with {ta} x {tb} terms and "

@@ -289,6 +289,11 @@ def test_mutated_map_files_match(text):
     "vars x1;\r\n# c\n  structure jacobian", "vars x1; casimir P = x1^(1/0);",
     "vars x1 x2; casimir P = 0*x1^30000*x1^30000; structure jacobian;",
     "vars x1 x2; let a = x1^2*x2; casimir P = a^16383 + a^16384;",
+    # a power whose low field would carry into the next one with its top
+    # bit still clear, and the powers at the limit beside it
+    "vars x1 x2; let a = x1*x2^5; casimir P = a^16384;",
+    "vars x1 x2; let a = x1*x2^3; casimir P = a^21846;",
+    "vars x1 x2; let a = x1*x2^5; casimir P = a^6553 + a^6554;",
     "vars x1 x2; let a = 2*x1^2; casimir P = x2*a^3*a^16000;",
     "vars x1 x2; casimir P = x1^30000*x1^30000*bogus;",
     "vars x1 x2; casimir P = x1^(1/2)*x1^30000*x1^30000*x1^(-1/2);",
@@ -326,6 +331,20 @@ def test_folded_product_raises_on_a_carry(product):
         dsl.parse_polynomial(product, ("x1", "x2"))
     assert str(e.value) == f"an exponent of the product exceeds MAX_EXPONENT = {MAX_EXPONENT}"
     same("parse_polynomial", product, ("x1", "x2"))
+
+
+@pytest.mark.parametrize("power", [30, 78])
+def test_folded_product_stops_at_the_first_refused_product(power):
+    # 400 factors of 398k (or a million) bits: the reference refuses the
+    # first product, and a fold that went on multiplying would take minutes
+    variables = ("x1", "x2")
+    env = {"a": int(L7) ** power}
+    text = "*".join(["a", "a*x1"] * 200)
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        dsl.parse_polynomial(text, variables, env)
+    assert time.perf_counter() - start < 1.0
+    same("parse_polynomial", text, variables, env)
 
 
 @pytest.mark.parametrize("head, unit", [("x1", "*x1"), ("x1", "*x1^"), ("", "*x1^")])
