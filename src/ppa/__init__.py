@@ -7,7 +7,6 @@ from .exterior import pfaffian
 from .structures import (
     NambuStructure,
     PoissonStructure,
-    check_fundamental_identity,
     check_jacobi,
     generic_rank,
     is_casimir,
@@ -23,7 +22,6 @@ from .geometry import (
     transport_bracket,
 )
 from .dynamics import (
-    constants_of_motion_check,
     decoupling_check,
     hamiltonian_vector_field,
     integrate,

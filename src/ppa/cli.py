@@ -37,7 +37,7 @@ def _build_argparser():
     p_check.add_argument("file")
     p_check.add_argument("--json", metavar="OUT", help="write a JSON report")
     p_check.add_argument("--seed", type=int, default=0,
-                         help="seed of the argument tuples of an n-ary fi(N)")
+                         help="recorded in the report; no check reads it")
 
     p_int = sub.add_parser("integrate", help="integrate the model flow, write CSV")
     p_int.add_argument("file")

@@ -1,4 +1,5 @@
-"""Hamiltonian vector fields, conserved-quantity checks, and fixed-step RK4.
+"""Hamiltonian and Nambu vector fields, the Fairlie-Nahm decoupling check,
+and fixed-step RK4.
 
 Symbolic checks are exact; the integrator is deliberately plain: classical
 fourth-order Runge-Kutta with a fixed step, so drift numbers are
@@ -90,21 +91,6 @@ def nambu_vector_field(ns: NambuStructure,
     require_max_dim(ns.n)
     minors = _stacked_minors([_gradient(h) for h in hams], ns._casimir_minors)
     return PolyVectorField(ns.vars, _cofactor_row(ns, minors, ns.arity - 1))
-
-
-@dataclass
-class ConservationReport:
-    conserved: bool
-    residual: PolyExpr
-
-
-def constants_of_motion_check(field: PolyVectorField,
-                              invariants: Sequence[PolyExpr]) -> list[ConservationReport]:
-    out = []
-    for f in invariants:
-        r = field.apply_to(f)
-        out.append(ConservationReport(r.is_zero(), r))
-    return out
 
 
 # ---------------- Fairlie flow and its Nahm decoupling ----------------

@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import ArityError, DomainError, PpaError
-from .exterior import indices_of, mask_of, merge_sign, pfaffian, require_max_dim
+from .exterior import mask_of, pfaffian, require_max_dim
 from .poly import PolyExpr, _sum_of_products, exact_divisibility
 
 
@@ -199,23 +199,6 @@ class NambuStructure:
         """The :func:`casimir_minors` table of the Casimirs: the bottom of
         every cofactor row, computed once per structure."""
         return casimir_minors(self.vars, self.casimirs)
-
-    @cached_property
-    def _multivector(self) -> dict:
-        """The bracket as an r-vector, {a_1, ..., a_r} = sum_I L^I det(da_s
-        on the columns I), as {mask I: (L^I, its gradient)} over the nonzero
-        components, computed once per structure.  Laplace expansion along
-        the argument rows gives L^I = multiplier * merge_sign(I, I^c) *
-        M_{I^c}, M the Casimir minors."""
-        full = (1 << self.n) - 1
-        out = {}
-        for mask, minor in self._casimir_minors.items():
-            lam = self.multiplier * minor
-            if not lam.is_zero():
-                if merge_sign(full ^ mask, mask) < 0:
-                    lam = -lam
-                out[full ^ mask] = lam, _gradient(lam)
-        return out
 
     def __repr__(self):
         return f"<NambuStructure n={self.n} arity={self.arity}>"
@@ -527,75 +510,3 @@ def generic_rank(ps: PoissonStructure) -> int:
         prev, m, rank, known = m[pivot[0]][pivot[1]], nxt, rank + 2, {}
         pivot = _pivot(m, indices)
     return rank
-
-
-# ---------------- fundamental identity ----------------
-
-@dataclass
-class FundamentalIdentityReport:
-    holds: bool
-    residual: PolyExpr
-
-
-def check_fundamental_identity(ns: NambuStructure,
-                               test_args: Sequence[PolyExpr]) -> FundamentalIdentityReport:
-    """Evaluate the (n-m)-ary replacement of Jacobi on 2r-1 arguments.
-
-    With r = arity, the identity compares
-
-        sum_{i=r..2r-1} {f_r,...,f_{i-1}, {f_1,...,f_{r-1}, f_i}, f_{i+1},...}
-
-    against {f_1,...,f_{r-1}, {f_r,...,f_{2r-1}}}; the residual is their
-    difference.
-
-    With X = {f_1, ..., f_{r-1}, .} and g = (f_r, ..., f_{2r-1}), X(L(dg))
-    = (L_X L)(dg) + sum_s L(..., d(X g_s), ...) for the bracket's r-vector
-    L (``NambuStructure._multivector``), so the residual is -(L_X L)(dg) =
-    -sum_I C_I T_I over r-masks I, T_I the minor of the tail gradients on
-    the columns I and
-
-        C_I = sum_k X^k d_k L^I - sum_{s,k} eps L^J d_k X^(i_s),
-
-    J = I with i_s -> k, eps = (-1)^(the elements of I - {i_s} between
-    i_s and k), the sign that sorts k into slot s.  X is the head's
-    cofactor row (:func:`_cofactor_row`), r - 1 Laplace steps on the
-    Casimir minors, and T takes r steps from {0: 1}.  The sum is grouped as
-
-        -sum_k X^k (sum_I T_I d_k L^I) + sum_J L^J (sum eps T_I d_k X^(i_s)),
-
-    so that a product of two large factors happens once per k and per J,
-    not once per (I, s, k).  Each d_k X^i is taken once, when a nonzero
-    L^J first needs it, and every product is held to ``MAX_WORK``.
-    """
-    r = ns.arity
-    if len(test_args) != 2 * r - 1:
-        raise ArityError(f"need {2 * r - 1} arguments for arity {r}")
-    f = [a.with_vars(ns.vars) for a in test_args]
-    for a in f:
-        a.require_polynomial_grade("bracket argument")
-    grads = [_gradient(a) for a in f]
-    x = _cofactor_row(ns, _stacked_minors(grads[:r - 1], ns._casimir_minors), r - 1)
-    dx = cache(lambda i, k: x[i].diff(ns.vars[k]))
-    lam = ns._multivector
-    tail = _stacked_minors(grads[r - 1:], {0: PolyExpr.const(ns.vars, 1)})
-    by_k = [[] for _ in range(ns.n)]        # the pairs of sum_I T_I d_k L^I
-    by_j: dict = {}                         # J -> the pairs beside L^J
-    for mask, t in tail.items():
-        if mask in lam:
-            for k, d in enumerate(lam[mask][1]):
-                if not d.is_zero():
-                    by_k[k].append((t, d))
-        for i in indices_of(mask):
-            rest = mask ^ 1 << i
-            at_i = bin(rest & (1 << i) - 1).count("1")
-            for k in range(ns.n):
-                # k in rest leaves r - 1 columns, which no component has;
-                # eps is the parity of the places of i and k in rest
-                j = rest | 1 << k
-                if j in lam:
-                    odd = bin(rest & (1 << k) - 1).count("1") - at_i & 1
-                    by_j.setdefault(j, []).append((t, dx(i, k), -1 if odd else 1))
-    pairs = [(w, _sum_of_products(ns.vars, ps), -1) for w, ps in zip(x, by_k) if ps]
-    pairs += [(lam[j][0], _sum_of_products(ns.vars, ps)) for j, ps in by_j.items()]
-    residual = _sum_of_products(ns.vars, pairs)
-    return FundamentalIdentityReport(residual.is_zero(), residual)

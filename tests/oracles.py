@@ -13,11 +13,10 @@ bracket as a chain of sums over the upper entries.
 
 ``bracket_of`` is the Poisson bracket as Hamiltonian rows contracted with a
 gradient, as the package exported it until no command reached it.
-``fundamental_identity_by_cofactor_rows`` is the n-ary fundamental identity
-as cofactor contractions, one row per tail slot, as the library computed it
-before it read the residual off one Lie derivative; ``fi_tuples_by_sums``
-is ``fi``'s argument tuples as a chain of ``PolyExpr`` additions (see the last
-section).
+``fundamental_identity_by_cofactor_rows`` is the residual of the n-ary
+fundamental identity as cofactor contractions, one row per tail slot, as the
+library computed it before ``fi`` passed a Nambu structure by its
+construction (see the last section).
 
 ``wedge_power`` is the m-th wedge power as a chain of full wedges, and
 ``duality_check_by_wedges`` is theorem31 computed from it and from the
@@ -37,7 +36,6 @@ section).
 """
 
 import math
-import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -956,11 +954,15 @@ def bracket_of(ps: PoissonStructure, f: PolyExpr, g: PolyExpr) -> PolyExpr:
 
 def fundamental_identity_by_cofactor_rows(ns: NambuStructure,
                                           args: Sequence[PolyExpr]) -> PolyExpr:
-    """The residual of ``check_fundamental_identity``, each bracket a
-    cofactor contraction sum_j W_j d_j g in the slot of g: the head's row
-    serves the r inner brackets and the right side, one row per tail slot
-    (from suffix tables of the tail minors) serves the outer brackets, and
-    the residual is one fused sum of products.  It reads the structure's
+    """The residual of the fundamental identity on the 2r - 1 ``args``,
+
+        sum_{i=r..2r-1} {f_r, ..., {f_1, ..., f_{r-1}, f_i}, ..., f_{2r-1}}
+            - {f_1, ..., f_{r-1}, {f_r, ..., f_{2r-1}}},
+
+    each bracket a cofactor contraction sum_j W_j d_j g in the slot of g:
+    the head's row serves the r inner brackets and the right side, one row
+    per tail slot (from suffix tables of the tail minors) serves the outer
+    brackets, and the residual is one fused sum of products.  It reads the structure's
     Casimir minors as given, so it holds for any table put there."""
     r = ns.arity
     grads = [_gradient(a.with_vars(ns.vars)) for a in args]
@@ -982,25 +984,3 @@ def fundamental_identity_by_cofactor_rows(ns: NambuStructure,
     # minus {f_1, ..., f_{r-1}, {f_r, ..., f_{2r-1}}}
     pairs += ((w, d, -1) for w, d in zip(head, _gradient(tail_bracket)))
     return _sum_of_products(ns.vars, pairs)
-
-
-def fi_tuples_by_sums(variables, arity: int, count: int, seed: int) -> list:
-    """``runner._fi_tuples``: the coordinate tuple, then ``count`` seeded
-    tuples, each argument a chain of two ``PolyExpr`` additions."""
-    gens = PolyExpr.gens(variables)
-    n = len(gens)
-    tuples = [[gens[i % n] for i in range(2 * arity - 1)]]
-    rng = random.Random(1000003 * seed + 17)
-    coeffs = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
-    for _ in range(count):
-        args = []
-        for _ in range(2 * arity - 1):
-            p = PolyExpr.zero(variables)
-            for _ in range(2):
-                mono = [0] * n
-                for _ in range(rng.randint(1, 2)):
-                    mono[rng.randrange(n)] += 1
-                p = p + PolyExpr(variables, {tuple(mono): rng.choice(coeffs)})
-            args.append(p)
-        tuples.append(args)
-    return tuples

@@ -332,7 +332,7 @@ def test_binary_fi_reports_what_jacobi_reports(seed, certified, monkeypatch):
     assert len(specs) == 33 + 9
     for spec in specs:
         ps = spec.build_structure()
-        assert runner._run_fi(spec, ps, 3, seed) == \
-            runner._run_jacobi(spec, ps, None, seed), spec.name
+        assert runner._run_fi(spec, ps, 3) == \
+            runner._run_jacobi(spec, ps, None), spec.name
         jacobi, fi = jacobi_and_fi(spec, seed)
         assert fi == jacobi, spec.name

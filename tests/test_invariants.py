@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import synthetic
 from ppa import catalog, dsl
 from ppa.cli import main as cli_main
-from ppa.dynamics import constants_of_motion_check, hamiltonian_vector_field
+from ppa.dynamics import hamiltonian_vector_field
 from ppa.poly import PolyExpr
 from ppa.runner import run_checks
 from ppa.structures import PoissonStructure, generic_rank, plucker_rank2_test
@@ -82,8 +82,7 @@ def test_energy_conserved_for_every_catalog_flow():
         if not isinstance(m.structure, PoissonStructure) or not m.hamiltonians:
             continue
         f = hamiltonian_vector_field(m.structure, m.hamiltonians[0])
-        rep, = constants_of_motion_check(f, [m.hamiltonians[0]])
-        assert rep.conserved, name
+        assert f.apply_to(m.hamiltonians[0]).is_zero(), name
 
 
 def test_jacobi_for_arbitrary_quadratic_hamiltonian_flow():
@@ -92,8 +91,7 @@ def test_jacobi_for_arbitrary_quadratic_hamiltonian_flow():
     x = PolyExpr.gens(m.vars)
     for h in (x[0] * x[1], x[2] ** 2 - x[4] * x[0], x[3]):
         f = hamiltonian_vector_field(m.structure, h)
-        rep, = constants_of_motion_check(f, [m.casimirs[0][1]])
-        assert rep.conserved
+        assert f.apply_to(m.casimirs[0][1]).is_zero()
 
 
 def test_bare_extendability_check_fails_on_quartic_surface(tmp_path, capsys):

@@ -12,12 +12,12 @@ on the Casimir minors, is compared with those brackets and with
 ``oracles.nambu_is_casimir_by_cofactors``, one cofactor contraction per
 coordinate tuple.  theorem31 reads m! Pf(pi_S) against the Casimir minors;
 every field of its report is compared with ``oracles.duality_check_by_wedges``,
-which computes the wedge side by ``wedge_power`` chains.  The fundamental
-identity, one Lie derivative per tuple, is compared with the wedge brackets
-and, on structures whose Casimir minors are replaced by an arbitrary table
-(so that the residual is in general not zero), with
-``oracles.fundamental_identity_by_cofactor_rows``; ``fi``'s argument tuples
-are compared with ``oracles.fi_tuples_by_sums``.
+which computes the wedge side by ``wedge_power`` chains.  ``fi`` passes a
+Nambu structure by its construction; the guard is
+``oracles.fundamental_identity_by_cofactor_rows``, whose residual is zero on
+random genuine Nambu structures and agrees with the wedge brackets, and which
+equals the nested library brackets, in general nonzero, on structures whose
+Casimir minors are replaced by an arbitrary table.
 """
 
 from fractions import Fraction as F
@@ -27,10 +27,10 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from oracles import (contract, differential, duality_check_by_wedges,
-                     fi_tuples_by_sums, fundamental_identity_by_cofactor_rows,
+                     fundamental_identity_by_cofactor_rows,
                      jacobian_structure_by_wedges, nambu_bracket_by_wedges,
                      nambu_is_casimir_by_cofactors, wedge_all)
-from ppa import catalog, dsl, runner
+from ppa import catalog, dsl
 from ppa.duality import duality_check
 from ppa.geometry import transport_bracket
 from ppa.errors import DomainError
@@ -38,8 +38,7 @@ from ppa.exterior import MAX_DIM, mask_of, merge_sign
 from ppa.poly import MonomialMap, PolyExpr
 from ppa.structures import (NambuStructure, PoissonStructure, _cofactor_row,
                             _gradient, _stacked_minors, casimir_minors,
-                            check_fundamental_identity, is_casimir,
-                            jacobian_structure, nambu_bracket)
+                            is_casimir, jacobian_structure, nambu_bracket)
 
 VARS = tuple(f"x{i + 1}" for i in range(8))
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -211,27 +210,48 @@ def test_nambu_is_casimir_on_the_catalog():
             assert not all(verdicts), (name, bindings)
 
 
-def fi_by_wedges(ns, args):
+def fi_by_wedges(ns, args, bracket=nambu_bracket_by_wedges):
+    """The residual of the fundamental identity as nested brackets, each
+    the top coefficient of a full wedge unless ``bracket`` says otherwise."""
     r = ns.arity
     head, tail = args[:r - 1], args[r - 1:]
     lhs = PolyExpr.zero(ns.vars)
     for pos in range(r):
-        inner = nambu_bracket_by_wedges(ns, head + [tail[pos]])
-        lhs = lhs + nambu_bracket_by_wedges(ns, tail[:pos] + [inner] + tail[pos + 1:])
-    return lhs - nambu_bracket_by_wedges(ns, head + [nambu_bracket_by_wedges(ns, tail)])
+        inner = bracket(ns, head + [tail[pos]])
+        lhs = lhs + bracket(ns, tail[:pos] + [inner] + tail[pos + 1:])
+    return lhs - bracket(ns, head + [bracket(ns, tail)])
 
 
-@settings(max_examples=25, deadline=None)
-@given(nambu_structures(), st.data())
-def test_fundamental_identity_residual_matches_wedge_brackets(ns, data):
-    if ns.arity > 3:                                # keeps the wedge chain quick
-        ns = NambuStructure(ns.vars, ns.casimirs + tuple(
-            PolyExpr.gens(ns.vars)[:ns.arity - 3]), ns.multiplier)
-    args = data.draw(st.lists(polys(ns.vars, 2), min_size=2 * ns.arity - 1,
-                              max_size=2 * ns.arity - 1))
-    rep = check_fundamental_identity(ns, args)
-    assert rep.residual == fi_by_wedges(ns, args)
-    assert rep.holds == rep.residual.is_zero()
+@st.composite
+def genuine_nambu_cases(draw):
+    """(structure, arguments): n = 3..6, every arity r = 1..n, so n - r
+    Casimirs of degree <= 2, a constant or polynomial multiplier, and
+    2r - 1 arguments of degree <= 2."""
+    n = draw(st.integers(3, 6))
+    r = draw(st.integers(1, n))
+    v = VARS[:n]
+    qs = draw(st.lists(polys(v, 2), min_size=n - r, max_size=n - r))
+    mult = draw(st.one_of(st.fractions(-2, 2, max_denominator=3).filter(bool),
+                          polys(v, 2, 1)))
+    args = draw(st.lists(polys(v, 2), min_size=2 * r - 1, max_size=2 * r - 1))
+    return NambuStructure(v, qs, mult), args
+
+
+# no shrink phase: a failing draw is reported as drawn, in seconds, where
+# shrinking through the cofactor-row reference took minutes
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
+
+
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
+@given(genuine_nambu_cases())
+def test_fundamental_identity_residual_matches_wedge_brackets(case):
+    """The guard behind ``fi``'s pass by construction: the cofactor-row
+    residual of a genuine Nambu structure is zero, and so is the wedge
+    chain's where it is quick (arity <= 3)."""
+    ns, args = case
+    assert fundamental_identity_by_cofactor_rows(ns, args).is_zero()
+    if ns.arity <= 3:
+        assert fi_by_wedges(ns, args).is_zero()
 
 
 def test_fundamental_identity_on_the_nambu_catalog_entries():
@@ -241,7 +261,7 @@ def test_fundamental_identity_on_the_nambu_catalog_entries():
             gens = list(PolyExpr.gens(ns.vars))
             args = [gens[i % ns.n] * gens[(3 * i + 1) % ns.n] + gens[i % 2]
                     for i in range(2 * ns.arity - 1)]
-            assert check_fundamental_identity(ns, args).holds
+            assert fundamental_identity_by_cofactor_rows(ns, args).is_zero()
             assert fi_by_wedges(ns, args).is_zero()
 
 
@@ -266,52 +286,37 @@ def injected_tables(draw):
     return ns, args
 
 
-# no shrink phase: a failing draw is reported as drawn, in seconds, where
-# shrinking through the cofactor-row reference took minutes
-@settings(max_examples=80, deadline=None,
-          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@settings(max_examples=80, deadline=None, phases=NO_SHRINK)
 @given(injected_tables())
 def test_fundamental_identity_residual_on_an_arbitrary_table(case):
+    """Off the construction the cofactor-row residual is the identity as
+    nested library brackets, which read the injected table."""
     ns, args = case
-    rep = check_fundamental_identity(ns, args)
-    assert rep.residual == fundamental_identity_by_cofactor_rows(ns, args)
-    assert rep.holds == rep.residual.is_zero()
+    assert fundamental_identity_by_cofactor_rows(ns, args) == \
+        fi_by_wedges(ns, args, bracket=nambu_bracket)
 
 
 def test_fundamental_identity_fails_off_the_nambu_poisson_brackets():
     """The minor table x2 dx1 + dx3 with w ^ dw = -dx1 ^ dx2 ^ dx3 != 0,
     and a 3-vector from an arbitrary 1-minor table in four variables: both
-    residuals are nonzero and match the cofactor-row formula."""
+    residuals are nonzero, so the guard can fail, and both are the nested
+    library brackets."""
     v = VARS[:3]
     x1, x2, x3 = PolyExpr.gens(v)
     ns = NambuStructure(v, [x1])
     ns._casimir_minors = {0b001: x2, 0b100: PolyExpr.const(v, 1)}
     args = [x1 * x3, x2 + x3 * x3, x1 * x2]
-    rep = check_fundamental_identity(ns, args)
-    assert not rep.holds
-    assert rep.residual == fundamental_identity_by_cofactor_rows(ns, args)
+    residual = fundamental_identity_by_cofactor_rows(ns, args)
+    assert not residual.is_zero()
+    assert residual == fi_by_wedges(ns, args, bracket=nambu_bracket)
     v = VARS[:4]
     x1, x2, x3, x4 = PolyExpr.gens(v)
     ns = NambuStructure(v, [x1], x4 + 2)
     ns._casimir_minors = {0b0001: x2 * x3, 0b0100: x1 - x4, 0b1000: x3}
     args = [x1 * x2, x3 * x4, x1 + x2 * x4, x3 * x3, x2 * x4]
-    rep = check_fundamental_identity(ns, args)
-    assert not rep.holds
-    assert rep.residual == fundamental_identity_by_cofactor_rows(ns, args)
-
-
-@pytest.mark.parametrize("arity", range(2, 9))
-def test_fi_tuples_are_the_addition_chain(arity):
-    """``_run_fi``'s one-pass tuples against the chain of ``PolyExpr``
-    additions they replace: the same values, term order and grade."""
-    for n in sorted({arity, MAX_DIM}):
-        for seed in range(51):
-            got = runner._fi_tuples(VARS[:n], arity, 4, seed)
-            want = fi_tuples_by_sums(VARS[:n], arity, 4, seed)
-            assert len(got) == len(want) == 5
-            for args, ref in zip(got, want):
-                assert [(p.vars, p._den, p._grade, list(p._num.items())) for p in args] \
-                    == [(p.vars, p._den, p._grade, list(p._num.items())) for p in ref]
+    residual = fundamental_identity_by_cofactor_rows(ns, args)
+    assert not residual.is_zero()
+    assert residual == fi_by_wedges(ns, args, bracket=nambu_bracket)
 
 
 # ---------------- theorem31 ----------------

@@ -12,6 +12,7 @@ those of ``json.dumps(obj, indent=2)`` for any text in a name or witness.
 
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,29 @@ def test_catalog_reports_byte_identical():
             for seed in (0, 1):
                 digest.update(runner.run_checks(spec, seed=seed).to_json().encode())
     assert digest.hexdigest() == CATALOG_REPORT_SHA256
+
+
+def test_nambu_fi_reports_do_not_depend_on_the_count_or_the_seed():
+    """An n-ary ``fi`` passes by the Nambu construction: on the fairlie and
+    dell_nambu emissions, ``fi(0)``, ``fi(7)`` and ``fi(100)`` give the same
+    result, and the report bytes at seeds 0, 1 and 9 differ only in the
+    seed field."""
+    for name in ("fairlie", "dell_nambu"):
+        for bindings in [None] + list(catalog.entry(name).alternates):
+            text = dsl.render_model(dsl.model_spec_from_built(catalog.build(name, bindings)))
+            text, found = re.subn(r"^check .*;$", "check fi(0), fi(7), fi(100);",
+                                  text, flags=re.M)
+            assert found == 1
+            spec = dsl.parse_model(text, name=name)
+            reports = set()
+            for seed in (0, 1, 9):
+                report = runner.run_checks(spec, seed=seed)
+                assert [r.as_json_obj() for r in report.results] == [
+                    {"name": f"fi({count})", "status": "pass", "millis": 0}
+                    for count in (0, 7, 100)]
+                js = report.to_json()
+                reports.add(js.replace(f'\n  "seed": {seed},\n', '\n  "seed": 0,\n', 1))
+            assert len(reports) == 1, (name, bindings)
 
 
 # sha256 over the canonical text of the 39 distinct catalog emissions
