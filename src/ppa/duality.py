@@ -62,6 +62,17 @@ def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> Duality
     coefficient, and every Pfaffian off it must vanish.  A non-constant or
     mismatched ratio anywhere fails the check, with the whole wedge power as
     the residual: subset -> m! * Pf on every subset where that is nonzero.
+
+    A :func:`~ppa.structures.jacobian_structure` with a constant multiplier
+    mu, checked against its own construction Casimirs in order, holds by
+    construction with lam = lam_coord = mu (m = 1), and no Pfaffian or
+    ratio is computed: the Pfaffians are its nonzero entries p_ij keyed by
+    the 2-mask S = {i, j}, i < j.  The dual coefficient on S is
+    merge_sign(full ^ S, S) times the minor on full ^ S, and that shuffle
+    has (n - 2 - i) + (n - 1 - j) inversions, of the parity of i + j + 1;
+    p_ij is mu times the same minor signed (-1)^(i + j - 1), so every ratio
+    is exactly mu.  mu = 0 fails with lam 0, as the computed path does.
+    Tables, a polynomial multiplier and any other Casimirs are computed.
     """
     casimirs = [q.with_vars(ps.vars) for q in casimirs]
     if not casimirs:
@@ -83,6 +94,10 @@ def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> Duality
     if not dual_side:
         raise DegenerateCasimirError(
             "dQ_1 ^ ... ^ dQ_l vanishes identically; Casimirs are dependent")
+    mu = ps.constant_multiplier
+    if mu is not None and tuple(casimirs) == ps.casimirs:
+        return DualityReport(holds=mu != 0, lam=mu, lam_coord=mu, m=1, residual={},
+                             pfaffians=ps.as_bivector(), dual=dual_side)
     pfaffians = {mask_of(sub): pf for sub in combinations(range(n), 2 * m)
                  if not (pf := pfaffian(ps.matrix, sub)).is_zero()}
 

@@ -270,7 +270,10 @@ class PolyExpr:
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(self.vars, {m: -c for m, c in self._num.items()}, self._den, self._grade)
+        # the largest |numerator| and the denominator stay: keep ``_bits``
+        p = _new(self.vars, {m: -c for m, c in self._num.items()}, self._den, self._grade)
+        _set_bits(p, self._bits)
+        return p
 
     def __sub__(self, other):
         a, b = self._align(other)
@@ -286,6 +289,8 @@ class PolyExpr:
             other = _coeff(other)
             if other == 0:
                 return PolyExpr.zero(self.vars)
+            if other in (1, -1):
+                return self if other == 1 else -self
             k = other.numerator
             return _reduced(self.vars, {m: c * k for m, c in self._num.items()},
                             self._den * other.denominator, self._grade)
@@ -715,18 +720,21 @@ def _sum_of_products(variables, pairs) -> PolyExpr:
     (``render`` sorts its terms)."""
     # the longer factor of each pair runs in the inner loop
     live, den = [], 1
-    for a, b, *s in pairs:
+    for pair in pairs:
+        a, b = pair[0], pair[1]
         if a._num and b._num:
+            d = a._den * b._den
+            if den % d:
+                den = lcm(den, d)
             if len(a._num) > len(b._num):
                 a, b = b, a
-            live.append((a, b, s))
-            den = lcm(den, a._den * b._den)
+            live.append((a, b, d, len(pair) > 2 and pair[2] < 0))
     out: dict = {}
-    for a, b, s in live:
-        f = den // (a._den * b._den)
+    for a, b, d, negate in live:
+        f = den // d
         _require_work(len(a._num), _coeff_bits(a) + f.bit_length() - 1,
                       len(b._num), _coeff_bits(b))
-        if s and s[0] < 0:
+        if negate:
             f = -f
         _accumulate(out, a._num.items() if f == 1
                     else [(m, c * f) for m, c in a._num.items()], b._num.items())

@@ -36,6 +36,10 @@ class PoissonStructure:
     """Antisymmetric bracket matrix over a fixed variable tuple, with the
     Casimirs declared for it (``casimirs``, kept as given)."""
 
+    # the constant multiplier mu of a :func:`jacobian_structure`; None for a
+    # table or a polynomial multiplier
+    constant_multiplier: Optional[Fraction] = None
+
     def __init__(self, variables: Sequence[str], matrix):
         self.vars = tuple(variables)
         n = len(self.vars)
@@ -234,7 +238,9 @@ def jacobian_structure(variables, casimirs: Sequence[PolyExpr],
     multiplier times det(dQ_i, e_k, dQ_1, ..., dQ_{n-2}), which has a
     repeated row.  The structure carries them with :func:`is_casimir`'s
     verdict already ``True``, so :attr:`~PoissonStructure.certified` reduces
-    to the minor table, held from the build, being nonempty."""
+    to the minor table, held from the build, being nonempty.  A constant
+    multiplier scales each minor as a scalar and is kept as
+    ``constant_multiplier``, from which theorem31 reads lambda'."""
     variables = tuple(variables)
     n = len(variables)
     casimirs = tuple(q.with_vars(variables) for q in casimirs)
@@ -249,6 +255,7 @@ def jacobian_structure(variables, casimirs: Sequence[PolyExpr],
         q.require_polynomial_grade("Casimir")
     require_max_dim(n)
     minors = casimir_minors(variables, casimirs)
+    mu = multiplier.constant_value() if multiplier.is_constant() else None
     full = (1 << n) - 1
     zero = PolyExpr.zero(variables)
     matrix = [[zero] * n for _ in range(n)]
@@ -256,10 +263,11 @@ def jacobian_structure(variables, casimirs: Sequence[PolyExpr],
         for j in range(i + 1, n):
             coeff = minors.get(full ^ (1 << i | 1 << j))
             if coeff is not None:
-                p = multiplier * coeff
+                p = multiplier * coeff if mu is None else coeff * mu
                 matrix[i][j] = p if (i + j) & 1 else -p
                 matrix[j][i] = -matrix[i][j]
     ps = PoissonStructure._trusted(variables, matrix, casimirs)
+    ps.constant_multiplier = mu
     ps._casimir_minors = minors
     # central by the docstring's repeated row; keyed as is_casimir looks up
     ps._casimir_verdicts = dict.fromkeys(casimirs, True)
@@ -287,16 +295,17 @@ def _stack_row(row, minors: dict) -> dict:
     nonzero determinants of some rows on those columns; the result maps
     each mask one column larger to the nonzero determinant with ``row`` put
     on top, expanded along it as one fused sum per minor.  Column c of a
-    mask sits at position popcount(mask below c), which gives its sign."""
+    mask sits at position popcount(mask below c), which gives its sign; the
+    entry is negated once, for every odd position."""
     terms: dict = {}
     for c, e in enumerate(row):
         if e.is_zero():
             continue
-        bit, below = 1 << c, (1 << c) - 1
+        bit, below, signed = 1 << c, (1 << c) - 1, (e, -e)
         for mask, d in minors.items():
             if not mask & bit:
-                odd = bin(mask & below).count("1") & 1
-                terms.setdefault(mask | bit, []).append((e, d, -1 if odd else 1))
+                terms.setdefault(mask | bit, []).append(
+                    (signed[bin(mask & below).count("1") & 1], d))
     out = {}
     for mask, pairs in terms.items():
         d = _sum_of_products(row[0].vars, pairs)
@@ -335,7 +344,7 @@ def _cofactor_row(ns: NambuStructure, minors: dict, slot: int) -> list[PolyExpr]
             c = mu * c
             out.append(c if sign > 0 else -c)
         else:
-            out.append(c if sign * scale == 1 else c * (sign * scale))
+            out.append(c * (sign * scale))
     return out
 
 
@@ -417,13 +426,15 @@ def is_casimir(s: PoissonStructure | NambuStructure, q: PolyExpr) -> bool:
     multiplier is zero or one Laplace step of dq on the Casimir minors
     leaves no minor.
 
-    The construction Casimirs of a :func:`jacobian_structure` are proved
-    central by the construction, which keeps their verdicts; any other
-    candidate, on any structure, takes the Hamiltonian rows."""
+    Construction Casimirs are central by construction: on a Nambu
+    structure the minor of a construction Casimir Q_i has the repeated row
+    dQ_i, and a :func:`jacobian_structure` keeps their verdicts.  Any other
+    candidate, on any structure, is computed as above."""
     q = q.with_vars(s.vars)
     q.require_polynomial_grade("Casimir candidate")
     if isinstance(s, NambuStructure):
-        return s.multiplier.is_zero() or not _stack_row(_gradient(q), s._casimir_minors)
+        return (q in s.casimirs or s.multiplier.is_zero()
+                or not _stack_row(_gradient(q), s._casimir_minors))
     verdict = s._casimir_verdicts.get(q)
     if verdict is None:
         grad = _gradient(q)
