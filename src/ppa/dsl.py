@@ -413,12 +413,10 @@ def _poly_pow(base: PolyExpr, e: Fraction, stream) -> PolyExpr:
     if max(abs(e.numerator), e.denominator) > MAX_EXPONENT:
         raise DomainError(f"exponent {e}: numerator and denominator must be at "
                           f"most MAX_EXPONENT = {MAX_EXPONENT}")
-    # an integral power of a negative coefficient stays rational
-    ce = int(e) if e.denominator == 1 else e
-    if base.is_constant() and not base.is_zero():
-        return PolyExpr.const(base.vars, _rational_pow(base.constant_value(), ce))
     if base.is_monomial():
         (mono, coef), = base.terms.items()
+        # an integral power of a negative coefficient stays rational
+        ce = int(e) if e.denominator == 1 else e
         return PolyExpr(base.vars, {tuple(Fraction(x) * e for x in mono):
                                     _rational_pow(coef, ce)})
     stream.error("fractional or negative powers apply only to monomials")

@@ -426,15 +426,13 @@ def is_casimir(s: PoissonStructure | NambuStructure, q: PolyExpr) -> bool:
     multiplier is zero or one Laplace step of dq on the Casimir minors
     leaves no minor.
 
-    Construction Casimirs are central by construction: on a Nambu
-    structure the minor of a construction Casimir Q_i has the repeated row
-    dQ_i, and a :func:`jacobian_structure` keeps their verdicts.  Any other
-    candidate, on any structure, is computed as above."""
+    The construction Casimirs of a :func:`jacobian_structure` are proved
+    central by the construction, which keeps their verdicts; any other
+    candidate, on any structure, takes the Hamiltonian rows."""
     q = q.with_vars(s.vars)
     q.require_polynomial_grade("Casimir candidate")
     if isinstance(s, NambuStructure):
-        return (q in s.casimirs or s.multiplier.is_zero()
-                or not _stack_row(_gradient(q), s._casimir_minors))
+        return s.multiplier.is_zero() or not _stack_row(_gradient(q), s._casimir_minors)
     verdict = s._casimir_verdicts.get(q)
     if verdict is None:
         grad = _gradient(q)

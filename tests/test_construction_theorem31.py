@@ -8,9 +8,8 @@ bracket and Casimirs, and the one ``oracles.duality_check_by_wedges`` gives
 from wedge powers, on random constructions (n = 3..7, integer and rational
 Casimirs of degree <= 3, mu zero, negative or a fraction, dependent
 Casimirs).  A Nambu structure's own Casimirs are central by a repeated row;
-its kept verdict must be the Laplace step's.  Also here: the cached
-coefficient bit length survives negation, and the DSL's power of a nonzero
-constant agrees with the general monomial path.
+the Laplace step of ``is_casimir`` must find them so.  Also here: the cached
+coefficient bit length survives negation.
 """
 
 from fractions import Fraction as F
@@ -18,15 +17,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import oracles
 import synthetic
 from oracles import duality_check_by_wedges, nambu_is_casimir_by_cofactors
 from ppa import dsl, duality, poly, runner
 from ppa.duality import duality_check
-from ppa.errors import DegenerateCasimirError, DomainError
-from ppa.poly import MAX_EXPONENT, PolyExpr, _coeff_bits
-from ppa.structures import (NambuStructure, PoissonStructure, _gradient, _stack_row,
-                            is_casimir, jacobian_structure)
+from ppa.errors import DegenerateCasimirError
+from ppa.poly import PolyExpr, _coeff_bits
+from ppa.structures import NambuStructure, PoissonStructure, is_casimir, jacobian_structure
 
 VARS = tuple(f"x{i + 1}" for i in range(7))
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -151,10 +148,9 @@ def nambu_structures(draw):
 
 @SETTINGS
 @given(nambu_structures())
-def test_nambu_construction_casimirs_keep_the_laplace_verdict(ns):
+def test_nambu_construction_casimirs_are_central(ns):
     for q in ns.casimirs:
-        laplace = ns.multiplier.is_zero() or not _stack_row(_gradient(q), ns._casimir_minors)
-        assert is_casimir(ns, q) is True and laplace
+        assert is_casimir(ns, q) is True
         assert nambu_is_casimir_by_cofactors(ns, q)
 
 
@@ -168,25 +164,3 @@ def test_negation_keeps_the_coefficient_bit_length():
         poly._set_bits(q, 0)
         assert _coeff_bits(q) == bits
     assert (-x1)._bits == 0                         # nothing cached, nothing carried
-
-
-@pytest.mark.parametrize("base", [F(4, 9), F(-8), F(27, 8), F(2), F(-1, 32), F(1),
-                                  F(3) ** 40000, F(1, 7) ** 5000])
-@pytest.mark.parametrize("e", [F(-1), F(-3), F(1, 2), F(-2, 3), F(3, 5), F(-5, 3),
-                               F(-30), F(1, MAX_EXPONENT), F(-1, MAX_EXPONENT + 1)])
-def test_powers_of_constants_take_the_general_monomial_path_values(base, e):
-    def outcome(pow_):
-        try:
-            return pow_(PolyExpr.const(VARS[:2], base), e, None)
-        except DomainError as err:
-            return type(err), str(err)
-    assert outcome(dsl._poly_pow) == outcome(oracles._poly_pow)
-
-
-@pytest.mark.parametrize("text", ["0^(-1)", "(x1 - x1)^(1/2)"])
-def test_a_power_of_zero_is_still_refused_as_a_non_monomial(text):
-    def refusal(parse):
-        with pytest.raises(Exception) as err:       # noqa: PT011 - compared
-            parse(text, ("x1",))
-        return type(err.value).__name__, str(err.value)
-    assert refusal(dsl.parse_polynomial) == refusal(oracles.parse_polynomial)
