@@ -17,7 +17,7 @@ Pfaffians to the minors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -29,16 +29,31 @@ from .poly import PolyExpr, _constant_ratio
 from .structures import PoissonStructure, _minor_table, is_casimir
 
 
-@dataclass
+@dataclass(init=False)
 class DualityReport:
     holds: bool
     lam: Optional[Fraction]          # None encodes a non-constant ratio
     lam_coord: Optional[Fraction]    # lam / m!
     m: int
     residual: dict    # subset -> nonzero m! * Pf; empty when proportional
-    # mask -> nonzero principal 2m-Pfaffian, and mask -> dual coefficient
-    pfaffians: dict = field(repr=False, compare=False)
-    dual: dict = field(repr=False, compare=False)
+
+    def __init__(self, holds, lam, lam_coord, m, residual, pfaffians, dual):
+        """``pfaffians`` (mask -> nonzero principal 2m-Pfaffian) and ``dual``
+        (mask -> dual coefficient) are dicts, or functions that compute them
+        on their first read."""
+        self.holds, self.lam, self.lam_coord, self.m = holds, lam, lam_coord, m
+        self.residual = residual
+        self._sides = pfaffians, dual
+
+    @cached_property
+    def pfaffians(self) -> dict:
+        side = self._sides[0]
+        return side() if callable(side) else side
+
+    @cached_property
+    def dual(self) -> dict:
+        side = self._sides[1]
+        return side() if callable(side) else side
 
     @cached_property
     def detail(self) -> dict:
@@ -48,6 +63,14 @@ class DualityReport:
         return {indices_of(mask): (self.pfaffians.get(mask, zero),
                                    self.dual.get(mask, zero))
                 for mask in sorted(self.pfaffians.keys() | self.dual.keys())}
+
+
+def _dual_side(ps: PoissonStructure, casimirs: tuple) -> dict:
+    """The volume dual of dQ_1 ^ ... ^ dQ_l: each minor moved to the
+    complement of its mask, signed by the shuffle (mask, complement)."""
+    full = (1 << ps.n) - 1
+    return {full ^ mask: d if merge_sign(mask, full ^ mask) > 0 else -d
+            for mask, d in _minor_table(ps, casimirs).items()}
 
 
 def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> DualityReport:
@@ -65,16 +88,19 @@ def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> Duality
 
     A :func:`~ppa.structures.jacobian_structure` with a constant multiplier
     mu, checked against its own construction Casimirs in order, holds by
-    construction with lam = lam_coord = mu (m = 1), and no Pfaffian or
-    ratio is computed: the Pfaffians are its nonzero entries p_ij keyed by
-    the 2-mask S = {i, j}, i < j.  The dual coefficient on S is
+    construction with lam = lam_coord = mu (m = 1), and no Pfaffian, ratio
+    or bracket entry is computed: dependent Casimirs raise
+    ``DegenerateCasimirError`` from the structure's ``_independent``
+    premise, and the report's ``pfaffians`` (its nonzero entries p_ij keyed
+    by the 2-mask S = {i, j}, i < j) and ``dual`` are computed on their
+    first read.  The dual coefficient on S is
     merge_sign(full ^ S, S) times the minor on full ^ S, and that shuffle
     has (n - 2 - i) + (n - 1 - j) inversions, of the parity of i + j + 1;
     p_ij is mu times the same minor signed (-1)^(i + j - 1), so every ratio
     is exactly mu.  mu = 0 fails with lam 0, as the computed path does.
     Tables, a polynomial multiplier and any other Casimirs are computed.
     """
-    casimirs = [q.with_vars(ps.vars) for q in casimirs]
+    casimirs = tuple([q.with_vars(ps.vars) for q in casimirs])
     if not casimirs:
         raise DomainError("need at least one Casimir")
     for q in casimirs:
@@ -86,18 +112,16 @@ def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> Duality
     m = (n - l) // 2
     if m < 1:
         raise ParityError("rank-0 comparison is vacuous")
-    # the volume dual of dQ_1 ^ ... ^ dQ_l: each minor moves to the
-    # complement of its mask, signed by the shuffle (mask, complement)
-    full = (1 << n) - 1
-    dual_side = {full ^ mask: d if merge_sign(mask, full ^ mask) > 0 else -d
-                 for mask, d in _minor_table(ps, tuple(casimirs)).items()}
-    if not dual_side:
-        raise DegenerateCasimirError(
-            "dQ_1 ^ ... ^ dQ_l vanishes identically; Casimirs are dependent")
     mu = ps.constant_multiplier
-    if mu is not None and tuple(casimirs) == ps.casimirs:
+    if mu is not None and casimirs == ps.casimirs:
+        if not ps._independent:
+            raise _degenerate()
         return DualityReport(holds=mu != 0, lam=mu, lam_coord=mu, m=1, residual={},
-                             pfaffians=ps.as_bivector(), dual=dual_side)
+                             pfaffians=ps.as_bivector,
+                             dual=lambda: _dual_side(ps, casimirs))
+    dual_side = _dual_side(ps, casimirs)
+    if not dual_side:
+        raise _degenerate()
     pfaffians = {mask_of(sub): pf for sub in combinations(range(n), 2 * m)
                  if not (pf := pfaffian(ps.matrix, sub)).is_zero()}
 
@@ -120,6 +144,11 @@ def duality_check(ps: PoissonStructure, casimirs: Sequence[PolyExpr]) -> Duality
         pfaffians=pfaffians,
         dual=dual_side,
     )
+
+
+def _degenerate() -> DegenerateCasimirError:
+    return DegenerateCasimirError(
+        "dQ_1 ^ ... ^ dQ_l vanishes identically; Casimirs are dependent")
 
 
 def bdu_relation_sides(ps: PoissonStructure, p1: PolyExpr, p2: PolyExpr):

@@ -39,6 +39,7 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm, prod
 from operator import add, mul, or_
 from struct import Struct, error as StructError
@@ -895,6 +896,71 @@ def _constant_ratio(p: PolyExpr, d: PolyExpr):
     if any(c * b != a * dn[m] for m, c in pn.items()):
         return None
     return Fraction(a * d._den, b * p._den)
+
+
+# ---------------- independence at one point mod p ----------------
+
+# The Mersenne prime 2^61 - 1 and one fixed point of nonzero residues mod it,
+# one per variable up to MAX_DIM = 8, drawn once by random.Random(20010517).
+_P = (1 << 61) - 1
+_POINT = (1143547714515111653, 2145097395435881441, 2303779485830185600,
+          165108489663482480, 202681957949839857, 767327945536792812,
+          15466996322994716, 560798243264439149)
+_INVERSE = tuple(pow(x, -1, _P) for x in _POINT)
+
+
+def _independent_mod_p(polys) -> bool:
+    """True when the gradients of the integer numerators of ``polys``
+    (polynomial-grade, over one set of at most 8 variables) have full row
+    rank at ``_POINT`` mod ``_P``.  Then some l x l minor of them is nonzero
+    mod p at the point, so nonzero over Z there, so the polynomial minor is
+    nonzero: dp_1 ^ ... ^ dp_l != 0 over Q[x], the numerators' gradients
+    being the den multiples of the values' own.  False proves nothing: the
+    point or the prime may be unlucky, and the caller falls back to exact
+    minors.
+
+    Each partial is read off the packed terms, with no ``diff`` and no
+    ``PolyExpr``: d/dx_j of c x^m at the point is m_j c x^m / x_j, x^m taken
+    from per-variable power tables."""
+    n = len(polys[0].vars) if polys else 0
+    shifts = [(j, FIELD_BITS * (n - 1 - j)) for j in range(n)]
+    # each term as (c mod p, [(j, m_j) for the variables it has])
+    terms = [[(c % _P, [(j, e) for j, s in shifts if (e := k >> s & _FIELD_MASK)])
+              for k, c in p._num.items()] for p in polys]
+    degree = [0] * n
+    for _, exps in chain.from_iterable(terms):
+        for j, e in exps:
+            degree[j] = max(degree[j], e)
+    powers = []
+    for x, m in zip(_POINT, degree):
+        table = [1]
+        for _ in range(m):
+            table.append(table[-1] * x % _P)
+        powers.append(table)
+    rows = []
+    for t in terms:
+        row = [0] * n
+        for v, exps in t:
+            for j, e in exps:
+                v = v * powers[j][e] % _P
+            for j, e in exps:
+                row[j] += v * e * _INVERSE[j]
+        rows.append([a % _P for a in row])
+    # fraction-free elimination mod p, until every row has a pivot
+    rank = 0
+    for col in range(n):
+        if rank == len(rows):
+            break
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if f := rows[r][col]:
+                rows[r] = [(top[col] * a - f * b) % _P for a, b in zip(rows[r], top)]
+        rank += 1
+    return rank == len(rows)
 
 
 # ---------------- monomial maps ----------------

@@ -16,7 +16,8 @@ keyed by column mask (the coefficients of dQ_1 ^ ... ^ dQ_l), built by
 Laplace expansion one gradient row at a time (:func:`casimir_minors`):
 {x_i, x_j} is the multiplier times the signed minor on the other n - 2
 columns, and a Nambu bracket stacks its argument gradients on the table and
-reads the full minor.
+reads the full minor.  A Jacobian structure builds that table, and its
+matrix from it, only when something reads them.
 """
 
 from __future__ import annotations
@@ -29,15 +30,17 @@ from typing import Optional, Sequence
 
 from .errors import ArityError, DomainError, PpaError
 from .exterior import mask_of, pfaffian, require_max_dim
-from .poly import PolyExpr, _sum_of_products, exact_divisibility
+from .poly import PolyExpr, _independent_mod_p, _sum_of_products, exact_divisibility
 
 
 class PoissonStructure:
     """Antisymmetric bracket matrix over a fixed variable tuple, with the
     Casimirs declared for it (``casimirs``, kept as given)."""
 
-    # the constant multiplier mu of a :func:`jacobian_structure`; None for a
-    # table or a polynomial multiplier
+    # the multiplier of a :func:`jacobian_structure`, and it as a constant
+    # mu when it is one, from which theorem31 reads lambda'; None for a
+    # table (and mu None for a polynomial multiplier)
+    multiplier: Optional[PolyExpr] = None
     constant_multiplier: Optional[Fraction] = None
 
     def __init__(self, variables: Sequence[str], matrix):
@@ -69,11 +72,12 @@ class PoissonStructure:
         """Trusted constructor for a table built antisymmetric: ``matrix`` is
         a full n x n list of polynomial-grade ``PolyExpr`` over ``variables``
         with a zero diagonal and p_ji = -p_ij, so none of ``__init__``'s
-        checks run."""
+        checks run.  ``matrix`` None leaves it to :attr:`matrix`."""
         ps = cls.__new__(cls)
         ps.vars = variables
         ps.n = len(variables)
-        ps.matrix = [list(row) for row in matrix]
+        if matrix is not None:
+            ps.matrix = [list(row) for row in matrix]
         ps.casimirs = tuple(casimirs)
         ps._casimir_verdicts = {}
         return ps
@@ -109,30 +113,59 @@ class PoissonStructure:
         return cls._trusted(variables, matrix, casimirs)
 
     @cached_property
+    def matrix(self) -> list:
+        """The n x n bracket matrix.  A table sets it at construction; a
+        :func:`jacobian_structure` builds it here, on first read: p_ij is
+        the multiplier times the minor on the columns other than i and j,
+        signed (-1)^(i + j - 1), a constant mu scaling each minor as a
+        scalar."""
+        n, minors, mu = self.n, self._casimir_minors, self.constant_multiplier
+        full = (1 << n) - 1
+        zero = PolyExpr.zero(self.vars)
+        matrix = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                coeff = minors.get(full ^ (1 << i | 1 << j))
+                if coeff is not None:
+                    p = self.multiplier * coeff if mu is None else coeff * mu
+                    matrix[i][j] = p if (i + j) & 1 else -p
+                    matrix[j][i] = -matrix[i][j]
+        return matrix
+
+    @cached_property
     def _casimir_minors(self) -> dict:
         """The :func:`casimir_minors` table of the structure's Casimirs,
-        computed once; a Jacobian structure holds the one it was built
-        from."""
+        computed once."""
         return casimir_minors(self.vars, [q.with_vars(self.vars) for q in self.casimirs])
+
+    @cached_property
+    def _independent(self) -> bool:
+        """dQ_1 ^ ... ^ dQ_l != 0 for the structure's Casimirs: their minor
+        table is nonempty.  A Jacobian structure whose Casimirs are
+        independent at one point mod p holds ``True`` from construction
+        (see :func:`jacobian_structure`); anything else reads the table."""
+        return bool(self._casimir_minors)
 
     @cached_property
     def certified(self) -> bool:
         """True when l >= n - 2 of the structure's Casimirs all pass
-        :func:`is_casimir` and their minor table is nonempty (dQ_1 ^ ... ^
-        dQ_l != 0).  Then rank <= n - l <= 2 and pi = h J over Q(x), J the
-        Jacobian bracket of n - 2 of them, so [hJ, hJ] = h^2 [J, J] +
+        :func:`is_casimir` and are independent (``_independent``: dQ_1 ^
+        ... ^ dQ_l != 0).  Then rank <= n - l <= 2 and pi = h J over Q(x),
+        J the Jacobian bracket of n - 2 of them, so [hJ, hJ] = h^2 [J, J] +
         2h J ^ J#(dh) = 0 (Vaisman 1994; Grabowski-Marmo-Perelomov, Mod.
         Phys. Lett. A 8 (1993) 1719).  A premise raising ``PpaError``
         counts as false.  ``jacobi_witnesses``, ``plucker_rank2_test`` and
         ``generic_rank`` read it first: then its rank is 2 (0 for the zero
         bracket), with no Pfaffian.  A Jacobian structure's construction
-        proves its Casimirs (see :func:`jacobian_structure`), so for it only
-        the minor table is looked at; declared Casimirs of a table are
-        computed."""
+        proves its Casimirs central, and one evaluation mod p most often
+        proves them independent (see :func:`jacobian_structure`), so it is
+        certified with no entry of its bracket built; declared Casimirs of
+        a table are computed, and their independence read off their minor
+        table."""
         try:
             return (len(self.casimirs) >= self.n - 2
                     and all(is_casimir(self, q) for q in self.casimirs)
-                    and bool(self._casimir_minors))
+                    and self._independent)
         except PpaError:
             return False
 
@@ -234,13 +267,21 @@ def jacobian_structure(variables, casimirs: Sequence[PolyExpr],
     columns, signed by the shuffle ({i, j}, the rest), which is
     (-1)^(i + j - 1).  Refused above ``MAX_DIM`` variables.
 
+    The construction keeps the Casimirs and the multiplier (a constant one
+    also as ``constant_multiplier``) and builds no minor: the matrix is
+    built on its first read (:attr:`~PoissonStructure.matrix`), so a
+    refusal inside the minor expansion (``MAX_WORK``, ``MAX_EXPONENT``)
+    fails the first check that reads the bracket, not the construction.
+
     The construction proves its own Casimirs central: {Q_i, x_k} is the
     multiplier times det(dQ_i, e_k, dQ_1, ..., dQ_{n-2}), which has a
     repeated row.  The structure carries them with :func:`is_casimir`'s
-    verdict already ``True``, so :attr:`~PoissonStructure.certified` reduces
-    to the minor table, held from the build, being nonempty.  A constant
-    multiplier scales each minor as a scalar and is kept as
-    ``constant_multiplier``, from which theorem31 reads lambda'."""
+    verdict already ``True``.  When their gradients are independent at one
+    fixed point mod p (``poly._independent_mod_p``, whose docstring holds
+    the soundness argument), ``_independent`` is ``True`` too, so
+    :attr:`~PoissonStructure.certified` holds with no minor computed;
+    otherwise the minor table decides it.  Arithmetic mod p only ever
+    proves independence."""
     variables = tuple(variables)
     n = len(variables)
     casimirs = tuple(q.with_vars(variables) for q in casimirs)
@@ -254,23 +295,13 @@ def jacobian_structure(variables, casimirs: Sequence[PolyExpr],
     for q in casimirs:
         q.require_polynomial_grade("Casimir")
     require_max_dim(n)
-    minors = casimir_minors(variables, casimirs)
-    mu = multiplier.constant_value() if multiplier.is_constant() else None
-    full = (1 << n) - 1
-    zero = PolyExpr.zero(variables)
-    matrix = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeff = minors.get(full ^ (1 << i | 1 << j))
-            if coeff is not None:
-                p = multiplier * coeff if mu is None else coeff * mu
-                matrix[i][j] = p if (i + j) & 1 else -p
-                matrix[j][i] = -matrix[i][j]
-    ps = PoissonStructure._trusted(variables, matrix, casimirs)
-    ps.constant_multiplier = mu
-    ps._casimir_minors = minors
+    ps = PoissonStructure._trusted(variables, None, casimirs)
+    ps.multiplier = multiplier
+    ps.constant_multiplier = multiplier.constant_value() if multiplier.is_constant() else None
     # central by the docstring's repeated row; keyed as is_casimir looks up
     ps._casimir_verdicts = dict.fromkeys(casimirs, True)
+    if _independent_mod_p(casimirs):
+        ps._independent = True
     return ps
 
 
@@ -489,7 +520,10 @@ def generic_rank(ps: PoissonStructure) -> int:
 
     A :attr:`~PoissonStructure.certified` structure, or one whose
     ``_rank2`` verdict holds, has rank 2 (0 for the zero matrix) and
-    computes no Pfaffian here.  Otherwise, with P the pivot pairs taken so
+    computes no Pfaffian here.  A certified :func:`jacobian_structure`
+    reads no entry either: its entries are the multiplier times the
+    Casimir minors, of which one is nonzero, so its rank is 0 iff the
+    multiplier is zero.  Otherwise, with P the pivot pairs taken so
     far (in order), M_kl = Pf(P, k, l) on the other indices is Pf(P) times
     the Schur complement of the P block, so rank = |P| + rank M.  Each step
     takes :func:`_pivot`'s (c, d) in M and forms
@@ -502,6 +536,8 @@ def generic_rank(ps: PoissonStructure) -> int:
     reads the Pfaffians it computed.  No fraction of polynomials and no
     sample point enters, and every Pfaffian product is held to
     ``MAX_WORK``."""
+    if ps.certified and ps.multiplier is not None:
+        return 0 if ps.multiplier.is_zero() else 2
     if ps.certified or ps._rank2[0]:
         return 2 if any(not p.is_zero() for _, p in ps.entries_upper()) else 0
     n, m, indices, rank, pivot = ps.n, ps.matrix, range(ps.n), 0, ps._rank2[1]
