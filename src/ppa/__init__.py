@@ -7,12 +7,11 @@ from .exterior import pfaffian
 from .structures import (
     NambuStructure,
     PoissonStructure,
-    check_jacobi,
     generic_rank,
     is_casimir,
     is_quasi_casimir,
+    jacobi_witnesses,
     jacobian_structure,
-    nambu_bracket,
     plucker_rank2_test,
 )
 from .duality import degree_sum_check, duality_check
@@ -22,7 +21,6 @@ from .geometry import (
     transport_bracket,
 )
 from .dynamics import (
-    decoupling_check,
     hamiltonian_vector_field,
     integrate,
     nambu_vector_field,

@@ -1,8 +1,7 @@
-"""Hamiltonian and Nambu vector fields, the Fairlie-Nahm decoupling check,
-and fixed-step RK4.
+"""Hamiltonian and Nambu vector fields, and fixed-step RK4.
 
-Symbolic checks are exact; the integrator is deliberately plain: classical
-fourth-order Runge-Kutta with a fixed step, so drift numbers are
+The fields are exact polynomials; the integrator is deliberately plain:
+classical fourth-order Runge-Kutta with a fixed step, so drift numbers are
 reproducible regression values rather than artifacts of adaptivity.
 
 Each :func:`integrate` call runs one generated function
@@ -25,11 +24,10 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import DivergenceError, DomainError
-from .poly import PolyExpr, _float_sum_lines, _sum, exact_divisibility, float_evaluator
+from .poly import PolyExpr, _float_sum_lines, _sum, float_evaluator
 from .exterior import require_max_dim
 from .structures import (NambuStructure, PoissonStructure, _cofactor_row, _gradient,
                          _stacked_minors)
@@ -93,137 +91,13 @@ def nambu_vector_field(ns: NambuStructure,
     return PolyVectorField(ns.vars, _cofactor_row(ns, minors, ns.arity - 1))
 
 
-# ---------------- Fairlie flow and its Nahm decoupling ----------------
-
-FAIRLIE_VARS = ("x1", "x2", "x3", "x4")
-
-
-def fairlie_field(g2: Fraction) -> PolyVectorField:
-    """xdot_i = product of the other three coordinates, one g^2 weight."""
-    x1, x2, x3, x4 = PolyExpr.gens(FAIRLIE_VARS)
-    return PolyVectorField(FAIRLIE_VARS,
-                           [x2 * x3 * x4, x1 * x3 * x4, x1 * x2 * x4,
-                            x1 * x2 * x3 * g2])
-
-
-@dataclass
-class DecouplingReport:
-    solved_coefficient: Optional[Fraction]   # None when sqrt(g2) is irrational
-    solved_float: float
-    nahm_match: bool
-    plus_residual: PolyExpr    # u-equation residual at the literal a = g2
-    minus_residual: PolyExpr
-    residuals_at_solution: list  # six PolyExpr at the rational root, else in a
-    conserved_difference: PolyExpr  # u+^2 - v+^2 - (x3^2-x2^2)(x4^2-a^2 x1^2)
-
-
-def _nahm_residuals(g2: Fraction, a_poly: PolyExpr, vars5) -> list[PolyExpr]:
-    """Residuals RHS - LHS of the six Nahm equations under the quadratic
-    change of variables u,v,w = (pair products) +- a * (complementary pair),
-    differentiated along the Fairlie field with a constant multiplier a."""
-    x1, x2, x3, x4, _ = PolyExpr.gens(vars5)
-    field = PolyVectorField(vars5, fairlie_field(g2).components + [PolyExpr.zero(vars5)])
-    ddt = field.apply_to
-    out = []
-    for sign in (1, -1):
-        u = x3 * x4 + a_poly * x1 * x2 * sign
-        v = x2 * x4 + a_poly * x1 * x3 * sign
-        w = x1 * x4 + a_poly * x2 * x3 * sign
-        out.append(v * w - ddt(u))
-        out.append(w * u - ddt(v))
-        out.append(u * v - ddt(w))
-    return out
-
-
-def decoupling_check(g2: Fraction) -> DecouplingReport:
-    """Solve for the multiplier a that turns the quartic flow into two
-    decoupled three-variable quadratic tops, and record what the literal
-    substitution a = g2 leaves over.
-
-    The six matching conditions reduce to a**2 = g2 exactly, so the match
-    holds iff every symbolic residual is divisible by a**2 - g2, an exact
-    test for every g2.  When g2 is a rational square the residuals at the
-    solution are exact; otherwise the solved coefficient is reported as a
-    float and the residuals are the symbolic ones in a.
-    """
-    g2 = Fraction(g2)
-    if g2 <= 0:
-        raise DomainError("g2 must be positive")
-    vars5 = FAIRLIE_VARS + ("a",)
-    x1, x2, x3, x4, a = PolyExpr.gens(vars5)
-
-    # literal substitution a = g2
-    lit = _nahm_residuals(g2, PolyExpr.const(vars5, g2), vars5)
-    plus_residual = lit[0]
-    minus_residual = lit[3]
-
-    sym = _nahm_residuals(g2, a, vars5)
-    nahm_match = all(exact_divisibility(r, a * a - g2)[0] for r in sym)
-    solved = _rational_sqrt(g2)
-    if solved is not None:
-        sol = _nahm_residuals(g2, PolyExpr.const(vars5, solved), vars5)
-        solved_float = float(solved)
-    else:
-        sol = sym
-        solved_float = math.sqrt(float(g2))
-
-    aval = PolyExpr.const(vars5, solved) if solved is not None else a
-    u = x3 * x4 + aval * x1 * x2
-    v = x2 * x4 + aval * x1 * x3
-    diff = (u * u - v * v) - (x3 * x3 - x2 * x2) * (x4 * x4 - aval * aval * x1 * x1)
-
-    return DecouplingReport(
-        solved_coefficient=solved,
-        solved_float=solved_float,
-        nahm_match=nahm_match,
-        plus_residual=plus_residual,
-        minus_residual=minus_residual,
-        residuals_at_solution=sol,
-        conserved_difference=diff,
-    )
-
-
-def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
-    num = math.isqrt(x.numerator)
-    den = math.isqrt(x.denominator)
-    if num * num == x.numerator and den * den == x.denominator:
-        return Fraction(num, den)
-    return None
-
-
 # ---------------- numerical integration ----------------
-
-class _States(Sequence):
-    """Read-only view of a report's recorded states: one tuple of the n
-    coordinates per row of its flat ``rows``."""
-
-    def __init__(self, report: "TrajectoryReport"):
-        self._rows = report.rows
-        self._width = report.width
-        self._dim = report.dim
-        self._len = len(report.rows) // report.width
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(self._len))]
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("state index out of range")
-        start = i * self._width + 1
-        return tuple(self._rows[start:start + self._dim])
-
 
 @dataclass
 class TrajectoryReport:
     """One RK4 run.  ``rows`` holds, flat, one row per step from t = 0:
-    t, the ``dim`` coordinates and the monitor values.  ``times`` and
-    ``states`` are read-only views of it."""
+    t, the ``dim`` coordinates and the monitor values.  ``times`` is a
+    read-only view of it."""
     rows: array
     dim: int
     drift: dict          # invariant name -> max relative deviation
@@ -236,10 +110,6 @@ class TrajectoryReport:
     @property
     def times(self) -> memoryview:
         return memoryview(self.rows).toreadonly()[::self.width]
-
-    @property
-    def states(self) -> _States:
-        return _States(self)
 
 
 # Most RK4 steps one integration may take: it bounds the work of a hostile

@@ -388,10 +388,6 @@ class PolyExpr:
             raise VariableSetError("weight tuple does not match variables")
         return max(sum(w * e for w, e in zip(weights, m)) for m in _tuple_num(self))
 
-    def is_weighted_homogeneous(self, weights: Sequence[int]) -> bool:
-        degs = {sum(w * e for w, e in zip(weights, m)) for m in _tuple_num(self)}
-        return len(degs) <= 1
-
     def homogeneous_component(self, degree: int) -> "PolyExpr":
         out = {m: c for m, c in _tuple_num(self).items() if sum(m) == degree}
         return _reduced(self.vars, out, self._den, False)
@@ -1094,13 +1090,6 @@ class MonomialMap:
                                  tuple(tuple(a // g for a in row) for row in adj))
         self._dscales = None
         self._jacobian = None
-
-    @classmethod
-    def identity(cls, variables):
-        variables = tuple(variables)
-        n = len(variables)
-        return cls(variables, variables,
-                   [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_monomials(cls, old_vars, assignments):

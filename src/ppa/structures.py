@@ -15,9 +15,10 @@ Both read their brackets off one table, the minors of the Casimir gradients
 keyed by column mask (the coefficients of dQ_1 ^ ... ^ dQ_l), built by
 Laplace expansion one gradient row at a time (:func:`casimir_minors`):
 {x_i, x_j} is the multiplier times the signed minor on the other n - 2
-columns, and a Nambu bracket stacks its argument gradients on the table and
-reads the full minor.  A Jacobian structure builds that table, and its
-matrix from it, only when something reads them.
+columns, and a Nambu vector field stacks its Hamiltonians' gradients on
+the table and reads one cofactor row.  A Jacobian structure builds that
+table, and its matrix from it, only when something reads them; a refusal
+while building the table is kept and raised again.
 """
 
 from __future__ import annotations
@@ -33,7 +34,28 @@ from .exterior import mask_of, pfaffian, require_max_dim
 from .poly import PolyExpr, _independent_mod_p, _sum_of_products, exact_divisibility
 
 
-class PoissonStructure:
+class _CasimirMinors:
+    """What a Poisson and a Nambu structure share: the minor table of their
+    Casimirs, off which they read their brackets."""
+
+    _minors_refusal: Optional[PpaError] = None
+
+    @cached_property
+    def _casimir_minors(self) -> dict:
+        """The :func:`casimir_minors` table of the structure's Casimirs,
+        computed once.  A cached property keeps no exception, so the first
+        refusal (``PpaError``, say ``MAX_WORK``) is kept and raised again on
+        every later read: no check expands the minors a second time."""
+        if self._minors_refusal is not None:
+            raise self._minors_refusal
+        try:
+            return casimir_minors(self.vars, [q.with_vars(self.vars) for q in self.casimirs])
+        except PpaError as e:
+            self._minors_refusal = e
+            raise
+
+
+class PoissonStructure(_CasimirMinors):
     """Antisymmetric bracket matrix over a fixed variable tuple, with the
     Casimirs declared for it (``casimirs``, kept as given)."""
 
@@ -43,53 +65,32 @@ class PoissonStructure:
     multiplier: Optional[PolyExpr] = None
     constant_multiplier: Optional[Fraction] = None
 
-    def __init__(self, variables: Sequence[str], matrix):
-        self.vars = tuple(variables)
-        n = len(self.vars)
-        self.n = n
-        self.matrix = [[PolyExpr.zero(self.vars) for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                e = matrix[i][j]
-                if e is None:
-                    continue
-                e.require_polynomial_grade(f"bracket entry ({i},{j})")
-                self.matrix[i][j] = e.with_vars(self.vars) if e.vars != self.vars else e
-        for i in range(n):
-            if not self.matrix[i][i].is_zero():
-                raise DomainError(f"nonzero diagonal bracket at {i}")
-            for j in range(i + 1, n):
-                if self.matrix[i][j] != -self.matrix[j][i]:
-                    raise DomainError(f"bracket matrix not antisymmetric at ({i},{j})")
-        self.casimirs = ()
-        # Casimir candidate -> verdict: the matrix never changes, so a
-        # candidate checked once (say by the casimirs check) is not checked
-        # again by a later predicate (theorem31) on the same structure.
-        self._casimir_verdicts: dict[PolyExpr, bool] = {}
-
     @classmethod
     def _trusted(cls, variables: tuple, matrix, casimirs=()) -> "PoissonStructure":
-        """Trusted constructor for a table built antisymmetric: ``matrix`` is
-        a full n x n list of polynomial-grade ``PolyExpr`` over ``variables``
-        with a zero diagonal and p_ji = -p_ij, so none of ``__init__``'s
-        checks run.  ``matrix`` None leaves it to :attr:`matrix`."""
+        """The internal constructor, which checks nothing: ``matrix`` is a
+        full n x n list of polynomial-grade ``PolyExpr`` over ``variables``
+        with a zero diagonal and p_ji = -p_ij.  ``matrix`` None leaves it to
+        :attr:`matrix`."""
         ps = cls.__new__(cls)
         ps.vars = variables
         ps.n = len(variables)
         if matrix is not None:
             ps.matrix = [list(row) for row in matrix]
         ps.casimirs = tuple(casimirs)
+        # Casimir candidate -> verdict: the matrix never changes, so a
+        # candidate checked once (say by the casimirs check) is not checked
+        # again by a later predicate (theorem31) on the same structure.
         ps._casimir_verdicts = {}
         return ps
 
     @classmethod
     def from_table(cls, variables, entries: dict, casimirs=()) -> "PoissonStructure":
         """Build from {(i, j): PolyExpr} with 0-based i < j; rest is zero.
-        The table is antisymmetric by construction, so of ``__init__``'s
-        checks only the diagonal, grade and variable-set ones run, in its
-        order; an index outside the variables is refused, and the rest of
-        the matrix is one shared zero.  ``casimirs`` are kept as given, for
-        :attr:`certified` to verify."""
+        The table is antisymmetric by construction; a diagonal entry, an
+        index outside the variables and an entry that is not
+        polynomial-grade are refused, and the rest of the matrix is one
+        shared zero.  ``casimirs`` are kept as given, for :attr:`certified`
+        to verify."""
         variables = tuple(variables)
         n = len(variables)
         zero = PolyExpr.zero(variables)
@@ -131,12 +132,6 @@ class PoissonStructure:
                     matrix[i][j] = p if (i + j) & 1 else -p
                     matrix[j][i] = -matrix[i][j]
         return matrix
-
-    @cached_property
-    def _casimir_minors(self) -> dict:
-        """The :func:`casimir_minors` table of the structure's Casimirs,
-        computed once."""
-        return casimir_minors(self.vars, [q.with_vars(self.vars) for q in self.casimirs])
 
     @cached_property
     def _independent(self) -> bool:
@@ -213,7 +208,7 @@ class PoissonStructure:
         return f"<PoissonStructure n={self.n} vars={','.join(self.vars)}>"
 
 
-class NambuStructure:
+class NambuStructure(_CasimirMinors):
     """(n-m)-ary Jacobian-type bracket with m Casimirs and a multiplier."""
 
     def __init__(self, variables: Sequence[str], casimirs: Sequence[PolyExpr],
@@ -230,12 +225,6 @@ class NambuStructure:
         self.arity = self.n - len(self.casimirs)
         if self.arity < 1:
             raise ArityError("too many Casimirs for the dimension")
-
-    @cached_property
-    def _casimir_minors(self) -> dict:
-        """The :func:`casimir_minors` table of the Casimirs: the bottom of
-        every cofactor row, computed once per structure."""
-        return casimir_minors(self.vars, self.casimirs)
 
     def __repr__(self):
         return f"<NambuStructure n={self.n} arity={self.arity}>"
@@ -307,20 +296,6 @@ def jacobian_structure(variables, casimirs: Sequence[PolyExpr],
 
 # ---------------- bracket evaluation ----------------
 
-def nambu_bracket(ns: NambuStructure, args: Sequence[PolyExpr]) -> PolyExpr:
-    """multiplier * (df_1 ^ ... ^ df_r ^ dQ_1 ^ ... ^ dQ_m) / volume: the
-    argument gradients stacked on the Casimir minors, read on all columns.
-    Refused above ``MAX_DIM`` variables."""
-    if len(args) != ns.arity:
-        raise ArityError(f"bracket takes {ns.arity} arguments, got {len(args)}")
-    args = [a.with_vars(ns.vars) for a in args]
-    for a in args:
-        a.require_polynomial_grade("bracket argument")
-    require_max_dim(ns.n)
-    top = _stacked_minors([_gradient(a) for a in args], ns._casimir_minors)
-    return ns.multiplier * top.get((1 << ns.n) - 1, PolyExpr.zero(ns.vars))
-
-
 def _stack_row(row, minors: dict) -> dict:
     """One Laplace step: ``minors`` maps column masks of one size to the
     nonzero determinants of some rows on those columns; the result maps
@@ -381,12 +356,6 @@ def _cofactor_row(ns: NambuStructure, minors: dict, slot: int) -> list[PolyExpr]
 
 # ---------------- verification predicates ----------------
 
-@dataclass
-class JacobiReport:
-    holds: bool
-    witnesses: list  # [(i, j, k, residual PolyExpr)]
-
-
 def _gradient(p: PolyExpr) -> list[PolyExpr]:
     return [p.diff(v) for v in p.vars]
 
@@ -439,13 +408,6 @@ def jacobi_witnesses(ps: PoissonStructure):
         r = _jacobiator(m, i, j, k, grad(j, k), grad(k, i), grad(i, j))
         if not r.is_zero():
             yield i, j, k, r
-
-
-def check_jacobi(ps: PoissonStructure) -> JacobiReport:
-    """Exact symbolic Jacobi check with every witness (the runner's check
-    takes only the first)."""
-    witnesses = list(jacobi_witnesses(ps))
-    return JacobiReport(holds=not witnesses, witnesses=witnesses)
 
 
 def is_casimir(s: PoissonStructure | NambuStructure, q: PolyExpr) -> bool:

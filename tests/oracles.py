@@ -12,7 +12,8 @@ contraction per coordinate tuple.  ``bracket_by_entries`` is the Poisson
 bracket as a chain of sums over the upper entries.
 
 ``bracket_of`` is the Poisson bracket as Hamiltonian rows contracted with a
-gradient, as the package exported it until no command reached it.
+gradient, and ``trajectory_states`` the states of an ``integrate`` report,
+as the package exported them until no command reached them.
 ``fundamental_identity_by_cofactor_rows`` is the residual of the n-ary
 fundamental identity as cofactor contractions, one row per tail slot, as the
 library computed it before ``fi`` passed a Nambu structure by its
@@ -950,6 +951,14 @@ def bracket_of(ps: PoissonStructure, f: PolyExpr, g: PolyExpr) -> PolyExpr:
     g.require_polynomial_grade("bracket argument")
     df = _gradient(f)
     return contract([_hamiltonian_row(ps, df, k) for k in range(ps.n)], _gradient(g))
+
+
+def trajectory_states(report) -> list:
+    """One tuple of the n coordinates per row of the report's flat
+    ``rows`` (t, the coordinates, the monitor values)."""
+    width, dim = report.width, report.dim
+    return [tuple(report.rows[start + 1:start + 1 + dim])
+            for start in range(0, len(report.rows), width)]
 
 
 def fundamental_identity_by_cofactor_rows(ns: NambuStructure,

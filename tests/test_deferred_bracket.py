@@ -9,7 +9,8 @@ table.  Here: the mod-p verdict is never ``True`` for dependent Casimirs,
 and ``certified`` is what the minor table alone gives; the deferred matrix
 has the entries, signs and term order of the eager construction; the
 certified checks expand no minor; and a refusal inside the minor expansion
-fails the first check that reads the bracket, not the whole command.
+fails the first check that reads the bracket, not the whole command, and
+is kept, so a later check raises it again without a second expansion.
 """
 
 from fractions import Fraction as F
@@ -21,9 +22,10 @@ import synthetic
 from ppa import catalog, dsl, runner, structures
 from ppa.cli import main
 from ppa.duality import duality_check
+from ppa.errors import DomainError
 from ppa.poly import PolyExpr, _independent_mod_p
-from ppa.structures import (casimir_minors, generic_rank, is_casimir, jacobi_witnesses,
-                            jacobian_structure, plucker_rank2_test)
+from ppa.structures import (NambuStructure, casimir_minors, generic_rank, is_casimir,
+                            jacobi_witnesses, jacobian_structure, plucker_rank2_test)
 
 VARS = tuple(f"x{i + 1}" for i in range(8))
 SETTINGS = settings(max_examples=80, deadline=None,
@@ -198,3 +200,28 @@ def test_a_refused_minor_expansion_fails_only_the_checks_that_read_the_bracket(
     assert main(["integrate", str(path), "--out", str(tmp_path / "flow.csv")]) == 2
     assert "more than MAX_WORK" in capsys.readouterr().err
     assert not (tmp_path / "flow.csv").exists()
+
+
+def test_a_refused_minor_expansion_is_kept_and_raised_again(tmp_path, capsys, monkeypatch):
+    """A cached property keeps no exception: the structure keeps the first
+    refusal, so three checks that read the bracket expand the minors once
+    and report the same refusal; a Nambu structure keeps it too."""
+    tables = []
+    real = structures.casimir_minors
+    monkeypatch.setattr(structures, "casimir_minors",
+                        lambda *args: tables.append(args) or real(*args))
+    path = tmp_path / "refused.ppa"
+    path.write_text(REFUSED + "check extendability, quasi(x1), extendability;\n")
+    assert main(["check", str(path)]) == 1
+    refusal = ("a product of polynomials with 1540 x 1540 terms and coefficients "
+               "of 36 and 63 bits costs 2371600 units, more than MAX_WORK = 1000000")
+    assert capsys.readouterr().out == (
+        f"extendability: fail  {refusal}\nquasi(x1): fail  {refusal}\n"
+        f"extendability: fail  {refusal}\noverall: fail\n")
+    assert len(tables) == 1
+    spec = dsl.parse_model(REFUSED + "check rank;\n")
+    ns = NambuStructure(spec.vars, spec.casimir_polys())
+    for _ in range(2):
+        with pytest.raises(DomainError, match="more than MAX_WORK"):
+            is_casimir(ns, PolyExpr.var("x1", spec.vars))
+    assert len(tables) == 2

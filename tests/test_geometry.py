@@ -8,7 +8,7 @@ from ppa import catalog
 from ppa.errors import DomainError
 from ppa.geometry import chart_compare, check_projective_extendability, transport_bracket
 from ppa.poly import MonomialMap, PolyExpr, exact_divisibility, substitute
-from ppa.structures import PoissonStructure, check_jacobi, is_casimir
+from ppa.structures import PoissonStructure, is_casimir, jacobi_witnesses
 
 V3 = ("x1", "x2", "x3")
 
@@ -59,7 +59,8 @@ def test_transported_casimirs_verbatim():
 
 def test_identity_transport():
     m = catalog.build("markov")
-    res = transport_bracket(m.structure, MonomialMap.identity(V3))
+    identity = MonomialMap(V3, V3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    res = transport_bracket(m.structure, identity)
     assert res.structure() == m.structure
 
 
@@ -74,7 +75,7 @@ def test_transport_preserves_jacobi_and_casimirs():
     m = catalog.build("q3", {"k": 2})
     res = transport_bracket(m.structure, map_a())
     ts = res.structure()
-    assert check_jacobi(ts).holds
+    assert list(jacobi_witnesses(ts)) == []
     assert is_casimir(ts, substitute(m.casimirs[0][1], map_a()))
 
 
@@ -86,7 +87,8 @@ def test_weighted_homogeneity_of_transported_brackets():
         pdeg = m.casimirs[0][1].weighted_degree(weights)
         extra = pdeg - sum(weights)
         for (i, j), e in ps.entries_upper():
-            assert e.is_weighted_homogeneous(weights), (name, i, j)
+            degrees = {sum(w * x for w, x in zip(weights, m)) for m in e.terms}
+            assert len(degrees) <= 1, (name, i, j)
             assert e.weighted_degree(weights) == weights[i] + weights[j] + extra
 
 

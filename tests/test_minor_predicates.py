@@ -5,10 +5,10 @@ Casimir differentials, and ``jacobian_structure`` with
 ``oracles.jacobian_structure_by_wedges``, the construction read off that
 wedge.  A Nambu bracket with g in slot k is the cofactor contraction
 sum_j W_j d_j g, W built from the minors of the other argument and Casimir
-gradients; it and ``nambu_bracket`` are compared with
-``oracles.nambu_bracket_by_wedges``, the top coefficient of a full
-``wedge_all``.  ``is_casimir`` on a Nambu structure, one Laplace step of dq
-on the Casimir minors, is compared with those brackets and with
+gradients; it is compared with ``oracles.nambu_bracket_by_wedges``, the
+top coefficient of a full ``wedge_all``.  ``is_casimir`` on a Nambu
+structure, one Laplace step of dq on the Casimir minors, is compared with
+those brackets and with
 ``oracles.nambu_is_casimir_by_cofactors``, one cofactor contraction per
 coordinate tuple.  theorem31 reads m! Pf(pi_S) against the Casimir minors;
 every field of its report is compared with ``oracles.duality_check_by_wedges``,
@@ -16,8 +16,9 @@ which computes the wedge side by ``wedge_power`` chains.  ``fi`` passes a
 Nambu structure by its construction; the guard is
 ``oracles.fundamental_identity_by_cofactor_rows``, whose residual is zero on
 random genuine Nambu structures and agrees with the wedge brackets, and which
-equals the nested library brackets, in general nonzero, on structures whose
-Casimir minors are replaced by an arbitrary table.
+equals the nested library brackets (``nambu_vector_field`` applied to the
+last argument), in general nonzero, on structures whose Casimir minors are
+replaced by an arbitrary table.
 """
 
 from fractions import Fraction as F
@@ -32,13 +33,14 @@ from oracles import (contract, differential, duality_check_by_wedges,
                      nambu_is_casimir_by_cofactors, wedge_all)
 from ppa import catalog, dsl
 from ppa.duality import duality_check
+from ppa.dynamics import nambu_vector_field
 from ppa.geometry import transport_bracket
 from ppa.errors import DomainError
 from ppa.exterior import MAX_DIM, mask_of, merge_sign
 from ppa.poly import MonomialMap, PolyExpr
 from ppa.structures import (NambuStructure, PoissonStructure, _cofactor_row,
                             _gradient, _stacked_minors, casimir_minors,
-                            is_casimir, jacobian_structure, nambu_bracket)
+                            is_casimir, jacobian_structure)
 
 VARS = tuple(f"x{i + 1}" for i in range(8))
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -143,7 +145,6 @@ def test_catalog_jacobian_entries_keep_the_wedge_term_order():
 def test_cofactor_contraction_equals_wedge_bracket_in_every_slot(ns, data):
     args = data.draw(st.lists(polys(ns.vars), min_size=ns.arity, max_size=ns.arity))
     expected = nambu_bracket_by_wedges(ns, args)
-    assert nambu_bracket(ns, args) == expected
     grads = [_gradient(a) for a in args]
     for k in range(ns.arity):
         minors = _stacked_minors(grads[:k] + grads[k + 1:], ns._casimir_minors)
@@ -222,6 +223,13 @@ def fi_by_wedges(ns, args, bracket=nambu_bracket_by_wedges):
     return lhs - bracket(ns, head + [bracket(ns, tail)])
 
 
+def library_bracket(ns, args):
+    """{a_1, ..., a_r} as the library computes it: the Nambu vector field of
+    the first r - 1 arguments, which reads the structure's Casimir minors,
+    applied to the last."""
+    return nambu_vector_field(ns, args[:-1]).apply_to(args[-1])
+
+
 @st.composite
 def genuine_nambu_cases(draw):
     """(structure, arguments): n = 3..6, every arity r = 1..n, so n - r
@@ -293,7 +301,7 @@ def test_fundamental_identity_residual_on_an_arbitrary_table(case):
     nested library brackets, which read the injected table."""
     ns, args = case
     assert fundamental_identity_by_cofactor_rows(ns, args) == \
-        fi_by_wedges(ns, args, bracket=nambu_bracket)
+        fi_by_wedges(ns, args, bracket=library_bracket)
 
 
 def test_fundamental_identity_fails_off_the_nambu_poisson_brackets():
@@ -308,7 +316,7 @@ def test_fundamental_identity_fails_off_the_nambu_poisson_brackets():
     args = [x1 * x3, x2 + x3 * x3, x1 * x2]
     residual = fundamental_identity_by_cofactor_rows(ns, args)
     assert not residual.is_zero()
-    assert residual == fi_by_wedges(ns, args, bracket=nambu_bracket)
+    assert residual == fi_by_wedges(ns, args, bracket=library_bracket)
     v = VARS[:4]
     x1, x2, x3, x4 = PolyExpr.gens(v)
     ns = NambuStructure(v, [x1], x4 + 2)
@@ -316,7 +324,7 @@ def test_fundamental_identity_fails_off_the_nambu_poisson_brackets():
     args = [x1 * x2, x3 * x4, x1 + x2 * x4, x3 * x3, x2 * x4]
     residual = fundamental_identity_by_cofactor_rows(ns, args)
     assert not residual.is_zero()
-    assert residual == fi_by_wedges(ns, args, bracket=nambu_bracket)
+    assert residual == fi_by_wedges(ns, args, bracket=library_bracket)
 
 
 # ---------------- theorem31 ----------------
@@ -410,7 +418,7 @@ def test_jacobian_and_nambu_brackets_refuse_more_than_max_dim(n):
         jacobian_structure(v, qs)
     ns = NambuStructure(v, qs[:1])
     with pytest.raises(DomainError, match=f"ambient dimension {n} exceeds {MAX_DIM}"):
-        nambu_bracket(ns, x[:n - 1])
+        nambu_vector_field(ns, x[:n - 2])
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 10, 12])
@@ -425,7 +433,10 @@ def test_merge_sign_of_a_pair_and_its_complement(n):
 # ---------------- the trusted constructor ----------------
 
 def checked_copy(ps):
-    return PoissonStructure(ps.vars, ps.matrix)
+    """``ps`` rebuilt by ``from_table`` from its upper entries, which it
+    checks; equal to ``ps`` only if ``ps`` is zero on the diagonal and
+    antisymmetric."""
+    return PoissonStructure.from_table(ps.vars, dict(ps.entries_upper()))
 
 
 def test_jacobian_structure_passes_the_checked_constructor():

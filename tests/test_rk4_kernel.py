@@ -14,6 +14,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import trajectory_states
 from ppa import catalog, dsl
 from ppa.dynamics import PolyVectorField, hamiltonian_vector_field, integrate
 from ppa.errors import DivergenceError
@@ -79,7 +80,7 @@ def kernel_run(field, x0, step, steps, monitors):
         rep = integrate(field, x0, step, steps * step, named)
     except DivergenceError as e:
         return "diverged", e.last_valid_time
-    return (list(rep.times), list(rep.states),
+    return (list(rep.times), trajectory_states(rep),
             [rep.drift[name] for name, _ in named])
 
 
