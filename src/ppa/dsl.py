@@ -9,17 +9,19 @@ canonical term order, so emit -> parse -> emit is byte-stable.
 The scanner is one pass of one regular expression that skips whitespace and
 comments; a token is a plain ``(kind, text, offset)`` tuple, and a line and
 column are computed from the offset only when an error is raised.  A whole
-monomial term is one token: rational literals and names, each with an
-optional ``^INT``, joined by ``*`` (spaces and line breaks may stand around
-the operators).  An expression folds each such term straight from its text
-into one packed key, numerator and denominator, and adds the folded terms
-into one packed dict over one common denominator, in ``poly._sum``'s order.
-A term with a factor that is not monomial, one that any check would refuse,
-or one that goes on past its token (``2*(x1 + 1)``, ``2*x1^(1/2)``) is cut
-into the tokens it is made of and read a factor at a time, one ``PolyExpr``
-per factor; so is a term token anywhere else in the grammar.  Values, term
-order and errors are those of building and adding one ``PolyExpr`` per
-factor, left to right.
+sum of monomial terms is one token: terms of rational literals and names,
+each with an optional ``^INT``, joined by ``*``, between runs of signs
+(spaces and line breaks may stand around the operators).  An expression
+folds it in one loop over its factors through the model's name table (name
+-> packed key, numerator and denominator of a name bound to one packed
+term; it also keeps each literal and power folded) and adds the terms over
+one common denominator in ``poly._sum``'s order, about 2.7 microseconds per
+three-factor term with the scan.  From a term with a factor that is not
+monomial or that any check would refuse, or a last term that goes on past
+the token (``2*(x1 + 1)``, ``2*x1^(1/2)``), the whole sum is cut into the
+tokens it is made of and read a factor at a time, one ``PolyExpr`` per
+factor; so is a sum token elsewhere in the grammar.  Values, term order
+and errors are those of building and adding one ``PolyExpr`` per factor.
 
 Hostile input stays bounded: a numeric literal is at most
 ``MAX_LITERAL_CHARS`` characters, parentheses nest at most ``MAX_NESTING``
@@ -44,36 +46,40 @@ from .poly import (_BLOCK_BITS, _LAYOUTS, FIELD_BITS, MAX_EXPONENT, MAX_POWER_BI
 from .runner import CHECKS, FI_MAX, _key, _literal_text, _projection
 from .structures import NambuStructure, PoissonStructure, jacobian_structure
 
-# The pieces of a monomial term.  Each ends where a scan without terms would
-# end its token: a name before no name character, a literal before no digit
-# and before nothing that would make it a float, an exponent before no '/'
-# either.  So a term token is cut into exactly those tokens, and no
-# quantifier can give back characters, which keeps the scan linear.
+# The pieces of a sum of monomial terms.  Each ends where a scan without
+# sums would end its token: a name before no name character, a literal
+# before no digit and before nothing that would make it a float, an
+# exponent before no '/' either.  So a sum token is cut into exactly those
+# tokens, and no quantifier gives back more than the operator and spaces in
+# front of an atom that does not follow, which keeps the scan linear.
+_WS = r"[ \t\r\n]"
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _NUMBER = r"\d+(?:/\d+)?"
 _FLOAT_TAIL = r"\.|[eE][+-]?\d"
 _ATOM = (rf"(?:{_NAME}(?![A-Za-z_0-9])"
          rf"|\d+(?!\d|{_FLOAT_TAIL})(?:/\d+(?!\d))?)")
-_POWER = rf"[ \t\r\n]*\^[ \t\r\n]*\d+(?![\d/]|{_FLOAT_TAIL})"
-_TERM = rf"{_ATOM}(?:{_POWER})?(?:[ \t\r\n]*\*[ \t\r\n]*{_ATOM}(?:{_POWER})?)*"
+_POWER = rf"{_WS}*\^{_WS}*\d+(?![\d/]|{_FLOAT_TAIL})"
+# factors after '*', terms after a run of signs
+_SUM = rf"{_ATOM}(?:{_POWER})?(?:(?:{_WS}*\*|(?:{_WS}*[+-])+){_WS}*{_ATOM}(?:{_POWER})?)*"
 
 # Whitespace and comments are skipped in front of every token.  Each
 # position ends in exactly one group: a token, the end of the text, or an
 # unexpected character, which takes the rest of the text with it (so it is
-# the last token) and is refused by ``tokenize``.  A term is tried first,
-# where a '*' or a '^' follows the first name or number (it may then end
-# there, when no factor or power follows), and a float before an integer.
+# the last token) and is refused by ``tokenize``.  A name or number that an
+# operator follows starts a sum, but 'lambda' and 'hamiltonian' before a
+# sign stay names, so that 'lambda -2' needs no cut; floats go first.
 _TOKEN_RE = re.compile(rf"""
-    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
-    (?:(?P<term>(?=[A-Za-z_0-9/]+[ \t\r\n]*[*^]){_TERM})
-      |(?P<ident>{_NAME})
-      |(?P<punct>[;,{{}}()=^*+\-])
+    {_WS}*(?:\#[^\n]*{_WS}*)*
+    (?:(?P<punct>[;,{{}}()=^*+\-])
+      |(?P<ident>{_NAME})(?![A-Za-z_0-9]|{_WS}*[*^]|(?<!lambda)(?<!hamiltonian){_WS}*[-+])
+      |(?P<sum>(?=[A-Za-z_0-9/]+{_WS}*[-+*^]){_SUM})
       |(?P<float>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
       |(?P<number>{_NUMBER})
       |(?P<eof>\Z)
       |(?P<bad>.)(?s:.*))
 """, re.VERBOSE)
-_PIECE_RE = re.compile(rf"[ \t\r\n]*(?:(?P<ident>{_NAME})|(?P<number>{_NUMBER})|(?P<punct>[*^]))")
+_KINDS = (None, *sorted(_TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get))
+_PIECE_RE = re.compile(rf"{_WS}*(?:(?P<ident>{_NAME})|(?P<number>{_NUMBER})|(?P<punct>[-+*^]))")
 
 # Python refuses int strings past 4300 digits; below that, parsing stays fast.
 MAX_LITERAL_CHARS = 4000
@@ -88,15 +94,15 @@ def _position(text: str, offset: int) -> tuple[int, int]:
 
 
 def tokenize(text: str) -> list[tuple]:
-    """``(kind, text, offset)`` tuples, kind one of term, float, number,
+    """``(kind, text, offset)`` tuples, kind one of sum, float, number,
     ident, punct and eof; the list ends in one eof token."""
-    tokens = [(k := m.lastgroup, m[k], m.start(k)) for m in _TOKEN_RE.finditer(text)]
+    tokens = [(_KINDS[k := m.lastindex], m[k], m.start(k)) for m in _TOKEN_RE.finditer(text)]
     if len(tokens) > 1 and tokens[-2][0] == "eof":
         tokens.pop()        # the end after trailing whitespace matches twice
     if len(text) > MAX_LITERAL_CHARS:
         for t in tokens:
-            long_term = t[0] == "term" and len(t[1]) > MAX_LITERAL_CHARS
-            for kind, chunk, offset in _pieces(t) if long_term else (t,):
+            long_sum = t[0] == "sum" and len(t[1]) > MAX_LITERAL_CHARS
+            for kind, chunk, offset in _pieces(t) if long_sum else (t,):
                 if kind in ("number", "float") and len(chunk) > MAX_LITERAL_CHARS:
                     raise ModelSyntaxError(
                         f"numeric literal longer than {MAX_LITERAL_CHARS} characters",
@@ -107,36 +113,38 @@ def tokenize(text: str) -> list[tuple]:
     return tokens
 
 
-def _pieces(term: tuple) -> list[tuple]:
-    """The name, number and punct tokens that the term token ``term`` is
+def _pieces(token: tuple) -> list[tuple]:
+    """The name, number and punct tokens that the sum token ``token`` is
     made of."""
-    _, text, base = term
+    _, text, base = token
     return [(k := m.lastgroup, m[k], base + m.start(k)) for m in _PIECE_RE.finditer(text)]
 
 
 class _Stream:
     """The tokens of ``text`` as a stack, the next token last, over the eof
     token, which is never popped.  A method that does not find what it asks
-    for in a term token on top cuts the term into its pieces and looks
-    again, so only ``parse_poly_expr`` sees whole terms.  ``accept`` and
+    for in a sum token on top cuts the sum into its pieces and looks
+    again, so only ``parse_poly_expr`` sees whole sums.  ``accept`` and
     ``expect`` compare texts only: every text they are asked for is
-    punctuation or a name, which no number, no term and no eof token can
-    spell."""
+    punctuation or a name, which no number, no sum and no eof token can
+    spell.  ``names`` is the name table of the expressions read (see
+    ``_entry``)."""
 
     def __init__(self, text: str):
         self.text = text
         self.toks = tokenize(text)[::-1]
         self.depth = 0          # open parentheses in the current expression
+        self.names = {}
 
     def cut(self) -> tuple:
-        """The first piece of the term token on top, now on top itself."""
+        """The first piece of the sum token on top, now on top itself."""
         toks = self.toks
         toks += reversed(_pieces(toks.pop()))
         return toks[-1]
 
     def peek(self) -> tuple:
         t = self.toks[-1]
-        return self.cut() if t[0] == "term" else t
+        return self.cut() if t[0] == "sum" else t
 
     def next(self) -> tuple:
         t = self.peek()
@@ -146,20 +154,20 @@ class _Stream:
 
     def accept(self, text: str) -> Optional[tuple]:
         t = self.toks[-1]
-        if t[1] == text or t[0] == "term" and self.cut()[1] == text:
+        if t[1] == text or t[0] == "sum" and self.cut()[1] == text:
             return self.toks.pop()
         return None
 
     def expect(self, text: str) -> tuple:
         t = self.toks[-1]
-        if t[1] == text or t[0] == "term" and self.cut()[1] == text:
+        if t[1] == text or t[0] == "sum" and self.cut()[1] == text:
             return self.toks.pop()
         t = self.toks[-1]
         raise self.error_at(t, f"expected {text!r}", t[1])
 
     def expect_kind(self, kind: str) -> tuple:
         t = self.toks[-1]
-        if t[0] == kind or t[0] == "term" and self.cut()[0] == kind:
+        if t[0] == kind or t[0] == "sum" and self.cut()[0] == kind:
             return self.toks.pop()
         t = self.toks[-1]
         raise self.error_at(t, f"expected {kind}", t[1])
@@ -196,7 +204,7 @@ class _Stream:
 def parse_poly_expr(stream: _Stream, env: dict, variables) -> PolyExpr:
     """expr := term (('+'|'-') term)*, added in one pass.  While every term
     is packed and over ``variables``, its terms go in order, sign included,
-    into one list of (key, numerator, denominator), a folded term as one
+    into one list of (key, numerator, denominator), each folded term as one
     entry, and ``_packed_sum`` adds them.  A Laurent/Puiseux term, or one
     over another variable set, turns the sum into ``PolyExpr`` values: then
     only a step that adds such a term, or a term to a first term over
@@ -209,12 +217,9 @@ def parse_poly_expr(stream: _Stream, env: dict, variables) -> PolyExpr:
     sign = 1
     one = True              # the term read is the first
     while True:
-        folded = _fold_term(toks, env, variables, limits)
-        if folded is not None and items is None:
-            packed.append(folded if sign > 0 else (folded[0], -folded[1], folded[2]))
-        else:
-            value = (_parse_term(stream, env, variables) if folded is None
-                     else _monomial(variables, folded))
+        folded = items is None and _fold_sum(toks, stream.names, limits, sign, packed)
+        if not folded:
+            value = _parse_term(stream, env, variables)
             if items is None and value._grade and value.vars == variables:
                 den = value._den
                 packed += [(m, c if sign > 0 else -c, den) for m, c in value._num.items()]
@@ -232,12 +237,10 @@ def parse_poly_expr(stream: _Stream, env: dict, variables) -> PolyExpr:
             sign = -1
         elif items is not None:
             return _added(variables, items)
-        elif not one:
+        elif folded or not one:
             return _packed_sum(variables, packed)
-        elif folded is None:
-            return value        # the one term, read as a PolyExpr
         else:
-            return _monomial(variables, packed[0])
+            return value        # the one term, read as a PolyExpr
         toks.pop()
         one = False
 
@@ -255,11 +258,6 @@ def _added(variables, items) -> PolyExpr:
     for p, sign in items[1:]:
         acc = acc + p if sign > 0 else acc - p
     return acc
-
-
-def _monomial(variables, folded) -> PolyExpr:
-    key, num, den = folded
-    return _reduced(variables, {key: num}, den, True) if num else PolyExpr.zero(variables)
 
 
 def _packed_sum(variables, packed) -> PolyExpr:
@@ -283,91 +281,97 @@ def _packed_sum(variables, packed) -> PolyExpr:
     return _reduced(variables, terms, den, True)
 
 
-_FOLDABLE = frozenset(("term", "ident", "number"))
+_FOLDABLE = frozenset(("sum", "ident", "number"))
 _DIGITS = frozenset("0123456789")
 
 
-def _fold_term(toks, env, variables, limits):
-    """The term on top of the stack ``toks`` as (key, numerator,
-    denominator), its unary signs and its token popped, when it is one
-    term, name or number token that ends the term and every factor folds;
-    else None, with nothing popped.  A factor folds when ``_factor`` takes
-    it, and the product is refused where ``PolyExpr`` arithmetic may refuse
-    it: an exponent past MAX_EXPONENT, or operands that may cost more than
-    MAX_WORK, tested after each product, so that no field carries into the
-    next and no product is taken past the first that may be refused.
-    ``limits`` is the fields' guard bits and the most bits such an operand
-    may have.  As in a product of ``PolyExpr`` factors, a zero factor ends
-    the tests of the products after it."""
+def _fold_sum(toks, names, limits, sign, packed) -> bool:
+    """Fold the sum, name or number token on top of the stack ``toks``, after
+    its unary signs, into ``packed``, a (key, numerator, denominator) per
+    term with ``sign`` and its signs applied, and pop them; or return False
+    when the token runs on into '*' or '^' or a term has a factor that is
+    not a literal or a name in the name table ``names``, a power that
+    ``PolyExpr.__pow__`` refuses, or a product that ``PolyExpr`` arithmetic
+    may refuse (past MAX_EXPONENT or MAX_WORK; ``limits`` is the fields' top
+    bits and the most bits of an operand), tested after each product so
+    that no field carries and no product follows the first that may be
+    refused.  As in ``PolyExpr`` products, a zero ends the tests after it."""
     t = toks[-1]
     j = -1
-    neg = False
     while t[1] == "-" or t[1] == "+":
-        neg ^= t[1] == "-"
+        if t[1] == "-":
+            sign = -sign
         j -= 1
         t = toks[j]
     if t[0] not in _FOLDABLE or toks[j - 1][1] in ("*", "^"):
-        return None
+        return False
     guard, free = limits
-    key, num, den = 0, 1, 1
-    for factor in t[1].split("*"):
-        k, c, d = _factor(factor, env, variables, guard)
-        if k is None:
-            return None
-        if num:
-            num *= c
-            den *= d
-            key += k
-            # the operands of this product are no bigger than the product
-            # itself, unless it is zero, which is not charged
-            if key & guard or num.bit_length() > free or den.bit_length() > free:
-                return None
+    neg = sign < 0
+    start = len(packed)
+    # without its spaces, a sum is its terms, each after its run of signs
+    text = "".join(t[1].split()).replace("-", "+-") if t[0] == "sum" else t[1]
+    for part in text.split("+"):
+        term = part.lstrip("-")
+        neg ^= (len(part) - len(term)) & 1
+        if not term:        # signs only, of the term after them
+            continue
+        key, num, den = 0, 1, 1
+        for factor in term.split("*"):
+            entry = names.get(factor)
+            if entry is None:
+                atom, _, power = factor.partition("^")
+                entry = names.get(atom)
+                if entry is None:
+                    if atom[0] not in _DIGITS:
+                        break
+                    try:
+                        v = _rational(atom) if "/" in atom else int(atom)
+                    except (ValueError, ZeroDivisionError):
+                        break
+                    entry = 0, v.numerator, v.denominator
+                if power:
+                    k, c, d = entry
+                    try:
+                        n = int(power)
+                    except ValueError:  # PYTHONINTMAXSTRDIGITS set below MAX_LITERAL_CHARS
+                        break
+                    # the exponent, top exponent and coefficient size, as
+                    # PolyExpr.__pow__ bounds them; a field of the key passes
+                    # MAX_EXPONENT // n just when adding MAX_EXPONENT -
+                    # MAX_EXPONENT // n sets its top bit
+                    if n > MAX_EXPONENT or n > 1 and (
+                            (k + (MAX_EXPONENT - MAX_EXPONENT // n) * (guard >> FIELD_BITS - 1)) & guard
+                            or (max(c.bit_length(), d.bit_length()) - 1) * n > MAX_POWER_BITS):
+                        break
+                    entry = k * n, c ** n, d ** n
+                names[factor] = entry   # a factor's value, kept for the model
+            k, c, d = entry
+            if num:
+                # the operands of this product are no bigger than the product
+                # itself, unless it is zero, which is not charged
+                num *= c
+                key += k
+                if key & guard or num.bit_length() > free:
+                    break
+                if d != 1:
+                    den *= d
+                    if den.bit_length() > free:
+                        break
+        else:               # every factor folded
+            packed.append((key, -num if neg else num, den))
+            neg = False
+            continue
+        del packed[start:]
+        return False
     del toks[j:]
-    return key, -num if neg else num, den
-
-
-def _factor(text, env, variables, guard):
-    """(key, numerator, denominator) of the factor ``text``, a literal or a
-    name bound to a one-term packed value over ``variables``, with an
-    optional nonnegative integer power; key None when the factor is another
-    value or would be refused (a bad literal, an unknown name, a power that
-    ``PolyExpr.__pow__`` refuses)."""
-    atom, _, power = text.partition("^")
-    atom = atom.strip()
-    if atom[0] in _DIGITS:
-        try:
-            v = _rational(atom) if "/" in atom else int(atom)
-        except (ValueError, ZeroDivisionError):
-            return None, 0, 1
-        k, c, d = 0, v.numerator, v.denominator
-    else:
-        p = env.get(atom)
-        if p is None or not p._grade or p.vars != variables or len(p._num) > 1:
-            return None, 0, 1
-        (k, c), = p._num.items() or ((0, 0),)
-        d = p._den
-    if power:
-        try:
-            n = int(power)
-        except ValueError:      # PYTHONINTMAXSTRDIGITS set below MAX_LITERAL_CHARS
-            return None, 0, 1
-        # the exponent, the top exponent and the coefficient size of the
-        # power, as PolyExpr.__pow__ bounds them; a field of the key passes
-        # MAX_EXPONENT // n just when adding MAX_EXPONENT - MAX_EXPONENT // n
-        # sets its top bit
-        if n > MAX_EXPONENT or n > 1 and (
-                (k + (MAX_EXPONENT - MAX_EXPONENT // n) * (guard >> FIELD_BITS - 1)) & guard
-                or (max(c.bit_length(), d.bit_length()) - 1) * n > MAX_POWER_BITS):
-            return None, 0, 1
-        k, c, d = k * n, c ** n, d ** n
-    return k, c, d
+    return True
 
 
 def _rational(text) -> Fraction:
     """The number token ``text``, INT or INT/INT, as a Fraction: ValueError
     when Python refuses a part as too long, ZeroDivisionError for INT/0."""
     a, _, b = text.partition("/")
-    return Fraction(int(a), int(b or 1))
+    return Fraction(int(a), int(b)) if b else Fraction(int(a))
 
 
 def _parse_term(stream, env, variables):
@@ -450,11 +454,22 @@ def parse_polynomial(text: str, variables, extra_env: dict | None = None) -> Pol
     for k, v in (extra_env or {}).items():
         env[k] = v if isinstance(v, PolyExpr) else PolyExpr.const(variables, v)
     stream = _Stream(text)
+    stream.names = {k: _entry(p, variables) for k, p in env.items()}
     p = parse_poly_expr(stream, env, variables)
     t = stream.peek()
     if t[0] != "eof":
         raise stream.error_at(t, "trailing input after expression", t[1])
     return p
+
+
+def _entry(p: PolyExpr, variables):
+    """The name table's entry of a name bound to ``p``, for expressions over
+    ``variables``: (packed key, numerator, denominator) of ``p`` when it is
+    one packed term or zero over them, else None."""
+    if p._grade and (p.vars is variables or p.vars == variables) and len(p._num) < 2:
+        (k, c), = p._num.items() or ((0, 0),)
+        return k, c, p._den
+    return None
 
 
 def parse_rational(text: str) -> Fraction:
@@ -531,6 +546,12 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
     structure_seen = False
     pins = {}                       # expect key -> its statement token
 
+    def unbound(t, ident):
+        """``ident``, when no name of the model is ``ident`` yet."""
+        if ident in env:
+            raise stream.error_at(t, f"name {ident!r} already defined")
+        return ident
+
     t = stream.peek()
     if t[0] == "eof":
         raise stream.error_at(t, "empty model")
@@ -547,7 +568,10 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
             if not names:
                 stream.error("vars needs at least one name")
             spec.vars = tuple(names)
-            env.update({v: PolyExpr.var(v, spec.vars) for v in spec.vars})
+            for v in names:
+                env[unbound(t, v)] = PolyExpr.var(v, spec.vars)
+            # the names bound before are over no variables
+            stream.names = {v: _entry(env[v], spec.vars) for v in names}
             stream.expect(";")
         elif stmt == "weights":
             ws = []
@@ -558,19 +582,19 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
             spec.weights = tuple(ws)
             stream.expect(";")
         elif stmt == "param":
-            pname = stream.expect_kind("ident")[1]
+            pname = unbound(t, stream.expect_kind("ident")[1])
             stream.expect("=")
             spec.params[pname] = stream.rational()
-            env[pname] = PolyExpr.const(spec.vars, spec.params[pname])
+            env[pname] = p = PolyExpr.const(spec.vars, spec.params[pname])
+            stream.names[pname] = _entry(p, spec.vars)
             stream.expect(";")
         elif stmt in ("let", "casimir"):
-            pname = stream.expect_kind("ident")[1]
-            if pname in env:
-                raise stream.error_at(t, f"name {pname!r} already defined")
+            pname = unbound(t, stream.expect_kind("ident")[1])
             stream.expect("=")
             p = parse_poly_expr(stream, env, spec.vars)
             stream.expect(";")
             env[pname] = p
+            stream.names[pname] = _entry(p, spec.vars)
             (spec.casimirs if stmt == "casimir" else spec.lets).append((pname, p))
         elif stmt == "structure":
             if structure_seen:
@@ -772,6 +796,7 @@ def parse_map_file(text: str, old_vars) -> MonomialMap:
     stream = _Stream(text)
     old_vars = tuple(old_vars)
     env = {v: PolyExpr.var(v, old_vars) for v in old_vars}
+    stream.names = {v: _entry(p, old_vars) for v, p in env.items()}
     assignments = []
     while stream.peek()[0] != "eof":
         stream.expect("map")

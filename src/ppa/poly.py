@@ -146,7 +146,7 @@ def _tuple_num(p) -> dict:
 class PolyExpr:
     """Immutable sparse polynomial with rational coefficients and exponents."""
 
-    __slots__ = ("vars", "_num", "_den", "_grade", "_terms", "_bits")
+    __slots__ = ("vars", "_num", "_den", "_grade", "_terms", "_bits", "_hash")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Fraction] | None = None):
         variables = tuple(variables)
@@ -346,7 +346,10 @@ class PolyExpr:
                 and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.vars, self._den, frozenset(self._num.items())))
+        # kept once computed (the value is immutable); unset until then
+        if not hasattr(self, "_hash"):
+            _set_hash(self, hash((self.vars, self._den, frozenset(self._num.items()))))
+        return self._hash
 
     # ---------------- calculus / structure ----------------
 
@@ -540,6 +543,7 @@ _set_den = PolyExpr._den.__set__
 _set_grade = PolyExpr._grade.__set__
 _set_terms = PolyExpr._terms.__set__
 _set_bits = PolyExpr._bits.__set__
+_set_hash = PolyExpr._hash.__set__
 
 
 def _fill(p, variables, num, den, grade):

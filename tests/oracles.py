@@ -608,7 +608,11 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
             if not names:
                 stream.error("vars needs at least one name")
             spec.vars = tuple(names)
-            env.update({v: PolyExpr.var(v, spec.vars) for v in spec.vars})
+            for v in names:
+                if v in env:
+                    raise ModelSyntaxError(f"name {v!r} already defined",
+                                           t.line, t.column)
+                env[v] = PolyExpr.var(v, spec.vars)
             stream.expect(";")
         elif stmt == "weights":
             ws = []
@@ -620,6 +624,9 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
             stream.expect(";")
         elif stmt == "param":
             pname = stream.expect_kind("ident").text
+            if pname in env:
+                raise ModelSyntaxError(f"name {pname!r} already defined",
+                                       t.line, t.column)
             stream.expect("=")
             spec.params[pname] = stream.rational()
             env[pname] = PolyExpr.const(spec.vars, spec.params[pname])

@@ -63,6 +63,14 @@ def test_check_exit_two_on_parse_error(tmp_path):
     assert run_cli("check", str(f)) == 2
 
 
+def test_check_exit_two_on_a_rebound_name(tmp_path, capsys):
+    # a param over a coordinate once turned {x,y} = x into {x,y} = 2
+    f = tmp_path / "rebound.ppa"
+    f.write_text("vars x y; param x = 2; structure table { {x,y} = x; };")
+    assert run_cli("check", str(f)) == 2
+    assert "name 'x' already defined at 1:11" in capsys.readouterr().err
+
+
 def test_check_exit_two_on_missing_file():
     assert run_cli("check", "/nonexistent/model.ppa") == 2
 

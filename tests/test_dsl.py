@@ -36,6 +36,23 @@ def test_a_param_bound_before_vars_takes_the_model_variables():
         assert p.vars == ("x", "y") and p == value, name
 
 
+@pytest.mark.parametrize("text, name, line, column", [
+    # a coordinate named twice
+    ("vars x1 x1 x2;\nstructure jacobian;", "x1", 1, 1),
+    # a param over a coordinate, before and after vars
+    ("vars x y;\nparam x = 2;\nstructure table { {x,y} = x; };", "x", 2, 1),
+    ("param x = 2;\n  vars y x;\nstructure table { };", "x", 2, 3),
+    # a param over a let, and over a param
+    ("vars x y;\nlet a = x;\n  param a = 3;\nstructure table { };", "a", 3, 3),
+    ("param k = 1;\nparam k = 2;\nvars x y;\nstructure table { };", "k", 2, 1),
+])
+def test_a_name_is_bound_once(text, name, line, column):
+    with pytest.raises(ModelSyntaxError) as e:
+        dsl.parse_model(text)
+    assert str(e.value) == f"name {name!r} already defined at {line}:{column}"
+    assert (e.value.line, e.value.column, e.value.token) == (line, column, None)
+
+
 def test_empty_input_errors_at_origin():
     with pytest.raises(ModelSyntaxError) as e:
         dsl.parse_model("")

@@ -360,6 +360,146 @@ def test_scan_is_linear_in_the_text(head, unit):
     same("parse_polynomial", text, ("x1", "x2"))
 
 
+# what may stand between the terms of a sum: a sign or a run of signs, with
+# spaces, line breaks, CRLF and comments around them
+SIGNS = [" + ", " - ", "+", "-", " - -", "+-", " -+ ", "--", "\r\n+ ", "\n-\n",
+         " # c\r\n- ", "-\r\n# c\r\n", "\t+\t"]
+# what may follow a sum: a factor or a power that its last term runs on
+# into, or what ends it
+FOLLOWERS = ["", "", "*x2", "*(x1 + 1)", "*(x1 - x2)^2", "^2", "^(1/2)", "^-1", "*-x1",
+             " 2.5", "*2.5", ")", ";", ",", " + (x1 - 1)", " - -(x2)"]
+# one-term values a name may be bound to, zero among them
+MONOMIALS = ["3*x1^2", "-x1*x2", "1/2*x3", "0", "x2^0", "7", "-2/4*x1*x1", "x1^2*x3^3"]
+
+
+@st.composite
+def sums(draw, names):
+    """One to six monomial terms of literals and names, each factor with an
+    optional small power, after optional signs and between runs of signs."""
+    variables, others = names
+    atoms = st.sampled_from(list(variables) + list(others) + ["2", "3/4", "0", "10", "7"])
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            f = draw(atoms)
+            if draw(st.integers(0, 3)) == 0:
+                f += draw(st.sampled_from(CARET)) + draw(st.sampled_from(["0", "1", "2", "3"]))
+            factors.append(f)
+        terms.append(factors[0] + "".join(draw(st.sampled_from(TIMES)) + f
+                                          for f in factors[1:]))
+    lead = draw(st.sampled_from(["", "", "-", "- -", "+-", "-+"]))
+    return lead + terms[0] + "".join(draw(st.sampled_from(SIGNS)) + t for t in terms[1:])
+
+
+@st.composite
+def sums_in_context(draw, names):
+    """A sum alone or inside an expression, followed by what ends it or runs
+    its last term on."""
+    pre, post = draw(st.sampled_from([("", ""), ("(", ")"), ("x3 - (", ") + x1"),
+                                      ("2*(", ")^2"), ("x2^2 + ", "")]))
+    return pre + draw(sums(names)) + draw(st.sampled_from(FOLLOWERS)) + post
+
+
+def same_over_names(text):
+    # m is one term, then a term over another variable set; k, p and z as
+    # in same_expression
+    variables = ("x1", "x2", "x3")
+    x1, x2, _ = PolyExpr.gens(variables)
+    env = {"k": F(-3, 2), "p": x1 + 1, "z": PolyExpr.zero(variables),
+           "m": F(2, 3) * x1 * x2 ** 2}
+    same("parse_polynomial", text, variables, env)
+    env.update(k=PolyExpr.const((), 5), m=PolyExpr.var("y", ("y",)) ** 2)
+    same("parse_polynomial", text, variables, env)
+
+
+@st.composite
+def sum_models(draw):
+    """Models whose expressions are sums: a param bound before vars,
+    one-term lets, and sums after 'lambda' and 'hamiltonian' and before ';'
+    and ','."""
+    early = draw(st.sampled_from([[], ["param k = -2/3;"],
+                                  ["param k = 3;", "let c = k^2 - 1/2;"]]))
+    names = [n for n in ("k", "c") if any(f" {n} " in s for s in early)]
+    lines = early + ["vars x1 x2 x3;"]
+    for k in range(draw(st.integers(0, 2))):
+        lines.append(f"let m{k} = {draw(st.sampled_from(MONOMIALS))};")
+        names.append(f"m{k}")
+    if draw(st.booleans()):
+        lines.append("param q = -1/7;")
+        names.append("q")
+    terms = sums((("x1", "x2", "x3"), names))
+    lines += [f"casimir C = {draw(terms)};", f"structure jacobian lambda {draw(terms)};",
+              f"hamiltonian {draw(terms)}, {draw(terms)};", "check jacobi;"]
+    return draw(st.sampled_from(["\n", "\r\n", " ", "\n# c\n"])).join(lines) + "\n"
+
+
+@examples(200)
+@given(sums_in_context((("x1", "x2", "x3"), ["k", "p", "z", "m"])))
+def test_sums_match(text):
+    same_over_names(text)
+
+
+@examples(100)
+@given(sum_models())
+def test_sum_models_match(text):
+    same("parse_model", text, "m")
+
+
+@examples(100)
+@given(mutated(sum_models()))
+def test_mutated_sum_models_match(text):
+    same("parse_model", text, "m")
+
+
+@pytest.mark.parametrize("text", [
+    # unary signs, alone and in runs, and line breaks and comments around
+    # the signs between terms
+    "- -x1", "+-2*x1", "- -x1 + +-2*x1", "x1 -- x2 +- x3", "x1\r\n- # c\r\nx2",
+    "x1 -\n# c\n- x2 *\r\n x3",
+    # a last term that runs on, and what may end a sum
+    "x1 - x2*(x1 + 1)", "m - m*(x1 + 1)", "2*x1 - 3*x2^2^3", "x1 + x2^(1/2)",
+    "x1 - x2^-1*x3", "x1 + x2 2.5", "x1 - 2.5", "x1 - x2)", "x1 + x2;", "(x1 - x2)*x3 + x1",
+    # names bound to one term, to zero and to a sum, in every place of a sum
+    "m^2 - m*m", "m*x1 - x1*m + m", "z*m + m - m", "x1 - p", "p*x1 - x2", "x2 - x1*p",
+    "m^16384", "x1 + m^16383*m", "k*m - m*k", "x1 + bogus - x2", "x1 + 1/0 - x2",
+    "x1 + 2/4*x2 - 6/4*x3 + 1/2*x2",
+    # products the limits refuse, in a later term
+    "x1 - x2^30000*x2^30000", "x1 + x1^30000*x1^30000*0",
+])
+def test_edge_sums_match(text):
+    same_over_names(text)
+
+
+@pytest.mark.parametrize("text", [
+    "vars x1 x2; structure jacobian lambda -x1 - x2;",
+    "vars x1 x2; structure jacobian lambda - -2*x1 +- x2;",
+    "vars lambda x1; structure jacobian lambda lambda - x1;",
+    "vars lambda x1; structure jacobian lambda -lambda;",
+    "vars hamiltonian x1; structure jacobian; hamiltonian hamiltonian - x1;",
+    "vars x1 x2; structure jacobian; hamiltonian -x1 + x2, - -x2;",
+    "vars x1 x2; let m = -3*x1^2; structure table { {x1,x2} = m - x2*m + 1; };",
+    "param k = 2; let c = k - 1; vars x1 x2; casimir P = c*x1 - k*x2 + c - k;"
+    " structure jacobian;",
+    "vars x1 x2; weights 1 -2;", "vars x1 x2; structure table { {x1,x2} = x1 - x2 x1; };",
+])
+def test_edge_sum_texts_match(text):
+    same("parse_model", text, "m")
+
+
+@pytest.mark.parametrize("head, unit, tail", [
+    ("x1", " - x1", ""), ("x1", " -", " (x1)"), ("x1", " - -", "2.5"),
+])
+def test_sum_scan_is_linear_in_the_text(head, unit, tail):
+    # a 200 kB sum, and runs of signs that a term does not follow
+    text = head + unit * (200_000 // len(unit)) + tail
+    start = time.perf_counter()
+    tokens = dsl.tokenize(text)
+    assert time.perf_counter() - start < 1.0
+    assert tokens[-1][0] == "eof"
+    same("parse_polynomial", text, ("x1", "x2"))
+
+
 @st.composite
 def signed_values(draw):
     """(value, sign) pairs over (x1, x2), polynomials and Laurent/Puiseux

@@ -907,3 +907,22 @@ def test_integer_power_bits_limit():
             p ** MAX_EXPONENT
     assert ((x1 * 3 + x2) / 2) ** 2 == (x1 * x1 * 9 + x1 * x2 * 6 + x2 * x2) / 4
 
+
+
+def test_the_cached_hash_is_the_hash_of_the_value():
+    from ppa.poly import _new, _reduced
+    variables = ("x", "y")
+    x, y = PolyExpr.gens(variables)
+    values = [
+        _new(variables, {1: 3, 1 << 16: -2}, 5, True),
+        _reduced(variables, {1: 4, 0: 6}, 8, True),
+        PolyExpr(variables, {(1, 2): F(1, 3), (F(1, 2), 0): 2}),
+        -(x * y + 1),
+        (x - 2 * y).with_vars(("y", "z", "x")),
+        PolyExpr.zero(variables),
+    ]
+    for p in values:
+        fresh = hash((p.vars, p._den, frozenset(p._num.items())))
+        assert hash(p) == fresh and hash(p) == fresh    # computed, then kept
+        twin = _new(p.vars, dict(p._num), p._den, p._grade)
+        assert twin == p and hash(twin) == hash(p)
