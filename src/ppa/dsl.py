@@ -14,8 +14,8 @@ each with an optional ``^INT``, joined by ``*``, between runs of signs
 (spaces and line breaks may stand around the operators).  An expression
 folds it in one loop over its factors through the model's name table (name
 -> packed key, numerator and denominator of a name bound to one packed
-term; it also keeps each literal and power folded) and adds the terms over
-one common denominator in ``poly._sum``'s order, about 2.7 microseconds per
+term, kept from the first sum that names it) and adds the terms over one
+common denominator in ``poly._sum``'s order, about 2.8 microseconds per
 three-factor term with the scan.  From a term with a factor that is not
 monomial or that any check would refuse, or a last term that goes on past
 the token (``2*(x1 + 1)``, ``2*x1^(1/2)``), the whole sum is cut into the
@@ -66,12 +66,11 @@ _SUM = rf"{_ATOM}(?:{_POWER})?(?:(?:{_WS}*\*|(?:{_WS}*[+-])+){_WS}*{_ATOM}(?:{_P
 # position ends in exactly one group: a token, the end of the text, or an
 # unexpected character, which takes the rest of the text with it (so it is
 # the last token) and is refused by ``tokenize``.  A name or number that an
-# operator follows starts a sum, but 'lambda' and 'hamiltonian' before a
-# sign stay names, so that 'lambda -2' needs no cut; floats go first.
+# operator follows starts a sum; floats go first.
 _TOKEN_RE = re.compile(rf"""
     {_WS}*(?:\#[^\n]*{_WS}*)*
     (?:(?P<punct>[;,{{}}()=^*+\-])
-      |(?P<ident>{_NAME})(?![A-Za-z_0-9]|{_WS}*[*^]|(?<!lambda)(?<!hamiltonian){_WS}*[-+])
+      |(?P<ident>{_NAME})(?![A-Za-z_0-9]|{_WS}*[-+*^])
       |(?P<sum>(?=[A-Za-z_0-9/]+{_WS}*[-+*^]){_SUM})
       |(?P<float>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
       |(?P<number>{_NUMBER})
@@ -127,8 +126,8 @@ class _Stream:
     again, so only ``parse_poly_expr`` sees whole sums.  ``accept`` and
     ``expect`` compare texts only: every text they are asked for is
     punctuation or a name, which no number, no sum and no eof token can
-    spell.  ``names`` is the name table of the expressions read (see
-    ``_entry``)."""
+    spell.  ``names`` is the name table of the expressions read, filled
+    from their environment as names are first folded (see ``_entry``)."""
 
     def __init__(self, text: str):
         self.text = text
@@ -217,7 +216,8 @@ def parse_poly_expr(stream: _Stream, env: dict, variables) -> PolyExpr:
     sign = 1
     one = True              # the term read is the first
     while True:
-        folded = items is None and _fold_sum(toks, stream.names, limits, sign, packed)
+        folded = items is None and _fold_sum(toks, stream.names, env, variables, limits,
+                                             sign, packed)
         if not folded:
             value = _parse_term(stream, env, variables)
             if items is None and value._grade and value.vars == variables:
@@ -285,12 +285,13 @@ _FOLDABLE = frozenset(("sum", "ident", "number"))
 _DIGITS = frozenset("0123456789")
 
 
-def _fold_sum(toks, names, limits, sign, packed) -> bool:
+def _fold_sum(toks, names, env, variables, limits, sign, packed) -> bool:
     """Fold the sum, name or number token on top of the stack ``toks``, after
     its unary signs, into ``packed``, a (key, numerator, denominator) per
     term with ``sign`` and its signs applied, and pop them; or return False
     when the token runs on into '*' or '^' or a term has a factor that is
-    not a literal or a name in the name table ``names``, a power that
+    not a literal or a name of ``env`` bound to one packed term over
+    ``variables`` (its entry kept in the name table ``names``), a power that
     ``PolyExpr.__pow__`` refuses, or a product that ``PolyExpr`` arithmetic
     may refuse (past MAX_EXPONENT or MAX_WORK; ``limits`` is the fields' top
     bits and the most bits of an operand), tested after each product so
@@ -317,35 +318,34 @@ def _fold_sum(toks, names, limits, sign, packed) -> bool:
             continue
         key, num, den = 0, 1, 1
         for factor in term.split("*"):
-            entry = names.get(factor)
-            if entry is None:
-                atom, _, power = factor.partition("^")
+            atom, _, power = factor.partition("^")
+            if atom[0] in _DIGITS:
+                try:
+                    v = _rational(atom) if "/" in atom else int(atom)
+                except (ValueError, ZeroDivisionError):
+                    break
+                k, c, d = 0, v.numerator, v.denominator
+            else:
                 entry = names.get(atom)
                 if entry is None:
-                    if atom[0] not in _DIGITS:
+                    entry = names[atom] = _entry(env.get(atom), variables)
+                    if entry is None:
                         break
-                    try:
-                        v = _rational(atom) if "/" in atom else int(atom)
-                    except (ValueError, ZeroDivisionError):
-                        break
-                    entry = 0, v.numerator, v.denominator
-                if power:
-                    k, c, d = entry
-                    try:
-                        n = int(power)
-                    except ValueError:  # PYTHONINTMAXSTRDIGITS set below MAX_LITERAL_CHARS
-                        break
-                    # the exponent, top exponent and coefficient size, as
-                    # PolyExpr.__pow__ bounds them; a field of the key passes
-                    # MAX_EXPONENT // n just when adding MAX_EXPONENT -
-                    # MAX_EXPONENT // n sets its top bit
-                    if n > MAX_EXPONENT or n > 1 and (
-                            (k + (MAX_EXPONENT - MAX_EXPONENT // n) * (guard >> FIELD_BITS - 1)) & guard
-                            or (max(c.bit_length(), d.bit_length()) - 1) * n > MAX_POWER_BITS):
-                        break
-                    entry = k * n, c ** n, d ** n
-                names[factor] = entry   # a factor's value, kept for the model
-            k, c, d = entry
+                k, c, d = entry
+            if power:
+                try:
+                    n = int(power)
+                except ValueError:  # PYTHONINTMAXSTRDIGITS set below MAX_LITERAL_CHARS
+                    break
+                # the exponent, top exponent and coefficient size, as
+                # PolyExpr.__pow__ bounds them; a field of the key passes
+                # MAX_EXPONENT // n just when adding MAX_EXPONENT -
+                # MAX_EXPONENT // n sets its top bit
+                if n > MAX_EXPONENT or n > 1 and (
+                        (k + (MAX_EXPONENT - MAX_EXPONENT // n) * (guard >> FIELD_BITS - 1)) & guard
+                        or (max(c.bit_length(), d.bit_length()) - 1) * n > MAX_POWER_BITS):
+                    break
+                k, c, d = k * n, c ** n, d ** n
             if num:
                 # the operands of this product are no bigger than the product
                 # itself, unless it is zero, which is not charged
@@ -450,11 +450,10 @@ def _parse_atom(stream, env, variables):
 def parse_polynomial(text: str, variables, extra_env: dict | None = None) -> PolyExpr:
     """Standalone expression parser over a fixed variable tuple."""
     variables = tuple(variables)
-    env = {v: PolyExpr.var(v, variables) for v in variables}
+    env = dict(zip(variables, PolyExpr.gens(variables)))
     for k, v in (extra_env or {}).items():
         env[k] = v if isinstance(v, PolyExpr) else PolyExpr.const(variables, v)
     stream = _Stream(text)
-    stream.names = {k: _entry(p, variables) for k, p in env.items()}
     p = parse_poly_expr(stream, env, variables)
     t = stream.peek()
     if t[0] != "eof":
@@ -462,11 +461,11 @@ def parse_polynomial(text: str, variables, extra_env: dict | None = None) -> Pol
     return p
 
 
-def _entry(p: PolyExpr, variables):
+def _entry(p: Optional[PolyExpr], variables):
     """The name table's entry of a name bound to ``p``, for expressions over
     ``variables``: (packed key, numerator, denominator) of ``p`` when it is
-    one packed term or zero over them, else None."""
-    if p._grade and (p.vars is variables or p.vars == variables) and len(p._num) < 2:
+    one packed term or zero over them, else None (so for an unbound name)."""
+    if p is not None and p._grade and (p.vars is variables or p.vars == variables) and len(p._num) < 2:
         (k, c), = p._num.items() or ((0, 0),)
         return k, c, p._den
     return None
@@ -568,10 +567,9 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
             if not names:
                 stream.error("vars needs at least one name")
             spec.vars = tuple(names)
-            for v in names:
-                env[unbound(t, v)] = PolyExpr.var(v, spec.vars)
-            # the names bound before are over no variables
-            stream.names = {v: _entry(env[v], spec.vars) for v in names}
+            for v, x in zip(names, PolyExpr.gens(spec.vars)):
+                env[unbound(t, v)] = x
+            stream.names = {}       # the entries read before are over no variables
             stream.expect(";")
         elif stmt == "weights":
             ws = []
@@ -585,8 +583,7 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
             pname = unbound(t, stream.expect_kind("ident")[1])
             stream.expect("=")
             spec.params[pname] = stream.rational()
-            env[pname] = p = PolyExpr.const(spec.vars, spec.params[pname])
-            stream.names[pname] = _entry(p, spec.vars)
+            env[pname] = PolyExpr.const(spec.vars, spec.params[pname])
             stream.expect(";")
         elif stmt in ("let", "casimir"):
             pname = unbound(t, stream.expect_kind("ident")[1])
@@ -594,7 +591,6 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
             p = parse_poly_expr(stream, env, spec.vars)
             stream.expect(";")
             env[pname] = p
-            stream.names[pname] = _entry(p, spec.vars)
             (spec.casimirs if stmt == "casimir" else spec.lets).append((pname, p))
         elif stmt == "structure":
             if structure_seen:
@@ -795,8 +791,7 @@ def parse_map_file(text: str, old_vars) -> MonomialMap:
     """``map IDENT = scaled-monomial ;`` lines over the old variables."""
     stream = _Stream(text)
     old_vars = tuple(old_vars)
-    env = {v: PolyExpr.var(v, old_vars) for v in old_vars}
-    stream.names = {v: _entry(p, old_vars) for v, p in env.items()}
+    env = dict(zip(old_vars, PolyExpr.gens(old_vars)))
     assignments = []
     while stream.peek()[0] != "eof":
         stream.expect("map")

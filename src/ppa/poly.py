@@ -39,7 +39,6 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import chain
 from math import gcd, lcm, prod
 from operator import add, mul, or_
 from struct import Struct, error as StructError
@@ -205,7 +204,9 @@ class PolyExpr:
     @classmethod
     def gens(cls, variables) -> tuple["PolyExpr", ...]:
         variables = tuple(variables)
-        return tuple(cls.var(v, variables) for v in variables)
+        top = FIELD_BITS * len(variables)
+        return tuple(_new(variables, {1 << s: 1}, 1, True)
+                     for s in range(top - FIELD_BITS, -1, -FIELD_BITS))
 
     # ---------------- predicates ----------------
 
@@ -906,7 +907,6 @@ _P = (1 << 61) - 1
 _POINT = (1143547714515111653, 2145097395435881441, 2303779485830185600,
           165108489663482480, 202681957949839857, 767327945536792812,
           15466996322994716, 560798243264439149)
-_INVERSE = tuple(pow(x, -1, _P) for x in _POINT)
 
 
 def _independent_mod_p(polys) -> bool:
@@ -920,47 +920,37 @@ def _independent_mod_p(polys) -> bool:
     minors.
 
     Each partial is read off the packed terms, with no ``diff`` and no
-    ``PolyExpr``: d/dx_j of c x^m at the point is m_j c x^m / x_j, x^m taken
-    from per-variable power tables."""
+    ``PolyExpr``, times its variable: x_j d/dx_j of c x^m at the point is
+    m_j c x^m.  Scaling column j by the nonzero x_j keeps the rank."""
     n = len(polys[0].vars) if polys else 0
-    shifts = [(j, FIELD_BITS * (n - 1 - j)) for j in range(n)]
-    # each term as (c mod p, [(j, m_j) for the variables it has])
-    terms = [[(c % _P, [(j, e) for j, s in shifts if (e := k >> s & _FIELD_MASK)])
-              for k, c in p._num.items()] for p in polys]
-    degree = [0] * n
-    for _, exps in chain.from_iterable(terms):
-        for j, e in exps:
-            degree[j] = max(degree[j], e)
-    powers = []
-    for x, m in zip(_POINT, degree):
-        table = [1]
-        for _ in range(m):
-            table.append(table[-1] * x % _P)
-        powers.append(table)
-    rows = []
-    for t in terms:
+    basis = []              # (pivot column, row) of the rows before, mod p
+    for p in polys:
         row = [0] * n
-        for v, exps in t:
-            for j, e in exps:
-                v = v * powers[j][e] % _P
-            for j, e in exps:
-                row[j] += v * e * _INVERSE[j]
-        rows.append([a % _P for a in row])
-    # fraction-free elimination mod p, until every row has a pivot
-    rank = 0
-    for col in range(n):
-        if rank == len(rows):
-            break
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if f := rows[r][col]:
-                rows[r] = [(top[col] * a - f * b) % _P for a, b in zip(rows[r], top)]
-        rank += 1
-    return rank == len(rows)
+        for k, c in p._num.items():
+            fields = []     # (j, m_j) of the term's variables, top field first
+            while k:
+                j = (k.bit_length() - 1) // FIELD_BITS
+                e = k >> j * FIELD_BITS
+                k -= e << j * FIELD_BITS
+                j = n - 1 - j
+                c *= pow(_POINT[j], e, _P)
+                fields.append((j, e))
+            c %= _P
+            for j, e in fields:
+                row[j] += c * e
+        # fraction-free, a row at a time: reduced by the rows before, it is 0
+        # at their pivots and needs a nonzero entry of its own
+        for col, top in basis:
+            if f := row[col] % _P:
+                t = top[col]
+                row = [(t * a - f * b) % _P for a, b in zip(row, top)]
+        for col, a in enumerate(row):
+            if a % _P:
+                break
+        else:
+            return False
+        basis.append((col, row))
+    return True
 
 
 # ---------------- monomial maps ----------------

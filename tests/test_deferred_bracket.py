@@ -23,7 +23,7 @@ from ppa import catalog, dsl, runner, structures
 from ppa.cli import main
 from ppa.duality import duality_check
 from ppa.errors import DomainError
-from ppa.poly import PolyExpr, _independent_mod_p
+from ppa.poly import _P, _POINT, PolyExpr, _independent_mod_p
 from ppa.structures import (NambuStructure, casimir_minors, generic_rank, is_casimir,
                             jacobi_witnesses, jacobian_structure, plucker_rank2_test)
 
@@ -75,6 +75,44 @@ def test_the_mod_p_verdict_proves_only_independence(case):
         ps = jacobian_structure(v, qs)
         assert ps.certified == independent
         assert "matrix" not in vars(ps)
+
+
+def rank_mod_p(rows):
+    """The rank of integer ``rows`` mod ``_P``, by Gauss-Jordan with inverses."""
+    rows, rank = [r[:] for r in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, _P)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] * inv % _P
+                rows[i] = [(a - f * b) % _P for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def at_point_mod_p(p):
+    """``p`` at ``_POINT`` mod ``_P``, read off its exponent tuples."""
+    total = 0
+    for mono, c in p.terms.items():
+        t = c.numerator * pow(c.denominator, -1, _P)
+        for x, e in zip(_POINT, mono):
+            t = t * pow(x, e, _P) % _P
+        total += t
+    return total % _P
+
+
+@SETTINGS
+@given(casimir_sets())
+def test_the_mod_p_verdict_is_the_rank_of_the_gradients_at_the_point(case):
+    # the gradients by PolyExpr.diff, the rank by inverses: a row scaled by
+    # its denominator, or a column by its coordinate, keeps the rank
+    v, qs = case
+    rows = [[at_point_mod_p(q.diff(x)) for x in v] for q in qs]
+    assert _independent_mod_p(qs) == (rank_mod_p(rows) == len(qs))
 
 
 def eager_matrix(variables, casimirs, multiplier):

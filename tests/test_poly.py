@@ -36,6 +36,14 @@ def torus_poly(k):
 
 # ---------------- arithmetic ----------------
 
+@pytest.mark.parametrize("n", [0, 1, 3, 8])
+def test_gens_are_the_variables(n):
+    v = tuple(f"y{i}" for i in range(n))
+    assert PolyExpr.gens(v) == tuple(PolyExpr.var(x, v) for x in v)
+    assert [list(g._num.items()) for g in PolyExpr.gens(v)] == \
+        [list(PolyExpr.var(x, v)._num.items()) for x in v]
+
+
 def test_difference_of_squares():
     x1, x2, _ = gens3()
     assert (x1 + x2) * (x1 - x2) == x1 ** 2 - x2 ** 2
