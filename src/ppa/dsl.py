@@ -25,8 +25,9 @@ and errors are those of building and adding one ``PolyExpr`` per factor.
 
 Hostile input stays bounded: a numeric literal is at most
 ``MAX_LITERAL_CHARS`` characters, parentheses nest at most ``MAX_NESTING``
-deep, and a power's exponent, as a reduced fraction, has numerator and
-denominator at most ``poly.MAX_EXPONENT``.  The scan is linear in the text.
+deep, a power's exponent, as a reduced fraction, has numerator and
+denominator at most ``poly.MAX_EXPONENT``, and ``vars`` names at most
+``MAX_DIM`` = 8 variables.  The scan is linear in the text.
 """
 
 from __future__ import annotations
@@ -35,14 +36,15 @@ import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import reduce
-from math import isqrt, lcm
+from math import isqrt
 from operator import mul
 from typing import Optional
 
 from . import poly
 from .errors import ArityError, DomainError, ModelSyntaxError
+from .exterior import MAX_DIM
 from .poly import (_BLOCK_BITS, _LAYOUTS, FIELD_BITS, MAX_EXPONENT, MAX_POWER_BITS, MonomialMap,
-                   PolyExpr, _rational_pow, _reduced, _sum)
+                   PolyExpr, _packed_sum, _rational_pow, _sum)
 from .runner import CHECKS, FI_MAX, _key, _literal_text, _projection
 from .structures import NambuStructure, PoissonStructure, jacobian_structure
 
@@ -178,9 +180,10 @@ class _Stream:
         t = self.peek()
         raise self.error_at(t, msg, t[1])
 
-    def number(self, integer: bool = False) -> Fraction:
-        """The next token as an exact rational (an integer if asked)."""
-        t = self.expect_kind("number")
+    def number(self, integer: bool = False, t=None):
+        """The number token ``t``, else the next token, as an exact rational
+        (see ``_rational``), or as the int it must equal if asked."""
+        t = t or self.expect_kind("number")
         try:
             v = _rational(t[1])
         except ZeroDivisionError:
@@ -189,12 +192,12 @@ class _Stream:
             raise self.error_at(t, "numeric literal too long", t[1]) from None
         if integer and v.denominator != 1:
             raise self.error_at(t, "expected an integer", t[1])
-        return v
+        return v.numerator if integer else v
 
     def rational(self) -> Fraction:
-        """RATIONAL: an optional '-', then INT or INT/INT."""
+        """RATIONAL: an optional '-', then INT or INT/INT, as a Fraction."""
         neg = bool(self.accept("-"))
-        v = self.number()
+        v = Fraction(self.number())
         return -v if neg else v
 
 
@@ -260,27 +263,6 @@ def _added(variables, items) -> PolyExpr:
     return acc
 
 
-def _packed_sum(variables, packed) -> PolyExpr:
-    """The sum of the (key, numerator, denominator) terms ``packed``, as
-    ``poly._sum`` adds the values they come from: over the least common
-    denominator of the nonzero ones, each added in order to one dict, a sum
-    that cancels removing its key; then reduced."""
-    den = 1
-    for _, c, d in packed:
-        if d != den and c:
-            den = lcm(den, d)
-    terms = {}
-    get = terms.get
-    for m, c, d in packed:
-        if c:
-            t = get(m, 0) + (c if d == den else c * (den // d))
-            if t:
-                terms[m] = t
-            else:
-                del terms[m]
-    return _reduced(variables, terms, den, True)
-
-
 _FOLDABLE = frozenset(("sum", "ident", "number"))
 _DIGITS = frozenset("0123456789")
 
@@ -321,7 +303,7 @@ def _fold_sum(toks, names, env, variables, limits, sign, packed) -> bool:
             atom, _, power = factor.partition("^")
             if atom[0] in _DIGITS:
                 try:
-                    v = _rational(atom) if "/" in atom else int(atom)
+                    v = _rational(atom)
                 except (ValueError, ZeroDivisionError):
                     break
                 k, c, d = 0, v.numerator, v.denominator
@@ -367,48 +349,36 @@ def _fold_sum(toks, names, env, variables, limits, sign, packed) -> bool:
     return True
 
 
-def _rational(text) -> Fraction:
-    """The number token ``text``, INT or INT/INT, as a Fraction: ValueError
-    when Python refuses a part as too long, ZeroDivisionError for INT/0."""
+def _rational(text):
+    """The number token ``text``, INT as an int and INT/INT as a Fraction:
+    ValueError when Python refuses a part as too long, ZeroDivisionError
+    for INT/0."""
     a, _, b = text.partition("/")
-    return Fraction(int(a), int(b)) if b else Fraction(int(a))
+    return Fraction(int(a), int(b)) if b else int(a)
 
 
 def _parse_term(stream, env, variables):
     """term := factor ('*' factor)*, one ``PolyExpr`` per factor."""
-    factors = [_parse_unary(stream, env, variables)]
+    factors = [_parse_factor(stream, env, variables)]
     while stream.accept("*"):
-        factors.append(_parse_unary(stream, env, variables))
+        factors.append(_parse_factor(stream, env, variables))
     return reduce(mul, factors)
 
 
-def _parse_unary(stream, env, variables):
+def _parse_factor(stream, env, variables):
+    """factor := ('-'|'+')* atom ('^' (RATIONAL | '(' RATIONAL ')'))?"""
     sign = 1
-    while True:
-        if stream.accept("-"):
+    while t := stream.accept("-") or stream.accept("+"):
+        if t[1] == "-":
             sign = -sign
-        elif stream.accept("+"):
-            pass
-        else:
-            break
-    p = _parse_power(stream, env, variables)
-    return p if sign > 0 else -p
-
-
-def _parse_power(stream, env, variables):
-    base = _parse_atom(stream, env, variables)
+    p = _parse_atom(stream, env, variables)
     if stream.accept("^"):
-        e = _parse_exponent(stream)
-        return _poly_pow(base, e, stream)
-    return base
-
-
-def _parse_exponent(stream):
-    paren = stream.accept("(")
-    v = stream.rational()
-    if paren:
-        stream.expect(")")
-    return v
+        paren = stream.accept("(")
+        e = stream.rational()
+        if paren:
+            stream.expect(")")
+        p = _poly_pow(p, e, stream)
+    return p if sign > 0 else -p
 
 
 def _poly_pow(base: PolyExpr, e: Fraction, stream) -> PolyExpr:
@@ -522,9 +492,9 @@ class ModelSpec:
         if self.structure_kind == "table":
             return PoissonStructure.from_table(self.vars, self.table,
                                                self.casimir_polys())
+        mult = self.multiplier if self.multiplier is not None \
+            else PolyExpr.const(self.vars, 1)
         if self.structure_kind == "jacobian":
-            mult = self.multiplier if self.multiplier is not None \
-                else PolyExpr.const(self.vars, 1)
             return jacobian_structure(self.vars, self.casimir_polys(), mult)
         if self.structure_kind == "nambu":
             m = len(self.vars) - self.nambu_arity
@@ -532,8 +502,6 @@ class ModelSpec:
                 raise ArityError(
                     f"arity {self.nambu_arity} in {len(self.vars)} variables "
                     f"needs {m} Casimirs, got {len(self.casimirs)}")
-            mult = self.multiplier if self.multiplier is not None \
-                else PolyExpr.const(self.vars, 1)
             return NambuStructure(self.vars, self.casimir_polys(), mult)
         raise ArityError("no structure declared")
 
@@ -542,7 +510,6 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
     stream = _Stream(text)
     spec = ModelSpec(name=name)
     env: dict[str, PolyExpr] = {}
-    structure_seen = False
     pins = {}                       # expect key -> its statement token
 
     def unbound(t, ident):
@@ -561,48 +528,35 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
         if stmt == "vars":
             if spec.vars:
                 raise stream.error_at(t, "vars declared twice")
-            names = []
-            while stream.peek()[0] == "ident":
-                names.append(stream.next()[1])
+            names = _run(stream, "ident", MAX_DIM + 1)
             if not names:
                 stream.error("vars needs at least one name")
-            spec.vars = tuple(names)
-            for v, x in zip(names, PolyExpr.gens(spec.vars)):
+            if len(names) > MAX_DIM:
+                raise stream.error_at(t, f"vars names more than MAX_DIM = {MAX_DIM} variables")
+            spec.vars = tuple(v[1] for v in names)
+            for v, x in zip(spec.vars, PolyExpr.gens(spec.vars)):
                 env[unbound(t, v)] = x
             stream.names = {}       # the entries read before are over no variables
-            stream.expect(";")
         elif stmt == "weights":
-            ws = []
-            while stream.peek()[0] == "number":
-                ws.append(int(stream.number(integer=True)))
+            ws = [stream.number(integer=True, t=w) for w in _run(stream, "number")]
             if not ws:
                 stream.error("weights needs integers")
             spec.weights = tuple(ws)
-            stream.expect(";")
         elif stmt == "param":
             pname = unbound(t, stream.expect_kind("ident")[1])
             stream.expect("=")
             spec.params[pname] = stream.rational()
             env[pname] = PolyExpr.const(spec.vars, spec.params[pname])
-            stream.expect(";")
         elif stmt in ("let", "casimir"):
             pname = unbound(t, stream.expect_kind("ident")[1])
             stream.expect("=")
-            p = parse_poly_expr(stream, env, spec.vars)
-            stream.expect(";")
-            env[pname] = p
+            p = env[pname] = parse_poly_expr(stream, env, spec.vars)
             (spec.casimirs if stmt == "casimir" else spec.lets).append((pname, p))
         elif stmt == "structure":
-            if structure_seen:
+            if spec.structure_kind is not None:
                 raise stream.error_at(t, "structure declared twice")
-            structure_seen = True
-            kind = stream.expect_kind("ident")[1]
-            if kind == "jacobian":
-                spec.structure_kind = "jacobian"
-                if stream.accept("lambda"):
-                    spec.multiplier = parse_poly_expr(stream, env, spec.vars)
-            elif kind == "table":
-                spec.structure_kind = "table"
+            kind = spec.structure_kind = stream.expect_kind("ident")[1]
+            if kind == "table":
                 stream.expect("{")
                 while not stream.accept("}"):
                     stream.expect("{")
@@ -622,24 +576,17 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
                     if key in spec.table:
                         stream.error(f"duplicate table entry for ({a},{b})")
                     spec.table[key] = p if i < j else -p
-            elif kind == "nambu":
-                spec.structure_kind = "nambu"
-                spec.nambu_arity = int(stream.number(integer=True))
+            elif kind == "jacobian" or kind == "nambu":
+                if kind == "nambu":
+                    spec.nambu_arity = stream.number(integer=True)
                 if stream.accept("lambda"):
                     spec.multiplier = parse_poly_expr(stream, env, spec.vars)
             else:
                 stream.error("structure must be jacobian, table, or nambu")
-            stream.expect(";")
         elif stmt == "hamiltonian":
-            spec.hamiltonians.append(parse_poly_expr(stream, env, spec.vars))
-            while stream.accept(","):
-                spec.hamiltonians.append(parse_poly_expr(stream, env, spec.vars))
-            stream.expect(";")
+            spec.hamiltonians += _separated(stream, parse_poly_expr, env, spec.vars)
         elif stmt == "check":
-            spec.checks.append(_parse_checkname(stream))
-            while stream.accept(","):
-                spec.checks.append(_parse_checkname(stream))
-            stream.expect(";")
+            spec.checks += _separated(stream, _parse_checkname)
         elif stmt == "expect":
             cname, carg = _parse_checkname(stream)
             stream.expect("=")
@@ -652,31 +599,25 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
             key = _key(cname, carg)
             spec.expects[key] = value
             pins[key] = t
-            stream.expect(";")
         elif stmt == "integrate":
             stream.expect("from")
             stream.expect("(")
-            x0 = [_parse_float(stream)]
-            while stream.accept(","):
-                x0.append(_parse_float(stream))
+            x0 = _separated(stream, _parse_float)
             stream.expect(")")
             stream.expect("step")
             step = _parse_float(stream)
             stream.expect("until")
             t_end = _parse_float(stream)
-            monitors = []
-            if stream.accept("monitor"):
-                while stream.peek()[0] == "ident":
-                    monitors.append(stream.next()[1])
-            stream.expect(";")
+            monitors = _run(stream, "ident") if stream.accept("monitor") else ()
             spec.integrate = IntegrateRequest(tuple(x0), step, t_end,
-                                              tuple(monitors))
+                                              tuple(m[1] for m in monitors))
         else:
             raise stream.error_at(t, "unknown statement", stmt)
+        stream.expect(";")
 
     if not spec.vars:
         raise ModelSyntaxError("model declares no variables", 1, 1)
-    if not structure_seen:
+    if spec.structure_kind is None:
         raise ModelSyntaxError("model declares no structure", 1, 1)
     requested = {_key(*c) for c in spec.checks}
     for key, t in pins.items():
@@ -690,6 +631,23 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
         if len(spec.integrate.x0) != len(spec.vars):
             raise ModelSyntaxError("integrate point dimension mismatch", 1, 1)
     return spec
+
+
+def _run(stream, kind, most=-1) -> list:
+    """The tokens of ``kind`` on top of ``stream``, popped: all of them, or
+    the first ``most`` if given."""
+    run = []
+    while len(run) != most and stream.peek()[0] == kind:
+        run.append(stream.next())
+    return run
+
+
+def _separated(stream, read, *args) -> list:
+    """read (',' read)*: what ``read(stream, *args)`` returns, for each."""
+    items = [read(stream, *args)]
+    while stream.accept(","):
+        items.append(read(stream, *args))
+    return items
 
 
 def _parse_checkname(stream):
@@ -752,19 +710,15 @@ def render_model(spec: ModelSpec) -> str:
         out.append("weights " + " ".join(str(w) for w in spec.weights) + ";")
     for name, p in spec.casimirs:
         out.append(f"casimir {name} = {p.render()};")
-    if spec.structure_kind == "jacobian":
-        mult = spec.multiplier if spec.multiplier is not None else None
-        lam = f" lambda {mult.render()}" if mult is not None else ""
-        out.append(f"structure jacobian{lam};")
-    elif spec.structure_kind == "table":
+    if spec.structure_kind == "table":
         out.append("structure table {")
-        for (i, j) in sorted(spec.table):
-            p = spec.table[(i, j)]
+        for (i, j), p in sorted(spec.table.items()):
             out.append(f"  {{{spec.vars[i]},{spec.vars[j]}}} = {p.render()};")
         out.append("};")
-    elif spec.structure_kind == "nambu":
+    elif spec.structure_kind:
+        arity = f" {spec.nambu_arity}" if spec.structure_kind == "nambu" else ""
         lam = f" lambda {spec.multiplier.render()}" if spec.multiplier is not None else ""
-        out.append(f"structure nambu {spec.nambu_arity}{lam};")
+        out.append(f"structure {spec.structure_kind}{arity}{lam};")
     if spec.hamiltonians:
         out.append("hamiltonian "
                    + ", ".join(h.render() for h in spec.hamiltonians) + ";")

@@ -608,22 +608,15 @@ def _sum(variables, items) -> PolyExpr:
             return PolyExpr.zero(variables)
         v, s = live[0]
         return v if s == 1 else -v
+    if grade:
+        return _packed_sum(variables, [(m, c if s == 1 else -c, v._den)
+                                       for v, s in live for m, c in v._num.items()])
     rest = iter(live)
     v, s = next(rest)
     f = s * (den // v._den)
-    first = v._num if grade else _tuple_num(v)
+    first = _tuple_num(v)
     terms = dict(first) if f == 1 else {m: c * f for m, c in first.items()}
     get = terms.get
-    if grade:
-        for v, s in rest:
-            f = s * (den // v._den)
-            for m, c in v._num.items():
-                t = get(m, 0) + c * f
-                if t:
-                    terms[m] = t
-                else:
-                    del terms[m]
-        return _reduced(variables, terms, den, True)
     # kinds[k]: the keys of ``terms`` of kind k (see _key_kind)
     kinds = [0, 0, 0]
     for m in terms:
@@ -643,6 +636,27 @@ def _sum(variables, items) -> PolyExpr:
         if kinds[2] and not kinds[1]:
             _packed(terms, len(variables))      # raises
     return _reduced(variables, terms, den, False)
+
+
+def _packed_sum(variables, packed) -> PolyExpr:
+    """The sum of the (packed key, numerator, denominator) terms ``packed``
+    over ``variables``: over the least common denominator of the nonzero
+    ones, each added in order to one dict, a sum that cancels removing its
+    key; then reduced."""
+    den = 1
+    for _, c, d in packed:
+        if d != den and c:
+            den = lcm(den, d)
+    terms = {}
+    get = terms.get
+    for m, c, d in packed:
+        if c:
+            t = get(m, 0) + (c if d == den else c * (den // d))
+            if t:
+                terms[m] = t
+            else:
+                del terms[m]
+    return _reduced(variables, terms, den, True)
 
 
 def _key_kind(m) -> int:
@@ -696,17 +710,10 @@ def _product(a: PolyExpr, b: PolyExpr) -> PolyExpr:
         if out and reduce(or_, out) & _LAYOUTS[len(a.vars)][1]:
             raise _over_limit("an exponent of the product")
         return _reduced(a.vars, out, a._den * b._den, True)
-    get = out.get
-    right = list(_tuple_num(b).items())
-    for m1, c1 in _tuple_num(a).items():
-        for m2, c2 in right:
-            m = tuple(map(_exp, map(add, m1, m2)))
-            s = get(m, 0) + c1 * c2
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-    return _reduced(a.vars, out, a._den * b._den, False)
+    # an integral Fraction exponent keys as the int it equals: normalise once
+    _accumulate_tuples(out, _tuple_num(a).items(), _tuple_num(b).items())
+    return _reduced(a.vars, {tuple(map(_exp, m)): c for m, c in out.items()},
+                    a._den * b._den, False)
 
 
 def _sum_of_products(variables, pairs) -> PolyExpr:

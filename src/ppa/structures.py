@@ -88,11 +88,12 @@ class PoissonStructure(_CasimirMinors):
         """Build from {(i, j): PolyExpr} with 0-based i < j; rest is zero.
         The table is antisymmetric by construction; a diagonal entry, an
         index outside the variables and an entry that is not
-        polynomial-grade are refused, and the rest of the matrix is one
-        shared zero.  ``casimirs`` are kept as given, for :attr:`certified`
-        to verify."""
+        polynomial-grade are refused, as are more than ``MAX_DIM``
+        variables, and the rest of the matrix is one shared zero.
+        ``casimirs`` are kept as given, for :attr:`certified` to verify."""
         variables = tuple(variables)
         n = len(variables)
+        require_max_dim(n)
         zero = PolyExpr.zero(variables)
         matrix = [[zero] * n for _ in range(n)]
         for (i, j), p in entries.items():

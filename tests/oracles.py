@@ -605,6 +605,9 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
             names = []
             while stream.peek().kind == "ident":
                 names.append(stream.next().text)
+                if len(names) > MAX_DIM:
+                    raise ModelSyntaxError(f"vars names more than MAX_DIM = {MAX_DIM} "
+                                           "variables", t.line, t.column)
             if not names:
                 stream.error("vars needs at least one name")
             spec.vars = tuple(names)

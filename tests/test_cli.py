@@ -71,6 +71,15 @@ def test_check_exit_two_on_a_rebound_name(tmp_path, capsys):
     assert "name 'x' already defined at 1:11" in capsys.readouterr().err
 
 
+def test_check_exit_two_on_more_than_max_dim_vars(tmp_path, capsys):
+    # a table model over nine variables once passed every check
+    f = tmp_path / "nine.ppa"
+    f.write_text("vars a b c d e f g h i; structure table { {a,b} = c; };\n"
+                 "check jacobi, rank, plucker;\n")
+    assert run_cli("check", str(f)) == 2
+    assert "vars names more than MAX_DIM = 8 variables at 1:1" in capsys.readouterr().err
+
+
 def test_check_exit_two_on_missing_file():
     assert run_cli("check", "/nonexistent/model.ppa") == 2
 

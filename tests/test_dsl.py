@@ -1,13 +1,17 @@
 """Model DSL: parsing, diagnostics, canonical emission."""
 
+import re
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from ppa import catalog, dsl
-from ppa.errors import ArityError, DomainError, ModelSyntaxError
-from ppa.poly import MonomialMap, PolyExpr
+from ppa.errors import ArityError, DomainError, ModelSyntaxError, PpaError
+from ppa.poly import MAX_EXPONENT, MonomialMap, PolyExpr
 from ppa.runner import FI_MAX
+from test_dsl_front_end import models
 
 Q3_TEXT = (
     "vars x1 x2 x3; param k = 2; "
@@ -51,6 +55,26 @@ def test_a_name_is_bound_once(text, name, line, column):
         dsl.parse_model(text)
     assert str(e.value) == f"name {name!r} already defined at {line}:{column}"
     assert (e.value.line, e.value.column, e.value.token) == (line, column, None)
+
+
+def test_vars_refuses_more_than_max_dim_names():
+    # the ninth name is refused at the statement, before any name is bound
+    text = "# nine\n  vars " + " ".join(f"x{i}" for i in range(9)) + " x0;\nstructure table { };"
+    with pytest.raises(ModelSyntaxError) as e:
+        dsl.parse_model(text)
+    assert str(e.value) == "vars names more than MAX_DIM = 8 variables at 2:3"
+    assert (e.value.line, e.value.column, e.value.token) == (2, 3, None)
+    eight = "vars " + " ".join(f"x{i}" for i in range(8)) + "; structure table { };"
+    assert len(dsl.parse_model(eight).vars) == 8
+
+
+def test_vars_refuses_a_long_run_of_names_in_linear_time():
+    # 20000 names once took 0.5 s to read and 31 s to build as a table
+    text = "vars " + " ".join(f"v{i}" for i in range(20000)) + "; structure table { };"
+    start = time.perf_counter()
+    with pytest.raises(ModelSyntaxError, match="more than MAX_DIM = 8 variables at 1:1"):
+        dsl.parse_model(text)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_empty_input_errors_at_origin():
@@ -201,6 +225,26 @@ def test_emission_round_trip_byte_identical(name):
     text = dsl.render_model(dsl.model_spec_from_built(built))
     spec = dsl.parse_model(text, name=name)
     assert dsl.render_model(spec) == text
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(models())
+def test_render_parse_render_is_byte_stable(text):
+    # random models reach what no catalog entry emits: a jacobian or nambu
+    # lambda, and an empty table.  An emission is read back within the
+    # parser's limits: one that holds a literal longer than
+    # MAX_LITERAL_CHARS, or an exponent past MAX_EXPONENT (which products of
+    # Laurent/Puiseux values reach), is not.
+    try:
+        emitted = dsl.render_model(dsl.parse_model(text))
+    except PpaError:
+        return
+    literals = re.findall(r"\d+(?:/\d+)?", emitted)
+    exponents = re.findall(r"\^\(?-?(\d+)(?:/(\d+))?", emitted)
+    if (any(len(d) > dsl.MAX_LITERAL_CHARS for d in literals)
+            or any(max(int(a), int(b or 0)) > MAX_EXPONENT for a, b in exponents)):
+        return
+    assert dsl.render_model(dsl.parse_model(emitted)) == emitted
 
 
 @pytest.mark.parametrize("name", ["q3", "q5", "dell", "quadrics61", "euler_top"])

@@ -341,3 +341,9 @@ def test_from_table_refuses_the_diagonal_and_foreign_indices():
     for ij in ((0, 3), (-1, 0)):
         with pytest.raises(DomainError, match="outside 3 variables"):
             PoissonStructure.from_table(V3, {ij: x1})
+
+
+def test_from_table_refuses_more_than_max_dim():
+    v = tuple(f"x{i + 1}" for i in range(9))
+    with pytest.raises(DomainError, match="ambient dimension 9 exceeds 8"):
+        PoissonStructure.from_table(v, {(0, 1): PolyExpr.var("x3", v)})
