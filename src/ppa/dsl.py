@@ -25,9 +25,10 @@ and errors are those of building and adding one ``PolyExpr`` per factor.
 
 Hostile input stays bounded: a numeric literal is at most
 ``MAX_LITERAL_CHARS`` characters, parentheses nest at most ``MAX_NESTING``
-deep, a power's exponent, as a reduced fraction, has numerator and
-denominator at most ``poly.MAX_EXPONENT``, and ``vars`` names at most
-``MAX_DIM`` = 8 variables.  The scan is linear in the text.
+deep, a power's exponent keeps the exponent limit of every ``PolyExpr``
+(|e| and its reduced denominator at most ``poly.MAX_EXPONENT``), and
+``vars`` names at most ``MAX_DIM`` = 8 variables.  The scan is linear in
+the text.  ``render_model`` writes nothing the scanner would refuse.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from . import poly
 from .errors import ArityError, DomainError, ModelSyntaxError
 from .exterior import MAX_DIM
 from .poly import (_BLOCK_BITS, _LAYOUTS, FIELD_BITS, MAX_EXPONENT, MAX_POWER_BITS, MonomialMap,
-                   PolyExpr, _packed_sum, _rational_pow, _sum)
+                   PolyExpr, _outside, _over_limit, _packed_sum, _rational_pow, _sum)
 from .runner import CHECKS, FI_MAX, _key, _literal_text, _projection
 from .structures import NambuStructure, PoissonStructure, jacobian_structure
 
@@ -208,10 +209,11 @@ def parse_poly_expr(stream: _Stream, env: dict, variables) -> PolyExpr:
     is packed and over ``variables``, its terms go in order, sign included,
     into one list of (key, numerator, denominator), each folded term as one
     entry, and ``_packed_sum`` adds them.  A Laurent/Puiseux term, or one
-    over another variable set, turns the sum into ``PolyExpr`` values: then
-    only a step that adds such a term, or a term to a first term over
-    another variable set, can raise, and it is taken as soon as its term
-    is read, as it was when the terms were added one at a time."""
+    over another variable set, turns the sum into ``PolyExpr`` values that
+    one ``_sum`` adds at the end.  Only adding a term over another variable
+    set, or a term to a first term over one, can raise: that step is taken
+    as soon as its term is read, as it was when the terms were added one at
+    a time."""
     toks = stream.toks
     limits = _LAYOUTS[len(variables)][1], _BLOCK_BITS * isqrt(poly.MAX_WORK)
     packed = []
@@ -230,37 +232,24 @@ def parse_poly_expr(stream: _Stream, env: dict, variables) -> PolyExpr:
                 if items is None:
                     items = [] if one else [(_packed_sum(variables, packed), 1)]
                 items.append((value, sign))
-                if len(items) > 1 and (not value._grade or value.vars != variables
-                                       or items[0][0].vars != variables):
-                    items = [(_added(variables, items), 1)]
+                if len(items) > 1 and (value.vars != variables or items[0][0].vars != variables):
+                    # one '+' or '-', so constants adapt to the other side as
+                    # that operator adapts them
+                    acc = items[0][0] if len(items) == 2 else _sum(variables, items[:-1])
+                    items = [(acc + value if sign > 0 else acc - value, 1)]
         op = toks[-1][1]
         if op == "+":
             sign = 1
         elif op == "-":
             sign = -1
         elif items is not None:
-            return _added(variables, items)
+            return items[0][0] if len(items) == 1 else _sum(variables, items)
         elif folded or not one:
             return _packed_sum(variables, packed)
         else:
             return value        # the one term, read as a PolyExpr
         toks.pop()
         one = False
-
-
-def _added(variables, items) -> PolyExpr:
-    """The sum of the (PolyExpr, sign) ``items``, the first sign +1: one
-    ``poly._sum`` over ``variables``, or, when a term is over another
-    variable set, one ``+`` or ``-`` at a time, so constants adapt to the
-    other side as those operators adapt them."""
-    if len(items) == 1:
-        return items[0][0]
-    if all(p.vars == variables for p, _ in items):
-        return _sum(variables, items)
-    acc = items[0][0]
-    for p, sign in items[1:]:
-        acc = acc + p if sign > 0 else acc - p
-    return acc
 
 
 _FOLDABLE = frozenset(("sum", "ident", "number"))
@@ -384,9 +373,8 @@ def _parse_factor(stream, env, variables):
 def _poly_pow(base: PolyExpr, e: Fraction, stream) -> PolyExpr:
     if e.denominator == 1 and e >= 0:
         return base ** int(e)           # PolyExpr.__pow__ bounds e
-    if max(abs(e.numerator), e.denominator) > MAX_EXPONENT:
-        raise DomainError(f"exponent {e}: numerator and denominator must be at "
-                          f"most MAX_EXPONENT = {MAX_EXPONENT}")
+    if _outside(e):
+        raise _over_limit(f"exponent {e}")
     if base.is_monomial():
         (mono, coef), = base.terms.items()
         # an integral power of a negative coefficient stays rational
@@ -703,7 +691,9 @@ def _parse_float(stream):
 # ---------------- canonical emission ----------------
 
 def render_model(spec: ModelSpec) -> str:
-    """Canonical text for a resolved model; parameters are already inlined."""
+    """Canonical text for a resolved model; parameters are already inlined.
+    ``DomainError`` when it would hold a numeric literal longer than the
+    scanner reads (``MAX_LITERAL_CHARS``), as a product's coefficient may."""
     out = []
     out.append("vars " + " ".join(spec.vars) + ";")
     if spec.weights:
@@ -731,7 +721,14 @@ def render_model(spec: ModelSpec) -> str:
         mon = (" monitor " + " ".join(ir.monitors)) if ir.monitors else ""
         out.append("integrate from (" + ", ".join(repr(float(v)) for v in ir.x0)
                    + f") step {float(ir.step)!r} until {float(ir.t_end)!r}{mon};")
-    return "\n".join(out) + "\n"
+    text = "\n".join(out) + "\n"
+    if len(text) > MAX_LITERAL_CHARS:
+        # the scanner's pieces: a name's digits are not a number
+        longest = max(len(m["number"] or "") for m in _PIECE_RE.finditer(text))
+        if longest > MAX_LITERAL_CHARS:
+            raise DomainError(f"cannot emit a numeric literal of {longest} characters: "
+                              f"longer than MAX_LITERAL_CHARS = {MAX_LITERAL_CHARS}")
+    return text
 
 
 def model_spec_from_built(bm) -> ModelSpec:

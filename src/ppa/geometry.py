@@ -55,8 +55,9 @@ def transport_bracket(ps: PoissonStructure, mmap: MonomialMap) -> TransportResul
     integers by the least common denominator of M.  The terms that survive
     cancellation are re-expressed in the new variables through the inverse
     map, as :func:`substitute` does.  Limits are judged on those entries
-    only: a polynomial-grade entry with an exponent past ``MAX_EXPONENT``
-    raises ``DomainError``, as does a scale factor outside Q."""
+    only: an entry with an exponent e past the limit every value keeps (|e|
+    or its denominator past ``MAX_EXPONENT``) raises ``DomainError``, as
+    does a scale factor outside Q."""
     if tuple(mmap.old_vars) != ps.vars:
         raise DomainError("map old variables do not match the structure")
     n = ps.n
@@ -153,9 +154,10 @@ def chart_compare(ps_a: PoissonStructure, ps_b: PoissonStructure,
     integer exponent vectors (scaled by the least common denominator of the
     eliminator's exponents) whose powers are built once, and each residual
     is one pass over the terms of b and a.  A residual with a fractional
-    exponent raises ``PolynomialGradeError``; an entry or residual with an
-    exponent past ``MAX_EXPONENT``, and a power of z past the work budget
-    ``MAX_WORK``, raise ``DomainError``.
+    exponent raises ``PolynomialGradeError``; the entry b that fixes c, or a
+    residual, with an exponent e past the limit every value keeps (|e| or
+    its denominator past ``MAX_EXPONENT``), and a power of z past the work
+    budget ``MAX_WORK``, raise ``DomainError``.
     """
     extra = [v for v in ps_b.vars if v not in ps_a.vars]
     if len(extra) != 1:

@@ -19,18 +19,19 @@ value is packed exactly when it is polynomial-grade, so the form is unique:
 equality and hashing compare the stored fields directly, products add
 packed keys as plain integers and run on Python ints, dividing out the
 content only when the denominator is not 1 (after Monagan & Pearce, CASC
-2007).  Every exponent of a polynomial-grade value is at most
-``MAX_EXPONENT``, which leaves each field's top bit free: a product of two
-such values cannot carry between fields, and one test of the top bits of
-its result finds any exponent past the limit.  Exceeding it raises
-``DomainError``.  Every product, each squaring of a power included, is
+2007).  Every exponent e of every value, packed or not, has |e| and a
+reduced denominator of at most ``MAX_EXPONENT`` (:func:`_outside`), and a
+value that breaks that limit raises ``DomainError`` where it is built, so
+no sum can leave it.  For a polynomial-grade value the limit leaves each
+field's top bit free: a product of two such values cannot carry between
+fields, and one test of the top bits of its result finds any exponent
+past the limit.  Every product, each squaring of a power included, is
 charged against one work budget before it multiplies (``MAX_WORK``); a
 value keeps the bit size of its largest coefficient once that is read.
-``terms`` is the read-only ``Fraction`` view keyed by
-exponent tuples, built on first use.  Every result is exact; term order
-follows the same accumulation as ``Fraction`` arithmetic would, so iteration
-order (and with it float sums over the terms) does not depend on the
-representation.
+``terms`` is the read-only ``Fraction`` view keyed by exponent tuples,
+built on first use.  Every result is exact; term order follows the same
+accumulation as ``Fraction`` arithmetic would, so iteration order (and
+with it float sums over the terms) does not depend on the representation.
 """
 
 from __future__ import annotations
@@ -120,6 +121,14 @@ _LAYOUTS = _Layouts()
 
 def _over_limit(what) -> DomainError:
     return DomainError(f"{what} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+
+
+def _outside(e) -> bool:
+    """True when the exponent ``e``, an int or a Fraction, breaks the limit
+    every ``PolyExpr`` keeps: |e| or its reduced denominator past MAX_EXPONENT
+    (tested on ints, which is faster than comparing Fractions)."""
+    d = e.denominator
+    return d > MAX_EXPONENT or abs(e.numerator) > MAX_EXPONENT * d
 
 
 def _packed(num: dict, n: int) -> dict:
@@ -316,11 +325,12 @@ class PolyExpr:
             raise DomainError("polynomial powers must be nonnegative integers")
         if n > MAX_EXPONENT:
             raise _over_limit(f"power {n}")
-        if self._grade and n > 1:
-            # the top exponent of each variable multiplies by n exactly
-            top = max((e for m in _tuple_num(self) for e in m), default=0)
-            if n * top > MAX_EXPONENT:
-                raise _over_limit(f"exponent {n * top} of the power")
+        if n > 1:
+            # the largest |exponent| multiplies by n exactly: the terms that
+            # reach it in one variable have a nonzero n-th power
+            top = n * max((abs(e) for m in _tuple_num(self) for e in m), default=0)
+            if _outside(top):
+                raise _over_limit(f"exponent {top} of the power")
         if len(self._num) == 1:
             (m, c), = self._num.items()
             if n > 1:
@@ -549,10 +559,15 @@ _set_hash = PolyExpr._hash.__set__
 
 def _fill(p, variables, num, den, grade):
     """``grade`` True: ``num`` is keyed by packed ints.  False: by exponent
-    tuples, packed here when they are all polynomial-grade."""
-    if not grade and _is_grade(num):
-        num = _packed(num, len(variables))
-        grade = True
+    tuples, packed here when they are all polynomial-grade, else refused
+    with ``DomainError`` when an exponent is outside the limit (see
+    :func:`_outside`)."""
+    if not grade:
+        if _is_grade(num):
+            num = _packed(num, len(variables))
+            grade = True
+        elif (bad := next((e for m in num for e in m if _outside(e)), None)) is not None:
+            raise _over_limit(f"exponent {bad}")
     _set_vars(p, variables)
     _set_num(p, num)
     _set_den(p, den)
@@ -589,60 +604,29 @@ def _over_common_den(frac: dict):
 
 def _sum(variables, items) -> PolyExpr:
     """The sum of sign * value over ``items``, (value, sign) pairs with every
-    value over ``variables`` and sign +1 or -1, in one pass over one common
-    denominator.  Each value's terms are added in order to one dict, the
-    first value's copied: a sum that cancels removes its key, so a later
-    term with that monomial is appended at the end.  Values, term order and
-    errors are those of adding the values one at a time, which packs each
-    Laurent/Puiseux partial sum that is left polynomial-grade: one left
-    with an exponent past MAX_EXPONENT raises here too."""
-    live, den, grade = [], 1, True
-    for v, s in items:
-        if v._num:                  # zero is packed: skip it
-            live.append((v, s))
-            if v._den != den:
-                den = lcm(den, v._den)
-            grade = grade and v._grade
+    value over ``variables`` and sign +1 or -1: one :func:`_packed_sum` pass
+    over their terms in order, keyed by packed ints when every value is
+    packed, else by exponent tuples.  Values and term order are those of
+    adding the values one at a time.  A sum's monomials are its operands',
+    so it keeps the exponent limit and raises nothing."""
+    live = [(v, s) for v, s in items if v._num]     # zero is packed: skip it
     if len(live) < 2:
         if not live:
             return PolyExpr.zero(variables)
         v, s = live[0]
         return v if s == 1 else -v
-    if grade:
-        return _packed_sum(variables, [(m, c if s == 1 else -c, v._den)
-                                       for v, s in live for m, c in v._num.items()])
-    rest = iter(live)
-    v, s = next(rest)
-    f = s * (den // v._den)
-    first = _tuple_num(v)
-    terms = dict(first) if f == 1 else {m: c * f for m, c in first.items()}
-    get = terms.get
-    # kinds[k]: the keys of ``terms`` of kind k (see _key_kind)
-    kinds = [0, 0, 0]
-    for m in terms:
-        kinds[_key_kind(m)] += 1
-    for v, s in rest:
-        f = s * (den // v._den)
-        for m, c in _tuple_num(v).items():
-            old = get(m)
-            t = (old or 0) + c * f
-            if t:
-                if old is None:
-                    kinds[_key_kind(m)] += 1
-                terms[m] = t
-            else:
-                del terms[m]
-                kinds[_key_kind(m)] -= 1
-        if kinds[2] and not kinds[1]:
-            _packed(terms, len(variables))      # raises
-    return _reduced(variables, terms, den, False)
+    grade = all(v._grade for v, _ in live)
+    return _packed_sum(variables, [(m, c if s == 1 else -c, v._den) for v, s in live
+                                   for m, c in (v._num if grade else _tuple_num(v)).items()],
+                       grade)
 
 
-def _packed_sum(variables, packed) -> PolyExpr:
-    """The sum of the (packed key, numerator, denominator) terms ``packed``
-    over ``variables``: over the least common denominator of the nonzero
-    ones, each added in order to one dict, a sum that cancels removing its
-    key; then reduced."""
+def _packed_sum(variables, packed, grade=True) -> PolyExpr:
+    """The sum of the (key, numerator, denominator) terms ``packed`` over
+    ``variables``, keyed by packed ints, or by exponent tuples when not
+    ``grade``: over the least common denominator of the nonzero ones, each
+    added in order to one dict, a sum that cancels removing its key (so a
+    later term with that monomial is appended at the end); then reduced."""
     den = 1
     for _, c, d in packed:
         if d != den and c:
@@ -656,15 +640,7 @@ def _packed_sum(variables, packed) -> PolyExpr:
                 terms[m] = t
             else:
                 del terms[m]
-    return _reduced(variables, terms, den, True)
-
-
-def _key_kind(m) -> int:
-    """0 for a polynomial-grade exponent tuple within MAX_EXPONENT, 1 for
-    one off the grade, 2 for a polynomial-grade one past MAX_EXPONENT."""
-    if not _is_grade((m,)):
-        return 1
-    return 2 if max(m, default=0) > MAX_EXPONENT else 0
+    return _reduced(variables, terms, den, grade)
 
 
 def _accumulate(out: dict, left, right) -> None:
@@ -685,9 +661,9 @@ def _accumulate(out: dict, left, right) -> None:
 def _accumulate_tuples(out: dict, left, right) -> None:
     """Add the product of two term lists keyed by int exponent tuples into
     ``out``, as :func:`_accumulate` does for packed keys.  The tuples add
-    componentwise, with no exponent limit: callers that key Laurent or
-    Puiseux terms by integer multiples of their exponents judge the result
-    themselves."""
+    componentwise, with no exponent limit: it is judged on the value built
+    from ``out`` (see :func:`_fill`), after callers that key Laurent or
+    Puiseux terms by integer multiples of their exponents scale them back."""
     get = out.get
     for m1, c1 in left:
         for m2, c2 in right:
@@ -1180,8 +1156,8 @@ def _lattice_image(mmap: MonomialMap, num: dict, den: int, scale: int) -> PolyEx
     prod_i d_i ** x_i.  The map is injective on exponent vectors, so no two
     terms meet.  Every call asks the map for the d_i, so a d_i outside Q
     raises ``DomainError`` every time; their powers are taken only for the
-    terms given.  An exponent past ``MAX_EXPONENT`` in a polynomial-grade
-    result raises ``DomainError``.
+    terms given.  A result with an exponent outside the limit (see
+    :func:`_outside`) raises ``DomainError``.
     """
     dscales = mmap._scale_factors()
     lat_den, rows = mmap._inverse_lattice

@@ -527,9 +527,8 @@ def _parse_exponent(stream):
 def _poly_pow(base: PolyExpr, e: Fraction, stream) -> PolyExpr:
     if e.denominator == 1 and e >= 0:
         return base ** int(e)           # PolyExpr.__pow__ bounds e
-    if max(abs(e.numerator), e.denominator) > MAX_EXPONENT:
-        raise DomainError(f"exponent {e}: numerator and denominator must be at "
-                          f"most MAX_EXPONENT = {MAX_EXPONENT}")
+    if abs(e) > MAX_EXPONENT or e.denominator > MAX_EXPONENT:
+        raise DomainError(f"exponent {e} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
     if base.is_monomial():
         (mono, coef), = base.terms.items()
         # an integral power of a negative coefficient stays rational

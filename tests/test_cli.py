@@ -259,7 +259,11 @@ def test_integrate_window_limits_exit_two(tmp_path, capsys, window, message):
     ("(x1+x2+x3)^2000", "error: a product of polynomials with 2145 x 2145 terms and "
                         "coefficients of 96 and 96 bits costs 4601025 units, more than "
                         "MAX_WORK = 1000000"),
-    ("x1^(1/40000)", "error: exponent 1/40000: numerator and denominator"),
+    ("x1^(1/40000)", "error: exponent 1/40000 exceeds MAX_EXPONENT = 32767\n"),
+    # Laurent values keep the same limit: once emitted, neither would parse
+    ("(x1^2)^(-20000)", "error: exponent -40000 exceeds MAX_EXPONENT = 32767\n"),
+    ("(x1*x1*x1*x1^16383 + x1^-1)^2",
+     "error: exponent 32772 of the power exceeds MAX_EXPONENT = 32767\n"),
     # a grade error names its first offending term, never the whole value,
     # which may be long or hold a coefficient too long to print
     (f"{SEVENS}^2*x1^(1/2)",
@@ -346,6 +350,22 @@ def test_transport_refuses_oversized_scale_power(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: the power -900000000 of a 2-bit rational would "
                             "have more than MAX_POWER_BITS = 1048576 bits\n")
+
+
+def test_transport_refuses_to_emit_an_unreadable_literal(tmp_path, capsys):
+    # a 2100-digit literal squared: its 4200 digits print, but the scanner
+    # reads at most MAX_LITERAL_CHARS = 4000 characters
+    model = tmp_path / "m.ppa"
+    model.write_text(f"vars x1 x2 x3; casimir P = {'7' * 2100}^2*x1 + x2*x3;\n"
+                     "structure table { {x1,x2} = x3; };\n")
+    mapfile = tmp_path / "m.map"
+    mapfile.write_text("map y1 = x1;\nmap y2 = x2;\nmap y3 = x3;\n")
+    emitted = tmp_path / "out.ppa"
+    assert run_cli("transport", str(model), "--map", str(mapfile),
+                   "--emit", str(emitted)) == 2
+    assert capsys.readouterr().err == ("error: cannot emit a numeric literal of 4200 "
+                                       "characters: longer than MAX_LITERAL_CHARS = 4000\n")
+    assert not emitted.exists()
 
 
 def run_cli_captured(*argv):

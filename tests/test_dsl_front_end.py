@@ -503,22 +503,18 @@ def test_sum_scan_is_linear_in_the_text(head, unit, tail):
 @st.composite
 def signed_values(draw):
     """(value, sign) pairs over (x1, x2), polynomials and Laurent/Puiseux
-    values, drawn from a few monomials so that sums cancel often; a Laurent
-    value may hold a polynomial-grade term past MAX_EXPONENT, which a sum
-    that cancels its other terms cannot pack."""
+    values, drawn from a few monomials so that sums cancel often.  Their
+    exponents reach the limit every value keeps from both sides
+    (+-MAX_EXPONENT, MAX_EXPONENT - 1/2, a denominator of MAX_EXPONENT), so
+    a Laurent sum that cancels its other terms packs a term at the limit."""
     grade = [0, 1, 2, MAX_EXPONENT]
-    exps = st.sampled_from(grade if draw(st.booleans())
-                           else grade + [F(1, 2), -1, MAX_EXPONENT + 1])
+    exps = st.sampled_from(grade if draw(st.booleans()) else grade + [
+        F(1, 2), -1, -MAX_EXPONENT, MAX_EXPONENT - F(1, 2), F(1, MAX_EXPONENT)])
     pool = draw(st.lists(st.tuples(exps, exps), min_size=2, max_size=4, unique=True))
     coeff = st.sampled_from([F(1), F(-1), F(2), F(1, 2)])
-    items = []
-    for _ in range(draw(st.integers(1, 6))):
-        terms = draw(st.dictionaries(st.sampled_from(pool), coeff, max_size=3))
-        try:
-            items.append((PolyExpr(("x1", "x2"), terms), draw(st.sampled_from([1, -1]))))
-        except DomainError:         # a polynomial-grade value past the limit
-            pass
-    return items
+    return [(PolyExpr(("x1", "x2"), draw(st.dictionaries(st.sampled_from(pool), coeff,
+                                                         max_size=3))),
+             draw(st.sampled_from([1, -1]))) for _ in range(draw(st.integers(1, 6)))]
 
 
 @examples(300)

@@ -754,8 +754,15 @@ def test_exponent_limit_in_construction():
     assert PolyExpr(V3, {(0, MAX_E, 0): F(1)}) == gens3()[1] ** MAX_E
     with pytest.raises(DomainError):
         PolyExpr(V3, {(0, MAX_E + 1, 0): F(1)})
-    # a Laurent value may go past the limit; it is not packed
-    assert not PolyExpr(V3, {(-1, MAX_E + 1, 0): F(1)}).is_polynomial_grade()
+    # a Laurent or Puiseux value keeps the same limit, on |e| and on the
+    # reduced denominator
+    for mono, bad in (((-1, MAX_E + 1, 0), MAX_E + 1), ((0, 0, -MAX_E - 1), -MAX_E - 1),
+                      ((F(1, MAX_E + 1), 0, 0), F(1, MAX_E + 1))):
+        with pytest.raises(DomainError) as info:
+            PolyExpr(V3, {mono: F(1)})
+        assert str(info.value) == f"exponent {bad} exceeds MAX_EXPONENT = {MAX_E}"
+    assert PolyExpr(V3, {(-MAX_E, F(1, MAX_E), F(2 * MAX_E - 1, 2)): F(1)}).terms == \
+        {(-MAX_E, F(1, MAX_E), F(2 * MAX_E - 1, 2)): F(1)}
 
 
 def test_exponent_limit_in_products():
@@ -785,6 +792,70 @@ def test_exponent_limit_in_powers():
                     ((x1 + x2 + x3) ** 3, HALF)):
         with pytest.raises(DomainError):
             base ** k
+
+
+def test_off_grade_powers_are_refused_before_multiplying(monkeypatch):
+    products = []
+    product = poly._product
+    monkeypatch.setattr(poly, "_product", lambda a, b: products.append(1) or product(a, b))
+    for base, k, top in ((PolyExpr(V3, {(F(3, 2), 0, 0): 1}), 30000, 45000),
+                         (PolyExpr(V3, {(-2, 0, 0): 1, (0, 0, F(1, 2)): 1}), HALF + 1,
+                          -2 * (HALF + 1)),
+                         (PolyExpr(V3, {(F(3, 2), -1, 0): 2}), 21845, F(2 * MAX_E + 1, 2))):
+        with pytest.raises(DomainError) as info:
+            base ** k
+        assert str(info.value) == \
+            f"exponent {abs(top)} of the power exceeds MAX_EXPONENT = {MAX_E}"
+    assert not products
+    # half of 30000 is within the limit, and the power is polynomial-grade
+    assert PolyExpr(V3, {(F(1, 2), 0, 0): 1}) ** 30000 == gens3()[0] ** 15000
+    assert products
+
+
+# Off-grade exponents at the limit: +-MAX_EXPONENT, MAX_EXPONENT - 1/2 and
+# denominators near MAX_EXPONENT, and now and then one just past it.
+EDGE_EXPS = mostly(st.sampled_from([0, 1, -1, F(1, 2), HALF, MAX_E, -MAX_E, MAX_E - F(1, 2),
+                                    F(1, 2) - MAX_E, F(1, MAX_E), F(-1, MAX_E - 1),
+                                    F(MAX_E - 1, MAX_E)]),
+                   st.sampled_from([MAX_E + 1, -MAX_E - 1, F(1, MAX_E + 1)]))
+# unimodular scales only, so that every coefficient stays rational
+EDGE_MAPS = st.sampled_from([[[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                             [[-1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                             [[2, 0, 0], [0, 1, 0], [0, 0, F(1, 2)]],
+                             [[1, 1, 0], [0, 1, 0], [0, 0, -1]]])
+
+
+def within_the_limit(build):
+    """``build()``: either ``DomainError`` naming MAX_EXPONENT (then None), or
+    a value whose exponents all keep the limit and whose rendering reads
+    back to it."""
+    try:
+        p = build()
+    except DomainError as e:
+        assert "MAX_EXPONENT" in str(e)
+        return None
+    assert all(abs(e) <= MAX_E and F(e).denominator <= MAX_E for m in p.terms for e in m)
+    assert parse_polynomial(p.render(), p.vars) == p
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(st.tuples(EDGE_EXPS, EDGE_EXPS, EDGE_EXPS), COEFFS,
+                                min_size=1, max_size=3), min_size=2, max_size=2),
+       st.integers(0, 3), st.sampled_from(V3), EDGE_MAPS, EDGE_EXPS)
+def test_every_value_keeps_the_exponent_limit(dicts, k, var, rows, e):
+    p, q = (within_the_limit(lambda d=d: PolyExpr(V3, d)) for d in dicts)
+    if p is None or q is None:
+        return
+    within_the_limit(lambda: p * q)
+    within_the_limit(lambda: p + q)
+    within_the_limit(lambda: p ** k)
+    within_the_limit(lambda: p.diff(var))
+    within_the_limit(lambda: p.with_vars(("w",) + V3[::-1]))
+    within_the_limit(lambda: substitute(p, MonomialMap(V3, ("y1", "y2", "y3"), rows)))
+    # a DSL power of the first monomial, coefficient 1
+    mono = PolyExpr(V3, {next(iter(p.terms)): 1}).render()
+    within_the_limit(lambda: parse_polynomial(f"({mono})^({e})", V3))
 
 
 def test_term_limit_in_powers(monkeypatch):

@@ -131,14 +131,14 @@ def limit_free_transport(ps, mmap):
 
 def assert_matches_limit_free(ps, mmap):
     """The transport raises ``DomainError`` exactly where the limit-free
-    closed form has a scale factor outside Q or a polynomial-grade entry
-    with an exponent past ``MAX_EXPONENT``; otherwise its entries are that
-    form's."""
+    closed form has a scale factor outside Q or an entry with an exponent
+    e outside the limit, |e| or its denominator past ``MAX_EXPONENT``;
+    otherwise its entries are that form's."""
     got = outcome(transport_bracket, ps, mmap)
     ref = outcome(limit_free_transport, ps, mmap)
     if ref is not DomainError and any(
-            _is_grade(terms) and max((e for m in terms for e in m), default=0) > MAX_EXPONENT
-            for terms in ref.values()):
+            abs(e) > MAX_EXPONENT or F(e).denominator > MAX_EXPONENT
+            for terms in ref.values() for m in terms for e in m):
         ref = DomainError
     if ref is DomainError:
         assert got is DomainError
