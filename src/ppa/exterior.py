@@ -43,7 +43,7 @@ def merge_sign(mask_a: int, mask_b: int) -> int:
     inversions = 0
     for b in range(mask_b.bit_length()):
         if mask_b >> b & 1:
-            inversions += bin(mask_a >> (b + 1)).count("1")
+            inversions += (mask_a >> (b + 1)).bit_count()
     return -1 if inversions & 1 else 1
 
 

@@ -282,7 +282,7 @@ class PolyExpr:
 
     def __neg__(self):
         # the largest |numerator| and the denominator stay: keep ``_bits``
-        p = _new(self.vars, {m: -c for m, c in self._num.items()}, self._den, self._grade)
+        p = _new(self.vars, {m: -c for m, c in self._num.items()}, self._den, self._grade or None)
         _set_bits(p, self._bits)
         return p
 
@@ -304,7 +304,7 @@ class PolyExpr:
                 return self if other == 1 else -self
             k = other.numerator
             return _reduced(self.vars, {m: c * k for m, c in self._num.items()},
-                            self._den * other.denominator, self._grade)
+                            self._den * other.denominator, self._grade or None)
         a, b = self._align(other)
         if a is None:
             return NotImplemented
@@ -404,7 +404,10 @@ class PolyExpr:
 
     def homogeneous_component(self, degree: int) -> "PolyExpr":
         out = {m: c for m, c in _tuple_num(self).items() if sum(m) == degree}
-        return _reduced(self.vars, out, self._den, False)
+        # judged exponents, of which a subset may be polynomial-grade
+        grade = _is_grade(out)
+        return _reduced(self.vars, _packed(out, len(self.vars)) if grade else out,
+                        self._den, grade or None)
 
     def leading(self):
         """(monomial, coefficient) of the graded-lex leading term."""
@@ -485,7 +488,8 @@ class PolyExpr:
                 if e != 0:
                     nm[pos[i]] = e
             out[tuple(nm)] = c
-        return _new(variables, out, self._den, False)
+        return _new(variables, _packed(out, len(variables)) if self._grade else out,
+                    self._den, self._grade or None)
 
     def subs_var(self, var: str, value: "PolyExpr") -> "PolyExpr":
         """Substitute one variable by a polynomial (integer powers only)."""
@@ -558,11 +562,12 @@ _set_hash = PolyExpr._hash.__set__
 
 
 def _fill(p, variables, num, den, grade):
-    """``grade`` True: ``num`` is keyed by packed ints.  False: by exponent
-    tuples, packed here when they are all polynomial-grade, else refused
-    with ``DomainError`` when an exponent is outside the limit (see
-    :func:`_outside`)."""
-    if not grade:
+    """``grade`` True: ``num`` is keyed by packed ints.  None: by the
+    exponent tuples of a value already judged off-grade, kept as they are
+    (negation, scaling, ``with_vars``).  False: by exponent tuples, packed here when they are all
+    polynomial-grade, else refused with ``DomainError`` when an exponent is
+    outside the limit (see :func:`_outside`)."""
+    if grade is False:
         if _is_grade(num):
             num = _packed(num, len(variables))
             grade = True
@@ -571,7 +576,7 @@ def _fill(p, variables, num, den, grade):
     _set_vars(p, variables)
     _set_num(p, num)
     _set_den(p, den)
-    _set_grade(p, grade)
+    _set_grade(p, grade is True)
     _set_terms(p, None)
     _set_bits(p, 0)
 
@@ -694,8 +699,9 @@ def _product(a: PolyExpr, b: PolyExpr) -> PolyExpr:
 
 def _sum_of_products(variables, pairs) -> PolyExpr:
     """sum s*a*b over ``pairs`` (a, b) or (a, b, s), with a and b
-    polynomial-grade values over ``variables`` and the sign s +1 (when left
-    out) or -1, accumulated into one packed dict over one common
+    polynomial-grade values over ``variables`` (or factors with their packed
+    ``_num``, ``_den`` and a set ``_bits``, as ``structures._partials``
+    builds) and the sign s +1 (when left out) or -1, accumulated into one packed dict over one common
     denominator (after Monagan & Pearce, CASC 2007).  Each product is held
     to the work budget; its sign and denominator factor scale its shorter
     factor, with the keys, values and term order of negating either.  The

@@ -7,7 +7,10 @@ Casimirs Q_i and a multiplier through
     {f, g} = multiplier * (df ^ dg ^ dQ_1 ^ ... ^ dQ_{n-2}) / (dx_1 ^ ... ^ dx_n).
 
 Nambu structures keep m Casimirs and expose the (n-m)-ary bracket of the same
-determinantal shape.  A Poisson structure carries the Casimirs declared for
+determinantal shape.  ``jacobi`` and the Casimir rows are Hamiltonian
+derivations X_s(f) = {x_s, f} = sum_l p_sl d_l f, each one fused sum over
+the partials of f read off its packed terms (:func:`_derivation`), with no
+gradient value built.  A Poisson structure carries the Casimirs declared for
 it, and :attr:`PoissonStructure.certified` decides once what they prove;
 every predicate that can use the proof reads it first.
 
@@ -27,11 +30,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
+from math import gcd
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .errors import ArityError, DomainError, PpaError
 from .exterior import mask_of, pfaffian, require_max_dim
-from .poly import PolyExpr, _independent_mod_p, _sum_of_products, exact_divisibility
+from .poly import (FIELD_BITS, _FIELD_MASK, PolyExpr, _coeff_bits, _independent_mod_p,
+                   _require_work, _sum_of_products, exact_divisibility)
 
 
 class _CasimirMinors:
@@ -237,9 +243,18 @@ def casimir_minors(variables, casimirs: Sequence[PolyExpr]) -> dict:
     """Column mask -> the nonzero l x l minor of the gradients of the l
     ``casimirs`` (top to bottom) on those columns, which is the coefficient
     of dQ_1 ^ ... ^ dQ_l on that mask; no Casimirs give {0: 1}.  Dependent
-    Casimirs give an empty table."""
-    return _stacked_minors([_gradient(q) for q in casimirs],
-                           {0: PolyExpr.const(variables, 1)})
+    Casimirs give an empty table.  The 1 x 1 minors are the last gradient's
+    nonzero entries, each held to ``MAX_WORK`` as its product by the
+    constant 1 would be."""
+    if not casimirs:
+        return {0: PolyExpr.const(variables, 1)}
+    *grads, last = [_gradient(q) for q in casimirs]
+    minors = {}
+    for c, e in enumerate(last):
+        if e._num:
+            _require_work(1, 1, len(e._num), _coeff_bits(e))
+            minors[1 << c] = e
+    return _stacked_minors(grads, minors)
 
 
 def _minor_table(ps: PoissonStructure, casimirs: tuple) -> dict:
@@ -311,8 +326,7 @@ def _stack_row(row, minors: dict) -> dict:
         bit, below, signed = 1 << c, (1 << c) - 1, (e, -e)
         for mask, d in minors.items():
             if not mask & bit:
-                terms.setdefault(mask | bit, []).append(
-                    (signed[bin(mask & below).count("1") & 1], d))
+                terms.setdefault(mask | bit, []).append((signed[(mask & below).bit_count() & 1], d))
     out = {}
     for mask, pairs in terms.items():
         d = _sum_of_products(row[0].vars, pairs)
@@ -361,25 +375,39 @@ def _gradient(p: PolyExpr) -> list[PolyExpr]:
     return [p.diff(v) for v in p.vars]
 
 
-def _jacobiator(matrix, i: int, j: int, k: int, g_jk, g_ki, g_ij) -> PolyExpr:
-    """sum_l p_il d_l p_jk + p_jl d_l p_ki + p_kl d_l p_ij, given the three
-    gradients, as one fused sum of products (zero-tested or rendered)."""
-    pairs = []
-    for l, (d_jk, d_ki, d_ij) in enumerate(zip(g_jk, g_ki, g_ij)):
-        pairs += ((matrix[i][l], d_jk), (matrix[j][l], d_ki), (matrix[k][l], d_ij))
-    return _sum_of_products(g_jk[0].vars, pairs)
+def _partials(f: PolyExpr) -> list:
+    """The partials d_l f of the polynomial-grade ``f``: each read off its
+    packed keys as (key - unit_l, c * e_l), reduced as ``diff`` reduces it
+    and kept as a factor of ``poly._sum_of_products`` (numerators,
+    denominator, bit size), or None when zero; no ``PolyExpr`` is built."""
+    items, out = f._num.items(), []
+    for s in range(FIELD_BITS * (len(f.vars) - 1), -1, -FIELD_BITS):
+        num, d = {m - (1 << s): c * e for m, c in items if (e := m >> s & _FIELD_MASK)}, f._den
+        if not num:
+            out.append(None)
+            continue
+        if d != 1 and (g := gcd(d, *num.values())) != 1:
+            num, d = {m: c // g for m, c in num.items()}, d // g
+        vals = num.values()
+        out.append(SimpleNamespace(_num=num, _den=d, _bits=max(max(vals), -min(vals), d).bit_length()))
+    return out
 
 
-def _hamiltonian_row(ps: PoissonStructure, grad, k: int) -> PolyExpr:
-    """{Q, x_k} = sum_i p_ik dQ/dx_i, given the gradient of Q, as one fused
-    sum of products (zero-tested or divided only)."""
-    return _sum_of_products(ps.vars, [(row[k], g) for row, g in zip(ps.matrix, grad)])
+def _derivation(variables, fields) -> PolyExpr:
+    """The sum over (p, parts, sign) in ``fields`` of sign * sum_l p_l d_l f,
+    given the :func:`_partials` of f and a row p_s of the bracket matrix:
+    the Hamiltonian derivations sign * X_s(f) = sign * {x_s, f}, as one fused
+    sum of products, l-major, each held to ``MAX_WORK`` as
+    ``p_l * f.diff(x_l)`` is.  Zero-tested, divided or rendered only."""
+    return _sum_of_products(variables, [(p[l], d, sign) for l in range(len(variables))
+                                        for p, parts, sign in fields if (d := parts[l]) is not None])
 
 
 def jacobiator(ps: PoissonStructure, i: int, j: int, k: int) -> PolyExpr:
+    """X_i(p_jk) + X_j(p_ki) + X_k(p_ij), one :func:`_derivation`."""
     m = ps.matrix
-    return _jacobiator(m, i, j, k, _gradient(m[j][k]), _gradient(m[k][i]),
-                       _gradient(m[i][j]))
+    return _derivation(ps.vars, [(m[i], _partials(m[j][k]), 1), (m[j], _partials(m[k][i]), 1),
+                                 (m[k], _partials(m[i][j]), 1)])
 
 
 def jacobi_witnesses(ps: PoissonStructure):
@@ -392,10 +420,11 @@ def jacobi_witnesses(ps: PoissonStructure):
     jacobiators on the triples {a, b, k} vanish iff [pi, pi] = 0 (Vaisman,
     *Lectures on the Geometry of Poisson Manifolds*, 1994).  That decides
     a pass, which yields nothing.  Anything else walks every coordinate
-    triple, taking the gradient of each bracket entry once, when a triple
-    first needs it, so a caller that stops at the first witness pays only
-    for the triples up to it.  A :attr:`~PoissonStructure.certified`
-    structure yields nothing before any of that runs."""
+    triple: each jacobiator is one :func:`_derivation`, over the
+    :func:`_partials` of each upper entry read once, when a triple first
+    needs them, so a caller that stops at the first witness pays only for
+    the triples up to it.  A :attr:`~PoissonStructure.certified` structure
+    yields nothing before any of that runs."""
     if ps.certified:
         return
     low_rank, pivot = ps._rank2
@@ -404,21 +433,23 @@ def jacobi_witnesses(ps: PoissonStructure):
             for k in range(ps.n) if k not in pivot)):
         return
     m = ps.matrix
-    grad = cache(lambda i, j: _gradient(m[i][j]))
+    part = cache(lambda i, j: _partials(m[i][j]))
     for i, j, k in combinations(range(ps.n), 3):
-        r = _jacobiator(m, i, j, k, grad(j, k), grad(k, i), grad(i, j))
+        # p_ki = -p_ik: the sum negates the partials of the upper entry
+        r = _derivation(ps.vars, [(m[i], part(j, k), 1), (m[j], part(i, k), -1),
+                                  (m[k], part(i, j), 1)])
         if not r.is_zero():
             yield i, j, k, r
 
 
 def is_casimir(s: PoissonStructure | NambuStructure, q: PolyExpr) -> bool:
     """True iff q is central.  On a Poisson structure {q, x_k} = 0 for every
-    coordinate, tested on the Hamiltonian rows of q, which share one
-    gradient; the verdict is kept on the structure.  On a Nambu structure
-    every bracket {x_c1, ..., x_c(r-1), q} is the multiplier times an
-    (m+1)-minor of (dq, dQ_1, ..., dQ_m), so q is central iff the
-    multiplier is zero or one Laplace step of dq on the Casimir minors
-    leaves no minor.
+    coordinate, each row -{q, x_k} = X_k(q) one :func:`_derivation` over
+    the partials of q, read once; the verdict is kept on the structure.
+    On a Nambu structure every bracket {x_c1, ..., x_c(r-1), q} is the
+    multiplier times an (m+1)-minor of (dq, dQ_1, ..., dQ_m), so q is
+    central iff the multiplier is zero or one Laplace step of dq on the
+    Casimir minors leaves no minor.
 
     The construction Casimirs of a :func:`jacobian_structure` are proved
     central by the construction, which keeps their verdicts; any other
@@ -429,8 +460,8 @@ def is_casimir(s: PoissonStructure | NambuStructure, q: PolyExpr) -> bool:
         return s.multiplier.is_zero() or not _stack_row(_gradient(q), s._casimir_minors)
     verdict = s._casimir_verdicts.get(q)
     if verdict is None:
-        grad = _gradient(q)
-        verdict = all(_hamiltonian_row(s, grad, k).is_zero() for k in range(s.n))
+        parts = _partials(q)
+        verdict = all(_derivation(s.vars, [(row, parts, 1)]).is_zero() for row in s.matrix)
         s._casimir_verdicts[q] = verdict
     return verdict
 
@@ -445,9 +476,9 @@ def is_quasi_casimir(ps: PoissonStructure, q: PolyExpr) -> bool:
     q.require_polynomial_grade("quasi-Casimir candidate")
     if ps._casimir_verdicts.get(q):
         return True
-    grad = _gradient(q)
-    return all(exact_divisibility(_hamiltonian_row(ps, grad, k), q)[0]
-               for k in range(ps.n))
+    parts = _partials(q)
+    return all(exact_divisibility(_derivation(ps.vars, [(row, parts, 1)]), q)[0]
+               for row in ps.matrix)
 
 
 @dataclass

@@ -11,8 +11,10 @@ computed from that chain (see the first section).
 contraction per coordinate tuple.  ``bracket_by_entries`` is the Poisson
 bracket as a chain of sums over the upper entries.
 
-``bracket_of`` is the Poisson bracket as Hamiltonian rows contracted with a
-gradient, and ``trajectory_states`` the states of an ``integrate`` report,
+``bracket_of`` is the Poisson bracket as Hamiltonian rows
+(``hamiltonian_row``, the row {Q, x_k} given the gradient of Q, as the
+library computed it before it read partials off packed terms) contracted
+with a gradient, and ``trajectory_states`` the states of an ``integrate`` report,
 as the package exported them until no command reached them.
 ``fundamental_identity_by_cofactor_rows`` is the residual of the n-ary
 fundamental identity as cofactor contractions, one row per tail slot, as the
@@ -54,7 +56,7 @@ from ppa.geometry import ChartComparison
 from ppa.poly import MAX_EXPONENT, MonomialMap, PolyExpr, _rational_pow, _sum_of_products
 from ppa.runner import CHECKS, FI_MAX, _key, _projection
 from ppa.structures import (NambuStructure, PoissonStructure, _cofactor_row, _gradient,
-                            _hamiltonian_row, _stack_row, _stacked_minors, is_casimir)
+                            _stack_row, _stacked_minors, is_casimir)
 
 
 # ---------------- the exterior-algebra chain ----------------
@@ -951,6 +953,12 @@ def contract(row, grad) -> PolyExpr:
     return _sum_of_products(grad[0].vars, zip(row, grad))
 
 
+def hamiltonian_row(ps: PoissonStructure, grad, k: int) -> PolyExpr:
+    """{Q, x_k} = sum_i p_ik dQ/dx_i, given the gradient of Q, as one fused
+    sum of products."""
+    return _sum_of_products(ps.vars, [(row[k], g) for row, g in zip(ps.matrix, grad)])
+
+
 def bracket_of(ps: PoissonStructure, f: PolyExpr, g: PolyExpr) -> PolyExpr:
     """{f, g} = sum_k {f, x_k} dg/dx_k, the Hamiltonian rows of f contracted
     with the gradient of g as one fused sum."""
@@ -959,7 +967,7 @@ def bracket_of(ps: PoissonStructure, f: PolyExpr, g: PolyExpr) -> PolyExpr:
     f.require_polynomial_grade("bracket argument")
     g.require_polynomial_grade("bracket argument")
     df = _gradient(f)
-    return contract([_hamiltonian_row(ps, df, k) for k in range(ps.n)], _gradient(g))
+    return contract([hamiltonian_row(ps, df, k) for k in range(ps.n)], _gradient(g))
 
 
 def trajectory_states(report) -> list:

@@ -114,8 +114,8 @@ def test_the_first_witness_takes_only_its_own_gradients(monkeypatch):
     assert not ps.certified                 # decided before the count starts
     assert not ps._rank2[0]                  # no pivot jacobiators
     calls = []
-    real = structures._gradient
-    monkeypatch.setattr(structures, "_gradient",
+    real = structures._partials
+    monkeypatch.setattr(structures, "_partials",
                         lambda p: calls.append(p) or real(p))
     first = next(jacobi_witnesses(ps))
     assert len(calls) == 3                  # the three entries of (x1, x2, x3)
@@ -251,7 +251,7 @@ def test_a_jacobian_structure_reuses_its_construction_minors(monkeypatch):
     pfaffians, rows = [], []
     monkeypatch.setattr(structures, "pfaffian",
                         lambda *args: pfaffians.append(args))
-    monkeypatch.setattr(structures, "_hamiltonian_row",
+    monkeypatch.setattr(structures, "_derivation",
                         lambda *args: rows.append(args))
     assert ps.certified and ps.certified
     assert calls == [] and pfaffians == [] and rows == []

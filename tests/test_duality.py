@@ -167,8 +167,8 @@ def test_casimir_verdicts_shared_within_a_structure(monkeypatch):
     m = catalog.build("q5", {"k": 2})
     ps, qs = m.structure, m.casimir_polys()
     calls = []
-    real = structures._hamiltonian_row
-    monkeypatch.setattr(structures, "_hamiltonian_row",
+    real = structures._derivation
+    monkeypatch.setattr(structures, "_derivation",
                         lambda *args: calls.append(args) or real(*args))
     assert all(structures.is_casimir(ps, q) for q in qs)
     verified = len(calls)

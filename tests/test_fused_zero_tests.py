@@ -1,8 +1,10 @@
 """The fused zero tests and the exact rank against their definitions.
 
 ``is_casimir`` and ``is_quasi_casimir`` test the Hamiltonian rows
-{Q, x_k} = sum_i p_ik dQ/dx_i, ``oracles.bracket_of`` contracts those rows
-with a gradient, ``_jacobiator`` and ``pfaffian`` sum their products in one
+{Q, x_k} = sum_i p_ik dQ/dx_i, each one ``structures._derivation`` over the
+partials of Q read off its packed terms (``structures._partials``), compared
+with ``oracles.hamiltonian_row`` over the gradient; ``oracles.bracket_of`` contracts those rows
+with a gradient, ``jacobiator`` and ``pfaffian`` sum their products in one
 fused kernel, and ``generic_rank`` eliminates by Pfaffians over Q[x].  Each is
 compared here with what it replaces or defines it: ``oracles.bracket_by_entries``,
 a ``_sum`` chain of products, the recursive ``oracles.pfaffian``, sympy's
@@ -23,7 +25,7 @@ from sympy.polys.matrices import DomainMatrix
 
 import oracles
 import synthetic
-from ppa import dsl, runner, structures
+from ppa import dsl, poly, runner, structures
 from ppa.duality import bdu_relation_sides
 from ppa.dynamics import hamiltonian_vector_field
 from ppa.errors import PolynomialGradeError
@@ -129,13 +131,30 @@ def structures_and_candidates(draw):
 @given(structures_and_candidates())
 def test_hamiltonian_rows_are_the_brackets(case):
     ps, q = case
-    grad = [q.diff(v) for v in ps.vars]
-    for k, x in enumerate(PolyExpr.gens(ps.vars)):
-        assert structures._hamiltonian_row(ps, grad, k) == \
-            oracles.bracket_by_entries(ps, q, x)
+    # the kernel's row is X_k(q) = {x_k, q} = -{q, x_k}
+    grad, parts = [q.diff(v) for v in ps.vars], structures._partials(q)
+    for k, (x, row) in enumerate(zip(PolyExpr.gens(ps.vars), ps.matrix)):
+        assert structures._derivation(ps.vars, [(row, parts, 1)]) == \
+            oracles.bracket_by_entries(ps, x, q) == -oracles.hamiltonian_row(ps, grad, k)
     assert is_casimir(ps, q) == casimir_by_definition(ps, q)
     if not q.is_zero():
         assert is_quasi_casimir(ps, q) == quasi_by_definition(ps, q)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: polys(n, 6)), st.integers(1, 12))
+def test_partials_are_the_reduced_derivatives(p, scale):
+    # numerators, denominator, term order and bit size of each diff, the
+    # operands its products are charged for; a common factor of the
+    # numerators and the denominator is divided out as diff divides it
+    p = p * scale
+    for v, part in zip(p.vars, structures._partials(p)):
+        d = p.diff(v)
+        if part is None:
+            assert d.is_zero()
+        else:
+            assert list(part._num.items()) == list(d._num.items())
+            assert (part._den, part._bits) == (d._den, poly._coeff_bits(d))
 
 
 @settings(max_examples=80, deadline=None)
@@ -166,9 +185,9 @@ def test_every_row_is_tested(a, b):
     xa = PolyExpr.var(VARS[a], VARS[:4])
     assert not is_casimir(ps, xa) and not casimir_by_definition(ps, xa)
     assert not is_quasi_casimir(ps, xa) and not quasi_by_definition(ps, xa)
-    grad = [xa.diff(v) for v in ps.vars]
-    assert [not structures._hamiltonian_row(ps, grad, k).is_zero()
-            for k in range(4)] == [k == b for k in range(4)]
+    parts = structures._partials(xa)
+    assert [not structures._derivation(ps.vars, [(row, parts, 1)]).is_zero()
+            for row in ps.matrix] == [k == b for k in range(4)]
 
 
 # ---------------- jacobiators and Pfaffians ----------------

@@ -97,6 +97,10 @@ def test_casimir_minors_are_the_wedge_coefficients(case):
     expected = (wedge_all([differential(q) for q in qs]).coeffs if qs
                 else {0: PolyExpr.const(v, 1)})
     assert casimir_minors(v, qs) == expected
+    # the last gradient's entries seed the table: the first Laplace step,
+    # on {0: 1}, would give the same minors in the same order
+    first = _stacked_minors([_gradient(q) for q in qs], {0: PolyExpr.const(v, 1)})
+    assert list(casimir_minors(v, qs).items()) == list(first.items())
 
 
 @st.composite

@@ -15,7 +15,7 @@ from ppa.errors import (DomainError, PolynomialGradeError, SingularMapError,
 from ppa.geometry import chart_compare
 from ppa.poly import (MAX_EXPONENT, MonomialMap, PolyExpr, exact_divisibility,
                       float_evaluator, substitute)
-from ppa.structures import PoissonStructure
+from ppa.structures import PoissonStructure, is_casimir, jacobiator
 
 V3 = ("x1", "x2", "x3")
 
@@ -812,6 +812,31 @@ def test_off_grade_powers_are_refused_before_multiplying(monkeypatch):
     assert products
 
 
+def test_values_built_from_judged_exponents_judge_none(monkeypatch):
+    terms = {(i - 1000, i % 7, F(1, 2)): i + 1 for i in range(2000)}
+    p, rows = PolyExpr(V3, terms), {}
+    for m, c in terms.items():
+        rows.setdefault(sum(m), {})[m] = c
+    calls = []
+    outside = poly._outside
+    monkeypatch.setattr(poly, "_outside", lambda e: calls.append(e) or outside(e))
+    wide, q = ("w",) + V3[::-1], PolyExpr(V3, {(1, 1, 0): 2, (0, 0, F(1, 2)): 1})
+    del calls[:]
+    built = [-p, p * 3, p / 4, p.with_vars(wide), q.homogeneous_component(2)]
+    built += [p.homogeneous_component(degree) for degree in list(rows)[::300]]
+    assert not calls
+    assert built[:4] == [PolyExpr(V3, {m: -c for m, c in terms.items()}),
+                         PolyExpr(V3, {m: 3 * c for m, c in terms.items()}),
+                         PolyExpr(V3, {m: F(c, 4) for m, c in terms.items()}),
+                         PolyExpr(wide, {(0,) + m[::-1]: c for m, c in terms.items()})]
+    # a polynomial-grade component of an off-grade value is packed
+    assert built[4] == gens3()[0] * gens3()[1] * 2 and built[4].is_polynomial_grade()
+    assert built[5:] == [PolyExpr(V3, rows[degree]) for degree in list(rows)[::300]]
+    del calls[:]
+    PolyExpr(V3, {(F(1, 2), 0, 0): 1})              # a fresh value is judged
+    assert calls
+
+
 # Off-grade exponents at the limit: +-MAX_EXPONENT, MAX_EXPONENT - 1/2 and
 # denominators near MAX_EXPONENT, and now and then one just past it.
 EDGE_EXPS = mostly(st.sampled_from([0, 1, -1, F(1, 2), HALF, MAX_E, -MAX_E, MAX_E - F(1, 2),
@@ -950,12 +975,18 @@ def test_every_product_site_holds_the_work_budget(monkeypatch):
     ps_a = PoissonStructure.from_table(va, {(0, 1): PolyExpr.var("y", va)})
     x, y, z = PolyExpr.gens(va + ("z",))
     ps_b = PoissonStructure.from_table(x.vars, {(0, 1): z * z})
+    # {x1,x2} = big: d/dx2 of small^2 (2 terms) meets it in the jacobiator
+    # and in the first Hamiltonian row of small^2, which no cache keeps
+    ps_c = PoissonStructure.from_table(V3, {(0, 1): big, (1, 2): small * small})
     sites = [
         lambda: small * big,                                        # 8
         lambda: big ** 2,                                           # 16
         lambda: poly._sum_of_products(V3, [(small, small), (small, big)]),  # 4, 8
         lambda: parse_polynomial("2^512*2^512*2^512*x1", V3),       # 2, 4, 6
         lambda: chart_compare(ps_a, ps_b, z - x - y - 1),           # 3, 9
+        lambda: jacobiator(ps_c, 0, 1, 2),                          # 8, 6
+        lambda: is_casimir(PoissonStructure.from_table(V3, {(0, 1): big}),
+                           small * small),                          # 4, 8
     ]
     for site in sites:
         site()
