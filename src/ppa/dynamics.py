@@ -27,10 +27,9 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import DivergenceError, DomainError
-from .poly import PolyExpr, _float_sum_lines, _sum, float_evaluator
+from .poly import PolyExpr, _float_sum_lines, _gradient, _sum, float_evaluator
 from .exterior import require_max_dim
-from .structures import (NambuStructure, PoissonStructure, _cofactor_row, _gradient,
-                         _stacked_minors)
+from .structures import NambuStructure, PoissonStructure, _cofactor_row, _stacked_minors
 
 
 @dataclass

@@ -368,12 +368,7 @@ class PolyExpr:
         """Formal partial derivative; rational exponents use the power rule."""
         i = self.vars.index(var)
         if self._grade:
-            # e -> e - 1 is injective on the surviving terms: nothing collides
-            shift = FIELD_BITS * (len(self.vars) - 1 - i)
-            unit = 1 << shift
-            out = {m - unit: c * e for m, c in self._num.items()
-                   if (e := m >> shift & _FIELD_MASK)}
-            return _reduced(self.vars, out, self._den, True)
+            return _partial(self, FIELD_BITS * (len(self.vars) - 1 - i))
         frac: dict = {}
         for m, c in self.terms.items():
             e = m[i]
@@ -600,6 +595,21 @@ def _reduced(variables, num, den, grade) -> PolyExpr:
     return _new(variables, num, den, grade)
 
 
+def _partial(p: PolyExpr, shift: int) -> PolyExpr:
+    """The partial derivative of the packed ``p`` by the variable whose field
+    starts at bit ``shift``, reduced: each key loses one unit of that field,
+    and e -> e - 1 is injective on the surviving terms, so nothing collides."""
+    unit = 1 << shift
+    return _reduced(p.vars, {m - unit: c * e for m, c in p._num.items()
+                             if (e := m >> shift & _FIELD_MASK)}, p._den, True)
+
+
+def _gradient(p: PolyExpr) -> list[PolyExpr]:
+    """[d_1 p, ..., d_n p] of the polynomial-grade ``p``, each its
+    :func:`_partial` (a zero partial is a zero value)."""
+    return [_partial(p, s) for s in range(FIELD_BITS * (len(p.vars) - 1), -1, -FIELD_BITS)]
+
+
 def _over_common_den(frac: dict):
     """(numerators, denominator) of nonzero Fractions over their least common
     denominator; that pair is already reduced."""
@@ -699,12 +709,13 @@ def _product(a: PolyExpr, b: PolyExpr) -> PolyExpr:
 
 def _sum_of_products(variables, pairs) -> PolyExpr:
     """sum s*a*b over ``pairs`` (a, b) or (a, b, s), with a and b
-    polynomial-grade values over ``variables`` (or factors with their packed
-    ``_num``, ``_den`` and a set ``_bits``, as ``structures._partials``
-    builds) and the sign s +1 (when left out) or -1, accumulated into one packed dict over one common
+    polynomial-grade values over ``variables`` and the sign s +1 (when left
+    out) or -1, accumulated into one packed dict over one common
     denominator (after Monagan & Pearce, CASC 2007).  Each product is held
     to the work budget; its sign and denominator factor scale its shorter
-    factor, with the keys, values and term order of negating either.  The
+    factor, with the keys, values and term order of negating either, so a
+    caller passes s = -1 (a lower bracket entry, an odd Laplace position)
+    and builds no negated value.  A zero factor drops its pair.  The
     ``MAX_EXPONENT`` test runs once on the sum, and the result is reduced,
     so it is canonical.  Its term order is not that of a ``_sum`` chain of
     products: use it where the result is only zero-tested or rendered

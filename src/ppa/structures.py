@@ -8,9 +8,10 @@ Casimirs Q_i and a multiplier through
 
 Nambu structures keep m Casimirs and expose the (n-m)-ary bracket of the same
 determinantal shape.  ``jacobi`` and the Casimir rows are Hamiltonian
-derivations X_s(f) = {x_s, f} = sum_l p_sl d_l f, each one fused sum over
-the partials of f read off its packed terms (:func:`_derivation`), with no
-gradient value built.  A Poisson structure carries the Casimirs declared for
+derivations X_s(f) = {x_s, f} = sum_l p_sl d_l f, each one fused sum
+(:func:`_derivation`) over ``poly._gradient(f)``; the pivot triples and the
+walk both take :func:`jacobiator`, which reads each upper entry's gradient
+once per structure.  A Poisson structure carries the Casimirs declared for
 it, and :attr:`PoissonStructure.certified` decides once what they prove;
 every predicate that can use the proof reads it first.
 
@@ -28,16 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations
-from math import gcd
-from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .errors import ArityError, DomainError, PpaError
 from .exterior import mask_of, pfaffian, require_max_dim
-from .poly import (FIELD_BITS, _FIELD_MASK, PolyExpr, _coeff_bits, _independent_mod_p,
-                   _require_work, _sum_of_products, exact_divisibility)
+from .poly import (PolyExpr, _coeff_bits, _gradient, _independent_mod_p, _require_work,
+                   _sum_of_products, exact_divisibility)
 
 
 class _CasimirMinors:
@@ -87,6 +86,8 @@ class PoissonStructure(_CasimirMinors):
         # candidate checked once (say by the casimirs check) is not checked
         # again by a later predicate (theorem31) on the same structure.
         ps._casimir_verdicts = {}
+        # (i, j), i < j -> the gradient of p_ij, read once (see jacobiator)
+        ps._entry_gradients = {}
         return ps
 
     @classmethod
@@ -317,16 +318,17 @@ def _stack_row(row, minors: dict) -> dict:
     nonzero determinants of some rows on those columns; the result maps
     each mask one column larger to the nonzero determinant with ``row`` put
     on top, expanded along it as one fused sum per minor.  Column c of a
-    mask sits at position popcount(mask below c), which gives its sign; the
-    entry is negated once, for every odd position."""
+    mask sits at position popcount(mask below c), which gives its sign, the
+    sign of the entry's product in the sum."""
     terms: dict = {}
     for c, e in enumerate(row):
         if e.is_zero():
             continue
-        bit, below, signed = 1 << c, (1 << c) - 1, (e, -e)
+        bit, below = 1 << c, (1 << c) - 1
         for mask, d in minors.items():
             if not mask & bit:
-                terms.setdefault(mask | bit, []).append((signed[(mask & below).bit_count() & 1], d))
+                terms.setdefault(mask | bit, []).append(
+                    (e, d, -1 if (mask & below).bit_count() & 1 else 1))
     out = {}
     for mask, pairs in terms.items():
         d = _sum_of_products(row[0].vars, pairs)
@@ -371,43 +373,28 @@ def _cofactor_row(ns: NambuStructure, minors: dict, slot: int) -> list[PolyExpr]
 
 # ---------------- verification predicates ----------------
 
-def _gradient(p: PolyExpr) -> list[PolyExpr]:
-    return [p.diff(v) for v in p.vars]
-
-
-def _partials(f: PolyExpr) -> list:
-    """The partials d_l f of the polynomial-grade ``f``: each read off its
-    packed keys as (key - unit_l, c * e_l), reduced as ``diff`` reduces it
-    and kept as a factor of ``poly._sum_of_products`` (numerators,
-    denominator, bit size), or None when zero; no ``PolyExpr`` is built."""
-    items, out = f._num.items(), []
-    for s in range(FIELD_BITS * (len(f.vars) - 1), -1, -FIELD_BITS):
-        num, d = {m - (1 << s): c * e for m, c in items if (e := m >> s & _FIELD_MASK)}, f._den
-        if not num:
-            out.append(None)
-            continue
-        if d != 1 and (g := gcd(d, *num.values())) != 1:
-            num, d = {m: c // g for m, c in num.items()}, d // g
-        vals = num.values()
-        out.append(SimpleNamespace(_num=num, _den=d, _bits=max(max(vals), -min(vals), d).bit_length()))
-    return out
-
-
 def _derivation(variables, fields) -> PolyExpr:
-    """The sum over (p, parts, sign) in ``fields`` of sign * sum_l p_l d_l f,
-    given the :func:`_partials` of f and a row p_s of the bracket matrix:
-    the Hamiltonian derivations sign * X_s(f) = sign * {x_s, f}, as one fused
-    sum of products, l-major, each held to ``MAX_WORK`` as
+    """The sum over (p, grad, sign) in ``fields`` of sign * sum_l p_l d_l f,
+    given the :func:`~ppa.poly._gradient` of f and a row p_s of the bracket
+    matrix: the Hamiltonian derivations sign * X_s(f) = sign * {x_s, f}, as
+    one fused sum of products, l-major, each held to ``MAX_WORK`` as
     ``p_l * f.diff(x_l)`` is.  Zero-tested, divided or rendered only."""
-    return _sum_of_products(variables, [(p[l], d, sign) for l in range(len(variables))
-                                        for p, parts, sign in fields if (d := parts[l]) is not None])
+    return _sum_of_products(variables, [(p[l], grad[l], sign) for l in range(len(variables))
+                                        for p, grad, sign in fields])
 
 
 def jacobiator(ps: PoissonStructure, i: int, j: int, k: int) -> PolyExpr:
-    """X_i(p_jk) + X_j(p_ki) + X_k(p_ij), one :func:`_derivation`."""
-    m = ps.matrix
-    return _derivation(ps.vars, [(m[i], _partials(m[j][k]), 1), (m[j], _partials(m[k][i]), 1),
-                                 (m[k], _partials(m[i][j]), 1)])
+    """X_i(p_jk) + X_j(p_ki) + X_k(p_ij), one :func:`_derivation`.  The
+    gradient of each upper entry is computed once per structure, kept in
+    ``ps._entry_gradients``; a lower entry p_ba = -p_ab reads its upper
+    entry's gradient with sign -1."""
+    m, known, fields = ps.matrix, ps._entry_gradients, []
+    for s, a, b in ((i, j, k), (j, k, i), (k, i, j)):
+        ab = (a, b) if a < b else (b, a)
+        if ab not in known:
+            known[ab] = _gradient(m[ab[0]][ab[1]])
+        fields.append((m[s], known[ab], 1 if a < b else -1))
+    return _derivation(ps.vars, fields)
 
 
 def jacobi_witnesses(ps: PoissonStructure):
@@ -420,11 +407,12 @@ def jacobi_witnesses(ps: PoissonStructure):
     jacobiators on the triples {a, b, k} vanish iff [pi, pi] = 0 (Vaisman,
     *Lectures on the Geometry of Poisson Manifolds*, 1994).  That decides
     a pass, which yields nothing.  Anything else walks every coordinate
-    triple: each jacobiator is one :func:`_derivation`, over the
-    :func:`_partials` of each upper entry read once, when a triple first
-    needs them, so a caller that stops at the first witness pays only for
-    the triples up to it.  A :attr:`~PoissonStructure.certified` structure
-    yields nothing before any of that runs."""
+    triple.  The pivot triples and the walk each call :func:`jacobiator`,
+    which reads each upper entry's gradient once per structure, when a
+    triple first needs it, so a caller that stops at the first witness pays
+    only for the entries of the triples up to it.  A
+    :attr:`~PoissonStructure.certified` structure yields nothing before any
+    of that runs."""
     if ps.certified:
         return
     low_rank, pivot = ps._rank2
@@ -432,12 +420,8 @@ def jacobi_witnesses(ps: PoissonStructure):
             jacobiator(ps, *sorted(pivot + (k,))).is_zero()
             for k in range(ps.n) if k not in pivot)):
         return
-    m = ps.matrix
-    part = cache(lambda i, j: _partials(m[i][j]))
     for i, j, k in combinations(range(ps.n), 3):
-        # p_ki = -p_ik: the sum negates the partials of the upper entry
-        r = _derivation(ps.vars, [(m[i], part(j, k), 1), (m[j], part(i, k), -1),
-                                  (m[k], part(i, j), 1)])
+        r = jacobiator(ps, i, j, k)
         if not r.is_zero():
             yield i, j, k, r
 
@@ -445,7 +429,7 @@ def jacobi_witnesses(ps: PoissonStructure):
 def is_casimir(s: PoissonStructure | NambuStructure, q: PolyExpr) -> bool:
     """True iff q is central.  On a Poisson structure {q, x_k} = 0 for every
     coordinate, each row -{q, x_k} = X_k(q) one :func:`_derivation` over
-    the partials of q, read once; the verdict is kept on the structure.
+    the gradient of q, read once; the verdict is kept on the structure.
     On a Nambu structure every bracket {x_c1, ..., x_c(r-1), q} is the
     multiplier times an (m+1)-minor of (dq, dQ_1, ..., dQ_m), so q is
     central iff the multiplier is zero or one Laplace step of dq on the
@@ -460,8 +444,8 @@ def is_casimir(s: PoissonStructure | NambuStructure, q: PolyExpr) -> bool:
         return s.multiplier.is_zero() or not _stack_row(_gradient(q), s._casimir_minors)
     verdict = s._casimir_verdicts.get(q)
     if verdict is None:
-        parts = _partials(q)
-        verdict = all(_derivation(s.vars, [(row, parts, 1)]).is_zero() for row in s.matrix)
+        grad = _gradient(q)
+        verdict = all(_derivation(s.vars, [(row, grad, 1)]).is_zero() for row in s.matrix)
         s._casimir_verdicts[q] = verdict
     return verdict
 
@@ -476,8 +460,8 @@ def is_quasi_casimir(ps: PoissonStructure, q: PolyExpr) -> bool:
     q.require_polynomial_grade("quasi-Casimir candidate")
     if ps._casimir_verdicts.get(q):
         return True
-    parts = _partials(q)
-    return all(exact_divisibility(_derivation(ps.vars, [(row, parts, 1)]), q)[0]
+    grad = _gradient(q)
+    return all(exact_divisibility(_derivation(ps.vars, [(row, grad, 1)]), q)[0]
                for row in ps.matrix)
 
 

@@ -16,6 +16,7 @@ bracket as a chain of sums over the upper entries.
 library computed it before it read partials off packed terms) contracted
 with a gradient, and ``trajectory_states`` the states of an ``integrate`` report,
 as the package exported them until no command reached them.
+``jacobiator_chain`` is a jacobiator as a ``+`` chain of products.
 ``fundamental_identity_by_cofactor_rows`` is the residual of the n-ary
 fundamental identity as cofactor contractions, one row per tail slot, as the
 library computed it before ``fi`` passed a Nambu structure by its
@@ -53,10 +54,11 @@ from ppa.errors import (ArityError, DegenerateCasimirError, DomainError,
                         ModelSyntaxError, ParityError, PolynomialGradeError)
 from ppa.exterior import MAX_DIM, indices_of, mask_of, merge_sign, require_max_dim
 from ppa.geometry import ChartComparison
-from ppa.poly import MAX_EXPONENT, MonomialMap, PolyExpr, _rational_pow, _sum_of_products
+from ppa.poly import (MAX_EXPONENT, MonomialMap, PolyExpr, _gradient, _rational_pow,
+                      _sum_of_products)
 from ppa.runner import CHECKS, FI_MAX, _key, _projection
-from ppa.structures import (NambuStructure, PoissonStructure, _cofactor_row, _gradient,
-                            _stack_row, _stacked_minors, is_casimir)
+from ppa.structures import (NambuStructure, PoissonStructure, _cofactor_row, _stack_row,
+                            _stacked_minors, is_casimir)
 
 
 # ---------------- the exterior-algebra chain ----------------
@@ -968,6 +970,19 @@ def bracket_of(ps: PoissonStructure, f: PolyExpr, g: PolyExpr) -> PolyExpr:
     g.require_polynomial_grade("bracket argument")
     df = _gradient(f)
     return contract([hamiltonian_row(ps, df, k) for k in range(ps.n)], _gradient(g))
+
+
+def jacobiator_chain(m, i, j, k) -> PolyExpr:
+    """The jacobiator {x_i, p_jk} + {x_j, p_ki} + {x_k, p_ij} of the matrix
+    ``m`` as a ``+`` chain of products, entry by entry, lower entries
+    differentiated as they stand."""
+    g = {(r, s): [m[r][s].diff(v) for v in m[r][s].vars]
+         for r, s in ((j, k), (k, i), (i, j))}
+    total = PolyExpr.zero(m[0][0].vars)
+    for l in range(len(m)):
+        total = (total + m[i][l] * g[j, k][l] + m[j][l] * g[k, i][l]
+                 + m[k][l] * g[i, j][l])
+    return total
 
 
 def trajectory_states(report) -> list:

@@ -25,17 +25,26 @@ certifies it, so the pivot reduction decides it.  Building either needs
 that vanishes at every x5 in {+-1/3, +-2/3, ..., +-7/3}, so a rank read off
 points of that grid would say 2.
 
+``sl3_model_text()`` is the Lie-Poisson structure on sl(3)*, n = 8, on the
+coordinates e_ij (i != j), h1 and h2 dual to E_ij, H1 = E_11 - E_22 and
+H2 = E_22 - E_33: {x_a, x_b} is the coordinate of [X_a, X_b].  It declares
+the Casimirs tr Z^2 and tr Z^3 of Z = sum_ij e_ij E_ij + diag(z1, z2, z3),
+z = ((2h1 + h2)/3, (h2 - h1)/3, -(h1 + 2h2)/3), the traceless point of
+sl(3) that the trace form pairs with the coordinates.  Its rank is 6 = n - l,
+and theorem31 holds with m = 3; the degree sum is 5 = (n + l)/2.
+
 Run ``python tests/synthetic.py N`` to print the model for N variables,
 ``python tests/synthetic.py N --perturbed`` for the perturbed one,
-``python tests/synthetic.py N --table`` for the table without Casimirs and
-``python tests/synthetic.py N --degree14`` for the degree-14 table.
+``python tests/synthetic.py N --table`` for the table without Casimirs,
+``python tests/synthetic.py N --degree14`` for the degree-14 table and
+``python tests/synthetic.py 8 --sl3`` for sl(3)*.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 CHECKS = "jacobi, casimirs, theorem31, plucker, rank"
 
@@ -94,7 +103,43 @@ def degree14_model_text(n: int = 5) -> str:
                       "check jacobi, plucker, rank;"]) + "\n"
 
 
+def sl3_model_text(n: int = 8) -> str:
+    if n != 8:
+        raise ValueError("sl(3)* has 8 coordinates")
+    basis = {f"e{i}{j}": {(i, j): 1} for i in (1, 2, 3) for j in (1, 2, 3) if i != j}
+    basis.update(h1={(1, 1): 1, (2, 2): -1}, h2={(2, 2): 1, (3, 3): -1})
+    names = list(basis)
+
+    def bracket(a, b):
+        """[A, B] of two matrices {(i, j): entry}, in the coordinates: a
+        traceless diag(d1, d2, d3) is d1 H1 - d3 H2."""
+        c = {}
+        for (i, j), x in a.items():
+            for (k, l), y in b.items():
+                if j == k:
+                    c[i, l] = c.get((i, l), 0) + x * y
+                if l == i:
+                    c[k, j] = c.get((k, j), 0) - x * y
+        coords = {f"e{i}{j}": v for (i, j), v in c.items() if i != j}
+        coords.update(h1=c.get((1, 1), 0), h2=-c.get((3, 3), 0))
+        return " + ".join(f"({v})*{name}" for name, v in coords.items() if v)
+
+    pairs = " ".join(f"{{{a},{b}}} = {expr};" for a, b in combinations(names, 2)
+                     if (expr := bracket(basis[a], basis[b])))
+    return "\n".join([
+        "vars " + " ".join(names) + ";",
+        "let z1 = (1/3)*(2*h1 + h2);", "let z2 = (1/3)*(h2 - h1);",
+        "let z3 = (-1/3)*(h1 + 2*h2);",
+        "let s1 = e12*e21 + e13*e31;", "let s2 = e12*e21 + e23*e32;",
+        "let s3 = e13*e31 + e23*e32;",
+        "casimir C2 = z1^2 + z2^2 + z3^2 + s1 + s2 + s3;",
+        "casimir C3 = z1^3 + z2^3 + z3^3 + 3*(z1*s1 + z2*s2 + z3*s3)"
+        " + 3*(e12*e23*e31 + e13*e32*e21);",
+        f"structure table {{ {pairs} }};",
+        f"check {CHECKS}, degree_sum;"]) + "\n"
+
+
 if __name__ == "__main__":
     texts = {"--perturbed": perturbed_model_text, "--table": table_model_text,
-             "--degree14": degree14_model_text}
+             "--degree14": degree14_model_text, "--sl3": sl3_model_text}
     sys.stdout.write(texts.get(" ".join(sys.argv[2:]), model_text)(int(sys.argv[1])))

@@ -114,12 +114,25 @@ def test_the_first_witness_takes_only_its_own_gradients(monkeypatch):
     assert not ps.certified                 # decided before the count starts
     assert not ps._rank2[0]                  # no pivot jacobiators
     calls = []
-    real = structures._partials
-    monkeypatch.setattr(structures, "_partials",
+    real = structures._gradient
+    monkeypatch.setattr(structures, "_gradient",
                         lambda p: calls.append(p) or real(p))
     first = next(jacobi_witnesses(ps))
     assert len(calls) == 3                  # the three entries of (x1, x2, x3)
     assert first == list(jacobi_witnesses(ps))[0]
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_a_jacobi_check_reads_each_upper_entry_gradient_once(monkeypatch, n):
+    # the pivot decides: its n - 2 triples {a, b, k} share p_ab, so they read
+    # 2n - 3 upper entries, 9 at n = 6 and 13 at n = 8
+    spec = dsl.parse_model(synthetic.table_model_text(n))
+    spec.checks = [("jacobi", None)]
+    calls = []
+    real = structures._gradient
+    monkeypatch.setattr(structures, "_gradient", lambda p: calls.append(p) or real(p))
+    assert [(r.name, r.status) for r in runner.run_checks(spec).results] == [("jacobi", "pass")]
+    assert len(calls) == 2 * n - 3
 
 
 def test_dependent_casimirs_do_not_certify(monkeypatch):

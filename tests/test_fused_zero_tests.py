@@ -2,13 +2,15 @@
 
 ``is_casimir`` and ``is_quasi_casimir`` test the Hamiltonian rows
 {Q, x_k} = sum_i p_ik dQ/dx_i, each one ``structures._derivation`` over the
-partials of Q read off its packed terms (``structures._partials``), compared
+partials of Q read off its packed terms (``poly._gradient``), compared
 with ``oracles.hamiltonian_row`` over the gradient; ``oracles.bracket_of`` contracts those rows
 with a gradient, ``jacobiator`` and ``pfaffian`` sum their products in one
 fused kernel, and ``generic_rank`` eliminates by Pfaffians over Q[x].  Each is
 compared here with what it replaces or defines it: ``oracles.bracket_by_entries``,
-a ``_sum`` chain of products, the recursive ``oracles.pfaffian``, sympy's
-rank over Q(x) and a ``Fraction`` elimination at rational points.
+a ``+`` chain of products (``oracles.jacobiator_chain``, also the reference
+for the ``jacobi`` check through the front end), the recursive
+``oracles.pfaffian``, sympy's rank over Q(x) and a ``Fraction`` elimination
+at rational points.
 ``bdu_relation_sides`` reads its left side as a 4x4 Pfaffian, compared here
 with the three products it sums.  ``poly._bareiss`` is compared with the
 ``Fraction`` elimination on integer matrices.
@@ -132,9 +134,9 @@ def structures_and_candidates(draw):
 def test_hamiltonian_rows_are_the_brackets(case):
     ps, q = case
     # the kernel's row is X_k(q) = {x_k, q} = -{q, x_k}
-    grad, parts = [q.diff(v) for v in ps.vars], structures._partials(q)
+    grad = poly._gradient(q)
     for k, (x, row) in enumerate(zip(PolyExpr.gens(ps.vars), ps.matrix)):
-        assert structures._derivation(ps.vars, [(row, parts, 1)]) == \
+        assert structures._derivation(ps.vars, [(row, grad, 1)]) == \
             oracles.bracket_by_entries(ps, x, q) == -oracles.hamiltonian_row(ps, grad, k)
     assert is_casimir(ps, q) == casimir_by_definition(ps, q)
     if not q.is_zero():
@@ -144,17 +146,22 @@ def test_hamiltonian_rows_are_the_brackets(case):
 @settings(max_examples=120, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: polys(n, 6)), st.integers(1, 12))
 def test_partials_are_the_reduced_derivatives(p, scale):
-    # numerators, denominator, term order and bit size of each diff, the
-    # operands its products are charged for; a common factor of the
-    # numerators and the denominator is divided out as diff divides it
+    # numerators, denominator, term order and bit size of each diff and of
+    # the power rule on the exponent tuples, the operands its products are
+    # charged for; a common factor of the numerators and the denominator is
+    # divided out, and a zero partial is the zero value
     p = p * scale
-    for v, part in zip(p.vars, structures._partials(p)):
-        d = p.diff(v)
-        if part is None:
-            assert d.is_zero()
+    grad = poly._gradient(p)
+    assert len(grad) == len(p.vars)
+    for i, (v, part) in enumerate(zip(p.vars, grad)):
+        ref = PolyExpr(p.vars, {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+                                for m, c in p.terms.items() if m[i]})
+        for d in (p.diff(v), ref):
+            assert list(part._num.items()) == list(d._num.items()) and part._den == d._den
+        if ref.is_zero():
+            assert part == PolyExpr.zero(p.vars)
         else:
-            assert list(part._num.items()) == list(d._num.items())
-            assert (part._den, part._bits) == (d._den, poly._coeff_bits(d))
+            assert poly._coeff_bits(part) == poly._coeff_bits(ref)
 
 
 @settings(max_examples=80, deadline=None)
@@ -185,29 +192,43 @@ def test_every_row_is_tested(a, b):
     xa = PolyExpr.var(VARS[a], VARS[:4])
     assert not is_casimir(ps, xa) and not casimir_by_definition(ps, xa)
     assert not is_quasi_casimir(ps, xa) and not quasi_by_definition(ps, xa)
-    parts = structures._partials(xa)
-    assert [not structures._derivation(ps.vars, [(row, parts, 1)]).is_zero()
+    grad = poly._gradient(xa)
+    assert [not structures._derivation(ps.vars, [(row, grad, 1)]).is_zero()
             for row in ps.matrix] == [k == b for k in range(4)]
 
 
 # ---------------- jacobiators and Pfaffians ----------------
 
-def jacobiator_chain(m, i, j, k):
-    """The jacobiator as a ``_sum`` chain of products."""
-    g = {(r, s): [m[r][s].diff(v) for v in m[r][s].vars]
-         for r, s in ((j, k), (k, i), (i, j))}
-    total = PolyExpr.zero(m[0][0].vars)
-    for l in range(len(m)):
-        total = (total + m[i][l] * g[j, k][l] + m[j][l] * g[k, i][l]
-                 + m[k][l] * g[i, j][l])
-    return total
-
-
 @settings(max_examples=60, deadline=None)
 @given(tables)
 def test_jacobiator_equals_the_sum_chain(ps):
+    # every order of each triple: a lower entry is read as its upper entry
+    # with sign -1, and the jacobiator is alternating
+    for triple in combinations(range(ps.n), 3):
+        chain = oracles.jacobiator_chain(ps.matrix, *triple)
+        for order in permutations(triple):
+            odd = sum(a > b for a, b in combinations(order, 2)) & 1
+            assert structures.jacobiator(ps, *order) == \
+                oracles.jacobiator_chain(ps.matrix, *order) == (-chain if odd else chain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables.filter(lambda ps: ps.n <= 5))
+def test_the_jacobi_check_reports_the_first_nonzero_chain(ps):
+    # through the front end: the table (and a Jacobian structure's Casimirs)
+    # rendered, parsed and checked, against the first triple whose chain is
+    # not zero
+    spec = dsl.ModelSpec(vars=ps.vars, structure_kind="table", checks=[("jacobi", None)],
+                         casimirs=[(f"Q{c + 1}", q) for c, q in enumerate(ps.casimirs)],
+                         table={ij: p for ij, p in ps.entries_upper() if not p.is_zero()})
+    result, = runner.run_checks(dsl.parse_model(dsl.render_model(spec))).results
+    expected = ("pass", None)
     for i, j, k in combinations(range(ps.n), 3):
-        assert structures.jacobiator(ps, i, j, k) == jacobiator_chain(ps.matrix, i, j, k)
+        if not (r := oracles.jacobiator_chain(ps.matrix, i, j, k)).is_zero():
+            expected = ("fail", f"jacobiator({ps.vars[i]},{ps.vars[j]},{ps.vars[k]}) = "
+                                f"{r.render()}")
+            break
+    assert (result.status, result.witness) == expected
 
 
 @settings(max_examples=40, deadline=None)

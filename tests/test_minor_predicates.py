@@ -37,10 +37,10 @@ from ppa.dynamics import nambu_vector_field
 from ppa.geometry import transport_bracket
 from ppa.errors import DomainError
 from ppa.exterior import MAX_DIM, mask_of, merge_sign
-from ppa.poly import MonomialMap, PolyExpr
+from ppa.poly import MonomialMap, PolyExpr, _gradient
 from ppa.structures import (NambuStructure, PoissonStructure, _cofactor_row,
-                            _gradient, _stacked_minors, casimir_minors,
-                            is_casimir, jacobian_structure)
+                            _stacked_minors, casimir_minors, is_casimir,
+                            jacobian_structure)
 
 VARS = tuple(f"x{i + 1}" for i in range(8))
 SETTINGS = settings(max_examples=60, deadline=None,
